@@ -1,9 +1,6 @@
 //! Job-spec resolution (wire names → engine types) and durable result
 //! rendering.
 
-use std::fs;
-use std::io::{self, Write as _};
-use std::path::Path;
 use tcm_core::TcmParams;
 use tcm_proto::{SweepSpec, WorkloadRef};
 use tcm_sched::{AtlasParams, ParBsParams, StfmParams};
@@ -178,25 +175,10 @@ pub fn render_result(result: &SweepResult) -> String {
     s
 }
 
-/// Writes `contents` to `path` crash-consistently: temp file, fsync,
-/// atomic rename, fsync of the parent directory — the same discipline
-/// as the engine's checkpoint publish.
-pub fn write_durable(path: &Path, contents: &str) -> io::Result<()> {
-    let mut tmp = path.to_path_buf().into_os_string();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(contents.as_bytes())?;
-        file.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    fs::File::open(parent)?.sync_all()
-}
+/// The engine's crash-consistent publish (temp file, fsync, atomic
+/// rename, fsync of the parent directory), used for result and scrape
+/// files.
+pub use tcm_sim::write_durable;
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]

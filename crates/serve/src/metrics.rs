@@ -43,6 +43,14 @@ pub struct LiveGauges {
     pub wal_replayed_jobs: u64,
     /// Torn-tail bytes truncated from the WAL at startup.
     pub wal_truncated_bytes: u64,
+    /// Alone-run simulations the shared baseline cache ran.
+    pub alone_runs: u64,
+    /// Alone-IPC lookups answered from memory.
+    pub alone_memory_hits: u64,
+    /// Alone-IPC lookups answered from `<state-dir>/alone/`.
+    pub alone_disk_hits: u64,
+    /// Stored alone entries found corrupt (recomputed, republished).
+    pub alone_corrupt: u64,
 }
 
 /// The daemon's metric accumulator. Cheap atomics for the hot gauges,
@@ -120,6 +128,17 @@ impl DaemonMetrics {
         registry.set_counter("tcm_serve_wal_appended_bytes_total", live.wal_appended_bytes);
         registry.set_counter("tcm_serve_wal_replayed_jobs_total", live.wal_replayed_jobs);
         registry.set_counter("tcm_serve_wal_truncated_bytes_total", live.wal_truncated_bytes);
+        registry.set_counter("tcm_serve_alone_runs_total", live.alone_runs);
+        for (source, hits) in [
+            ("memory", live.alone_memory_hits),
+            ("disk", live.alone_disk_hits),
+        ] {
+            registry.set_counter(
+                &labeled("tcm_serve_alone_cache_hits_total", &[("source", source)]),
+                hits,
+            );
+        }
+        registry.set_counter("tcm_serve_alone_cache_corrupt_total", live.alone_corrupt);
         registry.set_gauge("tcm_serve_queue_depth", live.queue_depth as f64);
         registry.set_gauge("tcm_serve_queue_capacity", live.queue_capacity as f64);
         registry.set_gauge(
@@ -171,12 +190,20 @@ mod tests {
             wal_appended_bytes: 900,
             wal_replayed_jobs: 1,
             wal_truncated_bytes: 0,
+            alone_runs: 4,
+            alone_memory_hits: 12,
+            alone_disk_hits: 3,
+            alone_corrupt: 0,
         });
         assert!(text.contains("tcm_serve_jobs_submitted_total 2\n"));
         assert!(text.contains("tcm_serve_jobs_completed_total{state=\"done\"} 1\n"));
         assert!(text.contains("tcm_serve_queue_high_water 5\n"));
         assert!(text.contains("tcm_serve_workers_busy 1\n"));
         assert!(text.contains("tcm_serve_wal_appended_records_total 7\n"));
+        assert!(text.contains("tcm_serve_alone_runs_total 4\n"));
+        assert!(text.contains("tcm_serve_alone_cache_hits_total{source=\"memory\"} 12\n"));
+        assert!(text.contains("tcm_serve_alone_cache_hits_total{source=\"disk\"} 3\n"));
+        assert!(text.contains("tcm_serve_alone_cache_corrupt_total 0\n"));
         assert!(text.contains("# TYPE tcm_serve_job_duration_ms histogram"));
         assert!(text.contains("tcm_serve_job_duration_ms_count{state=\"done\"} 1\n"));
         assert!(text.contains("tcm_serve_job_duration_ms_sum{state=\"done\"} 120\n"));

@@ -55,7 +55,7 @@ use tcm_proto::{
     read_frame, write_frame, Event, JobKind, JobProgress, JobSpec, JobState, JobStatusInfo,
     Request, Response, ServerInfo, SoakSpec, SweepSpec,
 };
-use tcm_sim::{PolicyKind, RetryPolicy, RunConfig, Session, SweepResult, System};
+use tcm_sim::{AloneIpcCache, PolicyKind, RetryPolicy, RunConfig, Session, SweepResult, System};
 use tcm_telemetry::TelemetryConfig;
 use tcm_types::{CancelToken, SimError, SystemConfig};
 use tcm_workload::random_workload;
@@ -133,6 +133,10 @@ struct Shared {
     next_id: AtomicU64,
     next_seq: AtomicU64,
     state_dir: PathBuf,
+    /// Alone-run baselines shared by every job's `Session`, stored under
+    /// `<state-dir>/alone/` so a restart re-admits jobs without re-running
+    /// them. Its lock is a leaf, like `metrics`.
+    alone: Arc<AloneIpcCache>,
     /// Metric accumulator — a leaf lock, composable anywhere in the
     /// order above.
     metrics: DaemonMetrics,
@@ -228,6 +232,7 @@ impl Server {
                 next_id: AtomicU64::new(next_id),
                 next_seq: AtomicU64::new(next_seq),
                 state_dir: config.state_dir.clone(),
+                alone: Arc::new(AloneIpcCache::with_store(config.state_dir.join("alone"))),
                 metrics,
                 socket: config.socket.clone(),
                 workers_total: config.workers.max(1),
@@ -347,6 +352,10 @@ fn scrape(shared: &Shared) -> String {
         wal_appended_bytes: wal.appended_bytes,
         wal_replayed_jobs: wal.replayed_jobs,
         wal_truncated_bytes: wal.truncated_bytes,
+        alone_runs: shared.alone.misses(),
+        alone_memory_hits: shared.alone.hits(),
+        alone_disk_hits: shared.alone.disk_hits(),
+        alone_corrupt: shared.alone.corrupt(),
     })
 }
 
@@ -910,12 +919,13 @@ fn run_sweep_job(
     if let Some(topology) = resolved.topology.clone() {
         cfg.topology = topology;
     }
-    let session = Session::new(
+    let session = Session::with_alone_cache(
         RunConfig::builder()
             .system(cfg)
             .horizon(resolved.horizon)
             .telemetry(resolved.telemetry.then(TelemetryConfig::default))
             .build(),
+        Arc::clone(&shared.alone),
     );
     let ckpt = shared.state_dir.join(format!("job-{id}.ckpt.jsonl"));
     let retry = RetryPolicy::with_attempts(spec.max_attempts);

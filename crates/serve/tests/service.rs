@@ -6,13 +6,18 @@
 //! a real `kill -9` (that lives in `scripts/check.sh`'s `serve-smoke`
 //! leg): the state directory is pre-seeded with exactly what a killed
 //! daemon leaves behind — a WAL whose job has `submit` + `start` but no
-//! terminal record, and a cell checkpoint truncated mid-line.
+//! terminal record, a cell checkpoint truncated mid-line, and the alone
+//! baselines the killed daemon had already stored.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::thread;
 use std::time::Duration;
 use tcm_proto::{Event, JobKind, JobSpec, JobState, SweepSpec, WorkloadRef};
+use tcm_serve::job::{render_result, resolve_sweep};
 use tcm_serve::{Client, Server, ServerConfig, Wal};
+use tcm_sim::{RunConfig, Session};
+use tcm_types::SystemConfig;
 
 fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tcm-serve-test-{}-{name}", std::process::id()));
@@ -58,6 +63,66 @@ fn sweep_spec() -> JobSpec {
             telemetry: false,
         }),
     }
+}
+
+/// [`sweep_spec`] with mix seed `seed` in place of 5.
+fn sweep_spec_with_mix(seed: u64) -> JobSpec {
+    let mut spec = sweep_spec();
+    if let JobKind::Sweep(sweep) = &mut spec.kind {
+        sweep.workloads = vec![WorkloadRef::Random {
+            seed,
+            threads: 4,
+            intensity_bits: 0.8f64.to_bits(),
+        }];
+    }
+    spec
+}
+
+/// The distinct benchmark profiles of mix `seed`.
+fn mix_profiles(seed: u64) -> BTreeSet<String> {
+    tcm_workload::random_workload(seed, 4, 0.8)
+        .threads
+        .into_iter()
+        .map(|p| p.name)
+        .collect()
+}
+
+/// The result document of `spec` from a cold in-process `Session`,
+/// configured as a daemon worker configures one.
+fn render_cold(spec: &JobSpec) -> Vec<u8> {
+    let JobKind::Sweep(sweep) = &spec.kind else {
+        panic!("not a sweep job");
+    };
+    let r = resolve_sweep(sweep).expect("spec resolves");
+    let mut cfg = SystemConfig::paper_baseline();
+    cfg.num_threads = r.workloads[0].threads.len();
+    let session = Session::new(RunConfig::builder().system(cfg).horizon(r.horizon).build());
+    let result = session
+        .sweep()
+        .policies(r.policies)
+        .workloads(r.workloads)
+        .seeds(r.seeds)
+        .run();
+    render_result(&result).into_bytes()
+}
+
+/// Submits `spec`, watches it to `Done`, returns its result file.
+fn run_to_done(client: &mut Client, state_dir: &Path, spec: JobSpec) -> Vec<u8> {
+    let id = client.submit(spec).expect("submit");
+    let (state, detail) = client.watch(id, |_| {}).expect("watch");
+    assert_eq!(state, JobState::Done, "{detail}");
+    std::fs::read(state_dir.join(format!("job-{id}.result.json"))).expect("result file")
+}
+
+/// The stored alone entries under `state_dir`, in name order.
+fn alone_entries(state_dir: &Path) -> Vec<PathBuf> {
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(state_dir.join("alone"))
+        .expect("alone store exists")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "alone"))
+        .collect();
+    entries.sort();
+    entries
 }
 
 /// Starts a daemon, waits for its socket, returns the exit-code handle.
@@ -109,6 +174,13 @@ fn restarted_daemon_readmits_wal_jobs_and_finishes_bit_identically() {
         format!("{}\n{torn}", lines[..2].join("\n")),
     )
     .expect("truncated ckpt");
+    // A daemon stores each alone baseline before the job's first cell
+    // runs, so the killed one had stored all of them.
+    std::fs::create_dir_all(state_dir.join("alone")).expect("alone dir");
+    for entry in alone_entries(&ref_dir.join("state")) {
+        let name = entry.file_name().expect("entry name");
+        std::fs::copy(&entry, state_dir.join("alone").join(name)).expect("copy alone entry");
+    }
 
     // Restart: the WAL re-admits job 1, the checkpoint restores the one
     // intact cell, the rest re-run — and the merged result file is
@@ -133,11 +205,96 @@ fn restarted_daemon_readmits_wal_jobs_and_finishes_bit_identically() {
     assert_eq!(metric(&text, "tcm_serve_wal_replayed_jobs_total"), Some(1.0), "{text}");
     assert_eq!(metric(&text, "tcm_serve_jobs_readmitted_total"), Some(1.0), "{text}");
     assert_eq!(metric(&text, "tcm_serve_cells_resumed_total"), Some(1.0), "{text}");
+    // The re-admitted job read its baselines from disk instead of
+    // re-running them.
+    assert_eq!(metric(&text, "tcm_serve_alone_runs_total"), Some(0.0), "{text}");
+    assert!(
+        metric(&text, "tcm_serve_alone_cache_hits_total{source=\"disk\"}") >= Some(1.0),
+        "{text}"
+    );
+    assert_eq!(metric(&text, "tcm_serve_alone_cache_corrupt_total"), Some(0.0), "{text}");
 
     client.drain().expect("drain");
     assert_eq!(handle.join().expect("join"), 0);
     let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&crash_dir);
+}
+
+#[test]
+fn overlapping_jobs_simulate_only_their_new_alone_baselines() {
+    let first = mix_profiles(5);
+    let (seed, second) = (6..)
+        .map(|s| (s, mix_profiles(s)))
+        .find(|(_, p)| !p.is_disjoint(&first) && !p.is_subset(&first))
+        .expect("some mix overlaps mix 5 without being covered by it");
+    let dir = scratch_dir("alone-overlap");
+    let state_dir = dir.join("state");
+    let (handle, socket) = start(config(&dir));
+    let mut client = Client::connect(&socket).expect("connect");
+
+    let result = run_to_done(&mut client, &state_dir, sweep_spec());
+    assert_eq!(result, render_cold(&sweep_spec()), "first job matches a cold Session");
+    let text = client.metrics().expect("scrape");
+    let runs = metric(&text, "tcm_serve_alone_runs_total");
+    assert_eq!(runs, Some(first.len() as f64), "{text}");
+
+    let spec = sweep_spec_with_mix(seed);
+    let result = run_to_done(&mut client, &state_dir, spec.clone());
+    assert_eq!(result, render_cold(&spec), "second job matches a cold Session");
+    let text = client.metrics().expect("scrape");
+    let new = second.difference(&first).count();
+    let runs = metric(&text, "tcm_serve_alone_runs_total");
+    assert_eq!(runs, Some((first.len() + new) as f64), "only new profiles run: {text}");
+
+    client.drain().expect("drain");
+    assert_eq!(handle.join().expect("join"), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn corrupt_alone_entries_are_recomputed_counted_and_republished() {
+    let dir = scratch_dir("alone-corrupt");
+    let state_dir = dir.join("state");
+    let (handle, socket) = start(config(&dir));
+    let mut client = Client::connect(&socket).expect("connect");
+    let reference = run_to_done(&mut client, &state_dir, sweep_spec());
+    client.drain().expect("drain");
+    assert_eq!(handle.join().expect("join"), 0);
+
+    let entries = alone_entries(&state_dir);
+    assert_eq!(entries.len(), mix_profiles(5).len(), "one entry per profile");
+    assert!(entries.len() >= 3, "the test needs three entries to damage");
+    let original: Vec<Vec<u8>> = entries
+        .iter()
+        .map(|p| std::fs::read(p).expect("entry"))
+        .collect();
+    // Truncated, bit-flipped, and another key's (valid) entry.
+    std::fs::write(&entries[0], &original[0][..original[0].len() / 2]).expect("truncate");
+    let mut flipped = original[1].clone();
+    let mid = flipped.len() / 2;
+    flipped[mid] ^= 0x01;
+    std::fs::write(&entries[1], flipped).expect("flip");
+    std::fs::write(&entries[2], &original[0]).expect("wrong key");
+
+    let (handle, socket) = start(config(&dir));
+    let mut client = Client::connect(&socket).expect("reconnect");
+    let result = run_to_done(&mut client, &state_dir, sweep_spec());
+    assert_eq!(result, reference, "recomputed baselines give the same result");
+    let text = client.metrics().expect("scrape");
+    assert_eq!(metric(&text, "tcm_serve_alone_cache_corrupt_total"), Some(3.0), "{text}");
+    assert_eq!(metric(&text, "tcm_serve_alone_runs_total"), Some(3.0), "{text}");
+    assert_eq!(
+        metric(&text, "tcm_serve_alone_cache_hits_total{source=\"disk\"}"),
+        Some((entries.len() - 3) as f64),
+        "{text}"
+    );
+    for (path, bytes) in entries.iter().zip(&original) {
+        assert_eq!(&std::fs::read(path).expect("entry"), bytes, "{}", path.display());
+    }
+
+    client.drain().expect("drain");
+    assert_eq!(handle.join().expect("join"), 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

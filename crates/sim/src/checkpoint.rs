@@ -113,31 +113,39 @@ impl CheckpointWriter {
     }
 
     fn publish(&self) -> io::Result<()> {
-        let mut tmp = self.path.clone().into_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
         let mut buffer = self.lines.join("\n");
         buffer.push('\n');
-        // Crash-consistent publish: fsync the temp file *before* the
-        // rename (so the rename can never install a file whose data is
-        // still in the page cache) and fsync the parent directory
-        // *after* it (so the rename itself — a directory mutation — is
-        // durable). Without both, power loss or SIGKILL in the window
-        // between write and rename can surface a stale or torn
-        // checkpoint on restart.
-        {
-            use std::io::Write;
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(buffer.as_bytes())?;
-            file.sync_all()?;
-        }
-        fs::rename(&tmp, &self.path)?;
-        let parent = match self.path.parent() {
-            Some(p) if !p.as_os_str().is_empty() => p,
-            _ => std::path::Path::new("."),
-        };
-        fs::File::open(parent)?.sync_all()
+        write_durable(&self.path, &buffer)
     }
+}
+
+/// Writes `contents` to `path` crash-consistently: a `<path>.tmp`
+/// sibling, fsync, atomic rename over `path`, fsync of the parent
+/// directory. Every durable file the workspace publishes goes through
+/// here: sweep checkpoints, stored alone baselines, and the daemon's
+/// result and scrape files.
+pub fn write_durable(path: &Path, contents: &str) -> io::Result<()> {
+    let mut tmp = path.to_path_buf().into_os_string();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    // Fsync the temp file *before* the rename (so the rename can never
+    // install a file whose data is still in the page cache) and the
+    // parent directory *after* it (so the rename itself — a directory
+    // mutation — is durable). Without both, power loss or SIGKILL in
+    // the window between write and rename can surface a stale or torn
+    // file on restart.
+    {
+        use std::io::Write;
+        let mut file = fs::File::create(&tmp)?;
+        file.write_all(contents.as_bytes())?;
+        file.sync_all()?;
+    }
+    fs::rename(&tmp, path)?;
+    let parent = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    fs::File::open(parent)?.sync_all()
 }
 
 // ---------------------------------------------------------------------

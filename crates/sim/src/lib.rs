@@ -38,6 +38,7 @@
 #![warn(missing_debug_implementations)]
 #![warn(clippy::unwrap_used)]
 
+mod alone;
 mod checkpoint;
 mod event;
 mod metrics;
@@ -48,6 +49,7 @@ pub mod scatter;
 pub mod sweep;
 mod system;
 
+pub use checkpoint::write_durable;
 pub use event::{Event, EventQueue};
 pub use multi::MultiSystem;
 pub use metrics::{mean, variance, workload_metrics, IpcPair, WorkloadMetrics};

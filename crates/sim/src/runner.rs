@@ -294,8 +294,13 @@ pub struct EvalResult {
 /// Deterministic per-workload seed so every policy sees the identical
 /// trace for a given workload.
 pub(crate) fn workload_seed(workload: &WorkloadSpec) -> u64 {
+    fnv1a(workload.name.as_bytes())
+}
+
+/// 64-bit FNV-1a of `bytes`.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in workload.name.bytes() {
+    for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
     }

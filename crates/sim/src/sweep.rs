@@ -7,7 +7,7 @@
 //!
 //! * a [`Session`] owns the immutable machine/run configuration
 //!   ([`RunConfig`]) and a thread-safe cache of alone-run IPCs (the
-//!   slowdown denominators), keyed by benchmark-profile fingerprint;
+//!   slowdown denominators; see [`AloneIpcCache`]), private or shared;
 //! * a [`Sweep`] builder names the grid declaratively
 //!   (`.policies(..).workloads(..).seeds(..)`) and executes it either
 //!   serially ([`Sweep::run`]) or sharded across `std::thread::scope`
@@ -47,120 +47,17 @@ use crate::metrics::{workload_metrics, IpcPair, WorkloadMetrics};
 use crate::multi::MultiSystem;
 use crate::runner::{workload_seed, EvalResult, PolicyKind, RunConfig};
 use crate::system::{RunResult, System};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use tcm_sched::FrFcfs;
 use tcm_telemetry::Telemetry;
 use tcm_types::{CancelToken, ControllerId, Cycle, SimError};
 use tcm_workload::{BenchmarkProfile, WorkloadSpec};
 
-/// Exact identity of a benchmark profile for alone-IPC caching.
-///
-/// Within one [`Session`] the machine configuration and horizon are
-/// fixed, so an alone run is determined entirely by the profile's name
-/// and its three characteristics. The fingerprint stores the exact
-/// field values (float bit patterns included), so distinct profiles can
-/// never collide.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ProfileFingerprint {
-    name: String,
-    mpki_bits: u64,
-    rbl_bits: u64,
-    blp_bits: u64,
-}
-
-impl ProfileFingerprint {
-    /// Fingerprint of `profile`.
-    pub fn of(profile: &BenchmarkProfile) -> Self {
-        Self {
-            name: profile.name.clone(),
-            mpki_bits: profile.mpki.to_bits(),
-            rbl_bits: profile.rbl.to_bits(),
-            blp_bits: profile.blp.to_bits(),
-        }
-    }
-}
-
-/// Thread-safe cache of alone-run IPCs with hit/miss accounting.
-///
-/// Lives inside a [`Session`]; exposed for its counters, which make
-/// cache behavior observable (and testable): a repeated profile must
-/// miss exactly once and hit on every later lookup.
-#[derive(Debug, Default)]
-pub struct AloneIpcCache {
-    map: Mutex<HashMap<ProfileFingerprint, f64>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl AloneIpcCache {
-    /// Number of cached alone-run IPCs.
-    pub fn len(&self) -> usize {
-        self.map.lock().expect("alone cache poisoned").len()
-    }
-
-    /// Whether nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lookups answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that had to run the alone simulation.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    fn get_or_compute(&self, profile: &BenchmarkProfile, rc: &RunConfig) -> f64 {
-        let key = ProfileFingerprint::of(profile);
-        if let Some(&ipc) = self.map.lock().expect("alone cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return ipc;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let ipc = compute_alone_ipc(profile, rc);
-        self.map
-            .lock()
-            .expect("alone cache poisoned")
-            .insert(key, ipc);
-        ipc
-    }
-}
-
-/// IPC of `profile` running alone on `rc`'s machine (uncached).
-///
-/// A thread's slowdown compares its shared-run IPC against its IPC when
-/// running alone on the same machine. The policy is irrelevant with a
-/// single thread, so FR-FCFS is used; compute-only profiles retire at
-/// the issue width by construction.
-pub(crate) fn compute_alone_ipc(profile: &BenchmarkProfile, rc: &RunConfig) -> f64 {
-    if profile.mpki <= 0.0 {
-        return rc.system.issue_width as f64;
-    }
-    let mut cfg = rc.system.clone();
-    cfg.num_threads = 1;
-    let workload = WorkloadSpec::new(profile.name.clone(), vec![profile.clone()]);
-    if cfg.topology.num_controllers() > 1 {
-        let controllers = cfg
-            .topology
-            .controllers()
-            .map(|_| Box::new(FrFcfs::new()) as _)
-            .collect();
-        let mut sys = MultiSystem::new(&cfg, &workload, controllers, None, 0);
-        sys.set_hosts(rc.intra_hosts);
-        sys.run(rc.horizon).ipc[0]
-    } else {
-        let mut sys = System::new(&cfg, &workload, Box::new(FrFcfs::new()), 0);
-        sys.run(rc.horizon).ipc[0]
-    }
-}
+pub use crate::alone::{AloneIpcCache, ProfileFingerprint};
 
 /// Runs one (policy, workload) cell and computes the paper's metrics,
 /// treating any simulator fault as fatal.
@@ -580,25 +477,35 @@ pub struct SessionStats {
 }
 
 /// An experiment session: one immutable machine/run configuration plus
-/// a shared, thread-safe alone-IPC cache.
+/// a thread-safe alone-IPC cache.
 ///
 /// Create one per machine configuration, then run any number of
 /// [`Sweep`]s or single-cell evaluations against it; alone-run IPCs are
 /// computed once per unique benchmark profile and shared by every
-/// experiment in the session.
+/// experiment in the session — and, through
+/// [`Session::with_alone_cache`], by every session sharing the cache.
 #[derive(Debug)]
 pub struct Session {
     rc: RunConfig,
-    cache: AloneIpcCache,
+    cache: Arc<AloneIpcCache>,
     stats: Mutex<SessionStats>,
 }
 
 impl Session {
-    /// A session on the given run configuration.
+    /// A session on the given run configuration, with a private
+    /// alone-IPC cache.
     pub fn new(rc: RunConfig) -> Self {
+        Self::with_alone_cache(rc, Arc::default())
+    }
+
+    /// A session on the given run configuration that looks alone IPCs
+    /// up in (and adds them to) `cache`. The cache keys entries by
+    /// machine and horizon, so sessions on different configurations can
+    /// share one safely; results are bit-identical to a private cache.
+    pub fn with_alone_cache(rc: RunConfig, cache: Arc<AloneIpcCache>) -> Self {
         Self {
             rc,
-            cache: AloneIpcCache::default(),
+            cache,
             stats: Mutex::new(SessionStats::default()),
         }
     }
@@ -619,9 +526,18 @@ impl Session {
     }
 
     /// IPC of `profile` running alone on this session's machine
-    /// (cached across the whole session).
+    /// (cached for every session sharing this one's cache).
     pub fn alone_ipc(&self, profile: &BenchmarkProfile) -> f64 {
-        self.cache.get_or_compute(profile, &self.rc)
+        self.cache.get_or_compute(profile, &self.rc).0
+    }
+
+    /// [`Session::alone_ipc`], adding 1 to `runs` if this call ran the
+    /// simulation. A shared cache's miss counter also moves with other
+    /// sessions' lookups, so a sweep counts its own alone runs this way.
+    fn alone_ipc_counted(&self, profile: &BenchmarkProfile, runs: &AtomicU64) -> f64 {
+        let (ipc, ran) = self.cache.get_or_compute(profile, &self.rc);
+        runs.fetch_add(u64::from(ran), Ordering::Relaxed);
+        ipc
     }
 
     /// Starts building a sweep over this session.
@@ -655,22 +571,34 @@ impl Session {
         weights: Option<&[f64]>,
     ) -> EvalResult {
         let t0 = Instant::now();
-        let alone_before = self.cache.misses();
-        let result = eval_cell(policy, workload, &self.rc, weights, 0, |p| self.alone_ipc(p));
-        self.record(1, self.cache.misses() - alone_before, t0.elapsed(), 1);
+        let runs = AtomicU64::new(0);
+        let result = eval_cell(policy, workload, &self.rc, weights, 0, |p| {
+            self.alone_ipc_counted(p, &runs)
+        });
+        self.record(1, runs.into_inner(), t0.elapsed(), 1);
         result
     }
 
     /// Warms the alone-IPC cache for every profile in `workloads`.
     ///
-    /// Called automatically before a sweep's parallel phase so workers
-    /// only ever *read* alone IPCs, which keeps parallel results
-    /// bit-identical to serial ones and each unique profile simulated
-    /// exactly once.
+    /// Called automatically before a sweep's parallel phase (for the
+    /// workloads that still have a cell to run) so workers only ever
+    /// *read* alone IPCs, which keeps parallel results bit-identical to
+    /// serial ones and each unique profile simulated exactly once.
     pub fn prepopulate_alone<'w>(&self, workloads: impl IntoIterator<Item = &'w WorkloadSpec>) {
+        self.prepopulate(workloads, &AtomicU64::new(0));
+    }
+
+    /// [`Session::prepopulate_alone`], counting the alone runs it made
+    /// into `runs`.
+    fn prepopulate<'w>(
+        &self,
+        workloads: impl IntoIterator<Item = &'w WorkloadSpec>,
+        runs: &AtomicU64,
+    ) {
         for workload in workloads {
             for profile in &workload.threads {
-                let _ = self.alone_ipc(profile);
+                self.alone_ipc_counted(profile, runs);
             }
         }
     }
@@ -869,9 +797,6 @@ impl Sweep<'_> {
             "a sweep needs at least one policy and one workload"
         );
         let t0 = Instant::now();
-        let alone_before = self.session.alone_cache().misses();
-        self.session.prepopulate_alone(&self.workloads);
-
         let (np, nw, ns) = (self.policies.len(), self.workloads.len(), self.seeds.len());
         let total = np * nw * ns;
         // Grid order: policy-major, then workload, then seed.
@@ -928,6 +853,13 @@ impl Sweep<'_> {
             .collect();
         let workers = workers.min(to_run.len()).max(1);
 
+        // Alone baselines only for workloads with a cell left to run: a
+        // fully resumed workload needs none.
+        let alone_runs = AtomicU64::new(0);
+        let pending: BTreeSet<usize> = to_run.iter().map(|&(_, w, _)| w).collect();
+        self.session
+            .prepopulate(pending.iter().map(|&w| &self.workloads[w]), &alone_runs);
+
         // Streaming observers see resumed cells first, in grid order,
         // so a subscriber watching a restarted sweep receives the full
         // grid without consulting the checkpoint itself.
@@ -968,7 +900,7 @@ impl Sweep<'_> {
                     self.weights.as_deref(),
                     self.seeds[s],
                     self.cancel.as_ref(),
-                    |profile| self.session.alone_ipc(profile),
+                    |profile| self.session.alone_ipc_counted(profile, &alone_runs),
                 )
             }))
             .map_err(|payload| CellFailureKind::Panic(panic_message(payload)))?
@@ -1107,7 +1039,7 @@ impl Sweep<'_> {
         }
 
         let wall = t0.elapsed();
-        let alone_runs = self.session.alone_cache().misses() - alone_before;
+        let alone_runs = alone_runs.into_inner();
         self.session
             .record(executed as u64, alone_runs, wall, workers);
         let stats = SweepStats {
@@ -1500,5 +1432,117 @@ mod tests {
         assert_eq!(agg.max_workers, 2);
         assert!(session.stats_line().contains("2 cells"));
         assert!(!result.stats().throughput_line().is_empty());
+    }
+
+    fn rc(threads: usize, topology: &str, horizon: Cycle) -> RunConfig {
+        RunConfig::builder()
+            .system(
+                SystemConfig::builder()
+                    .num_threads(threads)
+                    .topology(tcm_types::Topology::parse(topology).unwrap())
+                    .build()
+                    .unwrap(),
+            )
+            .horizon(horizon)
+            .build()
+    }
+
+    #[test]
+    fn alone_entries_split_on_machine_and_horizon_but_not_thread_count() {
+        let cache = Arc::new(AloneIpcCache::default());
+        let mcf = tcm_workload::spec_by_name("mcf").unwrap();
+        let lookup = |rc: RunConfig| Session::with_alone_cache(rc, Arc::clone(&cache)).alone_ipc(&mcf);
+
+        let four = lookup(rc(4, "4", 60_000));
+        assert_eq!(lookup(rc(8, "4", 60_000)), four, "alone runs use one thread");
+        assert_eq!((cache.misses(), cache.hits()), (1, 1), "thread count shares the entry");
+        assert_eq!(four, small_session().alone_ipc(&mcf), "same value as a private cache");
+
+        let _ = lookup(rc(4, "4", 90_000));
+        assert_eq!(cache.misses(), 2, "a different horizon never shares an entry");
+        let _ = lookup(rc(4, "2x2", 60_000));
+        assert_eq!(cache.misses(), 3, "a different topology never shares an entry");
+        let _ = lookup(rc(4, "2", 60_000));
+        assert_eq!(cache.misses(), 4, "a different channel count never shares an entry");
+        assert_eq!(cache.len(), 4);
+    }
+
+    #[test]
+    fn concurrent_sweeps_on_a_shared_cache_count_only_their_own_alone_runs() {
+        let cache = Arc::new(AloneIpcCache::default());
+        let sessions = [
+            Session::with_alone_cache(rc(4, "4", 60_000), Arc::clone(&cache)),
+            Session::with_alone_cache(rc(4, "4", 60_000), Arc::clone(&cache)),
+        ];
+        let spec = tcm_workload::spec2006();
+        let mix = |name: &str, range: std::ops::Range<usize>| {
+            WorkloadSpec::new(name, spec[range].to_vec())
+        };
+        let barrier = std::sync::Barrier::new(2);
+        let run_both = |workloads: [WorkloadSpec; 2]| -> Vec<SweepStats> {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = sessions
+                    .iter()
+                    .zip(workloads)
+                    .map(|(session, workload)| {
+                        let barrier = &barrier;
+                        scope.spawn(move || {
+                            barrier.wait();
+                            *session
+                                .sweep()
+                                .policies([PolicyKind::FrFcfs])
+                                .workloads([workload])
+                                .run()
+                                .stats()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            })
+        };
+
+        // Disjoint mixes: each sweep ran exactly its own four baselines,
+        // whatever the other one did meanwhile.
+        let stats = run_both([mix("a", 0..4), mix("b", 4..8)]);
+        for s in &stats {
+            assert_eq!(s.alone_runs, 4);
+            assert_eq!(s.sim_cycles, (1 + 4) * 60_000);
+        }
+        assert_eq!(cache.misses(), 8);
+        // One mix on both: single flight simulates each profile once,
+        // split between the two sweeps however the race went.
+        let stats = run_both([mix("c", 8..12), mix("c", 8..12)]);
+        assert_eq!(stats[0].alone_runs + stats[1].alone_runs, 4);
+        assert_eq!(cache.misses(), 12);
+        let per_session: u64 = sessions.iter().map(|s| s.stats().alone_runs).sum();
+        assert_eq!(per_session, 12, "session totals add up to the cache's");
+    }
+
+    #[test]
+    fn fully_checkpointed_resume_runs_no_alone_baselines() {
+        let path = std::env::temp_dir().join(format!(
+            "tcm-sweep-resume-alone-{}.jsonl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let sweep = |session: &Session| {
+            session
+                .sweep()
+                .policies([PolicyKind::Fcfs, PolicyKind::FrFcfs])
+                .workloads((0..2).map(|s| random_workload(s, 4, 0.75)))
+                .checkpoint(&path)
+                .run()
+        };
+        let first = sweep(&small_session());
+        assert!(first.stats().alone_runs > 0);
+
+        let session = small_session();
+        let resumed = sweep(&session);
+        assert_eq!(resumed.stats().resumed, 4);
+        assert_eq!(resumed.stats().alone_runs, 0, "every workload was already done");
+        assert_eq!(resumed.stats().sim_cycles, 0);
+        assert!(session.alone_cache().is_empty());
+        assert_eq!(resumed.cells(), first.cells(), "bit-identical grid");
+        std::fs::remove_file(&path).unwrap();
     }
 }

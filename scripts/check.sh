@@ -184,8 +184,10 @@ MFLAGS=(--socket "$SOCK" --state-dir "$MDIR" --workers 1
 "$SERVE_BIN" serve "${MFLAGS[@]}" &
 SERVE_PID=$!
 wait_for_socket
+# Same mix and horizon as GRID, so this job stores the alone baselines
+# the restart leg below must read back from disk.
 "$SERVE_BIN" client --socket "$SOCK" submit --policies fr-fcfs,tcm \
-    --workloads random:5:4:0.75 --seeds 0 --cycles 2000000 --watch >/dev/null
+    --workloads random:5:4:0.75 --seeds 0 --cycles 30000000 --watch >/dev/null
 "$SERVE_BIN" client --socket "$SOCK" metrics > "$SERVE_TMP/exposition.txt"
 "$SERVE_BIN" top --socket "$SOCK" --once > "$SERVE_TMP/top.txt"
 grep -q "tcm-serve top" "$SERVE_TMP/top.txt"
@@ -255,7 +257,8 @@ print(f"metrics smoke ok: {len(families)} families, {len(samples)} samples")
 PY
 
 # kill -9 mid-sweep, restart on the same state dir: the scrape must now
-# carry the recovery story (replayed WAL jobs, re-admissions).
+# carry the recovery story (replayed WAL jobs, re-admissions, and alone
+# baselines read back from <state-dir>/alone/ rather than re-run).
 "$SERVE_BIN" client --socket "$SOCK" submit "${GRID[@]}" >/dev/null
 sleep 0.4
 kill -KILL "$SERVE_PID"
@@ -279,7 +282,11 @@ if samples.get("tcm_serve_wal_replayed_jobs_total", 0) < 1:
     sys.exit("restarted daemon replayed no WAL jobs")
 if samples.get("tcm_serve_jobs_readmitted_total", 0) < 1:
     sys.exit("restarted daemon re-admitted no jobs")
-print("restart counters ok: WAL replay visible in the scrape")
+if samples.get('tcm_serve_alone_cache_hits_total{source="disk"}', 0) < 1:
+    sys.exit("restarted daemon read no stored alone baseline")
+if samples.get("tcm_serve_alone_cache_corrupt_total", -1) != 0:
+    sys.exit("restarted daemon found corrupt alone entries")
+print("restart counters ok: WAL replay and stored baselines visible in the scrape")
 PY
 "$SERVE_BIN" client --socket "$SOCK" drain >/dev/null
 wait "$SERVE_PID"
