@@ -1,17 +1,18 @@
 //! `tcm-proto` — the versioned wire protocol between the `tcm-serve`
 //! daemon and its clients.
 //!
-//! The protocol is deliberately minimal and dependency-free:
+//! The protocol is deliberately minimal; its only dependency is the
+//! workspace's JSON codec in `tcm-types`:
 //!
 //! * **Framing** ([`frame`]): length-prefixed JSONL over any byte
 //!   stream (in practice a Unix-domain socket). Each frame is
 //!   `tcmp1 <len>\n<payload>\n` — the textual header makes a captured
 //!   stream greppable while the explicit length makes reads exact.
-//! * **JSON subset** ([`json`]): objects, arrays, strings and unsigned
-//!   integers — the same subset the sweep checkpoint format uses. All
-//!   floats travel as IEEE-754 bit patterns (`f64::to_bits`), so every
-//!   metric survives the wire **bit-identically**; booleans travel as
-//!   `0`/`1`.
+//! * **Payloads** are one JSON document each, written and parsed by
+//!   [`tcm_types::json`] — the same codec as the sweep checkpoint and
+//!   the trace JSONL. All floats travel as IEEE-754 bit patterns
+//!   (`f64::to_bits`), so every metric survives the wire
+//!   **bit-identically**; booleans travel as `0`/`1`.
 //! * **Messages** ([`Request`], [`Response`]): submit/status/cancel/
 //!   watch/drain requests and their typed responses, including the
 //!   streamed per-cell events a `Watch` subscription receives.
@@ -26,8 +27,12 @@
 #![warn(clippy::unwrap_used)]
 
 pub mod frame;
-pub mod json;
 mod msg;
+
+/// The codec's path before it moved to `tcm-types`, kept for callers
+/// outside the workspace (the `perf/` benchmark) that still name it.
+/// Workspace crates use [`tcm_types::json`] directly.
+pub use tcm_types::json;
 
 pub use frame::{read_frame, write_frame, MAX_FRAME_LEN};
 pub use msg::{

@@ -3,11 +3,11 @@
 //! Every encoded message is one JSON object with a `"v"` protocol
 //! version and a `"type"` tag; decoding rejects unknown versions and
 //! tags loudly. Floats travel as `f64::to_bits` integers and booleans
-//! as `0`/`1` (see [`crate::json`]).
+//! as `0`/`1` (see [`tcm_types::json`]).
 
-use crate::json::{self, Value};
 use crate::PROTO_VERSION;
 use std::fmt::Write as _;
+use tcm_types::json::{self, Value};
 
 /// A malformed or version-incompatible message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -372,14 +372,9 @@ impl JobSpec {
         let _ = write!(out, ",\"max_attempts\":{}", self.max_attempts);
         match &self.kind {
             JobKind::Sweep(spec) => {
-                out.push_str(",\"sweep\":{\"policies\":[");
-                for (i, p) in spec.policies.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    json::write_str(out, p);
-                }
-                out.push_str("],\"workloads\":[");
+                out.push_str(",\"sweep\":{\"policies\":");
+                json::write_str_array(out, &spec.policies);
+                out.push_str(",\"workloads\":[");
                 for (i, w) in spec.workloads.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
@@ -403,14 +398,9 @@ impl JobSpec {
                         }
                     }
                 }
-                out.push_str("],\"seeds\":[");
-                for (i, s) in spec.seeds.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{s}");
-                }
-                let _ = write!(out, "],\"horizon\":{}", spec.horizon);
+                out.push_str("],\"seeds\":");
+                json::write_u64_array(out, spec.seeds.iter().copied());
+                let _ = write!(out, ",\"horizon\":{}", spec.horizon);
                 if let Some(topo) = &spec.topology {
                     out.push_str(",\"topology\":");
                     json::write_str(out, topo);
@@ -573,7 +563,13 @@ impl Request {
                 v.field("spec").ok_or_else(|| err("submit missing spec"))?,
             )?),
             "job_status" => Request::JobStatus {
-                id: v.field("id").and_then(Value::as_u64),
+                id: v
+                    .field("id")
+                    .map(|id| {
+                        id.as_u64()
+                            .ok_or_else(|| err("job_status id must be an integer"))
+                    })
+                    .transpose()?,
             },
             "cancel_job" => Request::CancelJob {
                 id: need_u64(&v, "id")?,

@@ -113,15 +113,15 @@ use std::time::{Duration, Instant};
 use tcm_proto::{
     Event, JobKind, JobSpec, JobState, JobStatusInfo, ServerInfo, SoakSpec, SweepSpec, WorkloadRef,
 };
+use tcm_serve::job::parse_policy;
 use tcm_serve::{Client, Level, Server, ServerConfig};
 use tcm_chaos::{Detector, FaultKind, FaultPlan, FaultSpec};
 use tcm_core::TcmParams;
-use tcm_sched::{AtlasParams, ParBsParams, StfmParams};
 use tcm_sim::{CellFailureKind, MultiSystem, PolicyKind, RunConfig, Session, SweepCell, System};
 use tcm_telemetry::{
     chrome_counter, chrome_event, chrome_process_name, event_to_jsonl, labeled, TelemetryConfig,
 };
-use tcm_types::{SimError, SystemConfig, Topology};
+use tcm_types::{json, SimError, SystemConfig, Topology};
 use tcm_workload::{random_workload, table5_workloads, WorkloadSpec};
 
 struct PolicyOutput {
@@ -140,50 +140,18 @@ struct Output {
     results: Vec<PolicyOutput>,
 }
 
-/// Minimal JSON emission (the build environment is offline, so the
-/// workspace carries no serializer dependency).
-mod json {
-    use std::fmt::Write as _;
-
-    pub fn string(out: &mut String, s: &str) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-    }
-
-    pub fn number(out: &mut String, v: f64) {
-        if v.is_finite() {
-            let _ = write!(out, "{v}");
-        } else {
-            out.push_str("null"); // matches serde_json's treatment of non-finite floats
-        }
-    }
-}
-
 impl Output {
     fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n  \"workload\": ");
-        json::string(&mut s, &self.workload);
+        json::write_str(&mut s, &self.workload);
         let _ = write!(s, ",\n  \"threads\": {},\n  \"cycles\": {}", self.threads, self.cycles);
         s.push_str(",\n  \"benchmarks\": [");
         for (i, b) in self.benchmarks.iter().enumerate() {
             if i > 0 {
                 s.push_str(", ");
             }
-            json::string(&mut s, b);
+            json::write_str(&mut s, b);
         }
         s.push_str("],\n  \"results\": [");
         for (i, r) in self.results.iter().enumerate() {
@@ -191,7 +159,7 @@ impl Output {
                 s.push(',');
             }
             s.push_str("\n    {\n      \"policy\": ");
-            json::string(&mut s, &r.policy);
+            json::write_str(&mut s, &r.policy);
             s.push_str(",\n      \"weighted_speedup\": ");
             json::number(&mut s, r.weighted_speedup);
             s.push_str(",\n      \"harmonic_speedup\": ");
@@ -272,25 +240,25 @@ fn run_bench(
 
     let mut s = String::new();
     s.push_str("{\n  \"schema\": \"tcm-bench-hotpath-v1\",\n  \"queue_impl\": ");
-    json::string(&mut s, tcm_dram::QUEUE_IMPL);
+    json::write_str(&mut s, tcm_dram::QUEUE_IMPL);
     s.push_str(",\n  \"telemetry_impl\": ");
-    json::string(&mut s, tcm_telemetry::TELEMETRY_IMPL);
+    json::write_str(&mut s, tcm_telemetry::TELEMETRY_IMPL);
     s.push_str(",\n  \"topology\": ");
-    json::string(&mut s, &topology_spec);
+    json::write_str(&mut s, &topology_spec);
     let _ = write!(s, ",\n  \"threads\": {threads},\n  \"horizon\": {cycles}");
     s.push_str(",\n  \"policies\": [");
     for (i, p) in policy_labels.iter().enumerate() {
         if i > 0 {
             s.push_str(", ");
         }
-        json::string(&mut s, p);
+        json::write_str(&mut s, p);
     }
     s.push_str("],\n  \"workloads\": [");
     for (i, w) in workload_names.iter().enumerate() {
         if i > 0 {
             s.push_str(", ");
         }
-        json::string(&mut s, w);
+        json::write_str(&mut s, w);
     }
     let _ = write!(
         s,
@@ -612,9 +580,9 @@ fn render_trace(format: TraceFormat, cells: &[SweepCell]) -> String {
                     continue;
                 };
                 out.push_str("{\"event\":\"cell_begin\",\"policy\":");
-                json::string(&mut out, &cell.result.policy);
+                json::write_str(&mut out, &cell.result.policy);
                 out.push_str(",\"workload\":");
-                json::string(&mut out, &cell.result.workload);
+                json::write_str(&mut out, &cell.result.workload);
                 let _ = write!(
                     out,
                     ",\"seed\":{},\"events\":{},\"dropped\":{}}}",
@@ -671,9 +639,9 @@ fn render_metrics(cells: &[SweepCell]) -> String {
         }
         first = false;
         s.push_str("\n    {\"policy\": ");
-        json::string(&mut s, &cell.result.policy);
+        json::write_str(&mut s, &cell.result.policy);
         s.push_str(", \"workload\": ");
-        json::string(&mut s, &cell.result.workload);
+        json::write_str(&mut s, &cell.result.workload);
         let _ = write!(s, ", \"seed\": {}, \"dropped_events\": {}", cell.seed, snapshot.dropped);
         let m = &snapshot.metrics;
         s.push_str(",\n     \"counters\": {");
@@ -681,7 +649,7 @@ fn render_metrics(cells: &[SweepCell]) -> String {
             if i > 0 {
                 s.push_str(", ");
             }
-            json::string(&mut s, name);
+            json::write_str(&mut s, name);
             let _ = write!(s, ": {value}");
         }
         s.push_str("},\n     \"gauges\": {");
@@ -689,7 +657,7 @@ fn render_metrics(cells: &[SweepCell]) -> String {
             if i > 0 {
                 s.push_str(", ");
             }
-            json::string(&mut s, name);
+            json::write_str(&mut s, name);
             s.push_str(": ");
             json::number(&mut s, *value);
         }
@@ -698,29 +666,19 @@ fn render_metrics(cells: &[SweepCell]) -> String {
             if i > 0 {
                 s.push_str(", ");
             }
-            json::string(&mut s, name);
-            s.push_str(": {\"bounds\": [");
-            for (j, b) in hist.bounds().iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{b}");
-            }
-            s.push_str("], \"counts\": [");
-            for (j, c) in hist.counts().iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{c}");
-            }
-            s.push_str("]}");
+            json::write_str(&mut s, name);
+            s.push_str(": {\"bounds\": ");
+            json::write_u64_array(&mut s, hist.bounds().iter().copied());
+            s.push_str(", \"counts\": ");
+            json::write_u64_array(&mut s, hist.counts().iter().copied());
+            s.push('}');
         }
         s.push_str("},\n     \"series\": {");
         for (i, (name, points)) in m.all_series().iter().enumerate() {
             if i > 0 {
                 s.push_str(", ");
             }
-            json::string(&mut s, name);
+            json::write_str(&mut s, name);
             s.push_str(": [");
             for (j, (at, value)) in points.iter().enumerate() {
                 if j > 0 {
@@ -766,19 +724,6 @@ fn print_cluster_summary(cells: &[SweepCell]) {
             latency.len(),
         );
     }
-}
-
-fn parse_policy(name: &str, n: usize) -> Result<PolicyKind, String> {
-    Ok(match name {
-        "fcfs" => PolicyKind::Fcfs,
-        "fr-fcfs" | "frfcfs" => PolicyKind::FrFcfs,
-        "stfm" => PolicyKind::Stfm(StfmParams::paper_default()),
-        "par-bs" | "parbs" => PolicyKind::ParBs(ParBsParams::paper_default()),
-        "atlas" => PolicyKind::Atlas(AtlasParams::paper_default()),
-        "fqm" => PolicyKind::FairQueueing,
-        "tcm" => PolicyKind::Tcm(TcmParams::reproduction_default(n)),
-        other => return Err(format!("unknown policy `{other}`")),
-    })
 }
 
 fn serve_usage() -> ! {

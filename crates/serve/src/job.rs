@@ -5,7 +5,7 @@ use tcm_core::TcmParams;
 use tcm_proto::{SweepSpec, WorkloadRef};
 use tcm_sched::{AtlasParams, ParBsParams, StfmParams};
 use tcm_sim::{PolicyKind, SweepResult};
-use tcm_types::Topology;
+use tcm_types::{json, Topology};
 use tcm_workload::{random_workload, table5_workloads, WorkloadSpec};
 
 /// Schema tag of the per-job result document.
@@ -118,28 +118,13 @@ pub fn resolve_sweep(spec: &SweepSpec) -> Result<ResolvedSweep, String> {
 pub fn render_result(result: &SweepResult) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
-    let _ = write!(s, "{{\"schema\":\"{RESULT_SCHEMA}\",\"policies\":[");
-    for (i, p) in result.policy_labels().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        tcm_proto::json::write_str(&mut s, p);
-    }
-    s.push_str("],\"workloads\":[");
-    for (i, w) in result.workload_names().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        tcm_proto::json::write_str(&mut s, w);
-    }
-    s.push_str("],\"seeds\":[");
-    for (i, seed) in result.seeds().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{seed}");
-    }
-    s.push_str("],\"cells\":[");
+    let _ = write!(s, "{{\"schema\":\"{RESULT_SCHEMA}\",\"policies\":");
+    json::write_str_array(&mut s, result.policy_labels());
+    s.push_str(",\"workloads\":");
+    json::write_str_array(&mut s, result.workload_names());
+    s.push_str(",\"seeds\":");
+    json::write_u64_array(&mut s, result.seeds().iter().copied());
+    s.push_str(",\"cells\":[");
     for (i, cell) in result.cells().iter().enumerate() {
         if i > 0 {
             s.push(',');
@@ -148,7 +133,7 @@ pub fn render_result(result: &SweepResult) -> String {
         let _ = write!(
             s,
             "{{\"policy\":{},\"workload\":{},\"seed\":{},\"ws_bits\":{},\"hs_bits\":{},\
-             \"ms_bits\":{},\"slowdown_bits\":[",
+             \"ms_bits\":{},\"slowdown_bits\":",
             cell.policy,
             cell.workload,
             cell.seed,
@@ -156,22 +141,15 @@ pub fn render_result(result: &SweepResult) -> String {
             m.harmonic_speedup.to_bits(),
             m.max_slowdown.to_bits(),
         );
-        for (j, sd) in cell.result.slowdowns.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{}", sd.to_bits());
-        }
-        s.push_str("]}");
+        json::write_u64_array(&mut s, cell.result.slowdowns.iter().map(|sd| sd.to_bits()));
+        s.push('}');
     }
-    s.push_str("],\"failures\":[");
-    for (i, failure) in result.failures().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        tcm_proto::json::write_str(&mut s, &failure.structured_line());
-    }
-    s.push_str("]}\n");
+    s.push_str("],\"failures\":");
+    json::write_str_array(
+        &mut s,
+        result.failures().iter().map(|f| f.structured_line()),
+    );
+    s.push_str("}\n");
     s
 }
 

@@ -21,6 +21,7 @@
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
+use tcm_types::json;
 
 /// Record severity, ordered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -114,14 +115,14 @@ pub fn write(level: Level, target: &str, msg: &str, fields: &[(&str, String)]) {
             ts.subsec_millis(),
             level.as_str()
         ));
-        tcm_proto::json::write_str(&mut line, target);
+        json::write_str(&mut line, target);
         line.push_str(",\"msg\":");
-        tcm_proto::json::write_str(&mut line, msg);
+        json::write_str(&mut line, msg);
         for (key, value) in fields {
             line.push(',');
-            tcm_proto::json::write_str(&mut line, key);
+            json::write_str(&mut line, key);
             line.push(':');
-            tcm_proto::json::write_str(&mut line, value);
+            json::write_str(&mut line, value);
         }
         line.push('}');
     } else {

@@ -29,8 +29,8 @@
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use tcm_proto::json::{self, Value};
 use tcm_proto::{JobSpec, JobState};
+use tcm_types::json::{self, Value};
 
 /// Schema tag on the WAL's first line.
 pub const WAL_SCHEMA: &str = "tcm-serve-wal-v1";

@@ -30,6 +30,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use tcm_telemetry::{MetricsRegistry, TelemetrySnapshot};
+use tcm_types::json::{self, Value};
 
 /// Schema tag of the only supported checkpoint version.
 const SCHEMA: &str = "tcm-sweep-checkpoint-v1";
@@ -149,61 +150,24 @@ pub fn write_durable(path: &Path, contents: &str) -> io::Result<()> {
 }
 
 // ---------------------------------------------------------------------
-// Serialization. The writer emits exactly the subset of JSON the parser
-// below accepts: objects, arrays, strings, and unsigned integers. All
-// floats travel as `f64::to_bits` integers.
+// Serialization, through the workspace codec. All floats travel as
+// `f64::to_bits` integers.
 // ---------------------------------------------------------------------
 
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_u64_array(out: &mut String, values: impl IntoIterator<Item = u64>) {
-    out.push('[');
-    for (i, v) in values.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
-}
-
 fn write_f64_array(out: &mut String, values: &[f64]) {
-    write_u64_array(out, values.iter().map(|v| v.to_bits()));
+    json::write_u64_array(out, values.iter().map(|v| v.to_bits()));
 }
 
 fn write_header(header: &CheckpointHeader) -> String {
     let mut out = String::new();
     out.push_str("{\"schema\":");
-    write_str(&mut out, SCHEMA);
-    out.push_str(",\"policies\":[");
-    for (i, p) in header.policies.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_str(&mut out, p);
-    }
-    out.push_str("],\"workloads\":[");
-    for (i, w) in header.workloads.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_str(&mut out, w);
-    }
-    out.push_str("],\"seeds\":");
-    write_u64_array(&mut out, header.seeds.iter().copied());
+    json::write_str(&mut out, SCHEMA);
+    out.push_str(",\"policies\":");
+    json::write_str_array(&mut out, &header.policies);
+    out.push_str(",\"workloads\":");
+    json::write_str_array(&mut out, &header.workloads);
+    out.push_str(",\"seeds\":");
+    json::write_u64_array(&mut out, header.seeds.iter().copied());
     out.push_str(&format!(",\"horizon\":{}}}", header.horizon));
     out
 }
@@ -215,9 +179,9 @@ fn write_cell(cell: &SweepCell) -> String {
         "{{\"policy\":{},\"workload\":{},\"seed\":{},\"result\":{{\"policy\":",
         cell.policy, cell.workload, cell.seed
     ));
-    write_str(&mut out, &r.policy);
+    json::write_str(&mut out, &r.policy);
     out.push_str(",\"workload\":");
-    write_str(&mut out, &r.workload);
+    json::write_str(&mut out, &r.workload);
     out.push_str(",\"metrics\":");
     write_f64_array(
         &mut out,
@@ -233,13 +197,13 @@ fn write_cell(cell: &SweepCell) -> String {
     write_f64_array(&mut out, &r.speedups);
     let run = &r.run;
     out.push_str(&format!(",\"run\":{{\"cycles\":{},\"retired\":", run.cycles));
-    write_u64_array(&mut out, run.retired.iter().copied());
+    json::write_u64_array(&mut out, run.retired.iter().copied());
     out.push_str(",\"ipc\":");
     write_f64_array(&mut out, &run.ipc);
     out.push_str(",\"misses\":");
-    write_u64_array(&mut out, run.misses.iter().copied());
+    json::write_u64_array(&mut out, run.misses.iter().copied());
     out.push_str(",\"service\":");
-    write_u64_array(&mut out, run.service.iter().copied());
+    json::write_u64_array(&mut out, run.service.iter().copied());
     out.push_str(&format!(
         ",\"total_serviced\":{},\"row_hit_rate\":{},\"spilled\":{},\"peak_queue\":{}}}",
         run.total_serviced,
@@ -258,7 +222,7 @@ fn write_cell(cell: &SweepCell) -> String {
             if i > 0 {
                 out.push(',');
             }
-            write_str(&mut out, name);
+            json::write_str(&mut out, name);
             out.push_str(&format!(":{value}"));
         }
         out.push_str("},\"gauges\":{");
@@ -266,7 +230,7 @@ fn write_cell(cell: &SweepCell) -> String {
             if i > 0 {
                 out.push(',');
             }
-            write_str(&mut out, name);
+            json::write_str(&mut out, name);
             out.push_str(&format!(":{}", value.to_bits()));
         }
         out.push_str("}}");
@@ -276,248 +240,35 @@ fn write_cell(cell: &SweepCell) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Parsing: a minimal recursive-descent reader for the subset above.
-// Returns `None` on any malformed input; callers decide whether that is
-// a torn tail (ignore) or a bad header (error).
+// Parsing. Every reader returns `None` on any malformed input; callers
+// decide whether that is a torn tail (ignore) or a bad header (error).
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Obj(Vec<(String, Json)>),
-    Arr(Vec<Json>),
-    Str(String),
-    UInt(u64),
-}
-
-impl Json {
-    fn field<'a>(&'a self, name: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::UInt(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn u64_array(&self) -> Option<Vec<u64>> {
-        match self {
-            Json::Arr(items) => items.iter().map(Json::as_u64).collect(),
-            _ => None,
-        }
-    }
-
-    fn f64_array(&self) -> Option<Vec<f64>> {
-        Some(self.u64_array()?.into_iter().map(f64::from_bits).collect())
-    }
-
-    fn str_array(&self) -> Option<Vec<String>> {
-        match self {
-            Json::Arr(items) => items
-                .iter()
-                .map(|v| v.as_str().map(str::to_string))
-                .collect(),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Option<()> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn value(&mut self) -> Option<Json> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Some(Json::Str(self.string()?)),
-            b'0'..=b'9' => self.uint(),
-            _ => None,
-        }
-    }
-
-    fn object(&mut self) -> Option<Json> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Some(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.eat(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Some(Json::Obj(fields));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn array(&mut self) -> Option<Json> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Some(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Some(Json::Arr(items));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos)? {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
-                            let hex = std::str::from_utf8(hex).ok()?;
-                            let code = u32::from_str_radix(hex, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            self.pos += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8 sequences pass through unchanged.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-                    let c = rest.chars().next()?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn uint(&mut self) -> Option<Json> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(u8::is_ascii_digit)
-        {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return None;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
-        text.parse().ok().map(Json::UInt)
-    }
-
-    fn finish(mut self, value: Json) -> Option<Json> {
-        self.skip_ws();
-        if self.pos == self.bytes.len() {
-            Some(value)
-        } else {
-            None
-        }
-    }
-}
-
-fn parse(text: &str) -> Option<Json> {
-    let mut parser = Parser::new(text);
-    let value = parser.value()?;
-    parser.finish(value)
-}
-
 fn parse_header(line: &str) -> Option<CheckpointHeader> {
-    let json = parse(line)?;
-    if json.field("schema")?.as_str()? != SCHEMA {
+    let doc = json::parse(line)?;
+    if doc.field("schema")?.as_str()? != SCHEMA {
         return None;
     }
     Some(CheckpointHeader {
-        policies: json.field("policies")?.str_array()?,
-        workloads: json.field("workloads")?.str_array()?,
-        seeds: json.field("seeds")?.u64_array()?,
-        horizon: json.field("horizon")?.as_u64()?,
+        policies: doc.field("policies")?.str_array()?,
+        workloads: doc.field("workloads")?.str_array()?,
+        seeds: doc.field("seeds")?.u64_array()?,
+        horizon: doc.field("horizon")?.as_u64()?,
     })
 }
 
 fn parse_cell(line: &str) -> Option<SweepCell> {
-    let json = parse(line)?;
-    let result = json.field("result")?;
+    let doc = json::parse(line)?;
+    let result = doc.field("result")?;
     let metrics = result.field("metrics")?.f64_array()?;
     if metrics.len() != 3 {
         return None;
     }
     let run = result.field("run")?;
     Some(SweepCell {
-        policy: json.field("policy")?.as_u64()? as usize,
-        workload: json.field("workload")?.as_u64()? as usize,
-        seed: json.field("seed")?.as_u64()? as usize,
+        policy: doc.field("policy")?.as_u64()? as usize,
+        workload: doc.field("workload")?.as_u64()? as usize,
+        seed: doc.field("seed")?.as_u64()? as usize,
         result: EvalResult {
             policy: result.field("policy")?.as_str()?.to_string(),
             workload: result.field("workload")?.as_str()?.to_string(),
@@ -540,7 +291,7 @@ fn parse_cell(line: &str) -> Option<SweepCell> {
                 peak_queue: run.field("peak_queue")?.as_u64()? as usize,
             },
             telemetry: match result.field("telemetry") {
-                Some(json) => Some(Box::new(parse_telemetry(json)?)),
+                Some(t) => Some(Box::new(parse_telemetry(t)?)),
                 None => None,
             },
         },
@@ -550,18 +301,12 @@ fn parse_cell(line: &str) -> Option<SweepCell> {
 /// Rebuilds the checkpointed metric summary of a telemetry snapshot.
 /// Only counters and gauges are persisted (see [`write_cell`]); the
 /// event log comes back empty.
-fn parse_telemetry(json: &Json) -> Option<TelemetrySnapshot> {
+fn parse_telemetry(v: &Value) -> Option<TelemetrySnapshot> {
     let mut metrics = MetricsRegistry::default();
-    let Json::Obj(counters) = json.field("counters")? else {
-        return None;
-    };
-    for (name, value) in counters {
+    for (name, value) in v.field("counters")?.as_obj()? {
         metrics.set_counter(name, value.as_u64()?);
     }
-    let Json::Obj(gauges) = json.field("gauges")? else {
-        return None;
-    };
-    for (name, value) in gauges {
+    for (name, value) in v.field("gauges")?.as_obj()? {
         metrics.set_gauge(name, f64::from_bits(value.as_u64()?));
     }
     Some(TelemetrySnapshot {
@@ -575,6 +320,7 @@ fn parse_telemetry(json: &Json) -> Option<TelemetrySnapshot> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_cell() -> SweepCell {
         SweepCell {
@@ -621,6 +367,20 @@ mod tests {
             seeds: vec![0, 7],
             horizon: 60_000,
         }
+    }
+
+    /// The committed bytes of a header plus one cell with telemetry.
+    /// Any change to them is a checkpoint-format change.
+    const GOLDEN: &str = include_str!("../tests/fixtures/checkpoint.jsonl");
+
+    #[test]
+    fn writer_output_matches_the_committed_golden() {
+        let text = format!("{}\n{}\n", write_header(&sample_header()), write_cell(&sample_cell()));
+        assert_eq!(text, GOLDEN);
+        let mut lines = GOLDEN.lines();
+        assert_eq!(parse_header(lines.next().unwrap()).unwrap(), sample_header());
+        let cell = parse_cell(lines.next().unwrap()).unwrap();
+        assert_eq!(write_cell(&cell), write_cell(&sample_cell()), "bit-exact round trip");
     }
 
     #[test]
@@ -700,11 +460,49 @@ mod tests {
         fs::remove_file(&path).unwrap();
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes, truncations and single-bit flips of a valid
+        /// checkpoint load as a header plus a prefix of its cells, load
+        /// as nothing, or fail on the header; loading never panics.
+        #[test]
+        fn corrupted_files_load_or_are_refused(
+            bytes in proptest::collection::vec(any::<u8>(), 0..128),
+            cut in 0..GOLDEN.len(),
+            bit in 0..GOLDEN.len() * 8,
+        ) {
+            let path = std::env::temp_dir()
+                .join(format!("tcm-ckpt-props-{}.jsonl", std::process::id()));
+            let mut flipped = GOLDEN.as_bytes().to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            for text in [&bytes[..], &flipped] {
+                fs::write(&path, text).unwrap();
+                if let Ok(Some(loaded)) = load(&path) {
+                    prop_assert!(loaded.cells.len() <= 1);
+                }
+            }
+            fs::write(&path, &GOLDEN[..cut]).unwrap();
+            let header_end = GOLDEN.find('\n').unwrap();
+            match load(&path) {
+                Ok(None) => prop_assert_eq!(cut, 0),
+                Err(_) => prop_assert!(cut < header_end),
+                Ok(Some(loaded)) => {
+                    prop_assert_eq!(loaded.header, sample_header());
+                    prop_assert_eq!(loaded.cells.len(), usize::from(cut == GOLDEN.len() - 1));
+                }
+            }
+            fs::remove_file(&path).unwrap();
+        }
+    }
+
     #[test]
-    fn rejects_trailing_garbage_and_non_subset_json() {
-        assert!(parse("{\"a\":1} extra").is_none());
-        assert!(parse("-5").is_none(), "negative ints are outside the subset");
-        assert!(parse("1.5").is_none(), "floats travel as bit patterns only");
-        assert!(parse("true").is_none(), "booleans are outside the subset");
+    fn cells_with_wrongly_typed_fields_are_rejected() {
+        let cell = GOLDEN.lines().nth(1).unwrap();
+        assert!(parse_cell(cell).is_some());
+        let boolean = cell.replace("\"cycles\":60000", "\"cycles\":true");
+        assert!(parse_cell(&boolean).is_none(), "booleans are not counts");
+        let nested = cell.replace("\"spilled\":7", "\"spilled\":[7]");
+        assert!(parse_cell(&nested).is_none());
     }
 }

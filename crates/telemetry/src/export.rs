@@ -18,46 +18,32 @@ use crate::event::{
     ClusterKind, DegradationAnomaly, MonitorCounter, QuarantineReason, RowOutcome, ShuffleAlgo,
     TraceEvent,
 };
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use tcm_chaos::FaultKind;
+use tcm_types::json::{self, Value};
 
 // ---------------------------------------------------------------------
-// JSON writing helpers (the subset the parser below accepts: flat
-// objects of strings, unsigned integers and booleans).
+// Flat-object writing helpers over the workspace codec: string,
+// unsigned-integer and boolean fields, each followed by a comma that
+// `finish_object` trims.
 // ---------------------------------------------------------------------
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 fn field_str(out: &mut String, key: &str, value: &str) {
-    push_json_str(out, key);
+    json::write_str(out, key);
     out.push(':');
-    push_json_str(out, value);
+    json::write_str(out, value);
     out.push(',');
 }
 
 fn field_u64(out: &mut String, key: &str, value: u64) {
-    push_json_str(out, key);
+    json::write_str(out, key);
     out.push(':');
     let _ = write!(out, "{value}");
     out.push(',');
 }
 
 fn field_bool(out: &mut String, key: &str, value: bool) {
-    push_json_str(out, key);
+    json::write_str(out, key);
     out.push(':');
     out.push_str(if value { "true" } else { "false" });
     out.push(',');
@@ -73,17 +59,6 @@ fn finish_object(mut out: String) -> String {
     }
     out.push('}');
     out
-}
-
-/// Renders a finite `f64` as a JSON number; non-finite values (invalid
-/// JSON) become `null`. For human-facing exports only — lossless
-/// round-tripping uses `*_bits` fields instead.
-pub fn json_number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// Serializes one event as a single JSONL line (no trailing newline).
@@ -166,156 +141,32 @@ pub fn events_to_jsonl(events: &[TraceEvent]) -> String {
 }
 
 // ---------------------------------------------------------------------
-// JSONL parsing: a minimal flat-object reader for the subset above.
+// JSONL parsing.
 // ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Raw {
-    U64(u64),
-    Str(String),
-    Bool(bool),
-}
-
-impl Raw {
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Raw::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Raw::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Raw::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one flat JSON object (string / unsigned-int / bool values
-/// only) into a field map. `None` on anything malformed or nested.
-fn parse_flat_object(line: &str) -> Option<BTreeMap<String, Raw>> {
-    let bytes = line.as_bytes();
-    let mut pos = 0usize;
-    let skip_ws = |pos: &mut usize| {
-        while bytes.get(*pos).is_some_and(u8::is_ascii_whitespace) {
-            *pos += 1;
-        }
-    };
-    let parse_string = |pos: &mut usize| -> Option<String> {
-        skip_ws(pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return None;
-        }
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            match bytes.get(*pos)? {
-                b'"' => {
-                    *pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    match bytes.get(*pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'u' => {
-                            let hex = bytes.get(*pos + 1..*pos + 5)?;
-                            let hex = std::str::from_utf8(hex).ok()?;
-                            let code = u32::from_str_radix(hex, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            *pos += 4;
-                        }
-                        _ => return None,
-                    }
-                    *pos += 1;
-                }
-                _ => {
-                    let rest = std::str::from_utf8(&bytes[*pos..]).ok()?;
-                    let c = rest.chars().next()?;
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
-        }
-    };
-    skip_ws(&mut pos);
-    if bytes.get(pos) != Some(&b'{') {
-        return None;
-    }
-    pos += 1;
-    let mut fields = BTreeMap::new();
-    skip_ws(&mut pos);
-    if bytes.get(pos) == Some(&b'}') {
-        pos += 1;
-        skip_ws(&mut pos);
-        return (pos == bytes.len()).then_some(fields);
-    }
-    loop {
-        let key = parse_string(&mut pos)?;
-        skip_ws(&mut pos);
-        if bytes.get(pos) != Some(&b':') {
-            return None;
-        }
-        pos += 1;
-        skip_ws(&mut pos);
-        let value = match bytes.get(pos)? {
-            b'"' => Raw::Str(parse_string(&mut pos)?),
-            b'0'..=b'9' => {
-                let start = pos;
-                while bytes.get(pos).is_some_and(u8::is_ascii_digit) {
-                    pos += 1;
-                }
-                let text = std::str::from_utf8(&bytes[start..pos]).ok()?;
-                Raw::U64(text.parse().ok()?)
-            }
-            b't' if bytes[pos..].starts_with(b"true") => {
-                pos += 4;
-                Raw::Bool(true)
-            }
-            b'f' if bytes[pos..].starts_with(b"false") => {
-                pos += 5;
-                Raw::Bool(false)
-            }
-            _ => return None,
-        };
-        fields.insert(key, value);
-        skip_ws(&mut pos);
-        match bytes.get(pos)? {
-            b',' => pos += 1,
-            b'}' => {
-                pos += 1;
-                skip_ws(&mut pos);
-                return (pos == bytes.len()).then_some(fields);
-            }
-            _ => return None,
-        }
-    }
-}
 
 /// Parses one JSONL line back into a [`TraceEvent`]. Returns `None`
 /// for malformed lines **and** for well-formed objects whose `"event"`
 /// tag is not a known kind (forward compatibility: writers may add
 /// marker lines).
 pub fn parse_event(line: &str) -> Option<TraceEvent> {
-    let fields = parse_flat_object(line)?;
-    let u = |key: &str| fields.get(key).and_then(Raw::as_u64);
-    let s = |key: &str| fields.get(key).and_then(Raw::as_str);
+    let doc = json::parse(line)?;
+    // Events are flat: a nested value means the line is not one.
+    if doc
+        .as_obj()?
+        .iter()
+        .any(|(_, v)| matches!(v, Value::Obj(_) | Value::Arr(_)))
+    {
+        return None;
+    }
+    let u = |key: &str| doc.field(key).and_then(Value::as_u64);
+    let s = |key: &str| doc.field(key).and_then(Value::as_str);
     let f = |key: &str| u(key).map(f64::from_bits);
     let kind = s("event")?;
     Some(match kind {
         "quantum_boundary" => TraceEvent::QuantumBoundary {
             cycle: u("cycle")?,
             index: u("index")?,
-            degraded: fields.get("degraded").and_then(Raw::as_bool)?,
+            degraded: doc.field("degraded").and_then(Value::as_bool)?,
         },
         "cluster_assignment" => TraceEvent::ClusterAssignment {
             cycle: u("cycle")?,
@@ -351,7 +202,7 @@ pub fn parse_event(line: &str) -> Option<TraceEvent> {
         // The anomaly variant is discriminated by field presence: the
         // historical implausible-counter shape carries "counter", the
         // quarantine shapes carry "reason" / "clean_quanta".
-        "degradation_fallback" if fields.contains_key("counter") => {
+        "degradation_fallback" if doc.field("counter").is_some() => {
             TraceEvent::DegradationFallback(DegradationAnomaly::ImplausibleCounter {
                 cycle: u("cycle")?,
                 thread: u("thread")? as usize,
@@ -360,7 +211,7 @@ pub fn parse_event(line: &str) -> Option<TraceEvent> {
                 upper: f("upper_bits")?,
             })
         }
-        "degradation_fallback" if fields.contains_key("reason") => {
+        "degradation_fallback" if doc.field("reason").is_some() => {
             TraceEvent::DegradationFallback(DegradationAnomaly::ControllerQuarantined {
                 cycle: u("cycle")?,
                 controller: u("controller")? as usize,
@@ -415,7 +266,7 @@ pub fn chrome_event(event: &TraceEvent, pid: u64) -> String {
         _ => 0,
     };
     field_u64(&mut out, "tid", tid);
-    push_json_str(&mut out, "args");
+    json::write_str(&mut out, "args");
     out.push(':');
     out.push_str(&chrome_args(event));
     out.push(',');
@@ -433,9 +284,9 @@ fn chrome_args(event: &TraceEvent) -> String {
             field_str(&mut out, "cluster", cluster.name());
             field_u64(&mut out, "rank", *rank as u64);
             for (key, v) in [("mpki", mpki), ("rbl", rbl), ("blp", blp)] {
-                push_json_str(&mut out, key);
+                json::write_str(&mut out, key);
                 out.push(':');
-                out.push_str(&json_number(*v));
+                json::number(&mut out, *v);
                 out.push(',');
             }
         }
@@ -459,9 +310,9 @@ fn chrome_args(event: &TraceEvent) -> String {
         TraceEvent::DegradationFallback(a) => match a {
             DegradationAnomaly::ImplausibleCounter { counter, value, .. } => {
                 field_str(&mut out, "counter", counter.name());
-                push_json_str(&mut out, "value");
+                json::write_str(&mut out, "value");
                 out.push(':');
-                out.push_str(&json_number(*value));
+                json::number(&mut out, *value);
                 out.push(',');
             }
             DegradationAnomaly::ControllerQuarantined { controller, reason, .. } => {
@@ -487,11 +338,11 @@ pub fn chrome_process_name(pid: u64, name: &str) -> String {
     field_str(&mut out, "name", "process_name");
     field_str(&mut out, "ph", "M");
     field_u64(&mut out, "pid", pid);
-    push_json_str(&mut out, "args");
+    json::write_str(&mut out, "args");
     out.push_str(":{");
-    push_json_str(&mut out, "name");
+    json::write_str(&mut out, "name");
     out.push(':');
-    push_json_str(&mut out, name);
+    json::write_str(&mut out, name);
     out.push_str("}}");
     out
 }
@@ -504,11 +355,11 @@ pub fn chrome_counter(pid: u64, series: &str, ts: u64, value: f64) -> String {
     field_str(&mut out, "ph", "C");
     field_u64(&mut out, "ts", ts);
     field_u64(&mut out, "pid", pid);
-    push_json_str(&mut out, "args");
+    json::write_str(&mut out, "args");
     out.push_str(":{");
-    push_json_str(&mut out, "value");
+    json::write_str(&mut out, "value");
     out.push(':');
-    out.push_str(&json_number(value));
+    json::number(&mut out, value);
     out.push('}');
     out.push(',');
     finish_object(out)
@@ -561,6 +412,19 @@ mod tests {
             TraceEvent::ChaosInjected { cycle: 3_000_000, kind: FaultKind::SpillFlood },
             TraceEvent::ChaosInjected { cycle: 3_000_000, kind: FaultKind::ControllerBlackout },
         ]
+    }
+
+    /// The committed JSONL of [`every_variant`]. Any change to these
+    /// bytes is a trace-format change.
+    const GOLDEN: &str = include_str!("../tests/fixtures/trace.jsonl");
+
+    #[test]
+    fn jsonl_matches_the_committed_golden() {
+        let events = every_variant();
+        let text = events_to_jsonl(&events);
+        assert_eq!(text, GOLDEN);
+        let parsed = parse_jsonl(GOLDEN);
+        assert_eq!(events_to_jsonl(&parsed), GOLDEN, "bit-exact round trip");
     }
 
     #[test]
@@ -620,12 +484,5 @@ mod tests {
         let counter = chrome_counter(3, "queue_depth", 500, 12.0);
         assert!(counter.contains("\"ph\":\"C\""));
         assert!(counter.contains("\"value\":12"));
-    }
-
-    #[test]
-    fn json_number_guards_non_finite() {
-        assert_eq!(json_number(1.5), "1.5");
-        assert_eq!(json_number(f64::NAN), "null");
-        assert_eq!(json_number(f64::INFINITY), "null");
     }
 }

@@ -60,7 +60,7 @@ pub use event::{
 };
 pub use export::{
     chrome_counter, chrome_event, chrome_process_name, event_to_jsonl, events_to_jsonl,
-    json_number, parse_event, parse_jsonl,
+    parse_event, parse_jsonl,
 };
 pub use metrics::{labeled, Histogram, MetricsRegistry, MetricsSummary};
 

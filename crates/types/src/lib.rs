@@ -7,11 +7,13 @@
 //! * the unit of work that flows through the memory system
 //!   ([`Request`] and [`MemAddress`]),
 //! * the static machine description ([`SystemConfig`], [`DramTiming`]) with
-//!   the paper's baseline configuration (Table 3 of the paper), and
-//! * shared error types.
+//!   the paper's baseline configuration (Table 3 of the paper),
+//! * shared error types, and
+//! * the one JSON codec every durable and wire format goes through
+//!   ([`json`]).
 //!
 //! Everything here is plain data: `Copy` where cheap, free of I/O concerns,
-//! and free of simulation logic. Higher-level crates (`tcm-dram`,
+//! and free of simulation logic (the codec works on in-memory text). Higher-level crates (`tcm-dram`,
 //! `tcm-cpu`, `tcm-sched`, `tcm-core`, `tcm-sim`) build on these types.
 //!
 //! # Example
@@ -34,6 +36,7 @@ mod cancel;
 mod config;
 mod error;
 mod ids;
+pub mod json;
 mod request;
 
 pub use cancel::CancelToken;
