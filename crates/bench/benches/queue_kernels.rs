@@ -1,14 +1,12 @@
 //! Criterion micro-benchmarks for the request-queue hot path: the
 //! per-decision operations the scheduler loop performs millions of times
 //! per run (pending-slice lookup, bank-occupancy iteration, per-thread
-//! counting, positioned take). Build with `--features tcm-dram/flat-queue`
-//! to measure the pre-refactor flat queue on the same workload (the two
-//! implementations share one API; see `scripts/bench.sh` for the
-//! end-to-end comparison).
+//! counting, positioned take). See `scripts/bench.sh` for the end-to-end
+//! sweep timing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use tcm_dram::{RequestQueue, QUEUE_IMPL};
+use tcm_dram::RequestQueue;
 use tcm_types::{BankId, ChannelId, MemAddress, Request, RequestId, Row, ThreadId};
 
 const NUM_BANKS: usize = 4;
@@ -37,9 +35,9 @@ fn filled_queue(depth: usize) -> RequestQueue {
 }
 
 fn bench_pending_for_bank(c: &mut Criterion) {
-    let mut group = c.benchmark_group(&format!("pending_for_bank/{QUEUE_IMPL}"));
+    let mut group = c.benchmark_group("pending_for_bank");
     for depth in [16usize, 64, 128] {
-        let mut q = filled_queue(depth);
+        let q = filled_queue(depth);
         group.bench_function(BenchmarkId::from_parameter(depth), |b| {
             let mut bank = 0usize;
             b.iter(|| {
@@ -52,7 +50,7 @@ fn bench_pending_for_bank(c: &mut Criterion) {
 }
 
 fn bench_banks_with_pending(c: &mut Criterion) {
-    let mut group = c.benchmark_group(&format!("banks_with_pending/{QUEUE_IMPL}"));
+    let mut group = c.benchmark_group("banks_with_pending");
     for depth in [16usize, 64, 128] {
         let q = filled_queue(depth);
         group.bench_function(BenchmarkId::from_parameter(depth), |b| {
@@ -69,7 +67,7 @@ fn bench_banks_with_pending(c: &mut Criterion) {
 }
 
 fn bench_count_for_thread(c: &mut Criterion) {
-    let mut group = c.benchmark_group(&format!("count_for_thread/{QUEUE_IMPL}"));
+    let mut group = c.benchmark_group("count_for_thread");
     for depth in [16usize, 64, 128] {
         let q = filled_queue(depth);
         group.bench_function(BenchmarkId::from_parameter(depth), |b| {
@@ -86,7 +84,7 @@ fn bench_count_for_thread(c: &mut Criterion) {
 fn bench_push_take_cycle(c: &mut Criterion) {
     // Steady state of the simulator: one request leaves a bank's lane,
     // another arrives — the queue stays at constant depth.
-    let mut group = c.benchmark_group(&format!("push_take_cycle/{QUEUE_IMPL}"));
+    let mut group = c.benchmark_group("push_take_cycle");
     for depth in [16usize, 64, 128] {
         let mut q = filled_queue(depth);
         group.bench_function(BenchmarkId::from_parameter(depth), |b| {

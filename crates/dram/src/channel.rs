@@ -295,11 +295,8 @@ impl Channel {
     }
 
     /// Requests currently pending for `bank`, in arrival order, as a
-    /// borrowed slice; positions index into [`Channel::issue`]. Takes
-    /// `&mut self` for parity with the flat reference queue (see
-    /// [`RequestQueue::pending_for_bank`]); no state a caller can see is
-    /// modified.
-    pub fn pending_for_bank(&mut self, bank: BankId) -> &[Request] {
+    /// borrowed slice; positions index into [`Channel::issue`].
+    pub fn pending_for_bank(&self, bank: BankId) -> &[Request] {
         self.queue.pending_for_bank(bank)
     }
 

@@ -59,7 +59,7 @@ mod verify;
 pub use bank::{BankArray, BankService};
 pub use bus::DataBus;
 pub use channel::{Channel, ServiceOutcome};
-pub use queue::{BankSet, BankSetIter, QueueFullError, RequestQueue, QUEUE_IMPL};
+pub use queue::{BankSet, BankSetIter, QueueFullError, RequestQueue};
 pub use shadow::ShadowRowBuffer;
 pub use stats::{BankStats, ChannelStats};
 pub use verify::ProtocolChecker;

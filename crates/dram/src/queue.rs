@@ -1,39 +1,20 @@
 //! The controller's bounded request buffer.
 //!
-//! Two implementations sit behind one API:
-//!
-//! * **indexed** (default) — requests are stored in per-bank *lanes*
-//!   with incrementally maintained per-thread occupancy counters and a
-//!   bank-occupancy bitmask ([`BankSet`]). Every scheduler-facing query
-//!   is allocation-free: [`RequestQueue::pending_for_bank`] returns a
-//!   borrowed slice, [`RequestQueue::banks_with_pending`] is a bitmask
-//!   read, [`RequestQueue::has_pending_for_bank`] and
-//!   [`RequestQueue::count_for_thread`] are O(1) counter reads, and
-//!   [`RequestQueue::take_for_bank`] is a direct position lookup within
-//!   one bank's lane. This mirrors the paper's Table 2 argument that
-//!   scheduler state must be cheap incremental hardware counters, not
-//!   full-queue scans.
-//! * **flat** (`flat-queue` feature) — the pre-refactor reference: one
-//!   arrival-ordered `Vec<Request>` scanned (and, for
-//!   `pending_for_bank`, re-collected) on every query. Kept only so the
-//!   wall-clock benchmark harness (`scripts/bench.sh`) can measure the
-//!   indexed hot path against its predecessor; results are
-//!   bit-identical between the two.
+//! Requests are stored in per-bank *lanes* with incrementally
+//! maintained per-thread occupancy counters and a bank-occupancy bitmask
+//! ([`BankSet`]). Every scheduler-facing query is allocation-free:
+//! [`RequestQueue::pending_for_bank`] returns a borrowed slice,
+//! [`RequestQueue::banks_with_pending`] is a bitmask read,
+//! [`RequestQueue::has_pending_for_bank`] and
+//! [`RequestQueue::count_for_thread`] are O(1) counter reads, and
+//! [`RequestQueue::take_for_bank`] is a direct position lookup within one
+//! bank's lane. This mirrors the paper's Table 2 argument that scheduler
+//! state must be cheap incremental hardware counters, not full-queue
+//! scans.
 
 use std::error::Error;
 use std::fmt;
 use tcm_types::{BankId, Request, RequestId, ThreadId};
-
-/// Which request-queue implementation this build uses (`"indexed"` by
-/// default, `"flat"` under the `flat-queue` feature). Surfaced in the
-/// benchmark harness's JSON output.
-#[cfg(not(feature = "flat-queue"))]
-pub const QUEUE_IMPL: &str = "indexed";
-/// Which request-queue implementation this build uses (`"indexed"` by
-/// default, `"flat"` under the `flat-queue` feature). Surfaced in the
-/// benchmark harness's JSON output.
-#[cfg(feature = "flat-queue")]
-pub const QUEUE_IMPL: &str = "flat";
 
 /// Error returned when the controller's request buffer is full.
 ///
@@ -65,8 +46,7 @@ impl Error for QueueFullError {}
 /// The scheduler's "which banks have pending work" question is answered
 /// by handing out one of these: membership tests are single bit
 /// operations and [`BankSet::iter`] walks the set bits in ascending
-/// bank order with no allocation or sorting (the same ascending order
-/// the flat queue produced via sort + dedup).
+/// bank order with no allocation or sorting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BankSet(u128);
 
@@ -177,9 +157,8 @@ impl ExactSizeIterator for BankSetIter {}
 /// Requests stay in the buffer until a scheduling policy picks them for
 /// service; lookups are by *position within a bank's pending set*, which
 /// is how scheduling decisions are phrased. See the [module docs](self)
-/// for the indexed/flat implementation split.
+/// for the layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg(not(feature = "flat-queue"))]
 pub struct RequestQueue {
     /// Per-bank lanes, each in arrival order. A request lives in exactly
     /// one lane, so `pending_for_bank` *is* the lane.
@@ -194,7 +173,6 @@ pub struct RequestQueue {
     capacity: usize,
 }
 
-#[cfg(not(feature = "flat-queue"))]
 impl RequestQueue {
     /// Creates an empty buffer with room for `capacity` requests spread
     /// over `num_banks` per-bank lanes.
@@ -289,11 +267,9 @@ impl RequestQueue {
     /// slice of the bank's lane — no copy, no allocation.
     ///
     /// The slice's positions are the indices expected by
-    /// [`RequestQueue::take_for_bank`]. Takes `&mut self` only for
-    /// signature parity with the flat reference implementation (which
-    /// materializes the answer into internal scratch).
+    /// [`RequestQueue::take_for_bank`].
     #[inline]
-    pub fn pending_for_bank(&mut self, bank: BankId) -> &[Request] {
+    pub fn pending_for_bank(&self, bank: BankId) -> &[Request] {
         self.lanes.get(bank.index()).map_or(&[], Vec::as_slice)
     }
 
@@ -364,138 +340,6 @@ impl RequestQueue {
         *c = c
             .checked_add_signed(delta)
             .expect("per-thread occupancy counter underflow");
-    }
-}
-
-/// A bounded buffer of requests waiting at one memory controller —
-/// the pre-refactor flat reference implementation (`flat-queue`
-/// feature), kept for A/B wall-clock benchmarking. See the
-/// [module docs](self).
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg(feature = "flat-queue")]
-pub struct RequestQueue {
-    requests: Vec<Request>,
-    capacity: usize,
-    /// Holder for the freshly collected `pending_for_bank` answer, so
-    /// the flat queue can expose the same borrowed-slice signature as
-    /// the indexed one while keeping its original collect-per-call
-    /// cost profile.
-    scratch: Vec<Request>,
-}
-
-#[cfg(feature = "flat-queue")]
-impl RequestQueue {
-    /// Creates an empty buffer with the given capacity (`num_banks` is
-    /// accepted for signature parity with the indexed queue; the flat
-    /// layout has no per-bank structure to size).
-    pub fn new(capacity: usize, _num_banks: usize) -> Self {
-        Self {
-            requests: Vec::with_capacity(capacity.min(1024)),
-            capacity,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Number of buffered requests.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// Whether the buffer is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
-
-    /// Whether the buffer is at capacity.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.requests.len() >= self.capacity
-    }
-
-    /// Buffer capacity.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Appends a request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueFullError`] if the buffer is at capacity.
-    pub fn push(&mut self, request: Request) -> Result<(), QueueFullError> {
-        if self.is_full() {
-            return Err(QueueFullError {
-                capacity: self.capacity,
-            });
-        }
-        self.requests.push(request);
-        Ok(())
-    }
-
-    /// Iterates over all buffered requests (arrival order).
-    pub fn iter(&self) -> impl Iterator<Item = &Request> {
-        self.requests.iter()
-    }
-
-    /// The requests pending for `bank`, in arrival order, collected by
-    /// a fresh full-queue scan (the pre-refactor cost profile).
-    pub fn pending_for_bank(&mut self, bank: BankId) -> &[Request] {
-        self.scratch = self
-            .requests
-            .iter()
-            .filter(|r| r.addr.bank == bank)
-            .copied()
-            .collect();
-        &self.scratch
-    }
-
-    /// Whether any request is pending for `bank` (full scan).
-    pub fn has_pending_for_bank(&self, bank: BankId) -> bool {
-        self.requests.iter().any(|r| r.addr.bank == bank)
-    }
-
-    /// Removes and returns the `pos`-th pending request for `bank`
-    /// (position as in [`RequestQueue::pending_for_bank`]).
-    ///
-    /// Returns `None` if fewer than `pos + 1` requests are pending for
-    /// the bank.
-    pub fn take_for_bank(&mut self, bank: BankId, pos: usize) -> Option<Request> {
-        let mut seen = 0usize;
-        let mut idx = None;
-        for (i, r) in self.requests.iter().enumerate() {
-            if r.addr.bank == bank {
-                if seen == pos {
-                    idx = Some(i);
-                    break;
-                }
-                seen += 1;
-            }
-        }
-        idx.map(|i| self.requests.remove(i))
-    }
-
-    /// Removes a request by id, returning it if present.
-    pub fn remove(&mut self, id: RequestId) -> Option<Request> {
-        let idx = self.requests.iter().position(|r| r.id == id)?;
-        Some(self.requests.remove(idx))
-    }
-
-    /// Number of buffered requests belonging to `thread` (full scan).
-    pub fn count_for_thread(&self, thread: ThreadId) -> usize {
-        self.requests.iter().filter(|r| r.thread == thread).count()
-    }
-
-    /// The set of banks with at least one pending request, built by a
-    /// full scan (the pre-refactor cost profile, minus its sort).
-    pub fn banks_with_pending(&self) -> BankSet {
-        let mut set = BankSet::empty();
-        for r in &self.requests {
-            set.insert(r.addr.bank);
-        }
-        set
     }
 }
 

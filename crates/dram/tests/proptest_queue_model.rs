@@ -9,10 +9,8 @@
 //!
 //! This is what makes the indexed representation trustworthy: the lane
 //! layout, the occupancy bitmask and the incremental thread counters are
-//! each redundant encodings of the flat queue's state, and this test
-//! pins them to it under random traffic. (Both `RequestQueue` builds —
-//! default indexed and `flat-queue` — pass it, which is how the A/B
-//! benchmark variants are known to be interchangeable.)
+//! each redundant encodings of the flat model's state, and this test
+//! pins them to it under random traffic.
 
 use proptest::prelude::*;
 use tcm_dram::{BankSet, RequestQueue};

@@ -60,9 +60,8 @@
 //! paper-lineup sweep (5 policies × the 4 Table 5 workload categories on
 //! the paper-baseline machine) and write a wall-clock throughput record
 //! to FILE — simulated cycles/sec, cells/sec, peak queue depth — tagged
-//! with which `RequestQueue` implementation the binary was built with
-//! (`indexed` by default, `flat` under the `flat-queue` feature).
-//! `scripts/bench.sh` runs both builds and merges the two records into
+//! with whether the telemetry hooks are compiled in.
+//! `scripts/bench.sh` runs the variants and merges their records into
 //! `BENCH_hotpath.json`. Only `--cycles`, `--workers`, the topology
 //! flags, and the `--verify`/`--chaos-empty` probes modify the fixed
 //! sweep (workers default to 1 in this mode for stable timing).
@@ -239,9 +238,7 @@ fn run_bench(
         .unwrap_or(0);
 
     let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"tcm-bench-hotpath-v1\",\n  \"queue_impl\": ");
-    json::write_str(&mut s, tcm_dram::QUEUE_IMPL);
-    s.push_str(",\n  \"telemetry_impl\": ");
+    s.push_str("{\n  \"schema\": \"tcm-bench-hotpath-v1\",\n  \"telemetry_impl\": ");
     json::write_str(&mut s, tcm_telemetry::TELEMETRY_IMPL);
     s.push_str(",\n  \"topology\": ");
     json::write_str(&mut s, &topology_spec);
@@ -278,9 +275,8 @@ fn run_bench(
         return 1;
     }
     eprintln!(
-        "bench [{} queue]: {} cells @ {} cycles in {:.2}s ({:.2e} sim-cycles/sec, \
+        "bench: {} cells @ {} cycles in {:.2}s ({:.2e} sim-cycles/sec, \
          peak queue {}) -> {}",
-        tcm_dram::QUEUE_IMPL,
         stats.cells,
         cycles,
         wall_secs,

@@ -25,7 +25,7 @@
 use crate::metrics::WorkloadMetrics;
 use crate::runner::EvalResult;
 use crate::sweep::SweepCell;
-use crate::system::RunResult;
+use crate::machine::RunResult;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};

@@ -1,9 +1,10 @@
-//! Deterministic event queue for the system simulator.
+//! Deterministic event queue for both simulator loops: the flat
+//! [`System`](crate::System)'s global queue, and the coordinator and
+//! per-shard queues of [`MultiSystem`](crate::MultiSystem).
 //!
-//! Structurally this is a small binary heap plus per-channel FIFO
-//! *lanes*. The heap only ever holds core bursts and scheduler ticks
-//! (a handful of entries); the two high-volume event classes ride the
-//! lanes:
+//! Structurally this is a small binary heap plus FIFO *lanes*. The heap
+//! only ever holds core bursts and scheduler ticks (a handful of
+//! entries); the high-volume event classes ride the lanes:
 //!
 //! * `Completion` cycles are `bus_end + fixed_overhead`, and
 //! * `BankReady` cycles are `bus_end`,
@@ -12,14 +13,18 @@
 //! increasing per channel. Each class is therefore pushed in
 //! nondecreasing cycle order *per channel*, so a plain `VecDeque` per
 //! (channel, class) replaces heap sift traffic with O(1) pushes and
-//! pops. A single monotone sequence number is stamped on every push —
+//! pops. A shard's queue also receives `Arrival`s and completion
+//! notifications routed from the coordinator, in coordinator processing
+//! order — nondecreasing, so both share one *routed* lane there. A
+//! single monotone sequence number is stamped on every push —
 //! lane or heap — and the pop side takes the global minimum of
 //! `(cycle, seq)` across the heap and all lane fronts, which reproduces
 //! the old pure-heap pop order bit for bit (same-cycle events pop in
 //! insertion order). Should a push ever violate a lane's monotonicity
-//! (no current producer does, including the chaos bus-overlap re-timing
-//! whose `burst >= 1` keeps completions nondecreasing), it falls back
-//! to the heap and ordering is still exact.
+//! (only a chaos spill flood does, stamping phantom arrivals ahead of
+//! in-flight core events; the chaos bus-overlap re-timing keeps
+//! completions nondecreasing since `burst >= 1`), it falls back to the
+//! heap and ordering is still exact.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -51,12 +56,19 @@ pub enum Event {
     },
     /// The scheduling policy's timer (quantum / shuffle boundary).
     SchedTick,
+    /// A request reaches its memory controller (a shard's queue only:
+    /// the flat loop admits requests as their burst injects).
+    Arrival {
+        /// The arriving request.
+        request: Request,
+    },
 }
 
 /// Which structure currently holds the earliest event.
 #[derive(Debug, Clone, Copy)]
 enum Source {
     Heap,
+    Routed,
     Completion(usize),
     BankReady(usize),
 }
@@ -67,10 +79,20 @@ enum Source {
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Reverse<(Cycle, u64, EventEntry)>>,
+    /// Events routed in from another queue, in its processing order
+    /// (arrivals, plus completions on a shard's queue): nondecreasing
+    /// cycles by construction.
+    routed: VecDeque<(Cycle, u64, Event)>,
+    /// Whether completions ride the routed lane (a shard's queue) rather
+    /// than per-channel lanes.
+    route_completions: bool,
     /// Per-channel completion lane: nondecreasing cycles by construction.
     completions: Vec<VecDeque<(Cycle, u64, Request)>>,
     /// Per-channel bank-ready lane: nondecreasing cycles by construction.
     bank_ready: Vec<VecDeque<(Cycle, u64, BankId)>>,
+    /// Global index of the channel behind lane 0 (a shard's queue only
+    /// sees its own controller's channels).
+    lane_base: usize,
     len: usize,
     seq: u64,
     /// Test hook: route every push through the heap (the pre-lane
@@ -102,6 +124,17 @@ impl EventQueue {
         Self::default()
     }
 
+    /// Creates an empty queue for a shard whose channels start at global
+    /// channel `base`: its channel lanes start there, and completions
+    /// share the routed lane with arrivals.
+    pub(crate) fn for_shard(base: usize) -> Self {
+        Self {
+            lane_base: base,
+            route_completions: true,
+            ..Self::default()
+        }
+    }
+
     /// Routes all future pushes through the heap (the reference, pure
     /// binary-heap order). Pop order is identical either way; this exists
     /// so tests can assert that, not for production use.
@@ -110,10 +143,18 @@ impl EventQueue {
         self.reference_mode = on;
     }
 
+    /// The lane of local channel `c`, created on first use.
+    #[inline]
+    fn lane<T>(lanes: &mut Vec<VecDeque<T>>, c: usize) -> &mut VecDeque<T> {
+        if c >= lanes.len() {
+            Self::grow_lanes(lanes, c);
+        }
+        &mut lanes[c]
+    }
+
     #[cold]
-    fn grow_lanes(&mut self, channel: usize) {
-        self.completions.resize_with(channel + 1, VecDeque::new);
-        self.bank_ready.resize_with(channel + 1, VecDeque::new);
+    fn grow_lanes<T>(lanes: &mut Vec<VecDeque<T>>, c: usize) {
+        lanes.resize_with(c + 1, VecDeque::new);
     }
 
     /// Schedules `event` at `cycle`.
@@ -123,29 +164,30 @@ impl EventQueue {
         self.len += 1;
         if !self.reference_mode {
             match event {
-                Event::Completion { request } => {
-                    let c = request.addr.channel.index();
-                    if c >= self.completions.len() {
-                        self.grow_lanes(c);
-                    }
-                    let lane = &mut self.completions[c];
+                Event::Completion { request } if !self.route_completions => {
+                    let c = request.addr.channel.index() - self.lane_base;
+                    let lane = Self::lane(&mut self.completions, c);
                     if lane.back().is_none_or(|&(last, _, _)| cycle >= last) {
                         lane.push_back((cycle, seq, request));
                         return;
                     }
                 }
                 Event::BankReady { channel, bank } => {
-                    let c = channel.index();
-                    if c >= self.bank_ready.len() {
-                        self.grow_lanes(c);
-                    }
-                    let lane = &mut self.bank_ready[c];
+                    let c = channel.index() - self.lane_base;
+                    let lane = Self::lane(&mut self.bank_ready, c);
                     if lane.back().is_none_or(|&(last, _, _)| cycle >= last) {
                         lane.push_back((cycle, seq, bank));
                         return;
                     }
                 }
-                _ => {}
+                Event::Arrival { .. } | Event::Completion { .. } => {
+                    let lane = &mut self.routed;
+                    if lane.back().is_none_or(|&(last, _, _)| cycle >= last) {
+                        lane.push_back((cycle, seq, event));
+                        return;
+                    }
+                }
+                Event::CoreBurst { .. } | Event::SchedTick => {}
             }
         }
         self.heap.push(Reverse((cycle, seq, EventEntry(event))));
@@ -157,6 +199,11 @@ impl EventQueue {
             .heap
             .peek()
             .map(|Reverse((c, s, _))| (*c, *s, Source::Heap));
+        if let Some(&(c, s, _)) = self.routed.front() {
+            if best.is_none_or(|(bc, bs, _)| (c, s) < (bc, bs)) {
+                best = Some((c, s, Source::Routed));
+            }
+        }
         for (i, lane) in self.completions.iter().enumerate() {
             if let Some(&(c, s, _)) = lane.front() {
                 if best.is_none_or(|(bc, bs, _)| (c, s) < (bc, bs)) {
@@ -181,6 +228,10 @@ impl EventQueue {
                 let Reverse((c, _, e)) = self.heap.pop().expect("heap source vanished");
                 (c, e.0)
             }
+            Source::Routed => {
+                let (c, _, event) = self.routed.pop_front().expect("lane source vanished");
+                (c, event)
+            }
             Source::Completion(i) => {
                 let (c, _, request) =
                     self.completions[i].pop_front().expect("lane source vanished");
@@ -192,7 +243,7 @@ impl EventQueue {
                 (
                     c,
                     Event::BankReady {
-                        channel: ChannelId::new(i),
+                        channel: ChannelId::new(self.lane_base + i),
                         bank,
                     },
                 )
@@ -251,6 +302,13 @@ mod tests {
         }
     }
 
+    fn arrival(channel: usize, id: u64) -> Event {
+        match completion(channel, id) {
+            Event::Completion { request } => Event::Arrival { request },
+            _ => unreachable!(),
+        }
+    }
+
     #[test]
     fn events_pop_in_time_order() {
         let mut q = EventQueue::new();
@@ -286,15 +344,32 @@ mod tests {
             5,
             Event::BankReady { channel: ChannelId::new(1), bank: BankId::new(3) },
         );
+        q.push(5, arrival(1, 4)); // lane: routed
         let ids: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|(_, e)| match e {
                 Event::Completion { request } => request.id.raw(),
                 Event::SchedTick => 0,
                 Event::BankReady { bank, .. } => 200 + bank.index() as u64,
+                Event::Arrival { request } => 300 + request.id.raw(),
                 Event::CoreBurst { .. } => unreachable!(),
             })
             .collect();
-        assert_eq!(ids, vec![100, 0, 101, 203]);
+        assert_eq!(ids, vec![100, 0, 101, 203, 304]);
+    }
+
+    #[test]
+    fn shard_lanes_keep_global_channel_ids() {
+        let mut q = EventQueue::for_shard(2);
+        q.push(9, Event::BankReady { channel: ChannelId::new(3), bank: BankId::new(1) });
+        q.push(7, completion(2, 5));
+        q.push(8, arrival(3, 6));
+        assert_eq!(q.pop(), Some((7, completion(2, 5))));
+        assert_eq!(q.pop(), Some((8, arrival(3, 6))));
+        assert_eq!(
+            q.pop(),
+            Some((9, Event::BankReady { channel: ChannelId::new(3), bank: BankId::new(1) }))
+        );
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -333,19 +408,23 @@ mod tests {
             (5, Event::BankReady { channel: ChannelId::new(0), bank: BankId::new(1) }),
             (4, completion(0, 3)),
             (5, completion(0, 4)),
+            (6, arrival(1, 5)),
+            (2, arrival(0, 6)),
+            (6, arrival(0, 7)),
         ];
-        let mut fast = EventQueue::new();
-        let mut reference = EventQueue::new();
-        reference.set_reference_mode(true);
-        for &(c, e) in &pushes {
-            fast.push(c, e);
-            reference.push(c, e);
-        }
-        loop {
-            let (a, b) = (fast.pop(), reference.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
+        for mut fast in [EventQueue::new(), EventQueue::for_shard(0)] {
+            let mut reference = EventQueue::new();
+            reference.set_reference_mode(true);
+            for &(c, e) in &pushes {
+                fast.push(c, e);
+                reference.push(c, e);
+            }
+            loop {
+                let (a, b) = (fast.pop(), reference.pop());
+                assert_eq!(a, b);
+                if a.is_none() {
+                    break;
+                }
             }
         }
     }

@@ -1,13 +1,20 @@
 //! System simulator and experiment runner for the TCM reproduction.
 //!
-//! Binds the substrates together: [`System`] couples `tcm-cpu` cores,
-//! `tcm-dram` channels and a `tcm-sched` policy behind a deterministic
-//! event queue. Experiments run through the [`Session`] / [`Sweep`]
-//! layer: a session fixes the machine configuration and caches alone-run
-//! IPCs, a sweep names a policies × workloads (× seeds) grid and
-//! executes it serially or sharded across threads — with bit-identical
-//! results either way — computing the paper's metrics (weighted speedup,
-//! harmonic speedup, maximum slowdown) per cell.
+//! Binds the substrates together into one machine model: a core front
+//! end (`tcm-cpu` cores fed by `tcm-workload` trace generators) and one
+//! memory controller per controller of the topology (`tcm-dram`
+//! channels under a `tcm-sched` policy). Two deterministic event loops
+//! drive it: [`System`] runs a single-controller machine on one global
+//! event queue, and [`MultiSystem`] runs one controller per shard in
+//! barrier-synchronized windows, coordinated by a meta-controller and
+//! optionally sharded across host threads.
+//!
+//! Experiments run through the [`Session`] / [`Sweep`] layer: a session
+//! fixes the machine configuration and caches alone-run IPCs, a sweep
+//! names a policies × workloads (× seeds) grid and executes it serially
+//! or sharded across threads — with bit-identical results either way —
+//! computing the paper's metrics (weighted speedup, harmonic speedup,
+//! maximum slowdown) per cell.
 //!
 //! # Example: compare the paper's lineup on two workloads
 //!
@@ -41,6 +48,7 @@
 mod alone;
 mod checkpoint;
 mod event;
+mod machine;
 mod metrics;
 mod multi;
 pub mod report;
@@ -51,6 +59,7 @@ mod system;
 
 pub use checkpoint::write_durable;
 pub use event::{Event, EventQueue};
+pub use machine::{RunResult, DEFAULT_STALL_LIMIT};
 pub use multi::MultiSystem;
 pub use metrics::{mean, variance, workload_metrics, IpcPair, WorkloadMetrics};
 pub use runner::{
@@ -60,4 +69,4 @@ pub use sweep::{
     AloneIpcCache, CellError, CellFailureKind, ProfileFingerprint, RetryPolicy, Session,
     SessionStats, Sweep, SweepCell, SweepResult, SweepStats,
 };
-pub use system::{RunResult, System, DEFAULT_STALL_LIMIT};
+pub use system::System;

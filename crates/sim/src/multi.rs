@@ -5,12 +5,16 @@
 //! controllers (see [`Topology`]). The machine splits along the
 //! controller boundary:
 //!
-//! * The **coordinator** owns the cores, trace generators and the
-//!   core-side event queue (bursts and completions), plus the optional
-//!   [`MetaScheduler`] coordinating the per-controller policies.
-//! * Each **shard** owns one controller: its channels, its
-//!   [`Scheduler`] instance, its spill queues and a local event queue
-//!   (arrivals, completions, bank-ready wakeups).
+//! * The **coordinator** owns the core front end (cores and trace
+//!   generators) and the core-side event queue (bursts and completions),
+//!   plus the optional [`MetaScheduler`] coordinating the per-controller
+//!   policies.
+//! * Each **shard** owns one [`Controller`] — its channels, its
+//!   [`Scheduler`] instance, its spill queues — and a local
+//!   [`EventQueue`] (arrivals, completions, bank-ready wakeups).
+//!
+//! The controller and the front end are the same types the flat
+//! [`System`](crate::System) drives; only the loop differs.
 //!
 //! Time advances in windows of `W = timing.round_trip(RowState::Hit)`
 //! cycles — the minimum issue-to-completion latency, so nothing a shard
@@ -18,12 +22,12 @@
 //! within the same window. Each window runs two phases:
 //!
 //! 1. **Core phase** (serial): the coordinator processes core events
-//!    below the window bound, routing new requests and completion
-//!    notifications to the owning shard's inbox in a deterministic
+//!    below the window bound, pushing new requests and completion
+//!    notifications onto the owning shard's queue in a deterministic
 //!    order.
-//! 2. **Controller phase** (parallel): every shard independently merges
-//!    its inbox and processes its local events below the bound,
-//!    emitting completions to an outbox.
+//! 2. **Controller phase** (parallel): every shard independently
+//!    processes its local events below the bound, emitting completions
+//!    to an outbox.
 //!
 //! At the barrier, outboxes merge back into the coordinator queue in
 //! controller order, faults are surfaced, and any scheduler or
@@ -41,22 +45,19 @@
 //! [`Topology`]: tcm_types::Topology
 
 use crate::event::{Event, EventQueue};
-use crate::system::{RunResult, DEFAULT_STALL_LIMIT};
+use crate::machine::{
+    sample_series, Controller, FrontEnd, Outlet, RunResult, DEFAULT_STALL_LIMIT,
+};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
 use tcm_chaos::{FaultKind, FaultPlan, FaultSpec};
-use tcm_cpu::{Core, CoreStatus};
-use tcm_dram::Channel;
-use tcm_sched::{
-    ChaosScheduler, ClusterPlan, MetaScheduler, MonitorSample, PickContext, Scheduler, SystemView,
-};
-use tcm_telemetry::{labeled, DegradationAnomaly, Telemetry, TraceEvent};
+use tcm_dram::ServiceOutcome;
+use tcm_sched::{ClusterPlan, MetaScheduler, MonitorSample, Scheduler, SystemView};
+use tcm_telemetry::{DegradationAnomaly, Telemetry, TraceEvent};
 use tcm_types::{
-    BankId, CancelToken, ChannelId, ControllerId, Cycle, DramTiming, Invariant,
-    InvariantViolation, MemAddress, Request, RequestId, RowState, SimError, StallReport,
-    SystemConfig, ThreadId,
+    BankId, CancelToken, ChannelId, ControllerId, Cycle, MemAddress, Request, RowState, SimError,
+    StallReport, SystemConfig, ThreadId,
 };
-use tcm_workload::{MachineShape, TraceGenerator, WorkloadSpec};
+use tcm_workload::WorkloadSpec;
 
 /// Consecutive window barriers a shard's policy timer may refuse to
 /// advance past the window start before the run is declared stalled.
@@ -69,344 +70,85 @@ use tcm_workload::{MachineShape, TraceGenerator, WorkloadSpec};
 /// same-cycle livelock guard.
 pub const FROZEN_TICK_LIMIT: u64 = 1_000;
 
-/// Pending-message count below which a window's controller phase runs
+/// Pending-event count below which a window's controller phase runs
 /// inline even when multiple host threads are configured (see
-/// [`MultiSystem::step_shards`]). A message costs on the order of 100ns
+/// [`MultiSystem::step_shards`]). An event costs on the order of 100ns
 /// to process; a `thread::scope` spawn-and-join costs tens of
 /// microseconds — parallelism only pays off for windows carrying
-/// thousands of messages.
+/// thousands of events.
 const INLINE_WINDOW_THRESHOLD: usize = 2_048;
 
-/// A message crossing the coordinator → shard boundary, or queued
-/// shard-locally (bank wakeups never leave their shard).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ShardMsg {
-    /// A request arrives at this controller.
-    Arrival(Request),
-    /// A request owned by this controller completed at its core (the
-    /// policy's `on_complete` hook fires shard-side).
-    Completed(Request),
-    /// A bank finished its previous service (`channel` is the *local*
-    /// channel index within the shard).
-    BankReady {
-        channel: usize,
-        bank: BankId,
-    },
-}
-
-/// Wrapper giving `ShardMsg` a total order for heap membership (never
-/// actually compared: the `(cycle, seq)` prefix is unique).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct MsgEntry(ShardMsg);
-
-impl PartialOrd for MsgEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for MsgEntry {
-    fn cmp(&self, _other: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
-    }
-}
-
-/// Which structure currently holds a shard's earliest message.
-#[derive(Debug, Clone, Copy)]
-enum MsgSource {
-    Heap,
-    Inbox,
-    BankReady(usize),
-}
-
-/// Shard-local time-ordered queue; same-cycle messages pop in insertion
-/// order, mirroring [`EventQueue`] — including its lane structure:
-///
-/// * coordinator-routed messages (arrivals and completions) enter in
-///   coordinator processing order, so their cycles are nondecreasing —
-///   one `VecDeque` lane;
-/// * `BankReady` cycles are `bus_end`, strictly increasing per channel
-///   (see `DataBus::reserve`) — one lane per local channel;
-/// * anything out of order (a chaos flood stamping phantoms ahead of
-///   in-flight core events) falls back to the small heap.
-///
-/// A global sequence number stamps every push, and pops take the
-/// minimum `(cycle, seq)` across all sources, reproducing the pure-heap
-/// pop order bit for bit.
-#[derive(Debug, Default)]
-struct MsgQueue {
-    heap: BinaryHeap<Reverse<(Cycle, u64, MsgEntry)>>,
-    /// Coordinator-routed lane: nondecreasing cycles by construction.
-    inbox: VecDeque<(Cycle, u64, ShardMsg)>,
-    /// Per-local-channel bank-ready lane: nondecreasing by construction.
-    bank_ready: Vec<VecDeque<(Cycle, u64, BankId)>>,
-    len: usize,
-    seq: u64,
-}
-
-impl MsgQueue {
-    #[cold]
-    fn grow_lanes(&mut self, channel: usize) {
-        self.bank_ready.resize_with(channel + 1, VecDeque::new);
-    }
-
-    fn push(&mut self, cycle: Cycle, msg: ShardMsg) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.len += 1;
-        match msg {
-            ShardMsg::BankReady { channel, bank } => {
-                if channel >= self.bank_ready.len() {
-                    self.grow_lanes(channel);
-                }
-                let lane = &mut self.bank_ready[channel];
-                if lane.back().is_none_or(|&(last, _, _)| cycle >= last) {
-                    lane.push_back((cycle, seq, bank));
-                    return;
-                }
-            }
-            ShardMsg::Arrival(_) | ShardMsg::Completed(_) => {
-                if self.inbox.back().is_none_or(|&(last, _, _)| cycle >= last) {
-                    self.inbox.push_back((cycle, seq, msg));
-                    return;
-                }
-            }
-        }
-        self.heap.push(Reverse((cycle, seq, MsgEntry(msg))));
-    }
-
-    /// `(cycle, seq)` of the earliest pending message and where it lives.
-    fn min_source(&self) -> Option<(Cycle, u64, MsgSource)> {
-        let mut best = self
-            .heap
-            .peek()
-            .map(|Reverse((c, s, _))| (*c, *s, MsgSource::Heap));
-        if let Some(&(c, s, _)) = self.inbox.front() {
-            if best.is_none_or(|(bc, bs, _)| (c, s) < (bc, bs)) {
-                best = Some((c, s, MsgSource::Inbox));
-            }
-        }
-        for (i, lane) in self.bank_ready.iter().enumerate() {
-            if let Some(&(c, s, _)) = lane.front() {
-                if best.is_none_or(|(bc, bs, _)| (c, s) < (bc, bs)) {
-                    best = Some((c, s, MsgSource::BankReady(i)));
-                }
-            }
-        }
-        best
-    }
-
-    /// Removes and returns the earliest message if it is scheduled
-    /// strictly before `bound` — the peek and the pop in one scan.
-    fn pop_before(&mut self, bound: Cycle) -> Option<(Cycle, ShardMsg)> {
-        let (cycle, _, source) = self.min_source()?;
-        if cycle >= bound {
-            return None;
-        }
-        self.len -= 1;
-        Some(match source {
-            MsgSource::Heap => {
-                let Reverse((c, _, m)) = self.heap.pop().expect("heap source vanished");
-                (c, m.0)
-            }
-            MsgSource::Inbox => {
-                let (c, _, msg) = self.inbox.pop_front().expect("lane source vanished");
-                (c, msg)
-            }
-            MsgSource::BankReady(i) => {
-                let (c, _, bank) = self.bank_ready[i].pop_front().expect("lane source vanished");
-                (c, ShardMsg::BankReady { channel: i, bank })
-            }
-        })
-    }
-
-    fn peek_cycle(&self) -> Option<Cycle> {
-        self.min_source().map(|(c, _, _)| c)
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-/// One memory controller's share of the machine: channels, policy
-/// instance, spill queues, and the local event stream. Owns everything
-/// it touches during the controller phase, so shards can step on
-/// separate host threads without observable effect.
+/// One memory controller's share of the machine: a [`Controller`] plus
+/// the local event stream. Owns everything it touches during the
+/// controller phase, so shards can step on separate host threads
+/// without observable effect.
 #[derive(Debug)]
 struct Shard {
-    /// Global index of this controller's first channel.
-    channel_base: usize,
-    channels: Vec<Channel>,
-    scheduler: Box<dyn Scheduler>,
-    /// Per-local-channel overflow queues (arrival order preserved).
-    spill: Vec<VecDeque<Request>>,
-    spilled: u64,
-    events: MsgQueue,
-    /// Messages routed by the coordinator this window, in coordinator
-    /// processing order.
-    inbox: Vec<(Cycle, ShardMsg)>,
+    ctl: Controller,
+    /// Local queue: arrivals and completion notifications pushed by the
+    /// coordinator (in its processing order, during the serial core
+    /// phase), and this controller's bank wakeups.
+    events: EventQueue,
     /// Completions produced this window: `(completes_at, request)`.
     outbox: Vec<(Cycle, Request)>,
-    pending_error: Option<SimError>,
     /// Next cycle the policy's own timer is due (policies coordinated by
     /// a meta-controller have no timer of their own).
     next_tick: Option<Cycle>,
-    timing: DramTiming,
-    spill_bound: usize,
-    num_threads: usize,
-    mshrs_per_core: usize,
-    scratch_banks: Vec<BankId>,
     now: Cycle,
 }
 
+/// A shard's outlet: the completion leaves for the coordinator through
+/// the outbox — always at least a hit round-trip away, so it lands
+/// beyond this window's bound — and the wakeup stays local.
+struct ShardOutlet<'a> {
+    events: &'a mut EventQueue,
+    outbox: &'a mut Vec<(Cycle, Request)>,
+}
+
+impl Outlet for ShardOutlet<'_> {
+    #[inline]
+    fn issued(&mut self, outcome: &ServiceOutcome, channel: ChannelId, bank: BankId) {
+        self.outbox.push((outcome.completes_at, outcome.request));
+        self.events.push(outcome.bank_free, Event::BankReady { channel, bank });
+    }
+}
+
 impl Shard {
-    /// Processes every local event below `bound`, starting with this
-    /// window's inbox. Stops early once a typed error is recorded.
+    /// Processes every local event below `bound`. Stops early once a
+    /// typed error is recorded.
     fn step(&mut self, bound: Cycle) {
-        let mut inbox = std::mem::take(&mut self.inbox);
-        for (cycle, msg) in inbox.drain(..) {
-            self.events.push(cycle, msg);
-        }
-        self.inbox = inbox; // hand the capacity back
-        while self.pending_error.is_none() {
-            let Some((cycle, msg)) = self.events.pop_before(bound) else {
+        // `bound >= 1`, so the inclusive form cannot underflow.
+        while self.ctl.pending_error.is_none() {
+            let Some((cycle, event)) = self.events.pop_at_or_before(bound - 1) else {
                 break;
             };
             self.now = cycle;
-            match msg {
-                ShardMsg::Arrival(request) => {
-                    let local = request.addr.channel.index() - self.channel_base;
-                    self.admit(request, local);
-                    self.schedule_idle_banks(local);
-                }
-                ShardMsg::Completed(request) => {
-                    self.scheduler.on_complete(&request, cycle);
-                }
-                ShardMsg::BankReady { channel, bank } => {
-                    self.drain_spill(channel);
-                    if self.channels[channel].bank_idle_ready(bank, cycle)
-                        && self.channels[channel].queue().has_pending_for_bank(bank)
-                    {
-                        self.decide(channel, bank);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Admits a request into local channel `local`'s buffer, spilling if
-    /// full (mirrors the single-controller admission path).
-    fn admit(&mut self, request: Request, local: usize) {
-        if self.spill[local].is_empty() && self.channels[local].enqueue(request).is_ok() {
-            self.scheduler.on_enqueue(&request, self.now);
-            return;
-        }
-        self.spilled += 1;
-        if self.spill[local].len() >= self.spill_bound && self.pending_error.is_none() {
-            self.pending_error = Some(SimError::InvariantViolation(InvariantViolation {
-                invariant: Invariant::ResourceBound,
-                cycle: self.now,
-                channel: request.addr.channel,
-                bank: Some(request.addr.bank),
-                request: Some(request.id),
-                detail: format!(
-                    "spill queue for channel {} grew past the MSHR-implied \
-                     outstanding-miss bound ({} threads x {} MSHRs = {}); \
-                     requests are not draining",
-                    self.channel_base + local,
-                    self.num_threads,
-                    self.mshrs_per_core,
-                    self.spill_bound
-                ),
-            }));
-        }
-        self.spill[local].push_back(request);
-    }
-
-    /// Drains spilled requests into the channel while room exists.
-    fn drain_spill(&mut self, local: usize) {
-        while let Some(&request) = self.spill[local].front() {
-            let request = Request {
-                issued_at: self.now,
-                ..request
+            let mut out = ShardOutlet {
+                events: &mut self.events,
+                outbox: &mut self.outbox,
             };
-            if self.channels[local].enqueue(request).is_ok() {
-                self.spill[local].pop_front();
-                self.scheduler.on_enqueue(&request, self.now);
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Runs a scheduling decision for every idle bank with pending work.
-    fn schedule_idle_banks(&mut self, local: usize) {
-        let mut banks = std::mem::take(&mut self.scratch_banks);
-        banks.clear();
-        banks.extend(self.channels[local].schedulable_banks(self.now));
-        for &bank in &banks {
-            self.decide(local, bank);
-        }
-        self.scratch_banks = banks;
-    }
-
-    /// Consults the policy and issues one request at `(local, bank)`.
-    /// The completion goes to the outbox — always at least a hit
-    /// round-trip away, so it lands beyond this window's bound.
-    fn decide(&mut self, local: usize, bank: BankId) {
-        let ctx = PickContext {
-            now: self.now,
-            channel: ChannelId::new(self.channel_base + local),
-            bank,
-            open_row: self.channels[local].open_row(bank),
-        };
-        let pending = self.channels[local].pending_for_bank(bank);
-        debug_assert!(!pending.is_empty());
-        let idx = self.scheduler.pick(pending, &ctx);
-        assert!(idx < pending.len(), "policy returned an invalid index");
-        let outcome = self.channels[local].issue_at(bank.index(), idx, self.now, &self.timing);
-        let remaining = self.channels[local].pending_for_bank(bank);
-        self.scheduler.on_service(&outcome, remaining, self.now);
-        self.outbox.push((outcome.completes_at, outcome.request));
-        self.events.push(
-            outcome.bank_free,
-            ShardMsg::BankReady {
-                channel: local,
-                bank,
-            },
-        );
-        self.drain_spill(local);
-    }
-
-    /// Per-thread bank-busy service cycles attained on this controller's
-    /// channels only (the view a per-controller policy's timer sees).
-    fn local_service(&self, num_threads: usize) -> Vec<u64> {
-        let mut service = Vec::new();
-        self.local_service_into(num_threads, &mut service);
-        service
-    }
-
-    /// In-place form of [`Shard::local_service`] for the per-tick hot
-    /// path (the caller reuses the buffer across barriers).
-    fn local_service_into(&self, num_threads: usize, service: &mut Vec<u64>) {
-        service.clear();
-        service.resize(num_threads, 0);
-        for ch in &self.channels {
-            for (t, s) in ch.stats().thread_service_all().iter().enumerate() {
-                if t < num_threads {
-                    service[t] += s;
+            match event {
+                Event::Arrival { request } => {
+                    self.ctl.admit(request, cycle);
+                    let local = self.ctl.local(request.addr.channel);
+                    self.ctl.schedule_idle_banks(local, cycle, &mut out);
+                }
+                Event::Completion { request } => {
+                    self.ctl.scheduler.on_complete(&request, cycle);
+                }
+                Event::BankReady { channel, bank } => {
+                    let local = self.ctl.local(channel);
+                    self.ctl.bank_ready(local, bank, cycle, &mut out);
+                }
+                Event::CoreBurst { .. } | Event::SchedTick => {
+                    unreachable!("shard queues carry controller events only")
                 }
             }
         }
     }
 
     fn idle(&self) -> bool {
-        self.events.is_empty() && self.inbox.is_empty() && self.outbox.is_empty()
+        self.events.is_empty() && self.outbox.is_empty()
     }
 }
 
@@ -441,18 +183,10 @@ impl Shard {
 #[derive(Debug)]
 pub struct MultiSystem {
     cfg: SystemConfig,
-    cores: Vec<Core>,
-    generators: Vec<Option<TraceGenerator>>,
-    pending_accesses: Vec<Vec<MemAddress>>,
-    core_epoch: Vec<u64>,
+    front: FrontEnd,
     /// Core-side queue: bursts and (merged) completions.
     events: EventQueue,
     now: Cycle,
-    next_request_id: u64,
-    injected: u64,
-    completed: u64,
-    last_retire: Cycle,
-    events_since_retire: u64,
     stall_limit: Option<Cycle>,
     cancel: Option<CancelToken>,
     shards: Vec<Shard>,
@@ -465,8 +199,10 @@ pub struct MultiSystem {
     window: Cycle,
     /// Host threads for the controller phase (1 = inline).
     hosts: usize,
-    scratch_ids: Vec<RequestId>,
     telemetry: Telemetry,
+    /// Next cycle at which the time-series sampler fires (`Cycle::MAX`
+    /// when telemetry is disabled); checked once per barrier.
+    next_sample: Cycle,
     /// Armed spill-flood fault: at its cycle, phantom requests are routed
     /// to the owning shard until its spill queue outgrows the bound.
     chaos_flood: Option<FaultSpec>,
@@ -478,7 +214,7 @@ pub struct MultiSystem {
     /// already due at the window start (see [`FROZEN_TICK_LIMIT`]).
     frozen_ticks: Vec<u64>,
     /// Scratch: per-thread counter views for `run_ticks` (reused across
-    /// barriers; the old code allocated fresh `Vec`s per due timer).
+    /// barriers).
     scratch_retired: Vec<u64>,
     scratch_misses: Vec<u64>,
     scratch_service: Vec<u64>,
@@ -506,44 +242,12 @@ impl MultiSystem {
         seed_base: u64,
     ) -> Self {
         cfg.validate().expect("invalid system config");
-        assert_eq!(
-            workload.threads.len(),
-            cfg.num_threads,
-            "workload must have one profile per hardware thread"
-        );
+        let front = FrontEnd::new(cfg, workload, seed_base);
         assert_eq!(
             controllers.len(),
             cfg.topology.num_controllers(),
             "one scheduler instance per memory controller"
         );
-        let shape = MachineShape::from(cfg);
-        let cores = (0..cfg.num_threads)
-            .map(|i| {
-                Core::new(
-                    ThreadId::new(i),
-                    cfg.issue_width,
-                    cfg.window_size,
-                    cfg.mshrs_per_core,
-                )
-            })
-            .collect();
-        let generators = workload
-            .threads
-            .iter()
-            .enumerate()
-            .map(|(i, profile)| {
-                if TraceGenerator::is_compute_only(profile) {
-                    None
-                } else {
-                    Some(TraceGenerator::new(
-                        profile,
-                        shape,
-                        seed_base.wrapping_mul(1000).wrapping_add(i as u64),
-                    ))
-                }
-            })
-            .collect();
-        let spill_bound = cfg.num_threads * cfg.mshrs_per_core;
         let mut owner = Vec::with_capacity(cfg.num_channels());
         let shards: Vec<Shard> = cfg
             .topology
@@ -551,52 +255,21 @@ impl MultiSystem {
             .zip(controllers)
             .map(|(mc, scheduler)| {
                 let range = cfg.topology.channel_range(mc);
-                let channel_base = range.start;
-                let channels: Vec<Channel> = range
-                    .clone()
-                    .map(|c| {
-                        owner.push(mc.index());
-                        Channel::with_threads(
-                            ChannelId::new(c),
-                            cfg.banks_per_channel,
-                            cfg.request_buffer,
-                            cfg.num_threads,
-                        )
-                    })
-                    .collect();
-                let next_tick = None; // armed in bootstrap
+                owner.extend(range.clone().map(|_| mc.index()));
+                let events = EventQueue::for_shard(range.start);
                 Shard {
-                    channel_base,
-                    spill: (0..channels.len()).map(|_| VecDeque::new()).collect(),
-                    channels,
-                    scheduler,
-                    spilled: 0,
-                    events: MsgQueue::default(),
-                    inbox: Vec::new(),
+                    ctl: Controller::new(cfg, range, scheduler),
+                    events,
                     outbox: Vec::new(),
-                    pending_error: None,
-                    next_tick,
-                    timing: cfg.timing,
-                    spill_bound,
-                    num_threads: cfg.num_threads,
-                    mshrs_per_core: cfg.mshrs_per_core,
-                    scratch_banks: Vec::with_capacity(cfg.banks_per_channel),
+                    next_tick: None, // armed below
                     now: 0,
                 }
             })
             .collect();
         let mut sys = Self {
-            cores,
-            generators,
-            pending_accesses: vec![Vec::new(); cfg.num_threads],
-            core_epoch: vec![0; cfg.num_threads],
+            front,
             events: EventQueue::new(),
             now: 0,
-            next_request_id: 0,
-            injected: 0,
-            completed: 0,
-            last_retire: 0,
-            events_since_retire: 0,
             stall_limit: Some(DEFAULT_STALL_LIMIT),
             cancel: None,
             shards,
@@ -605,8 +278,8 @@ impl MultiSystem {
             meta,
             window: cfg.timing.round_trip(RowState::Hit),
             hosts: 1,
-            scratch_ids: Vec::new(),
             telemetry: Telemetry::disabled(),
+            next_sample: Cycle::MAX,
             chaos_flood: None,
             chaos_coordination: Vec::new(),
             frozen_ticks: vec![0; cfg.topology.num_controllers()],
@@ -619,12 +292,9 @@ impl MultiSystem {
             sys.enable_verification();
         }
         for shard in &mut sys.shards {
-            shard.next_tick = shard.scheduler.next_tick(0);
+            shard.next_tick = shard.ctl.scheduler.next_tick(0);
         }
-        for t in 0..sys.cfg.num_threads {
-            sys.arm_next_burst(t);
-            sys.poll_core(t);
-        }
+        sys.front.bootstrap(&mut sys.events);
         sys
     }
 
@@ -639,9 +309,7 @@ impl MultiSystem {
     /// (observation-only; results are bit-identical with it on or off).
     pub fn enable_verification(&mut self) {
         for shard in &mut self.shards {
-            for ch in &mut shard.channels {
-                ch.enable_verification();
-            }
+            shard.ctl.set_verification(true);
         }
     }
 
@@ -664,22 +332,34 @@ impl MultiSystem {
             meta.set_thread_weights(weights);
         }
         for shard in &mut self.shards {
-            shard.scheduler.set_thread_weights(weights);
+            shard.ctl.scheduler.set_thread_weights(weights);
         }
     }
 
     /// Shares a telemetry handle with every channel, every controller's
-    /// policy, and the meta-controller. Observation-only.
+    /// policy, and the meta-controller, and arms the time-series sampler
+    /// (it samples at the first barrier at or past each interval point).
+    /// Observation-only.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         self.telemetry = telemetry.clone();
         for shard in &mut self.shards {
-            for ch in &mut shard.channels {
-                ch.set_telemetry(telemetry);
-            }
-            shard.scheduler.attach_telemetry(telemetry);
+            shard.ctl.set_telemetry(telemetry);
         }
         if let Some(meta) = &mut self.meta {
             meta.attach_telemetry(telemetry);
+        }
+        self.next_sample = telemetry.sample_interval().unwrap_or(Cycle::MAX);
+    }
+
+    /// Test hook: routes all future event pushes — coordinator and
+    /// shards — through the reference binary-heap path (see
+    /// `EventQueue::set_reference_mode`), so equivalence tests can prove
+    /// the lane fast path is bit-identical.
+    #[doc(hidden)]
+    pub fn set_reference_event_order(&mut self, on: bool) {
+        self.events.set_reference_mode(on);
+        for shard in &mut self.shards {
+            shard.events.set_reference_mode(on);
         }
     }
 
@@ -687,11 +367,11 @@ impl MultiSystem {
     /// mirroring `System::install_chaos` on the sharded engine.
     ///
     /// Routes each fault to its execution site via the topology's
-    /// channel partition: channel faults to the owning shard's
-    /// [`Channel`], monitor faults to the meta-controller (or the target
-    /// controller's policy when uncoordinated), the spill flood to the
-    /// owning shard's admission path, scheduler spins to the target
-    /// controller's policy (wrapped in a [`ChaosScheduler`]), and
+    /// channel partition: channel faults to the owning shard's channel,
+    /// monitor faults to the meta-controller (or the target controller's
+    /// policy when uncoordinated), the spill flood to the owning shard's
+    /// admission path, scheduler spins to the target controller's policy
+    /// (wrapped in a [`ChaosScheduler`](tcm_sched::ChaosScheduler)), and
     /// coordination faults (controller blackout / monitor skew) to the
     /// quantum-exchange harvest.
     ///
@@ -703,39 +383,32 @@ impl MultiSystem {
     pub fn install_chaos(&mut self, plan: &FaultPlan) {
         self.enable_verification();
         for shard in &mut self.shards {
-            for (local, ch) in shard.channels.iter_mut().enumerate() {
-                ch.set_chaos(Some(plan.channel_chaos(shard.channel_base + local)));
-            }
+            shard.ctl.install_channel_chaos(plan);
         }
         for fault in plan.monitor_faults() {
             if let Some(meta) = &mut self.meta {
                 meta.inject_monitor_fault(&fault);
             } else {
                 let c = fault.controller.min(self.shards.len() - 1);
-                self.shards[c].scheduler.inject_monitor_fault(&fault);
+                self.shards[c].ctl.scheduler.inject_monitor_fault(&fault);
             }
         }
         self.chaos_flood = plan.flood();
         self.chaos_coordination = plan.coordination_faults().collect();
         for (i, shard) in self.shards.iter_mut().enumerate() {
             if let Some(spin_at) = plan.spin_for(i) {
-                // Placeholder swap: Box<dyn Scheduler> has no cheap
-                // default, and the wrapper needs ownership of the inner
-                // policy.
-                let inner =
-                    std::mem::replace(&mut shard.scheduler, Box::new(tcm_sched::Fcfs::new()));
-                shard.scheduler = Box::new(ChaosScheduler::new(inner, spin_at));
+                shard.ctl.wrap_spin(spin_at);
                 // Policies without timers never armed a tick; the
                 // wrapper needs one for the spin to engage.
-                shard.next_tick = shard.scheduler.next_tick(shard.now);
+                shard.next_tick = shard.ctl.scheduler.next_tick(shard.now);
             }
         }
     }
 
     /// Executes an armed spill-flood fault: routes phantom requests to
     /// the target channel's shard until its buffer and spill queue both
-    /// overflow, tripping the resource-bound detector in `Shard::admit`
-    /// during the next controller phase.
+    /// overflow, tripping the controller's resource-bound detector during
+    /// the next controller phase.
     fn trigger_flood(&mut self, fault: FaultSpec, at: Cycle) {
         self.telemetry.emit(|| TraceEvent::ChaosInjected {
             cycle: at,
@@ -748,16 +421,14 @@ impl MultiSystem {
             tcm_types::Row::new(0),
         );
         let thread = ThreadId::new(fault.thread.min(self.cfg.num_threads - 1));
-        let spill_bound = self.cfg.num_threads * self.cfg.mshrs_per_core;
-        let phantoms = self.cfg.request_buffer + spill_bound + 1;
-        // All phantoms go to the inbox up front; the shard stops
-        // admitting the moment the bound trips (its event loop breaks on
-        // a pending error), and poll_faults surfaces it at the barrier.
+        let shard = &mut self.shards[self.owner[channel]];
+        let phantoms = self.cfg.request_buffer + shard.ctl.spill_bound + 1;
+        // All phantoms are queued up front; the shard stops admitting the
+        // moment the bound trips (its event loop breaks on a pending
+        // error), and poll_faults surfaces it at the barrier.
         for _ in 0..phantoms {
-            let id = RequestId::new(self.next_request_id);
-            self.next_request_id += 1;
-            let request = Request::new(id, thread, addr, at);
-            self.route(at, request, ShardMsg::Arrival(request));
+            let request = self.front.next_request(thread, addr, at);
+            shard.events.push(at, Event::Arrival { request });
         }
     }
 
@@ -805,87 +476,41 @@ impl MultiSystem {
             .unwrap_or(&[])
     }
 
-    fn arm_next_burst(&mut self, t: usize) {
-        let Some(generator) = self.generators[t].as_mut() else {
-            return;
-        };
-        let gap = generator.next_burst_into(&mut self.pending_accesses[t]);
-        self.cores[t].schedule_burst(gap, self.pending_accesses[t].len());
+    /// Every controller, in controller order.
+    fn controllers(&self) -> impl Iterator<Item = &Controller> + Clone {
+        self.shards.iter().map(|s| &s.ctl)
     }
 
-    fn poll_core(&mut self, t: usize) {
-        match self.cores[t].poll(self.now) {
-            CoreStatus::WillBurst { at } => {
-                self.core_epoch[t] += 1;
-                self.events.push(
-                    at,
-                    Event::CoreBurst {
-                        thread: ThreadId::new(t),
-                        epoch: self.core_epoch[t],
-                    },
-                );
-            }
-            CoreStatus::Blocked | CoreStatus::ComputeOnly => {}
-        }
-    }
-
-    /// Routes a message to the shard owning its request's channel,
-    /// stamping coordinator processing order.
-    fn route(&mut self, cycle: Cycle, request: Request, msg: ShardMsg) {
-        let shard = self.owner[request.addr.channel.index()];
-        self.shards[shard].inbox.push((cycle, msg));
-    }
-
-    /// Injects thread `t`'s pending burst: requests are routed to their
-    /// owning shards as arrivals at the current cycle.
-    fn inject_burst(&mut self, t: usize) {
-        let accesses = std::mem::take(&mut self.pending_accesses[t]);
-        let mut ids = std::mem::take(&mut self.scratch_ids);
-        ids.clear();
-        for addr in &accesses {
-            let id = RequestId::new(self.next_request_id);
-            self.next_request_id += 1;
-            ids.push(id);
-            let request = Request::new(id, ThreadId::new(t), *addr, self.now);
-            self.route(self.now, request, ShardMsg::Arrival(request));
-        }
-        self.cores[t].issue_burst(&ids);
-        self.injected += ids.len() as u64;
-        self.scratch_ids = ids;
-        self.pending_accesses[t] = accesses;
-        self.arm_next_burst(t);
-        self.poll_core(t);
-    }
-
-    /// Phase 1: processes core-side events below `bound`.
+    /// Phase 1: processes core-side events below `bound`. Injected
+    /// requests and completion notifications go onto the owning shard's
+    /// queue in processing order.
     fn phase_cores(&mut self, bound: Cycle) {
         // `bound >= t + 1 >= 1`, so the inclusive form cannot underflow.
         while let Some((cycle, event)) = self.events.pop_at_or_before(bound - 1) {
             debug_assert!(cycle >= self.now, "coordinator queue went backwards");
             self.now = cycle;
-            self.events_since_retire += 1;
+            self.front.events_since_retire += 1;
             match event {
                 Event::CoreBurst { thread, epoch } => {
                     let t = thread.index();
-                    if epoch != self.core_epoch[t] {
-                        continue; // stale
+                    if !self.front.burst_due(t, epoch, cycle, &mut self.events) {
+                        continue;
                     }
-                    match self.cores[t].poll(cycle) {
-                        CoreStatus::WillBurst { at } if at <= cycle => self.inject_burst(t),
-                        CoreStatus::WillBurst { .. } => self.poll_core(t),
-                        _ => {}
-                    }
+                    let (shards, owner) = (&mut self.shards, &self.owner);
+                    self.front.inject_burst(t, cycle, |request| {
+                        shards[owner[request.addr.channel.index()]]
+                            .events
+                            .push(cycle, Event::Arrival { request });
+                    });
+                    self.front.rearm(t, cycle, &mut self.events);
                 }
                 Event::Completion { request } => {
-                    let t = request.thread.index();
-                    self.cores[t].complete(request.id);
-                    self.completed += 1;
-                    self.last_retire = cycle;
-                    self.events_since_retire = 0;
-                    self.route(cycle, request, ShardMsg::Completed(request));
-                    self.poll_core(t);
+                    self.front.retire(&request, cycle, &mut self.events);
+                    self.shards[self.owner[request.addr.channel.index()]]
+                        .events
+                        .push(cycle, Event::Completion { request });
                 }
-                Event::BankReady { .. } | Event::SchedTick => {
+                Event::BankReady { .. } | Event::SchedTick | Event::Arrival { .. } => {
                     unreachable!("coordinator queue carries core events only")
                 }
             }
@@ -896,19 +521,15 @@ impl MultiSystem {
     /// when more than one is configured. Shards own disjoint state and
     /// are joined in spawn order, so the thread count is unobservable —
     /// which also makes the adaptive fast path safe: a window whose
-    /// total pending work is below [`INLINE_WINDOW_THRESHOLD`] messages
+    /// total pending work is below [`INLINE_WINDOW_THRESHOLD`] events
     /// runs inline, because spawning threads costs more than stepping a
     /// near-empty window (the 200-cycle hit-round-trip windows of a
-    /// typical run carry a handful of messages each; per-window spawns
+    /// typical run carry a handful of events each; per-window spawns
     /// were the dominant cost of the sharded engine).
     fn step_shards(&mut self, bound: Cycle) {
         let hosts = self.hosts.min(self.shards.len()).max(1);
         if hosts > 1 {
-            let work: usize = self
-                .shards
-                .iter()
-                .map(|s| s.inbox.len() + s.events.len())
-                .sum();
+            let work: usize = self.shards.iter().map(|s| s.events.len()).sum();
             if work >= INLINE_WINDOW_THRESHOLD {
                 let chunk = self.shards.len().div_ceil(hosts);
                 std::thread::scope(|scope| {
@@ -939,37 +560,18 @@ impl MultiSystem {
     }
 
     /// Surfaces any fault recorded during the window, in controller
-    /// order: typed shard errors first, then protocol-checker
+    /// order: typed controller errors first, then protocol-checker
     /// violations.
     fn poll_faults(&mut self) -> Result<(), SimError> {
         for shard in &mut self.shards {
-            if let Some(err) = shard.pending_error.take() {
+            if let Some(err) = shard.ctl.pending_error.take() {
                 return Err(err);
             }
         }
-        for shard in &self.shards {
-            for ch in &shard.channels {
-                if let Some(violation) = ch.violation() {
-                    return Err(SimError::InvariantViolation(violation.clone()));
-                }
-            }
+        match self.controllers().find_map(Controller::violation) {
+            Some(err) => Err(err),
+            None => Ok(()),
         }
-        Ok(())
-    }
-
-    /// Global per-thread counter view (service summed over every
-    /// controller) for the meta-controller.
-    fn view_arrays(&self) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
-        let n = self.cfg.num_threads;
-        let retired = self.cores.iter().map(Core::retired).collect();
-        let misses = self.cores.iter().map(Core::misses_issued).collect();
-        let mut service = vec![0u64; n];
-        for shard in &self.shards {
-            for (t, s) in shard.local_service(n).iter().enumerate() {
-                service[t] += s;
-            }
-        }
-        (retired, misses, service)
     }
 
     /// Runs every timer due at `at`: the meta-controller's exchange
@@ -982,27 +584,14 @@ impl MultiSystem {
         let mut misses = std::mem::take(&mut self.scratch_misses);
         let mut service = std::mem::take(&mut self.scratch_service);
         if self.meta_tick.is_some_and(|due| due <= at) {
-            retired.clear();
-            retired.extend(self.cores.iter().map(Core::retired));
-            misses.clear();
-            misses.extend(self.cores.iter().map(Core::misses_issued));
-            service.clear();
-            service.resize(self.cfg.num_threads, 0);
-            for shard in &self.shards {
-                for ch in &shard.channels {
-                    for (t, s) in ch.stats().thread_service_all().iter().enumerate() {
-                        if t < self.cfg.num_threads {
-                            service[t] += s;
-                        }
-                    }
-                }
-            }
+            self.front
+                .view_into(self.controllers(), &mut retired, &mut misses, &mut service);
             let meta = self.meta.as_mut().expect("meta_tick without a meta");
             let harvested = meta.needs_samples(at);
             let mut samples: Vec<Option<MonitorSample>> = if harvested {
                 self.shards
                     .iter_mut()
-                    .map(|s| s.scheduler.quantum_exchange(at))
+                    .map(|s| s.ctl.scheduler.quantum_exchange(at))
                     .collect()
             } else {
                 vec![None; self.shards.len()]
@@ -1019,7 +608,7 @@ impl MultiSystem {
             let plan = meta.exchange(at, &view, &samples);
             if plan.quarantined.is_empty() {
                 for shard in &mut self.shards {
-                    shard.scheduler.apply_broadcast(&plan, at);
+                    shard.ctl.scheduler.apply_broadcast(&plan, at);
                 }
             } else {
                 // A quarantined controller gets the degenerate all-zero
@@ -1033,9 +622,9 @@ impl MultiSystem {
                 };
                 for (i, shard) in self.shards.iter_mut().enumerate() {
                     if plan.quarantined.get(i).copied().unwrap_or(false) {
-                        shard.scheduler.apply_broadcast(&fallback, at);
+                        shard.ctl.scheduler.apply_broadcast(&fallback, at);
                     } else {
-                        shard.scheduler.apply_broadcast(&plan, at);
+                        shard.ctl.scheduler.apply_broadcast(&plan, at);
                     }
                 }
             }
@@ -1044,18 +633,18 @@ impl MultiSystem {
         }
         for i in 0..self.shards.len() {
             if self.shards[i].next_tick.is_some_and(|due| due <= at) {
-                retired.clear();
-                retired.extend(self.cores.iter().map(Core::retired));
-                misses.clear();
-                misses.extend(self.cores.iter().map(Core::misses_issued));
-                self.shards[i].local_service_into(self.cfg.num_threads, &mut service);
+                // A real controller observes only its own traffic: the
+                // view's service column covers this controller alone.
+                self.front
+                    .view_into([&self.shards[i].ctl], &mut retired, &mut misses, &mut service);
                 let view = SystemView {
                     retired: &retired,
                     misses: &misses,
                     service: &service,
                 };
-                self.shards[i].scheduler.tick(at, &view);
-                self.shards[i].next_tick = self.shards[i].scheduler.next_tick(at);
+                let shard = &mut self.shards[i];
+                shard.ctl.scheduler.tick(at, &view);
+                shard.next_tick = shard.ctl.scheduler.next_tick(at);
             }
         }
         self.scratch_retired = retired;
@@ -1131,15 +720,17 @@ impl MultiSystem {
             self.poll_faults()?;
             self.merge_outboxes();
             self.now = bound.min(horizon);
+            if self.now >= self.next_sample {
+                let channels = self.shards.iter().flat_map(|s| s.ctl.channels());
+                sample_series(&self.telemetry, &mut self.next_sample, self.now, channels);
+            }
             if let Some(token) = &self.cancel {
                 if token.is_cancelled() {
                     return Err(SimError::Cancelled(self.now));
                 }
             }
             if let Some(limit) = self.stall_limit {
-                if self.injected > self.completed
-                    && bound.saturating_sub(self.last_retire) > limit
-                {
+                if self.front.outstanding() && bound.saturating_sub(self.front.last_retire) > limit {
                     return Err(SimError::Stalled(Box::new(self.stall_report())));
                 }
             }
@@ -1148,19 +739,17 @@ impl MultiSystem {
             }
             t = bound;
         }
-        if self.stall_limit.is_some() && self.injected > self.completed && self.drained() {
+        if self.stall_limit.is_some() && self.front.outstanding() && self.drained() {
             return Err(SimError::Stalled(Box::new(self.stall_report())));
         }
         self.now = horizon;
-        for t in 0..self.cfg.num_threads {
-            self.cores[t].poll(horizon);
-        }
+        self.front.settle(horizon);
         for shard in &mut self.shards {
-            for ch in &mut shard.channels {
-                ch.finish_verification(horizon)?;
-            }
+            shard.ctl.finish_verification(horizon)?;
         }
-        Ok(self.collect(horizon))
+        Ok(self
+            .front
+            .collect(horizon, self.controllers(), &self.telemetry))
     }
 
     /// Fast-forwards `t` over windows that are provable no-ops: no event
@@ -1189,7 +778,6 @@ impl MultiSystem {
             clamp(at);
         }
         for shard in &self.shards {
-            debug_assert!(shard.inbox.is_empty(), "inboxes drain at every barrier");
             if let Some(at) = shard.events.peek_cycle() {
                 clamp(at);
             }
@@ -1204,8 +792,8 @@ impl MultiSystem {
             clamp(fault.at);
         }
         if let Some(stall) = self.stall_limit {
-            if self.injected > self.completed {
-                clamp(self.last_retire.saturating_add(stall).saturating_add(1));
+            if self.front.outstanding() {
+                clamp(self.front.last_retire.saturating_add(stall).saturating_add(1));
             }
         }
         if limit <= t {
@@ -1219,129 +807,21 @@ impl MultiSystem {
         // No specific culprit known: attribute the controller with the
         // deepest backlog (queues + spill), ties to the lowest index —
         // on a multi-controller machine that is where progress died.
-        let suspect = (self.shards.len() > 1).then(|| {
-            let load = |s: &Shard| {
-                s.channels.iter().map(|ch| ch.queue().len()).sum::<usize>()
-                    + s.spill.iter().map(VecDeque::len).sum::<usize>()
-            };
-            self.shards
-                .iter()
-                .enumerate()
-                .max_by_key(|(i, s)| (load(s), Reverse(*i)))
-                .map_or(0, |(i, _)| i)
-        });
+        let suspect = self
+            .controllers()
+            .enumerate()
+            .max_by_key(|(i, ctl)| (ctl.backlog(), Reverse(*i)))
+            .map(|(i, _)| i);
         self.stall_report_for(suspect)
     }
 
     /// A stall report attributing `controller` (when known and the
     /// machine actually has more than one).
     fn stall_report_for(&self, controller: Option<usize>) -> StallReport {
-        StallReport {
-            controller: controller
-                .filter(|_| self.shards.len() > 1)
-                .map(ControllerId::new),
-            now: self.now,
-            last_retire: self.last_retire,
-            events_since_retire: self.events_since_retire,
-            outstanding: self.cores.iter().map(Core::outstanding).collect(),
-            queue_depths: self
-                .shards
-                .iter()
-                .flat_map(|s| s.channels.iter().map(|ch| ch.queue().len()))
-                .collect(),
-            spill_depths: self
-                .shards
-                .iter()
-                .flat_map(|s| s.spill.iter().map(VecDeque::len))
-                .collect(),
-            busy_banks: self
-                .shards
-                .iter()
-                .flat_map(|s| s.channels.iter().map(Channel::busy_bank_count))
-                .collect(),
-        }
-    }
-
-    /// Folds the run's final counters into the metrics registry, with
-    /// per-controller labels alongside the global aggregates.
-    fn absorb_metrics(&self, run: &RunResult) {
-        self.telemetry.with_metrics(|m| {
-            m.set_counter("requests_serviced", run.total_serviced);
-            m.set_counter("requests_spilled", run.spilled);
-            m.set_counter("peak_queue_depth", run.peak_queue as u64);
-            m.set_gauge("row_hit_rate", run.row_hit_rate);
-            for (i, shard) in self.shards.iter().enumerate() {
-                let midx = i.to_string();
-                let mlabel: &[(&str, &str)] = &[("controller", &midx)];
-                let serviced: u64 =
-                    shard.channels.iter().map(|c| c.stats().total_serviced()).sum();
-                let hits: u64 = shard.channels.iter().map(|c| c.stats().total_row_hits()).sum();
-                let busy: u64 = shard.channels.iter().map(|c| c.stats().bus_busy_cycles).sum();
-                m.set_counter(&labeled("requests_serviced", mlabel), serviced);
-                m.set_counter(&labeled("bus_busy_cycles", mlabel), busy);
-                m.set_gauge(
-                    &labeled("bus_utilization", mlabel),
-                    busy as f64 / (run.cycles.max(1) as f64 * shard.channels.len() as f64),
-                );
-                m.set_gauge(
-                    &labeled("row_hit_rate", mlabel),
-                    if serviced == 0 {
-                        0.0
-                    } else {
-                        hits as f64 / serviced as f64
-                    },
-                );
-                for ch in &shard.channels {
-                    let stats = ch.stats();
-                    let cidx = ch.id().to_string();
-                    let labels: &[(&str, &str)] = &[("controller", &midx), ("channel", &cidx)];
-                    m.set_counter(&labeled("bus_busy_cycles", labels), stats.bus_busy_cycles);
-                    m.set_gauge(
-                        &labeled("bus_utilization", labels),
-                        stats.bus_busy_cycles as f64 / run.cycles.max(1) as f64,
-                    );
-                }
-            }
-            for (t, (&svc, &miss)) in run.service.iter().zip(&run.misses).enumerate() {
-                let tidx = t.to_string();
-                let labels: &[(&str, &str)] = &[("thread", &tidx)];
-                m.set_counter(&labeled("service_cycles", labels), svc);
-                m.set_counter(&labeled("misses", labels), miss);
-            }
-        });
-    }
-
-    fn collect(&self, horizon: Cycle) -> RunResult {
-        let (retired, misses, service) = self.view_arrays();
-        let ipc = retired
-            .iter()
-            .map(|&r| r as f64 / horizon.max(1) as f64)
-            .collect();
-        let channels = || self.shards.iter().flat_map(|s| s.channels.iter());
-        let total_serviced: u64 = channels().map(|c| c.stats().total_serviced()).sum();
-        let total_hits: u64 = channels().map(|c| c.stats().total_row_hits()).sum();
-        let result = RunResult {
-            cycles: horizon,
-            retired,
-            ipc,
-            misses,
-            service,
-            total_serviced,
-            row_hit_rate: if total_serviced == 0 {
-                0.0
-            } else {
-                total_hits as f64 / total_serviced as f64
-            },
-            spilled: self.shards.iter().map(|s| s.spilled).sum(),
-            peak_queue: channels()
-                .map(|c| c.stats().peak_queue_depth)
-                .max()
-                .unwrap_or(0),
-        };
-        if self.telemetry.is_enabled() {
-            self.absorb_metrics(&result);
-        }
-        result
+        let controller = controller
+            .filter(|_| self.shards.len() > 1)
+            .map(ControllerId::new);
+        self.front.stall_report(self.now, controller, self.controllers())
     }
 }
 
@@ -1432,7 +912,7 @@ mod tests {
         // After the final exchange every controller has harvested and
         // holds broadcast state; a fresh harvest still works.
         for shard in &mut sys.shards {
-            assert!(shard.scheduler.quantum_exchange(200_000).is_some());
+            assert!(shard.ctl.scheduler.quantum_exchange(200_000).is_some());
         }
     }
 

@@ -7,7 +7,7 @@
 //! [`Session`]: crate::Session
 
 use crate::metrics::WorkloadMetrics;
-use crate::system::RunResult;
+use crate::machine::RunResult;
 use std::time::Duration;
 use tcm_chaos::FaultPlan;
 use tcm_core::{MetaController, Tcm, TcmController, TcmParams};
@@ -191,7 +191,7 @@ impl Default for RunConfigBuilder {
             system: SystemConfig::paper_baseline(),
             horizon: 1_000_000,
             verify: false,
-            watchdog: Some(crate::system::DEFAULT_STALL_LIMIT),
+            watchdog: Some(crate::machine::DEFAULT_STALL_LIMIT),
             chaos: None,
             cell_deadline: None,
             intra_hosts: 1,

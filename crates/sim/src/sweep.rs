@@ -46,7 +46,8 @@ use crate::checkpoint::{self, CheckpointHeader, CheckpointWriter};
 use crate::metrics::{workload_metrics, IpcPair, WorkloadMetrics};
 use crate::multi::MultiSystem;
 use crate::runner::{workload_seed, EvalResult, PolicyKind, RunConfig};
-use crate::system::{RunResult, System};
+use crate::machine::RunResult;
+use crate::system::System;
 use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;

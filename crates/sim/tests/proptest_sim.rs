@@ -132,6 +132,50 @@ proptest! {
         prop_assert_eq!(fast_result, reference_result);
     }
 
+    /// The multi-controller engine's queues — the coordinator's and every
+    /// shard's, whose arrival, completion and bank-ready lanes are fed
+    /// across the barrier — pop in exactly the pure binary-heap order:
+    /// routing every push through the heap reproduces the `RunResult`
+    /// bit for bit, on uniform (2x2) and asymmetric (3+1) machines under
+    /// every policy.
+    #[test]
+    fn multi_lanes_match_heap_reference(
+        profiles in proptest::collection::vec(
+            (0.0..60.0f64, 0.0..1.0f64, 1.0..8.0f64),
+            2..6,
+        ),
+        policy_index in 0usize..6,
+        asymmetric in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let n = profiles.len();
+        let topology = if asymmetric {
+            Topology::asymmetric([3, 1])
+        } else {
+            Topology::uniform(2, 2)
+        };
+        let cfg = SystemConfig::builder()
+            .num_threads(n)
+            .topology(topology)
+            .build()
+            .unwrap();
+        let workload = workload_from(&profiles);
+        let kinds = policy_lineup(n);
+        let kind = &kinds[policy_index % kinds.len()];
+        let horizon = 100_000;
+
+        let build = || {
+            let controllers = (0..cfg.topology.num_controllers())
+                .map(|_| kind.build_controller(n, &cfg))
+                .collect();
+            MultiSystem::new(&cfg, &workload, controllers, kind.build_meta(n, &cfg), seed)
+        };
+        let fast_result = build().run(horizon);
+        let mut reference = build();
+        reference.set_reference_event_order(true);
+        prop_assert_eq!(fast_result, reference.run(horizon));
+    }
+
     /// The multi-controller window loop's fast paths (empty-window
     /// skip-ahead, adaptive inline stepping, reused merge scratch) keep
     /// the determinism contract: results are bit-identical whichever

@@ -10,9 +10,10 @@
 use tcm_core::TcmParams;
 use tcm_sim::{CellError, CellFailureKind, EvalResult, PolicyKind, RunConfig, Session};
 use tcm_telemetry::{
-    event_to_jsonl, events_to_jsonl, labeled, parse_jsonl, TelemetryConfig, TraceEvent,
+    event_to_jsonl, events_to_jsonl, labeled, parse_jsonl, MetricsRegistry, TelemetryConfig,
+    TraceEvent,
 };
-use tcm_types::SystemConfig;
+use tcm_types::{SystemConfig, Topology};
 use tcm_workload::random_workload;
 
 /// One TCM cell on an 8-thread machine, with a quantum short enough
@@ -107,6 +108,95 @@ fn metrics_registry_agrees_with_the_run_result() {
     assert!(metrics
         .series(&labeled("bus_utilization", &[("channel", "0")]))
         .is_some_and(|s| !s.is_empty()));
+}
+
+/// FR-FCFS on one 8-thread mix with telemetry on, on the machine
+/// `topology` describes.
+fn frfcfs_cell(topology: Topology) -> EvalResult {
+    let cfg = SystemConfig::builder()
+        .num_threads(8)
+        .topology(topology)
+        .build()
+        .expect("test config is valid");
+    let session = Session::new(
+        RunConfig::builder()
+            .system(cfg)
+            .horizon(600_000)
+            .telemetry(Some(TelemetryConfig::default()))
+            .build(),
+    );
+    let result = session
+        .sweep()
+        .policies([PolicyKind::FrFcfs])
+        .workloads([random_workload(3, 8, 0.75)])
+        .run();
+    assert!(result.is_complete(), "telemetry cell must not fail");
+    result.cells()[0].result.clone()
+}
+
+#[test]
+fn multi_controller_cells_emit_the_full_catalog() {
+    if tcm_telemetry::TELEMETRY_IMPL == "off" {
+        return; // hooks compiled out: no snapshots to inspect
+    }
+    let result = frfcfs_cell(Topology::uniform(2, 2));
+    let metrics = &result.telemetry.as_ref().expect("snapshot").metrics;
+    let run = &result.run;
+
+    let mut per_bank_serviced = 0;
+    for c in 0..4 {
+        let channel = c.to_string();
+        let clabel: &[(&str, &str)] = &[("channel", &channel)];
+        assert!(metrics.counter(&labeled("bus_busy_cycles", clabel)).is_some());
+        assert!(metrics.gauge(&labeled("bus_utilization", clabel)).is_some());
+        assert!(metrics.histogram(&labeled("queue_depth", clabel)).is_some());
+        for series in ["queue_depth", "bus_utilization"] {
+            assert!(
+                metrics
+                    .series(&labeled(series, clabel))
+                    .is_some_and(|s| !s.is_empty()),
+                "missing sampled series {series}{{channel={c}}}"
+            );
+        }
+        for b in 0..4 {
+            let bank = b.to_string();
+            let labels: &[(&str, &str)] = &[("channel", &channel), ("bank", &bank)];
+            per_bank_serviced += metrics
+                .counter(&labeled("requests_serviced", labels))
+                .expect("per-bank service counter");
+            assert!(metrics.counter(&labeled("row_hits", labels)).is_some());
+            assert!(metrics.counter(&labeled("row_conflicts", labels)).is_some());
+        }
+    }
+    assert!(run.total_serviced > 0);
+    assert_eq!(per_bank_serviced, run.total_serviced);
+    assert_eq!(metrics.counter("requests_serviced"), Some(run.total_serviced));
+    assert_eq!(
+        metrics.gauge("row_hit_rate").map(f64::to_bits),
+        Some(run.row_hit_rate.to_bits()),
+        "gauge is bit-equal to the RunResult's rate"
+    );
+    for mc in ["0", "1"] {
+        let mlabel: &[(&str, &str)] = &[("controller", mc)];
+        assert!(metrics.counter(&labeled("requests_serviced", mlabel)).is_some());
+        assert!(metrics.gauge(&labeled("row_hit_rate", mlabel)).is_some());
+    }
+
+    // Apart from the per-controller aggregates, the key set is exactly
+    // the flat machine's: one catalog, global channel indices.
+    let flat = frfcfs_cell(Topology::flat(4));
+    let keys = |m: &MetricsRegistry| -> Vec<String> {
+        m.counters()
+            .keys()
+            .chain(m.gauges().keys())
+            .chain(m.histograms().keys())
+            .chain(m.all_series().keys())
+            .filter(|k| !k.contains("controller="))
+            .cloned()
+            .collect()
+    };
+    let flat_metrics = &flat.telemetry.as_ref().expect("snapshot").metrics;
+    assert_eq!(keys(metrics), keys(flat_metrics));
 }
 
 #[test]

@@ -1,17 +1,15 @@
 #!/usr/bin/env bash
 # Wall-clock benchmark of the controller hot path: times the fixed
-# paper-lineup sweep (tcm-run --bench-json) six times — with the default
-# indexed request queue, on a 2x2 multi-controller topology with the
-# controller phase sharded over two host threads (default build), the
-# same 2x2 sweep with the protocol checker armed and again with an
-# empty fault plan installed (isolating the chaos layer's cost), with
-# the pre-refactor flat queue (--features tcm-dram/flat-queue), and with
-# the telemetry hooks compiled out (--features tcm-telemetry/off) — and
-# merges the records into BENCH_hotpath.json with the measured queue
-# speedup, the disabled-telemetry overhead, and the empty-plan chaos
-# overhead. The single-controller builds are bit-identical to each
-# other (the multi rows simulate a different machine); only the wall
-# clock differs. The full run gates the telemetry-hook overhead and the
+# paper-lineup sweep (tcm-run --bench-json) five times — on the default
+# build, on a 2x2 multi-controller topology with the controller phase
+# sharded over two host threads (default build), the same 2x2 sweep
+# with the protocol checker armed and again with an empty fault plan
+# installed (isolating the chaos layer's cost), and with the telemetry
+# hooks compiled out (--features tcm-telemetry/off) — and merges the
+# records into BENCH_hotpath.json with the disabled-telemetry overhead
+# and the empty-plan chaos overhead. The two single-controller builds
+# are bit-identical to each other (the multi rows simulate a different
+# machine); only the wall clock differs. The full run gates the telemetry-hook overhead and the
 # empty-fault-plan overhead at <2% each (disabled hooks are one branch
 # on a None option; an inert chaos layer is a None check per window);
 # smoke mode only reports them, since sub-second runs are all noise.
@@ -68,14 +66,13 @@ build_variant() {
 }
 
 build_variant indexed
-build_variant flat --features tcm-dram/flat-queue
 build_variant nohooks --features tcm-telemetry/off
 # Leave the default build in place for whoever runs next.
 cargo build --release --offline -p tcm-serve --bin tcm-run >/dev/null 2>&1 || true
 
-# The six timed variants:
-# - indexed / flat / nohooks: the fixed flat-topology sweep on each
-#   build (queue refactor A/B, telemetry-hook cost).
+# The five timed variants:
+# - indexed / nohooks: the fixed flat-topology sweep on each build
+#   (telemetry-hook cost).
 # - multi: the same sweep on a 2x2 topology (two controllers x two
 #   channels, TCM cells coordinated by the meta-controller), controller
 #   phase sharded over two host threads; runs on the default build.
@@ -84,7 +81,7 @@ cargo build --release --offline -p tcm-serve --bin tcm-run >/dev/null 2>&1 || tr
 #   checker plus the inert chaos state). The pair isolates the chaos
 #   layer's overhead from the checker's; the full run gates it at <2% —
 #   when no fault is scheduled, the layer must be free.
-echo "==> timed runs: $RUNS interleaved rounds x 6 variants"
+echo "==> timed runs: $RUNS interleaved rounds x 5 variants"
 for k in $(seq "$RUNS"); do
     "$TMPDIR_BENCH/bin-indexed" \
         --bench-json "$TMPDIR_BENCH/indexed.run$k.json" --cycles "$CYCLES"
@@ -97,8 +94,6 @@ for k in $(seq "$RUNS"); do
     "$TMPDIR_BENCH/bin-indexed" \
         --bench-json "$TMPDIR_BENCH/multi_chaos.run$k.json" --cycles "$CYCLES" \
         --topology 2x2 --intra-hosts 2 --chaos-empty
-    "$TMPDIR_BENCH/bin-flat" \
-        --bench-json "$TMPDIR_BENCH/flat.run$k.json" --cycles "$CYCLES"
     "$TMPDIR_BENCH/bin-nohooks" \
         --bench-json "$TMPDIR_BENCH/nohooks.run$k.json" --cycles "$CYCLES"
 done
@@ -112,14 +107,14 @@ import sys
 tmp, out_path, smoke = sys.argv[1:4]
 
 REQUIRED = {
-    "schema": str, "queue_impl": str, "topology": str, "threads": int,
+    "schema": str, "topology": str, "threads": int,
     "horizon": int, "policies": list, "workloads": list, "cells": int,
     "alone_runs": int, "workers": int, "sim_cycles": int,
     "wall_secs": float, "sim_cycles_per_sec": float, "cells_per_sec": float,
     "peak_queue_depth": int,
 }
 
-def load(path, expect_impl):
+def load(path):
     with open(path) as f:
         record = json.load(f)
     for key, kind in REQUIRED.items():
@@ -130,18 +125,15 @@ def load(path, expect_impl):
                      f"expected {kind.__name__}")
     if record["schema"] != "tcm-bench-hotpath-v1":
         sys.exit(f"{path}: unexpected schema {record['schema']!r}")
-    if record["queue_impl"] != expect_impl:
-        sys.exit(f"{path}: queue_impl {record['queue_impl']!r}, "
-                 f"expected {expect_impl!r}")
     if record["sim_cycles_per_sec"] <= 0:
         sys.exit(f"{path}: non-positive sim_cycles_per_sec")
     return record
 
-def load_runs(impl, expect_impl):
-    paths = sorted(glob.glob(f"{tmp}/{impl}.run*.json"))
+def load_runs(variant):
+    paths = sorted(glob.glob(f"{tmp}/{variant}.run*.json"))
     if not paths:
-        sys.exit(f"no bench records for variant {impl!r}")
-    return [load(p, expect_impl) for p in paths]
+        sys.exit(f"no bench records for variant {variant!r}")
+    return [load(p) for p in paths]
 
 def best(records):
     """Fastest repeated run: the quiet-floor throughput estimate, used
@@ -155,17 +147,15 @@ def median_rate(records):
     <2% gates by several points."""
     return statistics.median(r["sim_cycles_per_sec"] for r in records)
 
-indexed_runs = load_runs("indexed", "indexed")
-multi_runs = load_runs("multi", "indexed")
-multi_verify_runs = load_runs("multi_verify", "indexed")
-multi_chaos_runs = load_runs("multi_chaos", "indexed")
-flat_runs = load_runs("flat", "flat")
-nohooks_runs = load_runs("nohooks", "indexed")
+indexed_runs = load_runs("indexed")
+multi_runs = load_runs("multi")
+multi_verify_runs = load_runs("multi_verify")
+multi_chaos_runs = load_runs("multi_chaos")
+nohooks_runs = load_runs("nohooks")
 indexed = best(indexed_runs)
 multi = best(multi_runs)
 multi_verify = best(multi_verify_runs)
 multi_chaos = best(multi_chaos_runs)
-flat = best(flat_runs)
 nohooks = best(nohooks_runs)
 if nohooks.get("telemetry_impl", "off") != "off":
     sys.exit("nohooks variant: expected the tcm-telemetry/off build")
@@ -182,8 +172,7 @@ for name, other in (("multi_verify", multi_verify),
                  f"got {other['topology']!r}")
 for key in ("threads", "horizon", "cells", "policies", "workloads"):
     for name, other in (("multi", multi), ("multi_verify", multi_verify),
-                        ("multi_chaos", multi_chaos), ("flat", flat),
-                        ("nohooks", nohooks)):
+                        ("multi_chaos", multi_chaos), ("nohooks", nohooks)):
         if indexed[key] != other[key]:
             sys.exit(f"variant mismatch ({name}) on {key!r}: "
                      f"{indexed[key]!r} vs {other[key]!r}")
@@ -198,14 +187,10 @@ if multi_verify["peak_queue_depth"] != multi_chaos["peak_queue_depth"]:
              "inert chaos layer is supposed to be bit-identical")
 # Same simulation either way: the peak depth is a behavioral quantity and
 # must agree bit-for-bit between the builds.
-if indexed["peak_queue_depth"] != flat["peak_queue_depth"]:
-    sys.exit("peak_queue_depth differs between builds — the refactor is "
-             "supposed to be bit-identical")
 if indexed["peak_queue_depth"] != nohooks["peak_queue_depth"]:
     sys.exit("peak_queue_depth differs with telemetry hooks compiled out — "
              "disabled telemetry is supposed to be bit-identical")
 
-speedup = indexed["sim_cycles_per_sec"] / flat["sim_cycles_per_sec"]
 # Positive = the hooks build (telemetry disabled at runtime) is slower
 # than the build with hooks compiled out entirely.
 overhead_pct = 100.0 * (median_rate(nohooks_runs)
@@ -230,9 +215,7 @@ merged = {
     "multi": multi,
     "multi_verify": multi_verify,
     "multi_chaos": multi_chaos,
-    "flat": flat,
     "nohooks": nohooks,
-    "speedup_indexed_over_flat": speedup,
     "multi_over_flat_ratio": multi_over_flat,
     "telemetry_disabled_overhead_pct": overhead_pct,
     "chaos_empty_plan_overhead_pct": chaos_overhead_pct,
@@ -245,9 +228,7 @@ print(f"indexed: {indexed['sim_cycles_per_sec']:.3e} sim-cycles/sec "
       f"({indexed['wall_secs']:.2f}s)")
 print(f"multi:   {multi['sim_cycles_per_sec']:.3e} sim-cycles/sec "
       f"({multi['wall_secs']:.2f}s, 2x2 topology, 2 intra-cell hosts)")
-print(f"flat:    {flat['sim_cycles_per_sec']:.3e} sim-cycles/sec "
-      f"({flat['wall_secs']:.2f}s)")
-print(f"speedup (indexed over flat): {speedup:.2f}x -> {out_path}")
+print(f"record -> {out_path}")
 print(f"multi over flat-engine ratio: {multi_over_flat:.3f} "
       f"(windowed-engine gap; 1.0 = parity)")
 print(f"telemetry hooks, disabled at runtime, vs compiled out: "
@@ -267,8 +248,7 @@ if smoke == "1":
     if os.path.exists("BENCH_hotpath.json"):
         with open("BENCH_hotpath.json") as f:
             committed = json.load(f)
-        for key in ("schema", "indexed", "multi", "flat",
-                    "speedup_indexed_over_flat", "multi_over_flat_ratio"):
+        for key in ("schema", "indexed", "multi", "multi_over_flat_ratio"):
             if key not in committed:
                 sys.exit(f"committed BENCH_hotpath.json: missing key {key!r}")
         ratio = committed["multi_over_flat_ratio"]
@@ -277,10 +257,10 @@ if smoke == "1":
                      f"{ratio!r} is not a positive float")
         if committed["schema"] != "tcm-bench-hotpath-v1":
             sys.exit("committed BENCH_hotpath.json: unexpected schema")
-        for impl in ("indexed", "multi", "flat"):
+        for variant in ("indexed", "multi"):
             for key in REQUIRED:
-                if key not in committed[impl]:
-                    sys.exit(f"committed BENCH_hotpath.json [{impl}]: "
+                if key not in committed[variant]:
+                    sys.exit(f"committed BENCH_hotpath.json [{variant}]: "
                              f"missing key {key!r}")
         print("committed BENCH_hotpath.json: schema ok")
 PY

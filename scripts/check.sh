@@ -295,8 +295,8 @@ echo "metrics smoke ok: exposition valid, top rendered, recovery counted"
 echo "==> bench harness compiles (feature-gated)"
 cargo build --benches -p tcm-bench --features bench-harness --offline
 
-# Times the fixed paper-lineup sweep on both request-queue builds and
-# validates the JSON schema of BENCH_hotpath.json. Absolute numbers are
+# Times the fixed paper-lineup sweep (default, 2x2 and telemetry-off
+# builds) and validates the JSON schema of BENCH_hotpath.json. Absolute numbers are
 # NOT gated — machines differ — only the record's shape and consistency.
 echo "==> bench smoke run (schema validation)"
 scripts/bench.sh --smoke
