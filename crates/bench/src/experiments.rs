@@ -4,8 +4,8 @@
 //! corresponding `src/bin/*` binary and collected by `reproduce` into
 //! EXPERIMENTS.md input). Functions share a [`Session`] so the expensive
 //! alone-run IPCs are computed once per scale, and run their experiment
-//! grids through the `Sweep` layer — sharded across worker threads with
-//! bit-identical results to a serial run.
+//! grids through the `Sweep` layer — on worker threads sharing one work
+//! queue, with bit-identical results to a serial run.
 
 use crate::{Scale, StaticPriority};
 use tcm_core::storage::StorageModel;

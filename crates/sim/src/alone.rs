@@ -46,7 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use tcm_sched::FrFcfs;
 use tcm_types::{Cycle, SystemConfig};
-use tcm_workload::{BenchmarkProfile, WorkloadSpec};
+use tcm_workload::{BenchmarkProfile, TraceGenerator, WorkloadSpec};
 
 /// Schema tag: the first line of every store entry.
 const SCHEMA: &str = "tcm-alone-v1";
@@ -102,14 +102,10 @@ impl AloneKey {
     }
 }
 
-/// IPC of `profile` running alone on `rc`'s machine (uncached).
-///
-/// The policy is irrelevant with a single thread, so FR-FCFS is used;
-/// compute-only profiles retire at the issue width by construction.
-pub(crate) fn compute_alone_ipc(profile: &BenchmarkProfile, rc: &RunConfig) -> f64 {
-    if profile.mpki <= 0.0 {
-        return rc.system.issue_width as f64;
-    }
+/// IPC of memory-bound `profile` running alone on `rc`'s machine,
+/// simulated (uncached). The policy is irrelevant with a single thread,
+/// so FR-FCFS is used.
+fn compute_alone_ipc(profile: &BenchmarkProfile, rc: &RunConfig) -> f64 {
     let mut cfg = rc.system.clone();
     cfg.num_threads = 1;
     let workload = WorkloadSpec::new(profile.name.clone(), vec![profile.clone()]);
@@ -216,7 +212,13 @@ impl AloneIpcCache {
 
     /// The alone IPC of `profile` on `rc`'s machine, and whether this
     /// call ran the simulation to get it.
+    ///
+    /// A compute-only profile retires at the issue width by construction,
+    /// so it bypasses the cache: nothing is simulated, counted or stored.
     pub(crate) fn get_or_compute(&self, profile: &BenchmarkProfile, rc: &RunConfig) -> (f64, bool) {
+        if TraceGenerator::is_compute_only(profile) {
+            return (rc.system.issue_width as f64, false);
+        }
         let key = AloneKey::new(profile, rc);
         let mut slots = self.lock();
         loop {

@@ -12,7 +12,7 @@
 //! Experiments run through the [`Session`] / [`Sweep`] layer: a session
 //! fixes the machine configuration and caches alone-run IPCs, a sweep
 //! names a policies × workloads (× seeds) grid and executes it serially
-//! or sharded across threads — with bit-identical results either way —
+//! or on threads sharing one work queue — bit-identical either way —
 //! computing the paper's metrics (weighted speedup, harmonic speedup,
 //! maximum slowdown) per cell.
 //!

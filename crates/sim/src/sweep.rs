@@ -10,10 +10,10 @@
 //!   slowdown denominators; see [`AloneIpcCache`]), private or shared;
 //! * a [`Sweep`] builder names the grid declaratively
 //!   (`.policies(..).workloads(..).seeds(..)`) and executes it either
-//!   serially ([`Sweep::run`]) or sharded across `std::thread::scope`
-//!   workers ([`Sweep::run_parallel`]) — with **bit-identical** results,
-//!   because every cell is an isolated simulation and the alone-IPC
-//!   cache is pre-populated before the parallel phase;
+//!   serially ([`Sweep::run`]) or on workers pulling alone baselines,
+//!   then cells, from one queue ([`Sweep::run_parallel`]) — with
+//!   **bit-identical** results, because every cell is an isolated
+//!   simulation and each baseline is simulated once, single-flight;
 //! * a [`SweepResult`] holds the full result grid plus aggregate
 //!   metrics and a [`SweepStats`] throughput record (cells simulated,
 //!   sim-cycles/sec, worker count).
@@ -48,11 +48,11 @@ use crate::multi::MultiSystem;
 use crate::runner::{workload_seed, EvalResult, PolicyKind, RunConfig};
 use crate::machine::RunResult;
 use crate::system::System;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use tcm_telemetry::Telemetry;
 use tcm_types::{CancelToken, ControllerId, Cycle, SimError};
@@ -580,27 +580,12 @@ impl Session {
         result
     }
 
-    /// Warms the alone-IPC cache for every profile in `workloads`.
-    ///
-    /// Called automatically before a sweep's parallel phase (for the
-    /// workloads that still have a cell to run) so workers only ever
-    /// *read* alone IPCs, which keeps parallel results bit-identical to
-    /// serial ones and each unique profile simulated exactly once.
+    /// Warms the alone-IPC cache for every profile in `workloads` on the
+    /// calling thread, so a later sweep runs no alone simulation. Sweeps
+    /// do not need it: they queue their own baselines on their workers.
     pub fn prepopulate_alone<'w>(&self, workloads: impl IntoIterator<Item = &'w WorkloadSpec>) {
-        self.prepopulate(workloads, &AtomicU64::new(0));
-    }
-
-    /// [`Session::prepopulate_alone`], counting the alone runs it made
-    /// into `runs`.
-    fn prepopulate<'w>(
-        &self,
-        workloads: impl IntoIterator<Item = &'w WorkloadSpec>,
-        runs: &AtomicU64,
-    ) {
-        for workload in workloads {
-            for profile in &workload.threads {
-                self.alone_ipc_counted(profile, runs);
-            }
+        for profile in workloads.into_iter().flat_map(|w| &w.threads) {
+            self.alone_ipc(profile);
         }
     }
 
@@ -773,17 +758,17 @@ impl Sweep<'_> {
         self.execute(1)
     }
 
-    /// Executes the grid sharded across `workers` scoped threads.
+    /// Executes the grid on `workers` threads sharing one work queue.
     ///
     /// Results are **bit-identical** to [`Sweep::run`]: each cell is an
-    /// isolated deterministic simulation, and the session's alone-IPC
-    /// cache is pre-populated serially before the parallel phase.
+    /// isolated deterministic simulation, and so is each alone baseline,
+    /// simulated once by whichever worker takes it.
     pub fn run_parallel(self, workers: usize) -> SweepResult {
         self.execute(workers.max(1))
     }
 
     /// Executes with a worker per available core (at least two, so
-    /// sharding stays exercised even on single-core CI machines).
+    /// the shared queue stays exercised even on single-core CI machines).
     pub fn run_auto(self) -> SweepResult {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -854,12 +839,15 @@ impl Sweep<'_> {
             .collect();
         let workers = workers.min(to_run.len()).max(1);
 
-        // Alone baselines only for workloads with a cell left to run: a
-        // fully resumed workload needs none.
+        // Alone baselines only for workloads with a cell left to run (a
+        // fully resumed workload needs none), each distinct profile once.
         let alone_runs = AtomicU64::new(0);
-        let pending: BTreeSet<usize> = to_run.iter().map(|&(_, w, _)| w).collect();
-        self.session
-            .prepopulate(pending.iter().map(|&w| &self.workloads[w]), &alone_runs);
+        let mut seen = HashSet::new();
+        let alone: Vec<&BenchmarkProfile> = (0..nw)
+            .filter(|&w| to_run.iter().any(|&(_, pending, _)| pending == w))
+            .flat_map(|w| &self.workloads[w].threads)
+            .filter(|profile| seen.insert(ProfileFingerprint::of(profile)))
+            .collect();
 
         // Streaming observers see resumed cells first, in grid order,
         // so a subscriber watching a restarted sweep receives the full
@@ -872,9 +860,9 @@ impl Sweep<'_> {
             }
         }
 
-        // Draining (pause flag) or cancellation stops *starting* cells;
-        // the cancel token additionally aborts in-flight simulations via
-        // the per-cell child tokens installed by `cell_token`.
+        // Draining (pause flag) or cancellation stops *starting* cells and
+        // baselines; the cancel token additionally aborts in-flight cells
+        // via the per-cell child tokens installed by `cell_token`.
         let should_stop = || {
             self.pause
                 .as_ref()
@@ -996,28 +984,21 @@ impl Sweep<'_> {
             })
         };
 
-        let outcomes: Vec<CellOutcome> = if workers == 1 {
-            to_run.iter().map(eval_one).collect()
-        } else {
-            // Contiguous shards, joined in spawn order: the concatenated
-            // output is in grid order regardless of scheduling.
-            let shard = to_run.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = to_run
-                    .chunks(shard)
-                    .map(|chunk| scope.spawn(|| chunk.iter().map(eval_one).collect::<Vec<_>>()))
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("sweep worker panicked"))
-                    .collect()
-            })
-        };
+        // One queue: the alone baselines, then the cells in grid order (a
+        // cell needing a baseline in flight waits for it: single-flight).
+        let outcomes = work_queue(alone.len() + to_run.len(), workers, |i| match alone.get(i) {
+            None => eval_one(&to_run[i - alone.len()]),
+            Some(_) if should_stop() => None,
+            Some(profile) => {
+                self.session.alone_ipc_counted(profile, &alone_runs);
+                None
+            }
+        });
         // Merge fresh outcomes with resumed cells, restoring grid order.
         let mut fresh: HashMap<(usize, usize, usize), SweepCell> = HashMap::new();
         let mut failures = Vec::new();
         let mut skipped = 0usize;
-        for outcome in outcomes {
+        for outcome in outcomes.into_iter().skip(alone.len()) {
             match outcome {
                 Some(Ok(cell)) => {
                     fresh.insert((cell.policy, cell.workload, cell.seed), cell);
@@ -1062,6 +1043,25 @@ impl Sweep<'_> {
             stats,
         }
     }
+}
+
+/// Runs `run(i)` for each `i` in `0..n` on `workers` threads (this one
+/// included) pulling indices from one cursor; results in index order.
+fn work_queue<T: Send + Sync>(n: usize, workers: usize, run: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    let drain = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(i) else { break };
+        let _ = slot.set(run(i));
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(drain);
+        }
+        drain();
+    });
+    slots.into_iter().map(|slot| slot.into_inner().expect("every task ran")).collect()
 }
 
 /// One evaluated grid cell: the (policy, workload, seed) coordinates
@@ -1335,26 +1335,30 @@ mod tests {
 
     #[test]
     fn parallel_equals_serial_bit_for_bit() {
-        let policies = || {
-            [
-                PolicyKind::Fcfs,
-                PolicyKind::FrFcfs,
-                PolicyKind::FairQueueing,
-            ]
+        // Overlapping SPEC mixes: the workloads share alone baselines,
+        // eight distinct profiles in all.
+        let spec = tcm_workload::spec2006();
+        let grid = |session: &Session, workers| {
+            session
+                .sweep()
+                .policies([PolicyKind::Fcfs, PolicyKind::FrFcfs])
+                .workloads([0..4, 2..6, 4..8].into_iter().map(|range| {
+                    WorkloadSpec::new(format!("mix{}", range.start), spec[range].to_vec())
+                }))
+                .run_parallel(workers)
         };
-        let workloads = || (0..3).map(|s| random_workload(s, 4, 0.75));
-        let serial = small_session()
-            .sweep()
-            .policies(policies())
-            .workloads(workloads())
-            .run();
-        let parallel = small_session()
-            .sweep()
-            .policies(policies())
-            .workloads(workloads())
-            .run_parallel(3);
-        assert_eq!(serial.cells(), parallel.cells());
-        assert_eq!(parallel.stats().workers, 3);
+        let serial = grid(&small_session(), 1);
+        for workers in [2, 3, 8] {
+            let session = small_session();
+            let parallel = grid(&session, workers);
+            assert_eq!(parallel.cells(), serial.cells(), "{workers} workers");
+            assert_eq!(parallel.stats().workers, workers.min(6));
+            // Each distinct alone key is simulated exactly once.
+            assert_eq!(session.alone_cache().misses(), 8);
+            assert_eq!(parallel.stats().alone_runs, 8);
+            assert_eq!(parallel.stats().sim_cycles, (6 + 8) * 60_000);
+        }
+        assert_eq!(serial.stats().alone_runs, 8);
     }
 
     #[test]
@@ -1380,7 +1384,7 @@ mod tests {
     }
 
     #[test]
-    fn prepopulation_makes_parallel_phase_read_only() {
+    fn warmed_cache_leaves_a_sweep_with_no_misses() {
         let session = small_session();
         let workloads: Vec<_> = (0..2).map(|s| random_workload(s, 4, 1.0)).collect();
         session.prepopulate_alone(&workloads);
@@ -1393,7 +1397,7 @@ mod tests {
         assert_eq!(
             session.alone_cache().misses(),
             misses_before,
-            "no alone run inside the parallel phase"
+            "no alone run inside the sweep"
         );
     }
 
@@ -1545,5 +1549,130 @@ mod tests {
         assert!(session.alone_cache().is_empty());
         assert_eq!(resumed.cells(), first.cells(), "bit-identical grid");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn resume_runs_no_baselines_for_a_finished_workload() {
+        let path = std::env::temp_dir().join(format!(
+            "tcm-sweep-resume-partial-{}.jsonl",
+            std::process::id()
+        ));
+        let spec = tcm_workload::spec2006();
+        let mixes = || {
+            [
+                WorkloadSpec::new("done", spec[0..4].to_vec()),
+                WorkloadSpec::new("open", spec[4..8].to_vec()),
+            ]
+        };
+        let sweep = |session: &Session, workers| {
+            session
+                .sweep()
+                .policies([PolicyKind::Fcfs, PolicyKind::FrFcfs])
+                .workloads(mixes())
+                .checkpoint(&path)
+                .run_parallel(workers)
+        };
+        let _ = std::fs::remove_file(&path);
+        let first = sweep(&small_session(), 1);
+        // Keep only the finished workload's cells in the checkpoint.
+        let header = CheckpointHeader {
+            policies: first.policy_labels().to_vec(),
+            workloads: first.workload_names().to_vec(),
+            seeds: vec![0],
+            horizon: 60_000,
+        };
+        let done: Vec<SweepCell> = first
+            .cells()
+            .iter()
+            .filter(|cell| cell.workload == 0)
+            .cloned()
+            .collect();
+        drop(CheckpointWriter::create(path.clone(), &header, &done).unwrap());
+
+        let session = small_session();
+        let resumed = sweep(&session, 2);
+        assert_eq!(resumed.stats().resumed, 2);
+        assert_eq!(resumed.stats().alone_runs, 4, "only the open workload's baselines");
+        assert_eq!(session.alone_cache().misses(), 4);
+        assert_eq!(resumed.cells(), first.cells(), "bit-identical grid");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn pause_from_on_cell_skips_the_remaining_cells() {
+        for workers in [1, 2] {
+            let pause = Arc::new(AtomicBool::new(false));
+            let flag = Arc::clone(&pause);
+            let result = small_session()
+                .sweep()
+                .policies([PolicyKind::Fcfs, PolicyKind::FrFcfs])
+                .workloads((0..2).map(|s| random_workload(s, 4, 0.5)))
+                .pause_flag(Arc::clone(&pause))
+                .on_cell(move |_, _| flag.store(true, Ordering::Release))
+                .run_parallel(workers);
+            let stats = result.stats();
+            assert_eq!(result.cells().len() + stats.skipped, 4, "{workers} workers");
+            assert!(result.failures().is_empty());
+            if workers == 1 {
+                assert_eq!(stats.skipped, 3, "only the first cell ran");
+            } else {
+                // The other worker may have started a cell before the
+                // first one finished, but no cell starts after it.
+                assert!(stats.skipped >= 2, "skipped {}", stats.skipped);
+            }
+        }
+        // Paused before the start: no baseline runs either.
+        let session = small_session();
+        let result = session
+            .sweep()
+            .policies([PolicyKind::Fcfs])
+            .workloads([random_workload(0, 4, 0.5)])
+            .pause_flag(Arc::new(AtomicBool::new(true)))
+            .run_parallel(2);
+        assert_eq!((result.stats().skipped, result.stats().alone_runs), (1, 0));
+        assert!(session.alone_cache().is_empty());
+    }
+
+    #[test]
+    fn compute_only_profiles_are_not_alone_runs() {
+        let dir = std::env::temp_dir().join(format!("tcm-sweep-idle-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Arc::new(AloneIpcCache::with_store(&dir));
+        let session = Session::with_alone_cache(rc(4, "4", 60_000), Arc::clone(&cache));
+        let mut threads = vec![BenchmarkProfile::new("idle", 0.0, 0.0, 0.0)];
+        threads.extend(tcm_workload::spec2006()[0..3].iter().cloned());
+        let result = session
+            .sweep()
+            .policies([PolicyKind::FrFcfs])
+            .workloads([WorkloadSpec::new("idle-mix", threads)])
+            .run();
+        assert_eq!(result.get(0, 0, 0).slowdowns[0], 1.0, "idle at the issue width alone");
+        assert_eq!(result.stats().alone_runs, 3);
+        assert_eq!(result.stats().sim_cycles, (1 + 3) * 60_000);
+        assert_eq!(cache.misses(), 3);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 3, "no store entry for idle");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn work_queue_drains_around_a_blocked_worker() {
+        let len = 6;
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let released = Mutex::new(released);
+        // Task 0 blocks its worker until the last task releases it, so
+        // the other worker must take every task after the first.
+        let ran_on = work_queue(len, 2, |i| {
+            if i == 0 {
+                released.lock().unwrap().recv().unwrap();
+            }
+            if i == len - 1 {
+                release.send(()).unwrap();
+            }
+            std::thread::current().id()
+        });
+        assert!(ran_on[1..].iter().all(|&id| id == ran_on[1]), "{ran_on:?}");
+        assert_ne!(ran_on[0], ran_on[1]);
+        assert_eq!(work_queue(4, 1, |i| i * i), [0, 1, 4, 9], "index order");
+        assert!(work_queue(0, 3, |i| i).is_empty());
     }
 }

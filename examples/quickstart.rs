@@ -31,7 +31,7 @@ fn main() {
         println!("  T{i:<2} {profile}");
     }
 
-    // Both policies run as one sweep, sharded across worker threads;
+    // Both policies run as one sweep, on worker threads sharing a queue;
     // parallel execution is bit-identical to serial.
     let grid = session
         .sweep()

@@ -47,13 +47,32 @@ cargo run --release -q -p tcm-serve --bin tcm-run --offline -- \
     --topology 2x2 --threads 8 --cycles 1200000 \
     --intra-hosts 2 --verify >/dev/null
 
+TRACE_TMP=$(mktemp -d)
+SERVE_TMP=$(mktemp -d)
+trap 'rm -rf "$TRACE_TMP" "$SERVE_TMP"' EXIT
+
+# Worker-count bit-identity at the CLI: a sweep's workers pull alone
+# baselines and cells from one shared queue in whatever order they free
+# up, and the printed results must not depend on it.
+echo "==> tcm-run --json is byte-identical across worker counts"
+same_across_workers() { # <workers> <workers> <tcm-run args...>
+    local a=$1 b=$2
+    shift 2
+    target/release/tcm-run "$@" --workers "$a" >"$TRACE_TMP/workers-a.json"
+    target/release/tcm-run "$@" --workers "$b" >"$TRACE_TMP/workers-b.json"
+    if ! cmp -s "$TRACE_TMP/workers-a.json" "$TRACE_TMP/workers-b.json"; then
+        echo "tcm-run $* differs between --workers $a and --workers $b" >&2
+        exit 1
+    fi
+}
+same_across_workers 1 3 --workload B --cycles 1200000 --json
+same_across_workers 1 2 --workload B --cycles 1200000 --json \
+    --topology 2x2 --intra-hosts 2
+
 # Telemetry trace smoke: run one TCM cell with tracing and metrics
 # enabled and validate the emitted schemas — JSONL event lines, the
 # Perfetto-loadable Chrome array, and the tcm-metrics-v1 document.
 echo "==> telemetry trace smoke (jsonl + chrome + metrics schema)"
-TRACE_TMP=$(mktemp -d)
-SERVE_TMP=$(mktemp -d)
-trap 'rm -rf "$TRACE_TMP" "$SERVE_TMP"' EXIT
 cargo run --release -q -p tcm-serve --bin tcm-run --offline -- \
     --workload A --cycles 1200000 --policies tcm \
     --trace "$TRACE_TMP/trace.jsonl" \
