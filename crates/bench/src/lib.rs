@@ -1,7 +1,7 @@
 //! Experiment harness for the TCM reproduction: one driver per table and
-//! figure of the paper, shared by the `src/bin/*` binaries, the
+//! figure of the paper, shared by the `src/bin/*` binaries and the
 //! `reproduce` binary (which regenerates everything and assembles
-//! EXPERIMENTS.md input) and the Criterion benches.
+//! EXPERIMENTS.md input).
 //!
 //! Experiment scale is controlled by environment variables so the same
 //! code serves quick checks and full paper-scale runs:

@@ -197,7 +197,7 @@ impl TcmMonitor {
         };
         for t in 0..n {
             self.settle(t, now);
-            let (hits, accesses) = self.shadow.thread_counts(ThreadId::new(t));
+            let (hits, accesses) = self.shadow.hits_and_accesses(ThreadId::new(t));
             sample.shadow_hits[t] = hits;
             sample.shadow_accesses[t] = accesses;
             sample.blp_integral[t] = self.blp_integral[t];

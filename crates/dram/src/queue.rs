@@ -1,12 +1,11 @@
 //! The controller's bounded request buffer.
 //!
-//! Requests are stored in per-bank *lanes* with incrementally
-//! maintained per-thread occupancy counters and a bank-occupancy bitmask
-//! ([`BankSet`]). Every scheduler-facing query is allocation-free:
+//! Requests are stored in per-bank *lanes* with an incrementally
+//! maintained bank-occupancy bitmask ([`BankSet`]). Every
+//! scheduler-facing query is allocation-free:
 //! [`RequestQueue::pending_for_bank`] returns a borrowed slice,
 //! [`RequestQueue::banks_with_pending`] is a bitmask read,
-//! [`RequestQueue::has_pending_for_bank`] and
-//! [`RequestQueue::count_for_thread`] are O(1) counter reads, and
+//! [`RequestQueue::has_pending_for_bank`] is one bit test, and
 //! [`RequestQueue::take_for_bank`] is a direct position lookup within one
 //! bank's lane. This mirrors the paper's Table 2 argument that scheduler
 //! state must be cheap incremental hardware counters, not full-queue
@@ -14,7 +13,7 @@
 
 use std::error::Error;
 use std::fmt;
-use tcm_types::{BankId, Request, RequestId, ThreadId};
+use tcm_types::{BankId, Request, RequestId};
 
 /// Error returned when the controller's request buffer is full.
 ///
@@ -163,9 +162,6 @@ pub struct RequestQueue {
     /// Per-bank lanes, each in arrival order. A request lives in exactly
     /// one lane, so `pending_for_bank` *is* the lane.
     lanes: Vec<Vec<Request>>,
-    /// Buffered requests per thread, maintained on push/take/remove;
-    /// grows on demand for out-of-range thread ids.
-    thread_counts: Vec<u32>,
     /// Banks whose lane is non-empty.
     occupied: BankSet,
     /// Total buffered requests across all lanes.
@@ -197,7 +193,6 @@ impl RequestQueue {
         let per_lane = capacity.div_ceil(num_banks.max(1)).min(capacity);
         Self {
             lanes: (0..num_banks).map(|_| Vec::with_capacity(per_lane)).collect(),
-            thread_counts: Vec::new(),
             occupied: BankSet::empty(),
             len: 0,
             capacity,
@@ -250,7 +245,6 @@ impl RequestQueue {
             self.lanes.resize_with(bank.index() + 1, Vec::new);
         }
         self.occupied.insert(bank);
-        self.bump_thread(request.thread, 1);
         self.lanes[bank.index()].push(request);
         self.len += 1;
         Ok(())
@@ -294,7 +288,6 @@ impl RequestQueue {
         if lane.is_empty() {
             self.occupied.remove(bank);
         }
-        self.bump_thread(request.thread, -1);
         self.len -= 1;
         Some(request)
     }
@@ -307,21 +300,11 @@ impl RequestQueue {
                 if lane.is_empty() {
                     self.occupied.remove(BankId::new(bank));
                 }
-                self.bump_thread(request.thread, -1);
                 self.len -= 1;
                 return Some(request);
             }
         }
         None
-    }
-
-    /// Number of buffered requests belonging to `thread` (a counter
-    /// read, maintained incrementally on push/take/remove).
-    #[inline]
-    pub fn count_for_thread(&self, thread: ThreadId) -> usize {
-        self.thread_counts
-            .get(thread.index())
-            .map_or(0, |&c| c as usize)
     }
 
     /// The set of banks with at least one pending request; iterating it
@@ -330,24 +313,13 @@ impl RequestQueue {
     pub fn banks_with_pending(&self) -> BankSet {
         self.occupied
     }
-
-    fn bump_thread(&mut self, thread: ThreadId, delta: i32) {
-        let idx = thread.index();
-        if idx >= self.thread_counts.len() {
-            self.thread_counts.resize(idx + 1, 0);
-        }
-        let c = &mut self.thread_counts[idx];
-        *c = c
-            .checked_add_signed(delta)
-            .expect("per-thread occupancy counter underflow");
-    }
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use tcm_types::{ChannelId, MemAddress, Row};
+    use tcm_types::{ChannelId, MemAddress, Row, ThreadId};
 
     fn req(id: u64, thread: usize, bank: usize, row: u64) -> Request {
         Request::new(
@@ -405,18 +377,14 @@ mod tests {
         assert_eq!(q.remove(RequestId::new(0)).unwrap().id, RequestId::new(0));
         assert!(q.remove(RequestId::new(0)).is_none());
         assert_eq!(q.len(), 1);
-        assert_eq!(q.count_for_thread(ThreadId::new(0)), 1);
     }
 
     #[test]
-    fn per_thread_counts_and_bank_sets() {
+    fn bank_sets_track_occupied_lanes() {
         let mut q = RequestQueue::new(16, 4);
         q.push(req(0, 0, 1, 1)).unwrap();
         q.push(req(1, 0, 2, 1)).unwrap();
         q.push(req(2, 1, 2, 1)).unwrap();
-        assert_eq!(q.count_for_thread(ThreadId::new(0)), 2);
-        assert_eq!(q.count_for_thread(ThreadId::new(1)), 1);
-        assert_eq!(q.count_for_thread(ThreadId::new(9)), 0);
         assert_eq!(
             q.banks_with_pending().iter().collect::<Vec<_>>(),
             vec![BankId::new(1), BankId::new(2)]
@@ -427,16 +395,13 @@ mod tests {
     }
 
     #[test]
-    fn counts_track_takes_and_removes() {
+    fn len_tracks_takes_and_removes() {
         let mut q = RequestQueue::new(16, 4);
         for i in 0..6u64 {
             q.push(req(i, (i % 2) as usize, (i % 3) as usize, i)).unwrap();
         }
-        assert_eq!(q.count_for_thread(ThreadId::new(0)), 3);
-        let taken = q.take_for_bank(BankId::new(0), 0).unwrap();
-        assert_eq!(q.count_for_thread(ThreadId::new(taken.thread.index())), 2);
+        q.take_for_bank(BankId::new(0), 0).unwrap();
         q.remove(RequestId::new(1)).unwrap();
-        assert_eq!(q.count_for_thread(ThreadId::new(1)), 2);
         assert_eq!(q.len(), 4);
         assert_eq!(q.iter().count(), 4);
     }
@@ -469,7 +434,6 @@ mod tests {
         }
         assert!(q.banks_with_pending().is_empty());
         assert!(q.is_empty());
-        assert_eq!(q.count_for_thread(ThreadId::new(0)), 0);
     }
 
     #[test]

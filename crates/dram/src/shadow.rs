@@ -60,7 +60,7 @@ impl ShadowRowBuffer {
 
     /// `(shadow hits, accesses)` recorded for `thread` across all banks
     /// since the last [`ShadowRowBuffer::reset_counters`].
-    pub fn thread_counts(&self, thread: ThreadId) -> (u64, u64) {
+    pub fn hits_and_accesses(&self, thread: ThreadId) -> (u64, u64) {
         let base = thread.index() * self.banks_per_channel;
         let mut hits = 0;
         let mut accesses = 0;
@@ -74,7 +74,7 @@ impl ShadowRowBuffer {
     /// Inherent row-buffer locality of `thread` over the counting window:
     /// shadow hits / accesses, or `None` if the thread made no accesses.
     pub fn thread_rbl(&self, thread: ThreadId) -> Option<f64> {
-        let (hits, accesses) = self.thread_counts(thread);
+        let (hits, accesses) = self.hits_and_accesses(thread);
         if accesses == 0 {
             None
         } else {
@@ -106,7 +106,7 @@ mod tests {
         assert!(s.access(t0, b, Row::new(5))); // t0 still sees its row
         assert!(s.access(t1, b, Row::new(9)));
 
-        assert_eq!(s.thread_counts(t0), (1, 2));
+        assert_eq!(s.hits_and_accesses(t0), (1, 2));
         assert_eq!(s.thread_rbl(t0), Some(0.5));
     }
 
@@ -123,7 +123,7 @@ mod tests {
         s.access(t, BankId::new(0), Row::new(3));
         s.access(t, BankId::new(0), Row::new(3));
         s.reset_counters();
-        assert_eq!(s.thread_counts(t), (0, 0));
+        assert_eq!(s.hits_and_accesses(t), (0, 0));
         assert_eq!(s.shadow_row(t, BankId::new(0)), Some(Row::new(3)));
         // Hit streak continues across the quantum boundary.
         assert!(s.access(t, BankId::new(0), Row::new(3)));

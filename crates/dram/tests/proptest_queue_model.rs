@@ -4,13 +4,13 @@
 //! arrival-ordered `Vec<Request>` answering every query by scan. For
 //! arbitrary interleavings of push / take_for_bank / remove the real
 //! queue must agree with the model on every observable: per-bank pending
-//! slices (content *and* order), take results by position, per-thread
-//! counts, the bank-occupancy set, and the len/full/empty bookkeeping.
+//! slices (content *and* order), take results by position, the
+//! bank-occupancy set, and the len/full/empty bookkeeping.
 //!
 //! This is what makes the indexed representation trustworthy: the lane
-//! layout, the occupancy bitmask and the incremental thread counters are
-//! each redundant encodings of the flat model's state, and this test
-//! pins them to it under random traffic.
+//! layout and the occupancy bitmask are each redundant encodings of the
+//! flat model's state, and this test pins them to it under random
+//! traffic.
 
 use proptest::prelude::*;
 use tcm_dram::{BankSet, RequestQueue};
@@ -57,10 +57,6 @@ impl FlatModel {
     fn remove(&mut self, id: RequestId) -> Option<Request> {
         let idx = self.requests.iter().position(|r| r.id == id)?;
         Some(self.requests.remove(idx))
-    }
-
-    fn count_for_thread(&self, thread: ThreadId) -> usize {
-        self.requests.iter().filter(|r| r.thread == thread).count()
     }
 
     fn banks_with_pending(&self) -> BankSet {
@@ -114,15 +110,6 @@ fn assert_equivalent(queue: &mut RequestQueue, model: &FlatModel) -> Result<(), 
             expected.as_slice(),
             "bank {} pending slice (content and arrival order)",
             b
-        );
-    }
-    for t in 0..NUM_THREADS {
-        let thread = ThreadId::new(t);
-        prop_assert_eq!(
-            queue.count_for_thread(thread),
-            model.count_for_thread(thread),
-            "thread {} occupancy counter",
-            t
         );
     }
     Ok(())

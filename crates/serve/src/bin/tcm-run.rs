@@ -112,7 +112,7 @@ use std::time::{Duration, Instant};
 use tcm_proto::{
     Event, JobKind, JobSpec, JobState, JobStatusInfo, ServerInfo, SoakSpec, SweepSpec, WorkloadRef,
 };
-use tcm_serve::job::parse_policy;
+use tcm_serve::job::resolve_sweep;
 use tcm_serve::{Client, Level, Server, ServerConfig};
 use tcm_chaos::{Detector, FaultKind, FaultPlan, FaultSpec};
 use tcm_core::TcmParams;
@@ -121,7 +121,7 @@ use tcm_telemetry::{
     chrome_counter, chrome_event, chrome_process_name, event_to_jsonl, labeled, TelemetryConfig,
 };
 use tcm_types::{json, SimError, SystemConfig, Topology};
-use tcm_workload::{random_workload, table5_workloads, WorkloadSpec};
+use tcm_workload::{random_workload, table5_workloads};
 
 struct PolicyOutput {
     policy: String,
@@ -1551,7 +1551,7 @@ fn main() {
             _ => {}
         }
     }
-    let mut threads = 24usize;
+    let mut threads = 24u64;
     let mut intensity = 0.5f64;
     let mut seed = 0u64;
     let mut cycles = 5_000_000u64;
@@ -1569,7 +1569,7 @@ fn main() {
     let mut trace: Option<String> = None;
     let mut trace_format = TraceFormat::Jsonl;
     let mut metrics_json: Option<String> = None;
-    let mut topology: Option<Topology> = None;
+    let mut topology_arg: Option<String> = None;
     let mut intra_hosts = 1usize;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -1623,12 +1623,7 @@ fn main() {
                 }
             }
             "--metrics-json" => metrics_json = Some(value("--metrics-json")),
-            "--topology" => {
-                topology = Some(Topology::parse(&value("--topology")).unwrap_or_else(|err| {
-                    eprintln!("{err}");
-                    usage()
-                }))
-            }
+            "--topology" => topology_arg = Some(value("--topology")),
             "--intra-hosts" => {
                 intra_hosts = value("--intra-hosts").parse().unwrap_or_else(|_| usage())
             }
@@ -1639,6 +1634,15 @@ fn main() {
             }
         }
     }
+
+    let topology = topology_arg
+        .as_deref()
+        .map(Topology::parse)
+        .transpose()
+        .unwrap_or_else(|err| {
+            eprintln!("{err}");
+            usage()
+        });
 
     if chaos_smoke {
         std::process::exit(run_chaos_smoke(topology.as_ref(), intra_hosts));
@@ -1659,32 +1663,33 @@ fn main() {
         ));
     }
 
-    let workload: WorkloadSpec = match named_workload.as_deref() {
-        Some(name) => table5_workloads()
-            .into_iter()
-            .find(|w| w.name == name)
-            .unwrap_or_else(|| {
-                eprintln!("unknown workload `{name}` (expected A, B, C or D)");
-                usage()
-            }),
-        None => random_workload(seed, threads, intensity),
+    // The one-shot sweep is the daemon's job spec with one workload, so
+    // both front ends accept and reject exactly the same inputs.
+    let spec = SweepSpec {
+        policies: policies.unwrap_or_default(),
+        workloads: vec![match named_workload {
+            Some(name) => WorkloadRef::Named(name),
+            None => WorkloadRef::Random {
+                seed,
+                threads,
+                intensity_bits: intensity.to_bits(),
+            },
+        }],
+        seeds: vec![],
+        horizon: cycles,
+        topology: topology_arg,
+        telemetry: trace.is_some() || metrics_json.is_some(),
     };
+    let resolved = resolve_sweep(&spec).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    });
+    let workload = &resolved.workloads[0];
     let threads = workload.threads.len();
-
-    let kinds: Vec<PolicyKind> = match policies {
-        Some(names) => names
-            .iter()
-            .map(|name| parse_policy(name, threads).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                usage()
-            }))
-            .collect(),
-        None => PolicyKind::paper_lineup(threads),
-    };
 
     let mut cfg = SystemConfig::paper_baseline();
     cfg.num_threads = threads;
-    if let Some(topology) = topology {
+    if let Some(topology) = resolved.topology {
         cfg.topology = topology;
     }
     let session = Session::new(
@@ -1695,12 +1700,13 @@ fn main() {
             .intra_hosts(intra_hosts)
             .chaos(chaos_empty.then(FaultPlan::none))
             .cell_deadline(cell_deadline)
-            .telemetry(
-                (trace.is_some() || metrics_json.is_some()).then(TelemetryConfig::default),
-            )
+            .telemetry(resolved.telemetry.then(TelemetryConfig::default))
             .build(),
     );
-    let mut sweep = session.sweep().policies(kinds).workloads([workload.clone()]);
+    let mut sweep = session
+        .sweep()
+        .policies(resolved.policies)
+        .workloads([workload.clone()]);
     if let Some(path) = checkpoint {
         sweep = sweep.checkpoint(path);
     }
