@@ -16,8 +16,7 @@
 //! * [`FaultSpec`] — one scheduled fault: a kind plus *when* (cycle) and
 //!   *where* (channel / thread / controller) to strike;
 //! * [`FaultPlan`] — an immutable schedule of faults, built explicitly
-//!   or drawn from a seeded RNG ([`FaultPlan::campaign`] for flat
-//!   machines, [`FaultPlan::campaign_for`] for arbitrary topologies).
+//!   or drawn from a seeded RNG ([`FaultPlan::campaign`]).
 //!   All randomness happens at *construction*; executing a plan draws
 //!   nothing, so a plan replays bit-identically. Under multi-controller
 //!   topologies, [`FaultPlan::validate`] turns mistargeted addresses
@@ -305,8 +304,7 @@ impl FaultPlan {
     /// drawn uniformly from `[horizon/8, horizon/2)` and channel/thread
     /// targets drawn from the machine shape. Equal seeds produce equal
     /// plans; the RNG is consumed here and never during execution.
-    /// Controllers are not drawn (every fault targets controller 0) —
-    /// use [`FaultPlan::campaign_for`] for topology-aware campaigns.
+    /// Controllers are not drawn: every fault targets controller 0.
     pub fn campaign(seed: u64, horizon: Cycle, num_channels: usize, num_threads: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let lo = (horizon / 8).max(1);
@@ -319,44 +317,6 @@ impl FaultPlan {
                 channel: rng.gen_range(0..num_channels.max(1)),
                 thread: rng.gen_range(0..num_threads.max(1)),
                 controller: 0,
-            })
-            .collect();
-        Self { faults }
-    }
-
-    /// A topology-aware seeded campaign: like [`FaultPlan::campaign`]
-    /// but channel targets are drawn across the whole topology and
-    /// controller targets across its controllers. Channel-sited faults
-    /// get their controller *derived* from the drawn channel via
-    /// `Topology::partition`, so the two addresses always agree; other
-    /// faults draw a controller independently. The result always
-    /// passes [`FaultPlan::validate`] for the same topology.
-    pub fn campaign_for(topology: &Topology, seed: u64, horizon: Cycle, num_threads: usize) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let lo = (horizon / 8).max(1);
-        let hi = (horizon / 2).max(lo + 1);
-        let faults = FaultKind::ALL
-            .iter()
-            .map(|&kind| {
-                let at = rng.gen_range(lo..hi);
-                let channel = rng.gen_range(0..topology.num_channels().max(1));
-                let thread = rng.gen_range(0..num_threads.max(1));
-                let drawn = rng.gen_range(0..topology.num_controllers().max(1));
-                let controller = if kind.targets_channel() {
-                    topology
-                        .partition(channel)
-                        .map(|(c, _)| c.index())
-                        .unwrap_or(0)
-                } else {
-                    drawn
-                };
-                FaultSpec {
-                    kind,
-                    at,
-                    channel,
-                    thread,
-                    controller,
-                }
             })
             .collect();
         Self { faults }
@@ -615,26 +575,6 @@ mod tests {
         assert!(plan.channel_chaos(2).is_empty(), "flood is not a channel fault");
         assert!(FaultPlan::none().is_empty());
         assert_eq!(FaultPlan::none(), FaultPlan::default());
-    }
-
-    #[test]
-    fn topology_campaign_is_deterministic_and_always_validates() {
-        let t = Topology::asymmetric([3, 1]);
-        let a = FaultPlan::campaign_for(&t, 7, 1_000_000, 24);
-        let b = FaultPlan::campaign_for(&t, 7, 1_000_000, 24);
-        assert_eq!(a, b);
-        assert_ne!(a, FaultPlan::campaign_for(&t, 8, 1_000_000, 24));
-        assert_eq!(a.faults().len(), FaultKind::ALL.len());
-        a.validate(&t).unwrap();
-        for f in a.faults() {
-            assert!(f.channel < t.num_channels());
-            assert!(f.controller < t.num_controllers());
-            if f.kind.targets_channel() {
-                // The controller address agrees with the channel address.
-                let (owner, _) = f.partition_for(&t).unwrap();
-                assert_eq!(owner.index(), f.controller, "{}", f.kind);
-            }
-        }
     }
 
     #[test]

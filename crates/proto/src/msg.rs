@@ -123,7 +123,9 @@ pub struct SoakSpec {
     pub seed: u64,
     /// Rounds to run.
     pub rounds: u32,
-    /// Simulated cycles per injection run.
+    /// Simulated cycles per injection run. The daemon refuses horizons
+    /// below one campaign TCM quantum (`tcm_sim::campaign::QUANTUM`),
+    /// where monitor corruption cannot be detected.
     pub horizon: u64,
 }
 

@@ -76,15 +76,17 @@
 //! once with a fresh deadline, and reported as a timeout — other cells
 //! are unaffected.
 //!
-//! `--chaos-smoke` runs the fault-injection smoke campaign instead of a
-//! sweep: every `tcm-chaos` fault class is injected into a fixed-seed
-//! simulation and must be caught by exactly its mapped detector, and a
-//! zero-fault control run must finish clean and bit-identical to a run
-//! without the chaos layer. With a multi-controller `--topology` (e.g.
-//! `2x2`) the campaign runs on `MultiSystem` instead — covering the
-//! coordination fault classes (controller blackout, monitor skew) that
-//! have no flat-machine analogue — and honours `--intra-hosts`, so the
-//! same faults are provably host-count invariant. `--chaos-empty`
+//! `--chaos-smoke` prints the verdicts of the fault-injection campaign
+//! (`tcm_sim::campaign`, which the daemon's soak job also runs) instead
+//! of running a sweep: every `tcm-chaos` fault class is injected into a
+//! fixed-seed simulation and must be caught by exactly its mapped
+//! detector, and a zero-fault control run must finish clean and
+//! bit-identical to a run without the chaos layer. With a
+//! multi-controller `--topology` (e.g. `2x2`) the campaign runs on that
+//! machine instead — covering the coordination fault classes
+//! (controller blackout, monitor skew) that have no flat-machine
+//! analogue — and honours `--intra-hosts`, so the same faults are
+//! provably host-count invariant. `--chaos-empty`
 //! installs an *empty* fault plan on every run (arming the detectors
 //! without scheduling any fault); benches use it to prove the chaos
 //! layer is zero-cost when inert.
@@ -114,14 +116,14 @@ use tcm_proto::{
 };
 use tcm_serve::job::resolve_sweep;
 use tcm_serve::{Client, Level, Server, ServerConfig};
-use tcm_chaos::{Detector, FaultKind, FaultPlan, FaultSpec};
-use tcm_core::TcmParams;
-use tcm_sim::{CellFailureKind, MultiSystem, PolicyKind, RunConfig, Session, SweepCell, System};
+use tcm_chaos::FaultPlan;
+use tcm_sim::campaign::{Campaign, Outcome, QUANTUM};
+use tcm_sim::{CellFailureKind, PolicyKind, RunConfig, Session, SweepCell};
 use tcm_telemetry::{
     chrome_counter, chrome_event, chrome_process_name, event_to_jsonl, labeled, TelemetryConfig,
 };
-use tcm_types::{json, SimError, SystemConfig, Topology};
-use tcm_workload::{random_workload, table5_workloads};
+use tcm_types::{json, SystemConfig, Topology};
+use tcm_workload::table5_workloads;
 
 struct PolicyOutput {
     policy: String,
@@ -287,273 +289,46 @@ fn run_bench(
     0
 }
 
-/// Chaos smoke campaign: inject every fault class at a fixed seed and
-/// check each is caught by exactly its mapped detector, then prove the
-/// clean control has zero detections and is bit-identical to a run
-/// without the chaos layer. A multi-controller `--topology` runs the
-/// campaign on [`MultiSystem`] (the only machine where the coordination
-/// fault classes have a target). Returns the process exit code.
+/// Chaos smoke: prints the [`Campaign`]'s verdicts and returns the exit
+/// code. A multi-controller `--topology` runs it on that machine at
+/// `--intra-hosts`; otherwise it runs on one flat channel, where all
+/// traffic fights over one data bus, so every channel-level fault finds
+/// an eligible operation soon after arming.
 fn run_chaos_smoke(topology: Option<&Topology>, intra_hosts: usize) -> i32 {
-    match topology {
-        Some(topo) if topo.num_controllers() > 1 => run_chaos_smoke_multi(topo, intra_hosts),
-        _ => run_chaos_smoke_flat(),
-    }
-}
-
-/// Tallies per-check pass/fail lines for the smoke campaigns.
-struct SmokeReport {
-    failures: usize,
-}
-
-impl SmokeReport {
-    fn new() -> Self {
-        Self { failures: 0 }
-    }
-
-    fn check(&mut self, name: &str, ok: bool, detail: String) {
-        eprintln!("  {name:<20} {} {detail}", if ok { "ok  " } else { "FAIL" });
-        if !ok {
-            self.failures += 1;
-        }
-    }
-
-    fn finish(self, label: &str, classes: usize) -> i32 {
-        if self.failures == 0 {
-            eprintln!("chaos smoke [{label}]: all {classes} fault classes detected, control clean");
-            0
-        } else {
-            eprintln!("chaos smoke [{label}]: {} check(s) FAILED", self.failures);
-            1
-        }
-    }
-}
-
-/// The single-controller campaign: every non-coordination fault class
-/// on the flat [`System`] engine. Coordination faults (blackout, skew)
-/// strike the controller↔meta-controller exchange, which a flat machine
-/// does not have; the multi campaign covers them.
-fn run_chaos_smoke_flat() -> i32 {
-    const HORIZON: u64 = 200_000;
-    const FAULT_AT: u64 = 20_000;
-    let threads = 4;
-    // Single channel: all traffic fights over one data bus, so every
-    // channel-level fault finds an eligible operation soon after arming.
-    let cfg = SystemConfig::builder()
-        .num_threads(threads)
-        .num_channels(1)
-        .build()
-        .expect("smoke config is valid");
-    let workload = random_workload(1, threads, 1.0);
-    // Short quantum so TCM's plausibility guard runs within the horizon.
-    let tcm = PolicyKind::Tcm(TcmParams {
-        quantum: 50_000,
-        ..TcmParams::paper_default(threads)
-    });
-
-    let mut report = SmokeReport::new();
-    let mut classes = 0usize;
-    eprintln!("chaos smoke: every fault class vs its detector");
-    for kind in FaultKind::ALL {
-        if kind.is_coordination_fault() {
-            eprintln!(
-                "  {:<20} skip coordination fault needs a meta-controller \
-                 (rerun with --topology 2x2)",
-                kind.name()
-            );
-            continue;
-        }
-        classes += 1;
-        let policy = match kind.detector() {
-            Detector::Degradation => &tcm,
-            _ => &PolicyKind::FrFcfs,
-        };
-        let mut sys = System::new(&cfg, &workload, policy.build(threads, &cfg), 0);
-        sys.install_chaos(
-            &FaultPlan::none().with_fault(FaultSpec::new(kind, FAULT_AT).on_thread(1)),
-        );
-        let outcome = sys.try_run(HORIZON);
-        match (kind.detector(), outcome) {
-            (Detector::Invariant(expected), Err(SimError::InvariantViolation(v))) => {
-                let ok = v.invariant == expected;
-                report.check(kind.name(), ok, format!("caught: {v}"));
-            }
-            (Detector::Stall, Err(SimError::Stalled(r))) => {
-                report.check(kind.name(), true, format!("caught: {}", r.summary()));
-            }
-            (Detector::Degradation, Ok(_)) => {
-                let anomalies = sys.degradation_events();
-                let ok = !anomalies.is_empty();
-                let detail = anomalies
-                    .first()
-                    .map(|a| a.to_string())
-                    .unwrap_or_else(|| "no anomaly logged".to_string());
-                report.check(kind.name(), ok, format!("degraded: {detail}"));
-            }
-            (Detector::Quarantine, _) => unreachable!("coordination kinds skipped above"),
-            (_, Err(err)) => report.check(kind.name(), false, format!("wrong detector: {err}")),
-            (_, Ok(_)) => report.check(kind.name(), false, "escaped undetected".to_string()),
-        }
-    }
-
-    // Clean control: detectors armed, zero faults — and the empty plan
-    // must be a strict no-op, bit for bit.
-    let mut bare = System::new(&cfg, &workload, PolicyKind::FrFcfs.build(threads, &cfg), 0);
-    bare.enable_verification();
-    let mut control = System::new(&cfg, &workload, PolicyKind::FrFcfs.build(threads, &cfg), 0);
-    control.install_chaos(&FaultPlan::none());
-    match (bare.try_run(HORIZON), control.try_run(HORIZON)) {
-        (Ok(a), Ok(b)) => {
-            report.check(
-                "clean-control",
-                a == b,
-                if a == b {
-                    "zero detections, bit-identical to no chaos layer".to_string()
-                } else {
-                    "results diverge from the chaos-free run".to_string()
-                },
-            );
-        }
-        (a, b) => report.check(
-            "clean-control",
-            false,
-            format!("false positive: {:?} / {:?}", a.err(), b.err()),
-        ),
-    }
-
-    report.finish("flat", classes)
-}
-
-/// The multi-controller campaign: all fault classes — including the two
-/// coordination kinds — on a sharded [`MultiSystem`], with faults
-/// addressed to the *last* controller and the *last* global channel so
-/// detection proves topology-aware routing, not flat-index luck.
-fn run_chaos_smoke_multi(topo: &Topology, intra_hosts: usize) -> i32 {
-    const HORIZON: u64 = 300_000;
-    const FAULT_AT: u64 = 20_000;
-    // Coordination faults must land *after* the target controller has
-    // participated in one clean exchange (first boundary at the 50k
-    // quantum): a monitor that never reported is indistinguishable from
-    // one that went dark.
-    const COORD_AT: u64 = 60_000;
-    let threads = 4;
-    let cfg = SystemConfig::builder()
-        .num_threads(threads)
-        .topology(topo.clone())
-        .build()
-        .expect("smoke config is valid");
-    let workload = random_workload(1, threads, 1.0);
-    let tcm = PolicyKind::Tcm(TcmParams {
-        quantum: 50_000,
-        ..TcmParams::paper_default(threads)
-    });
-    let build = |policy: &PolicyKind, hosts: usize| -> MultiSystem {
-        let controllers = (0..topo.num_controllers())
-            .map(|_| policy.build_controller(threads, &cfg))
-            .collect();
-        let mut sys =
-            MultiSystem::new(&cfg, &workload, controllers, policy.build_meta(threads, &cfg), 0);
-        sys.set_hosts(hosts);
-        sys
+    let (topology, horizon) = match topology {
+        Some(topo) if topo.num_controllers() > 1 => (topo.clone(), 300_000),
+        _ => (Topology::flat(1), 200_000),
     };
-    let last_controller = topo.num_controllers() - 1;
-    let last_channel = topo.num_channels() - 1;
-
-    let mut report = SmokeReport::new();
-    eprintln!(
-        "chaos smoke: every fault class vs its detector on {topo} across {intra_hosts} host(s)"
-    );
-    for kind in FaultKind::ALL {
-        let policy = match kind.detector() {
-            // Both the plausibility guard and the quarantine guard live
-            // in the TCM meta-controller.
-            Detector::Degradation | Detector::Quarantine => &tcm,
-            _ => &PolicyKind::FrFcfs,
+    let campaign = Campaign::new(topology, 1, horizon)
+        .expect("smoke machine is valid")
+        .hosts(intra_hosts);
+    let rc = campaign.run_config();
+    let (topo, hosts) = (&rc.system.topology, rc.intra_hosts);
+    let label = if campaign.is_multi() {
+        eprintln!("chaos smoke: every fault class vs its detector on {topo} across {hosts} host(s)");
+        format!("{topo} × {hosts} host(s)")
+    } else {
+        eprintln!("chaos smoke: every fault class vs its detector");
+        "flat".to_string()
+    };
+    let mut verdicts = campaign.faults(20_000);
+    let classes = verdicts.iter().filter(|v| v.outcome != Outcome::Skipped).count();
+    verdicts.push(campaign.clean_control());
+    for v in &verdicts {
+        let (tag, hint) = match v.outcome {
+            Outcome::Pass => ("ok  ", ""),
+            Outcome::Fail => ("FAIL", ""),
+            Outcome::Skipped => ("skip", " (rerun with --topology 2x2)"),
         };
-        let at = if kind.is_coordination_fault() { COORD_AT } else { FAULT_AT };
-        let mut sys = build(policy, intra_hosts);
-        sys.install_chaos(&FaultPlan::none().with_fault(
-            FaultSpec::new(kind, at)
-                .on_thread(1)
-                .on_channel(last_channel)
-                .on_controller(last_controller),
-        ));
-        let outcome = sys.try_run(HORIZON);
-        match (kind.detector(), outcome) {
-            (Detector::Invariant(expected), Err(SimError::InvariantViolation(v))) => {
-                let ok = v.invariant == expected && v.channel.index() == last_channel;
-                report.check(kind.name(), ok, format!("caught: {v}"));
-            }
-            (Detector::Stall, Err(SimError::Stalled(r))) => {
-                // A sharded stall must name the frozen controller.
-                let ok = r.controller.is_some();
-                report.check(kind.name(), ok, format!("caught: {}", r.summary().trim_end()));
-            }
-            (Detector::Degradation, Ok(_)) => {
-                let anomalies = sys.degradation_events();
-                let ok = !anomalies.is_empty();
-                let detail = anomalies
-                    .first()
-                    .map(|a| a.to_string())
-                    .unwrap_or_else(|| "no anomaly logged".to_string());
-                report.check(kind.name(), ok, format!("degraded: {detail}"));
-            }
-            (Detector::Quarantine, Ok(_)) => {
-                use tcm_telemetry::DegradationAnomaly;
-                let anomalies = sys.degradation_events();
-                let quarantined = anomalies.iter().any(|a| {
-                    matches!(a, DegradationAnomaly::ControllerQuarantined { controller, .. }
-                        if *controller == last_controller)
-                });
-                let readmitted = anomalies.iter().any(|a| {
-                    matches!(a, DegradationAnomaly::ControllerReadmitted { controller, .. }
-                        if *controller == last_controller)
-                });
-                let detail = anomalies
-                    .first()
-                    .map(|a| a.to_string())
-                    .unwrap_or_else(|| "no quarantine logged".to_string());
-                report.check(
-                    kind.name(),
-                    quarantined && readmitted,
-                    format!("quarantined + readmitted: {detail}"),
-                );
-            }
-            (_, Err(err)) => report.check(kind.name(), false, format!("wrong detector: {err}")),
-            (_, Ok(_)) => report.check(kind.name(), false, "escaped undetected".to_string()),
-        }
+        eprintln!("  {:<20} {tag} {}{hint}", v.name, v.detail);
     }
-
-    // Clean control under TCM (the guard-bearing policy): the empty plan
-    // must be a strict no-op, and sharding across hosts must not shift a
-    // single bit relative to the sequential chaos-free run.
-    let mut bare = build(&tcm, 1);
-    bare.enable_verification();
-    let mut control = build(&tcm, intra_hosts);
-    control.install_chaos(&FaultPlan::none());
-    match (bare.try_run(HORIZON), control.try_run(HORIZON)) {
-        (Ok(a), Ok(b)) => {
-            let ok = a == b;
-            report.check(
-                "clean-control",
-                ok,
-                if ok {
-                    format!(
-                        "zero detections, bit-identical to chaos-free run at 1 vs \
-                         {intra_hosts} host(s)"
-                    )
-                } else {
-                    "results diverge from the chaos-free run".to_string()
-                },
-            );
-        }
-        (a, b) => report.check(
-            "clean-control",
-            false,
-            format!("false positive: {:?} / {:?}", a.err(), b.err()),
-        ),
+    let failures = verdicts.iter().filter(|v| v.outcome == Outcome::Fail).count();
+    if failures > 0 {
+        eprintln!("chaos smoke [{label}]: {failures} check(s) FAILED");
+        return 1;
     }
-
-    report.finish(&format!("{topo} × {intra_hosts} host(s)"), FaultKind::ALL.len())
+    eprintln!("chaos smoke [{label}]: all {classes} fault classes detected, control clean");
+    0
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -814,7 +589,8 @@ fn client_usage() -> ! {
          \x20 drain\n\
          \x20 metrics\n\
          submit enqueues a policy × workload × seed sweep grid; soak enqueues a\n\
-         continuous fault-injection job (every class must be detected each round).\n\
+         continuous fault-injection job (every class must be detected each round;\n\
+         its --cycles must be at least {QUANTUM}, one TCM quantum, default 200000).\n\
          --watch streams per-cell results live and exits with the job's outcome.\n\
          status prints the daemon's self-description plus per-job progress;\n\
          metrics prints the daemon's Prometheus-format text exposition."

@@ -49,16 +49,14 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use tcm_chaos::{Detector, FaultKind, FaultPlan, FaultSpec};
-use tcm_core::TcmParams;
 use tcm_proto::{
     read_frame, write_frame, Event, JobKind, JobProgress, JobSpec, JobState, JobStatusInfo,
     Request, Response, ServerInfo, SoakSpec, SweepSpec,
 };
-use tcm_sim::{AloneIpcCache, PolicyKind, RetryPolicy, RunConfig, Session, SweepResult, System};
+use tcm_sim::campaign::{Campaign, Outcome, QUANTUM};
+use tcm_sim::{AloneIpcCache, RetryPolicy, RunConfig, Session, SweepResult};
 use tcm_telemetry::TelemetryConfig;
-use tcm_types::{CancelToken, SimError, SystemConfig};
-use tcm_workload::random_workload;
+use tcm_types::{CancelToken, SystemConfig, Topology};
 
 use crate::job::{render_result, resolve_sweep, write_durable, ResolvedSweep};
 use crate::log::{slog, Level};
@@ -497,8 +495,11 @@ fn validate(spec: &JobSpec) -> Result<(), String> {
             if soak.rounds == 0 {
                 return Err("soak needs at least one round".into());
             }
-            if soak.horizon == 0 {
-                return Err("soak horizon must be positive".into());
+            if soak.horizon < QUANTUM {
+                return Err(format!(
+                    "soak horizon must be at least {QUANTUM} cycles (one TCM quantum), \
+                     or monitor corruption cannot be detected"
+                ));
             }
             Ok(())
         }
@@ -1003,50 +1004,22 @@ fn run_sweep_job(
 // Chaos-soak jobs
 // ---------------------------------------------------------------------
 
-/// One soak round: inject every non-coordination fault class into a
-/// fixed-seed flat machine and count the ones caught by exactly their
-/// mapped detector. Mirrors `tcm-run --chaos-smoke`, but round-seeded
-/// so a long soak walks fresh workloads.
-fn soak_round(seed: u64, horizon: u64) -> (u32, u32) {
-    let threads = 4;
-    let fault_at = (horizon / 10).max(1);
-    let Ok(cfg) = SystemConfig::builder()
-        .num_threads(threads)
-        .num_channels(1)
-        .build()
-    else {
-        return (0, 1);
+/// One soak round: the fault [`Campaign`] on one flat channel and a
+/// round-seeded mix, so a long soak walks fresh workloads. Returns the
+/// classes caught, the classes injected (coordination kinds are
+/// skipped), and the names of those that escaped.
+fn soak_round(seed: u64, horizon: u64) -> (u32, u32, Vec<&'static str>) {
+    let Ok(campaign) = Campaign::new(Topology::flat(1), seed, horizon) else {
+        return (0, 1, Vec::new());
     };
-    let workload = random_workload(seed, threads, 1.0);
-    let tcm = PolicyKind::Tcm(TcmParams {
-        quantum: 50_000,
-        ..TcmParams::paper_default(threads)
-    });
-    let (mut detected, mut classes) = (0u32, 0u32);
-    for kind in FaultKind::ALL {
-        if kind.is_coordination_fault() {
-            continue; // needs a meta-controller; the smoke leg covers it
-        }
-        classes += 1;
-        let policy = match kind.detector() {
-            Detector::Degradation => &tcm,
-            _ => &PolicyKind::FrFcfs,
-        };
-        let mut sys = System::new(&cfg, &workload, policy.build(threads, &cfg), 0);
-        sys.install_chaos(&FaultPlan::none().with_fault(FaultSpec::new(kind, fault_at).on_thread(1)));
-        let caught = match (kind.detector(), sys.try_run(horizon)) {
-            (Detector::Invariant(expected), Err(SimError::InvariantViolation(v))) => {
-                v.invariant == expected
-            }
-            (Detector::Stall, Err(SimError::Stalled(_))) => true,
-            (Detector::Degradation, Ok(_)) => !sys.degradation_events().is_empty(),
-            _ => false,
-        };
-        if caught {
-            detected += 1;
-        }
-    }
-    (detected, classes)
+    let verdicts = campaign.faults((horizon / 10).max(1));
+    let classes = verdicts.iter().filter(|v| v.outcome != Outcome::Skipped).count() as u32;
+    let missed: Vec<_> = verdicts
+        .iter()
+        .filter(|v| v.outcome == Outcome::Fail)
+        .map(|v| v.name)
+        .collect();
+    (classes - missed.len() as u32, classes, missed)
 }
 
 fn run_soak_job(
@@ -1076,7 +1049,7 @@ fn run_soak_job(
                 format!("job deadline exceeded at round {round}/{}", spec.rounds),
             ));
         }
-        let (detected, classes) = soak_round(spec.seed ^ u64::from(round), spec.horizon);
+        let (detected, classes, missed) = soak_round(spec.seed ^ u64::from(round), spec.horizon);
         shared.metrics.add("tcm_serve_soak_rounds_total", 1);
         set_progress(shared, id, |p| {
             if detected < classes {
@@ -1100,7 +1073,11 @@ fn run_soak_job(
         if detected < classes {
             return Some((
                 JobState::Failed,
-                format!("round {round}: only {detected}/{classes} fault classes detected"),
+                format!(
+                    "round {round}: only {detected}/{classes} fault classes detected \
+                     (missed: {})",
+                    missed.join(", ")
+                ),
             ));
         }
     }
@@ -1108,4 +1085,14 @@ fn run_soak_job(
         JobState::Done,
         format!("{} round(s), every fault class detected", spec.rounds),
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_short_soak_round_names_the_class_that_escaped() {
+        assert_eq!(soak_round(7, QUANTUM - 1), (7, 8, vec!["monitor-corruption"]));
+    }
 }

@@ -1,7 +1,8 @@
 //! `tcm-run`'s one-shot mode resolves its workload, policies, horizon
 //! and topology through the daemon's `resolve_sweep`, so a bad argument
 //! is a usage error (exit 2, no panic) carrying the same message the
-//! daemon gives a client for the same spec.
+//! daemon gives a client for the same spec. The chaos smoke labels its
+//! host count as run, after clamping.
 
 use std::process::Command;
 use tcm_proto::{SweepSpec, WorkloadRef};
@@ -48,4 +49,18 @@ fn bad_workload_args_are_usage_errors_with_the_daemons_message() {
         );
         assert!(out.stdout.is_empty(), "tcm-run {args:?} printed results");
     }
+}
+
+#[test]
+fn chaos_smoke_labels_the_clamped_host_count() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tcm-run"))
+        .args(["--chaos-smoke", "--intra-hosts", "0", "--topology", "2x2"])
+        .output()
+        .expect("tcm-run runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("on 2x2 across 1 host(s)"), "{stderr}");
+    assert!(stderr.contains("at 1 vs 1 host(s)"), "{stderr}");
+    assert!(stderr.contains("chaos smoke [2x2 × 1 host(s)]"), "{stderr}");
+    assert!(!stderr.contains("0 host(s)"), "{stderr}");
 }

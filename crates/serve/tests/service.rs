@@ -13,9 +13,10 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::thread;
 use std::time::Duration;
-use tcm_proto::{Event, JobKind, JobSpec, JobState, SweepSpec, WorkloadRef};
+use tcm_proto::{Event, JobKind, JobSpec, JobState, SoakSpec, SweepSpec, WorkloadRef};
 use tcm_serve::job::{render_result, resolve_sweep};
 use tcm_serve::{Client, Server, ServerConfig, Wal};
+use tcm_sim::campaign::QUANTUM;
 use tcm_sim::{RunConfig, Session};
 use tcm_types::SystemConfig;
 
@@ -455,6 +456,67 @@ fn metrics_and_progress_track_the_job_lifecycle() {
         Some(1.0),
         "{text}"
     );
+
+    client.drain().expect("drain");
+    assert_eq!(handle.join().expect("join"), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn soak_job_streams_every_round_and_short_horizons_are_refused() {
+    let dir = scratch_dir("soak");
+    let mut cfg = config(&dir);
+    // One worker, jammed by a long sweep, so the watcher below is
+    // registered before the soak's first round is broadcast.
+    cfg.workers = 1;
+    let (handle, socket) = start(cfg);
+    let mut client = Client::connect(&socket).expect("connect");
+    let soak = |horizon| JobSpec {
+        priority: 1,
+        deadline_ms: None,
+        max_attempts: 1,
+        kind: JobKind::ChaosSoak(SoakSpec {
+            seed: 7,
+            rounds: 2,
+            horizon,
+        }),
+    };
+
+    // Below one TCM quantum monitor corruption cannot be detected, so
+    // such a soak is refused at submit, naming the minimum.
+    let err = client
+        .submit(soak(QUANTUM - 1))
+        .expect_err("a soak that cannot pass is refused");
+    assert!(err.to_string().contains(&QUANTUM.to_string()), "{err}");
+
+    let mut jam = sweep_spec();
+    if let JobKind::Sweep(sweep) = &mut jam.kind {
+        sweep.horizon = 50_000_000;
+        sweep.seeds = vec![0];
+    }
+    let jam = client.submit(jam).expect("submit jam");
+    let id = client.submit(soak(200_000)).expect("submit soak");
+    let mut watcher = Client::connect(&socket).expect("watcher connection");
+    let streamer = thread::spawn(move || {
+        let mut rounds = Vec::new();
+        let outcome = watcher
+            .watch(id, |event| {
+                if let Event::SoakRound {
+                    detected, classes, ..
+                } = event
+                {
+                    rounds.push((*detected, *classes));
+                }
+            })
+            .expect("watch soak");
+        (outcome, rounds)
+    });
+    thread::sleep(Duration::from_millis(300)); // let the Watch register
+    assert!(client.cancel(jam).expect("cancel jam"), "jam job found");
+
+    let ((state, detail), rounds) = streamer.join().expect("streamer");
+    assert_eq!(state, JobState::Done, "{detail}");
+    assert_eq!(rounds, [(8, 8), (8, 8)], "every class caught in both rounds");
 
     client.drain().expect("drain");
     assert_eq!(handle.join().expect("join"), 0);

@@ -14,7 +14,8 @@
 //! names a policies × workloads (× seeds) grid and executes it serially
 //! or on threads sharing one work queue — bit-identical either way —
 //! computing the paper's metrics (weighted speedup, harmonic speedup,
-//! maximum slowdown) per cell.
+//! maximum slowdown) per cell. The fault-injection [`campaign`] runs
+//! through the same cell builder to prove the simulator's detectors fire.
 //!
 //! # Example: compare the paper's lineup on two workloads
 //!
@@ -46,6 +47,7 @@
 #![warn(clippy::unwrap_used)]
 
 mod alone;
+pub mod campaign;
 mod checkpoint;
 mod event;
 mod machine;

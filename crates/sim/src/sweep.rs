@@ -54,7 +54,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-use tcm_telemetry::Telemetry;
+use tcm_telemetry::{DegradationAnomaly, Telemetry};
 use tcm_types::{CancelToken, ControllerId, Cycle, SimError};
 use tcm_workload::{BenchmarkProfile, WorkloadSpec};
 
@@ -108,11 +108,8 @@ pub(crate) fn try_eval_cell(
     mut alone_ipc: impl FnMut(&BenchmarkProfile) -> f64,
 ) -> Result<EvalResult, SimError> {
     let telemetry = rc.telemetry.as_ref().map(Telemetry::new);
-    let run = if rc.system.topology.num_controllers() > 1 {
-        run_multi_cell(policy, workload, rc, weights, seed_xor, cancel, telemetry.as_ref())?
-    } else {
-        run_single_cell(policy, workload, rc, weights, seed_xor, cancel, telemetry.as_ref())?
-    };
+    let seed = workload_seed(workload) ^ seed_xor;
+    let (run, _) = run_cell(policy, workload, rc, seed, weights, cancel, telemetry.as_ref())?;
     let pairs: Vec<IpcPair> = workload
         .threads
         .iter()
@@ -134,88 +131,58 @@ pub(crate) fn try_eval_cell(
     })
 }
 
-/// Runs one cell on the single-controller [`System`] engine — the legacy
-/// path, preserved bit-for-bit for flat topologies.
-fn run_single_cell(
+/// Builds the engine for `rc.system.topology` ([`System`] for one
+/// controller, else [`MultiSystem`]: a policy instance per controller,
+/// the policy's meta-controller, `rc.intra_hosts` host threads), applies
+/// `rc` once and runs it. Returns the run with the engine's degradation
+/// log. Sweep cells and the [`campaign`](crate::campaign) share it.
+pub(crate) fn run_cell(
     policy: &PolicyKind,
     workload: &WorkloadSpec,
     rc: &RunConfig,
+    seed: u64,
     weights: Option<&[f64]>,
-    seed_xor: u64,
     cancel: Option<&CancelToken>,
     telemetry: Option<&Telemetry>,
-) -> Result<RunResult, SimError> {
-    let n = workload.threads.len();
-    let scheduler = policy.build(n, &rc.system);
-    let mut sys = System::new(
-        &rc.system,
-        workload,
-        scheduler,
-        workload_seed(workload) ^ seed_xor,
-    );
-    if rc.verify {
-        sys.enable_verification();
-    }
-    sys.set_watchdog(rc.watchdog);
+) -> Result<(RunResult, Vec<DegradationAnomaly>), SimError> {
     if let Some(plan) = &rc.chaos {
-        plan.validate(&rc.system.topology)
-            .map_err(SimError::Config)?;
-        sys.install_chaos(plan);
+        plan.validate(&rc.system.topology).map_err(SimError::Config)?;
     }
-    sys.set_cancel_token(cell_token(rc, cancel));
-    if let Some(w) = weights {
-        sys.set_thread_weights(w);
+    // Both engines expose the same setters; this applies `rc` to either.
+    macro_rules! configure_and_run {
+        ($sys:ident) => {{
+            if rc.verify {
+                $sys.enable_verification();
+            }
+            $sys.set_watchdog(rc.watchdog);
+            if let Some(plan) = &rc.chaos {
+                $sys.install_chaos(plan);
+            }
+            $sys.set_cancel_token(cell_token(rc, cancel));
+            if let Some(w) = weights {
+                $sys.set_thread_weights(w);
+            }
+            // Attached last so a ChaosScheduler wrapper installed by
+            // `install_chaos` receives the handle too.
+            if let Some(t) = telemetry {
+                $sys.set_telemetry(t);
+            }
+            let run = $sys.try_run(rc.horizon)?;
+            Ok((run, $sys.degradation_events().to_vec()))
+        }};
     }
-    // Attached last so a ChaosScheduler wrapper installed by
-    // `install_chaos` receives the handle too.
-    if let Some(t) = telemetry {
-        sys.set_telemetry(t);
+    let (n, cfg) = (workload.threads.len(), &rc.system);
+    if cfg.topology.num_controllers() > 1 {
+        let controllers = (0..cfg.topology.num_controllers())
+            .map(|_| policy.build_controller(n, cfg))
+            .collect();
+        let mut sys = MultiSystem::new(cfg, workload, controllers, policy.build_meta(n, cfg), seed);
+        sys.set_hosts(rc.intra_hosts);
+        configure_and_run!(sys)
+    } else {
+        let mut sys = System::new(cfg, workload, policy.build(n, cfg), seed);
+        configure_and_run!(sys)
     }
-    sys.try_run(rc.horizon)
-}
-
-/// Runs one cell on the [`MultiSystem`] engine: one policy instance per
-/// controller, plus the policy's meta-controller when it defines one,
-/// sharded over `rc.intra_hosts` host threads (bit-identical for any
-/// count).
-fn run_multi_cell(
-    policy: &PolicyKind,
-    workload: &WorkloadSpec,
-    rc: &RunConfig,
-    weights: Option<&[f64]>,
-    seed_xor: u64,
-    cancel: Option<&CancelToken>,
-    telemetry: Option<&Telemetry>,
-) -> Result<RunResult, SimError> {
-    let n = workload.threads.len();
-    let controllers = (0..rc.system.topology.num_controllers())
-        .map(|_| policy.build_controller(n, &rc.system))
-        .collect();
-    let mut sys = MultiSystem::new(
-        &rc.system,
-        workload,
-        controllers,
-        policy.build_meta(n, &rc.system),
-        workload_seed(workload) ^ seed_xor,
-    );
-    sys.set_hosts(rc.intra_hosts);
-    if rc.verify {
-        sys.enable_verification();
-    }
-    sys.set_watchdog(rc.watchdog);
-    if let Some(plan) = &rc.chaos {
-        plan.validate(&rc.system.topology)
-            .map_err(SimError::Config)?;
-        sys.install_chaos(plan);
-    }
-    sys.set_cancel_token(cell_token(rc, cancel));
-    if let Some(w) = weights {
-        sys.set_thread_weights(w);
-    }
-    if let Some(t) = telemetry {
-        sys.set_telemetry(t);
-    }
-    sys.try_run(rc.horizon)
 }
 
 /// Retry policy for timed-out cells: bounded attempts with a

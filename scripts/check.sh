@@ -24,16 +24,18 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo test --release with the protocol checker forced on"
 TCM_VERIFY=1 cargo test -q --release --offline -p tcm-sim -p tcm-dram
 
-# Fault-injection smoke: every chaos fault class at a fixed seed must be
-# caught by exactly its mapped detector, and the zero-fault control must
-# finish clean and bit-identical to a run without the chaos layer.
+# Fault-injection smoke: prints the verdicts of tcm_sim::campaign, the
+# one campaign the daemon's soak job also runs. Every chaos fault class
+# at a fixed seed must be caught by exactly its mapped detector, and the
+# zero-fault control must finish clean and bit-identical to a run
+# without the chaos layer.
 echo "==> chaos smoke campaign"
 cargo run --release -q -p tcm-serve --bin tcm-run --offline -- --chaos-smoke
 
 # The same campaign on a sharded 2x2 multi-controller machine: all ten
 # fault classes (including the coordination kinds, which only exist
 # there), faults addressed to the last controller/channel to prove
-# topology-aware routing, and a clean control pinning 1-vs-3-host
+# topology-aware routing, and the clean control pinning 1-vs-3-host
 # bit-identity under the armed detectors.
 echo "==> chaos smoke campaign (2x2 topology, 3 intra-cell hosts)"
 cargo run --release -q -p tcm-serve --bin tcm-run --offline -- \
