@@ -2,33 +2,32 @@
 //! [`System`](crate::System)'s global queue, and the coordinator and
 //! per-shard queues of [`MultiSystem`](crate::MultiSystem).
 //!
-//! Structurally this is a small binary heap plus FIFO *lanes*. The heap
-//! only ever holds core bursts and scheduler ticks (a handful of
-//! entries); the high-volume event classes ride the lanes:
+//! It is a calendar queue (R. Brown, "Calendar Queues", CACM 1988) with
+//! one bucket per cycle. Each cycle of the *near window*
+//! `[base, base + WINDOW)`, where `base` is the last popped cycle, owns
+//! a FIFO slot linked through a node arena; an occupancy bitmap (plus
+//! one summary bit per 64 slots) finds the next non-empty slot with two
+//! `trailing_zeros`, so pushes and pops are O(1). Events at or beyond
+//! the window's end wait in a `(cycle, seq)` heap, `seq` being a
+//! monotone stamp taken by every push. Whenever `base` advances, every
+//! far event the window now covers moves into its slot in heap order,
+//! before any direct push can reach that slot. Each slot's FIFO is thus
+//! in `seq` order, and pops come out in exact `(cycle, seq)` order for
+//! every event kind: same-cycle events pop in insertion order.
 //!
-//! * `Completion` cycles are `bus_end + fixed_overhead`, and
-//! * `BankReady` cycles are `bus_end`,
-//!
-//! where `bus_end` comes from [`DataBus::reserve`], which is strictly
-//! increasing per channel. Each class is therefore pushed in
-//! nondecreasing cycle order *per channel*, so a plain `VecDeque` per
-//! (channel, class) replaces heap sift traffic with O(1) pushes and
-//! pops. A shard's queue also receives `Arrival`s and completion
-//! notifications routed from the coordinator, in coordinator processing
-//! order — nondecreasing, so both share one *routed* lane there. A
-//! single monotone sequence number is stamped on every push —
-//! lane or heap — and the pop side takes the global minimum of
-//! `(cycle, seq)` across the heap and all lane fronts, which reproduces
-//! the old pure-heap pop order bit for bit (same-cycle events pop in
-//! insertion order). Should a push ever violate a lane's monotonicity
-//! (only a chaos spill flood does, stamping phantom arrivals ahead of
-//! in-flight core events; the chaos bus-overlap re-timing keeps
-//! completions nondecreasing since `burst >= 1`), it falls back to the
-//! heap and ordering is still exact.
+//! Pushing before the last popped cycle is a caller bug and panics in
+//! every build. A bounded pop that finds nothing due leaves the window
+//! alone, so the multi loop may still push arrivals up to its bound.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use tcm_types::{BankId, ChannelId, Cycle, Request, ThreadId};
+
+/// Width of the near window in cycles: a power of two, wide enough that
+/// completions, bank wakeups and core bursts almost never go far.
+pub const WINDOW: usize = 4096;
+/// Occupancy words, one bit per slot.
+const WORDS: usize = WINDOW / 64;
 
 /// A simulation event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,224 +63,224 @@ pub enum Event {
     },
 }
 
-/// Which structure currently holds the earliest event.
-#[derive(Debug, Clone, Copy)]
-enum Source {
-    Heap,
-    Routed,
-    Completion(usize),
-    BankReady(usize),
-}
+impl Event {
+    /// The `kind` label of each variant in the metric catalog, indexed
+    /// by [`Event::kind`].
+    pub(crate) const KINDS: [&'static str; 5] =
+        ["core_burst", "bank_ready", "completion", "sched_tick", "arrival"];
 
-/// Time-ordered event queue. Events at the same cycle pop in insertion
-/// order (a monotone sequence number breaks ties), making runs exactly
-/// reproducible.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Reverse<(Cycle, u64, EventEntry)>>,
-    /// Events routed in from another queue, in its processing order
-    /// (arrivals, plus completions on a shard's queue): nondecreasing
-    /// cycles by construction.
-    routed: VecDeque<(Cycle, u64, Event)>,
-    /// Whether completions ride the routed lane (a shard's queue) rather
-    /// than per-channel lanes.
-    route_completions: bool,
-    /// Per-channel completion lane: nondecreasing cycles by construction.
-    completions: Vec<VecDeque<(Cycle, u64, Request)>>,
-    /// Per-channel bank-ready lane: nondecreasing cycles by construction.
-    bank_ready: Vec<VecDeque<(Cycle, u64, BankId)>>,
-    /// Global index of the channel behind lane 0 (a shard's queue only
-    /// sees its own controller's channels).
-    lane_base: usize,
-    len: usize,
-    seq: u64,
-    /// Test hook: route every push through the heap (the pre-lane
-    /// reference behavior) so equivalence tests can prove the lanes
-    /// change nothing observable.
-    reference_mode: bool,
-}
-
-/// Wrapper giving `Event` a total order for heap membership (never
-/// actually compared: the `(cycle, seq)` prefix is unique).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct EventEntry(Event);
-
-impl PartialOrd for EventEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    /// Index of this event's variant in [`Event::KINDS`].
+    pub(crate) fn kind(&self) -> usize {
+        match self {
+            Event::CoreBurst { .. } => 0,
+            Event::BankReady { .. } => 1,
+            Event::Completion { .. } => 2,
+            Event::SchedTick => 3,
+            Event::Arrival { .. } => 4,
+        }
     }
 }
 
-impl Ord for EventEntry {
-    fn cmp(&self, _other: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
+/// Deterministic counters of one queue, or summed over a machine's
+/// queues; absorbed into the metric catalog at the end of a run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct EventCounts {
+    /// Events popped, by [`Event::kind`].
+    pub(crate) popped: [u64; 5],
+    /// Pushes that landed at or beyond the near window's end.
+    pub(crate) far_pushes: u64,
+}
+
+impl std::ops::AddAssign for EventCounts {
+    fn add_assign(&mut self, other: Self) {
+        self.popped.iter_mut().zip(other.popped).for_each(|(a, b)| *a += b);
+        self.far_pushes += other.far_pushes;
+    }
+}
+
+/// One queued event and the next node of its slot's FIFO (meaningless
+/// at the tail).
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    event: Event,
+    next: u32,
+}
+
+/// Time-ordered event queue. Events at the same cycle pop in insertion
+/// order, making runs exactly reproducible.
+#[derive(Debug)]
+pub struct EventQueue {
+    /// First cycle of the near window: the last popped cycle.
+    base: Cycle,
+    /// Near-window width: [`WINDOW`], or 0 in reference mode.
+    width: Cycle,
+    /// `(head, tail)` node of each slot's FIFO; slot `c % WINDOW` holds
+    /// the events at cycle `c`. Valid only while the slot's bit is set.
+    slots: Box<[(u32, u32); WINDOW]>,
+    /// Bit `s % 64` of word `s / 64` is set while slot `s` is non-empty.
+    bits: [u64; WORDS],
+    /// Bit `w` is set while `bits[w]` is non-zero.
+    summary: u64,
+    nodes: Vec<Node>,
+    /// Indices of unused `nodes`.
+    free: Vec<u32>,
+    /// Nodes of the events at or beyond the window's end, in
+    /// `(cycle, seq)` order.
+    far: BinaryHeap<Reverse<(Cycle, u64, u32)>>,
+    seq: u64,
+    pub(crate) counts: EventCounts,
+}
+
+impl Default for EventQueue {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 impl EventQueue {
-    /// Creates an empty queue. Lanes grow on first use per channel.
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty queue for a shard whose channels start at global
-    /// channel `base`: its channel lanes start there, and completions
-    /// share the routed lane with arrivals.
-    pub(crate) fn for_shard(base: usize) -> Self {
         Self {
-            lane_base: base,
-            route_completions: true,
-            ..Self::default()
+            base: 0,
+            width: WINDOW as Cycle,
+            slots: vec![(0, 0); WINDOW].try_into().expect("WINDOW slots"),
+            bits: [0; WORDS],
+            summary: 0,
+            nodes: Vec::new(),
+            free: Vec::new(),
+            far: BinaryHeap::new(),
+            seq: 0,
+            counts: EventCounts::default(),
         }
     }
 
-    /// Routes all future pushes through the heap (the reference, pure
-    /// binary-heap order). Pop order is identical either way; this exists
-    /// so tests can assert that, not for production use.
+    /// Sends all future pushes to the far heap, as if the window had
+    /// width 0: the pure binary-heap order. Pop order is identical either
+    /// way; this exists so tests can assert that.
     #[doc(hidden)]
     pub fn set_reference_mode(&mut self, on: bool) {
-        self.reference_mode = on;
+        self.width = if on { 0 } else { WINDOW as Cycle };
+        self.slide(self.base);
     }
 
-    /// The lane of local channel `c`, created on first use.
-    #[inline]
-    fn lane<T>(lanes: &mut Vec<VecDeque<T>>, c: usize) -> &mut VecDeque<T> {
-        if c >= lanes.len() {
-            Self::grow_lanes(lanes, c);
-        }
-        &mut lanes[c]
-    }
-
-    #[cold]
-    fn grow_lanes<T>(lanes: &mut Vec<VecDeque<T>>, c: usize) {
-        lanes.resize_with(c + 1, VecDeque::new);
-    }
-
-    /// Schedules `event` at `cycle`.
+    /// Schedules `event` at `cycle`; panics if `cycle` is before the
+    /// last popped cycle.
     pub fn push(&mut self, cycle: Cycle, event: Event) {
-        let seq = self.seq;
+        assert!(
+            cycle >= self.base,
+            "event pushed at cycle {cycle}, before the last popped cycle {}",
+            self.base
+        );
         self.seq += 1;
-        self.len += 1;
-        if !self.reference_mode {
-            match event {
-                Event::Completion { request } if !self.route_completions => {
-                    let c = request.addr.channel.index() - self.lane_base;
-                    let lane = Self::lane(&mut self.completions, c);
-                    if lane.back().is_none_or(|&(last, _, _)| cycle >= last) {
-                        lane.push_back((cycle, seq, request));
-                        return;
-                    }
-                }
-                Event::BankReady { channel, bank } => {
-                    let c = channel.index() - self.lane_base;
-                    let lane = Self::lane(&mut self.bank_ready, c);
-                    if lane.back().is_none_or(|&(last, _, _)| cycle >= last) {
-                        lane.push_back((cycle, seq, bank));
-                        return;
-                    }
-                }
-                Event::Arrival { .. } | Event::Completion { .. } => {
-                    let lane = &mut self.routed;
-                    if lane.back().is_none_or(|&(last, _, _)| cycle >= last) {
-                        lane.push_back((cycle, seq, event));
-                        return;
-                    }
-                }
-                Event::CoreBurst { .. } | Event::SchedTick => {}
-            }
+        let n = self.free.pop().unwrap_or_else(|| {
+            self.nodes.push(Node { event, next: 0 });
+            u32::try_from(self.nodes.len() - 1).expect("event arena overflow")
+        });
+        self.nodes[n as usize] = Node { event, next: 0 };
+        if cycle - self.base < self.width {
+            self.link(cycle, n);
+        } else {
+            self.counts.far_pushes += 1;
+            self.far.push(Reverse((cycle, self.seq, n)));
         }
-        self.heap.push(Reverse((cycle, seq, EventEntry(event))));
     }
 
-    /// `(cycle, seq)` of the earliest pending event and where it lives.
-    fn min_source(&self) -> Option<(Cycle, u64, Source)> {
-        let mut best = self
-            .heap
-            .peek()
-            .map(|Reverse((c, s, _))| (*c, *s, Source::Heap));
-        if let Some(&(c, s, _)) = self.routed.front() {
-            if best.is_none_or(|(bc, bs, _)| (c, s) < (bc, bs)) {
-                best = Some((c, s, Source::Routed));
-            }
+    /// Appends node `n` to the FIFO of `cycle`'s slot.
+    fn link(&mut self, cycle: Cycle, n: u32) {
+        let s = cycle as usize % WINDOW;
+        let (w, bit) = (s / 64, 1u64 << (s % 64));
+        if self.bits[w] & bit == 0 {
+            self.bits[w] |= bit;
+            self.summary |= 1 << w;
+            self.slots[s] = (n, n);
+        } else {
+            let tail = &mut self.slots[s].1;
+            self.nodes[*tail as usize].next = n;
+            *tail = n;
         }
-        for (i, lane) in self.completions.iter().enumerate() {
-            if let Some(&(c, s, _)) = lane.front() {
-                if best.is_none_or(|(bc, bs, _)| (c, s) < (bc, bs)) {
-                    best = Some((c, s, Source::Completion(i)));
-                }
-            }
-        }
-        for (i, lane) in self.bank_ready.iter().enumerate() {
-            if let Some(&(c, s, _)) = lane.front() {
-                if best.is_none_or(|(bc, bs, _)| (c, s) < (bc, bs)) {
-                    best = Some((c, s, Source::BankReady(i)));
-                }
-            }
-        }
-        best
     }
 
-    fn pop_source(&mut self, source: Source) -> (Cycle, Event) {
-        self.len -= 1;
-        match source {
-            Source::Heap => {
-                let Reverse((c, _, e)) = self.heap.pop().expect("heap source vanished");
-                (c, e.0)
+    /// Moves the window to start at `base` and files every far event it
+    /// now covers into its slot, in `(cycle, seq)` order.
+    fn slide(&mut self, base: Cycle) {
+        self.base = base;
+        while let Some(&Reverse((cycle, _, n))) = self.far.peek() {
+            if cycle - base >= self.width {
+                break;
             }
-            Source::Routed => {
-                let (c, _, event) = self.routed.pop_front().expect("lane source vanished");
-                (c, event)
-            }
-            Source::Completion(i) => {
-                let (c, _, request) =
-                    self.completions[i].pop_front().expect("lane source vanished");
-                (c, Event::Completion { request })
-            }
-            Source::BankReady(i) => {
-                let (c, _, bank) =
-                    self.bank_ready[i].pop_front().expect("lane source vanished");
-                (
-                    c,
-                    Event::BankReady {
-                        channel: ChannelId::new(self.lane_base + i),
-                        bank,
-                    },
-                )
-            }
+            self.far.pop();
+            self.link(cycle, n);
         }
+    }
+
+    /// The first non-empty slot at or after `base`'s, wrapping around.
+    fn next_slot(&self) -> Option<usize> {
+        let p = self.base as usize % WINDOW;
+        let here = self.bits[p / 64] & (!0u64 << (p % 64));
+        if here != 0 {
+            return Some(p / 64 * 64 + here.trailing_zeros() as usize);
+        }
+        let later = self.summary & (!1u64 << (p / 64));
+        let w = match (later, self.summary) {
+            (0, 0) => return None,
+            (0, all) => all.trailing_zeros(),
+            (later, _) => later.trailing_zeros(),
+        } as usize;
+        Some(w * 64 + self.bits[w].trailing_zeros() as usize)
     }
 
     /// Removes and returns the earliest event as `(cycle, event)`.
     pub fn pop(&mut self) -> Option<(Cycle, Event)> {
-        let (_, _, source) = self.min_source()?;
-        Some(self.pop_source(source))
+        self.pop_at_or_before(Cycle::MAX)
     }
 
     /// Removes and returns the earliest event if it is scheduled at or
-    /// before `bound` — the peek and the pop in one scan, so the event
-    /// loop's `peek_cycle()` + `pop().expect(...)` pair becomes a single
-    /// conditional pop.
+    /// before `bound`. Returns `None`, and leaves the window alone, when
+    /// nothing is due.
     pub fn pop_at_or_before(&mut self, bound: Cycle) -> Option<(Cycle, Event)> {
-        let (cycle, _, source) = self.min_source()?;
-        if cycle > bound {
-            return None;
-        }
-        Some(self.pop_source(source))
+        let cycle = self.peek_cycle().filter(|&c| c <= bound)?;
+        self.slide(cycle);
+        let s = cycle as usize % WINDOW;
+        let (w, bit) = (s / 64, 1u64 << (s % 64));
+        // The slot holds `cycle`'s events unless, in reference mode, the
+        // earliest event is a far one.
+        let n = if self.bits[w] & bit != 0 {
+            let (head, tail) = self.slots[s];
+            if head == tail {
+                self.bits[w] &= !bit;
+                if self.bits[w] == 0 {
+                    self.summary &= !(1 << w);
+                }
+            } else {
+                self.slots[s].0 = self.nodes[head as usize].next;
+            }
+            head
+        } else {
+            self.far.pop().expect("far event vanished").0 .2
+        };
+        self.free.push(n);
+        let event = self.nodes[n as usize].event;
+        self.counts.popped[event.kind()] += 1;
+        Some((cycle, event))
     }
 
     /// The cycle of the earliest pending event.
     pub fn peek_cycle(&self) -> Option<Cycle> {
-        self.min_source().map(|(c, _, _)| c)
+        let near = self
+            .next_slot()
+            .map(|s| self.base + (s.wrapping_sub(self.base as usize) % WINDOW) as Cycle);
+        let far = self.far.peek().map(|Reverse((cycle, _, _))| *cycle);
+        near.into_iter().chain(far).min()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.nodes.len() - self.free.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 }
 
@@ -309,13 +308,17 @@ mod tests {
         }
     }
 
+    fn drain(q: &mut EventQueue) -> Vec<(Cycle, Event)> {
+        std::iter::from_fn(|| q.pop()).collect()
+    }
+
     #[test]
     fn events_pop_in_time_order() {
         let mut q = EventQueue::new();
         q.push(30, Event::SchedTick);
         q.push(10, Event::SchedTick);
         q.push(20, Event::SchedTick);
-        let order: Vec<Cycle> = std::iter::from_fn(|| q.pop().map(|(c, _)| c)).collect();
+        let order: Vec<Cycle> = drain(&mut q).into_iter().map(|(c, _)| c).collect();
         assert_eq!(order, vec![10, 20, 30]);
     }
 
@@ -325,7 +328,8 @@ mod tests {
         q.push(5, Event::CoreBurst { thread: ThreadId::new(0), epoch: 0 });
         q.push(5, Event::CoreBurst { thread: ThreadId::new(1), epoch: 0 });
         q.push(5, Event::CoreBurst { thread: ThreadId::new(2), epoch: 0 });
-        let threads: Vec<usize> = std::iter::from_fn(|| q.pop())
+        let threads: Vec<usize> = drain(&mut q)
+            .into_iter()
             .map(|(_, e)| match e {
                 Event::CoreBurst { thread, .. } => thread.index(),
                 _ => unreachable!(),
@@ -335,56 +339,65 @@ mod tests {
     }
 
     #[test]
-    fn ties_across_lanes_and_heap_pop_in_insertion_order() {
+    fn ties_across_kinds_pop_in_insertion_order() {
         let mut q = EventQueue::new();
-        q.push(5, completion(1, 100)); // lane: channel 1
-        q.push(5, Event::SchedTick); // heap
-        q.push(5, completion(0, 101)); // lane: channel 0
-        q.push(
-            5,
+        let pushes = [
+            completion(1, 100),
+            Event::SchedTick,
+            completion(0, 101),
             Event::BankReady { channel: ChannelId::new(1), bank: BankId::new(3) },
-        );
-        q.push(5, arrival(1, 4)); // lane: routed
-        let ids: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| match e {
-                Event::Completion { request } => request.id.raw(),
-                Event::SchedTick => 0,
-                Event::BankReady { bank, .. } => 200 + bank.index() as u64,
-                Event::Arrival { request } => 300 + request.id.raw(),
-                Event::CoreBurst { .. } => unreachable!(),
-            })
-            .collect();
-        assert_eq!(ids, vec![100, 0, 101, 203, 304]);
+            arrival(1, 4),
+        ];
+        for e in pushes {
+            q.push(5, e);
+        }
+        let popped: Vec<Event> = drain(&mut q).into_iter().map(|(_, e)| e).collect();
+        assert_eq!(popped, pushes);
     }
 
     #[test]
-    fn shard_lanes_keep_global_channel_ids() {
-        let mut q = EventQueue::for_shard(2);
-        q.push(9, Event::BankReady { channel: ChannelId::new(3), bank: BankId::new(1) });
-        q.push(7, completion(2, 5));
-        q.push(8, arrival(3, 6));
-        assert_eq!(q.pop(), Some((7, completion(2, 5))));
-        assert_eq!(q.pop(), Some((8, arrival(3, 6))));
-        assert_eq!(
-            q.pop(),
-            Some((9, Event::BankReady { channel: ChannelId::new(3), bank: BankId::new(1) }))
-        );
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn non_monotone_lane_push_falls_back_to_heap() {
+    fn far_events_join_their_slot_ahead_of_later_pushes() {
+        let w = WINDOW as Cycle;
         let mut q = EventQueue::new();
-        q.push(50, completion(0, 1));
-        q.push(40, completion(0, 2)); // violates lane order: heap fallback
-        q.push(50, completion(0, 3));
-        let order: Vec<(Cycle, u64)> = std::iter::from_fn(|| q.pop())
+        // Both beyond the window: they wait in the far heap.
+        q.push(w + 7, completion(0, 1));
+        q.push(w + 7, completion(0, 2));
+        q.push(8, Event::SchedTick);
+        assert_eq!(q.counts.far_pushes, 2);
+        assert_eq!(q.pop(), Some((8, Event::SchedTick)));
+        // The window now covers `w + 7`: the far events moved into its
+        // slot, so this direct push queues behind them.
+        q.push(w + 7, completion(0, 3));
+        assert_eq!(q.counts.far_pushes, 2);
+        let ids: Vec<u64> = drain(&mut q)
+            .into_iter()
             .map(|(c, e)| match e {
-                Event::Completion { request } => (c, request.id.raw()),
+                Event::Completion { request } if c == w + 7 => request.id.raw(),
                 _ => unreachable!(),
             })
             .collect();
-        assert_eq!(order, vec![(40, 2), (50, 1), (50, 3)]);
+        assert_eq!(ids, vec![1, 2, 3]);
+        assert_eq!(q.counts.popped, [0, 0, 3, 1, 0]);
+    }
+
+    #[test]
+    fn slots_wrap_around_the_window() {
+        let w = WINDOW as Cycle;
+        let mut q = EventQueue::new();
+        for round in 0..5 {
+            // Each round starts where the previous one popped last.
+            let at = round * (w - 1) + 10;
+            q.push(at, Event::SchedTick);
+            assert_eq!(q.pop(), Some((at, Event::SchedTick)));
+            // The slot just below `at`'s: reached only by wrapping.
+            q.push(at + w - 1, completion(0, round));
+            q.push(at + 1, Event::SchedTick);
+            assert_eq!(q.pop(), Some((at + 1, Event::SchedTick)));
+            assert_eq!(q.peek_cycle(), Some(at + w - 1));
+            assert_eq!(q.pop(), Some((at + w - 1, completion(0, round))));
+        }
+        assert!(q.is_empty());
+        assert_eq!(q.counts.far_pushes, 0);
     }
 
     #[test]
@@ -400,32 +413,53 @@ mod tests {
     }
 
     #[test]
+    fn refused_pop_leaves_the_window_alone() {
+        let mut q = EventQueue::new();
+        q.push(10, Event::SchedTick);
+        q.push(10 + 3 * WINDOW as Cycle, completion(0, 1));
+        assert_eq!(q.pop_at_or_before(100).map(|(c, _)| c), Some(10));
+        assert_eq!(q.pop_at_or_before(100), None);
+        // Still legal: the refused pop did not move past cycle 10.
+        q.push(50, arrival(0, 2));
+        assert_eq!(q.pop(), Some((50, arrival(0, 2))));
+        assert_eq!(q.pop().map(|(c, _)| c), Some(10 + 3 * WINDOW as Cycle));
+    }
+
+    #[test]
+    #[should_panic(expected = "event pushed at cycle 9, before the last popped cycle 10")]
+    fn push_before_the_last_pop_panics() {
+        let mut q = EventQueue::new();
+        q.push(10, Event::SchedTick);
+        q.pop();
+        q.push(9, Event::SchedTick);
+    }
+
+    #[test]
     fn reference_mode_orders_identically() {
+        let w = WINDOW as Cycle;
         let pushes = [
             (5, completion(0, 1)),
             (3, Event::SchedTick),
             (5, completion(1, 2)),
             (5, Event::BankReady { channel: ChannelId::new(0), bank: BankId::new(1) }),
-            (4, completion(0, 3)),
+            (w + 4, completion(0, 3)),
             (5, completion(0, 4)),
-            (6, arrival(1, 5)),
+            (w + 6, arrival(1, 5)),
             (2, arrival(0, 6)),
             (6, arrival(0, 7)),
         ];
-        for mut fast in [EventQueue::new(), EventQueue::for_shard(0)] {
-            let mut reference = EventQueue::new();
-            reference.set_reference_mode(true);
-            for &(c, e) in &pushes {
+        // Reference mode switched on before any push, and after some,
+        // as the systems' test hooks do once the cores are bootstrapped.
+        for switch_at in [0, 4] {
+            let (mut fast, mut reference) = (EventQueue::new(), EventQueue::new());
+            for (i, &(c, e)) in pushes.iter().enumerate() {
+                if i == switch_at {
+                    reference.set_reference_mode(true);
+                }
                 fast.push(c, e);
                 reference.push(c, e);
             }
-            loop {
-                let (a, b) = (fast.pop(), reference.pop());
-                assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
+            assert_eq!(drain(&mut fast), drain(&mut reference));
         }
     }
 

@@ -61,6 +61,8 @@ mod system;
 
 pub use checkpoint::write_durable;
 pub use event::{Event, EventQueue};
+#[doc(hidden)]
+pub use event::WINDOW as EVENT_WINDOW;
 pub use machine::{RunResult, DEFAULT_STALL_LIMIT};
 pub use multi::MultiSystem;
 pub use metrics::{mean, variance, workload_metrics, IpcPair, WorkloadMetrics};

@@ -21,7 +21,7 @@
 //! bank wakeup: the flat loop's outlet is its global queue, a shard's
 //! sends the completion to its outbox and the wakeup to its own queue.
 
-use crate::event::{Event, EventQueue};
+use crate::event::{Event, EventCounts, EventQueue};
 use std::collections::VecDeque;
 use std::ops::Range;
 use tcm_chaos::FaultPlan;
@@ -372,6 +372,8 @@ pub(crate) struct FrontEnd {
     pub(crate) last_retire: Cycle,
     /// Events processed since the most recent retirement.
     pub(crate) events_since_retire: u64,
+    /// `CoreBurst` events that arrived with a stale epoch.
+    stale_bursts: u64,
     /// Scratch: request ids of the burst currently being injected.
     scratch_ids: Vec<RequestId>,
 }
@@ -429,6 +431,7 @@ impl FrontEnd {
             completed: 0,
             last_retire: 0,
             events_since_retire: 0,
+            stale_bursts: 0,
             scratch_ids: Vec::new(),
         }
     }
@@ -489,6 +492,7 @@ impl FrontEnd {
         events: &mut EventQueue,
     ) -> bool {
         if epoch != self.core_epoch[t] {
+            self.stale_bursts += 1;
             return false;
         }
         match self.cores[t].poll(now) {
@@ -606,12 +610,14 @@ impl FrontEnd {
         }
     }
 
-    /// The run's results at `horizon`; also absorbs the final counters
-    /// into `telemetry`'s registry when it is enabled.
+    /// The run's results at `horizon`; also absorbs the final counters,
+    /// `events` among them, into `telemetry`'s registry when it is
+    /// enabled.
     pub(crate) fn collect<'a, I>(
         &self,
         horizon: Cycle,
         controllers: I,
+        events: EventCounts,
         telemetry: &Telemetry,
     ) -> RunResult
     where
@@ -645,7 +651,7 @@ impl FrontEnd {
                 .unwrap_or(0),
         };
         if telemetry.is_enabled() {
-            absorb_metrics(telemetry, &result, controllers);
+            absorb_metrics(telemetry, &result, controllers, events, self.stale_bursts);
         }
         result
     }
@@ -655,13 +661,24 @@ impl FrontEnd {
 /// DESIGN §9 catalog): global and per-bank service counts, per-thread
 /// service/miss counters, the row-hit-rate gauge (bit-equal to
 /// [`RunResult::row_hit_rate`]), bus utilization, and the always-on
-/// queue-depth histograms — all labeled by global channel index. A
-/// machine with several controllers adds `{controller=i}` aggregates.
-fn absorb_metrics<'a, I>(telemetry: &Telemetry, run: &RunResult, controllers: I)
-where
+/// queue-depth histograms — all labeled by global channel index — plus
+/// the event-loop counters. A machine with several controllers adds
+/// `{controller=i}` aggregates.
+fn absorb_metrics<'a, I>(
+    telemetry: &Telemetry,
+    run: &RunResult,
+    controllers: I,
+    events: EventCounts,
+    stale_bursts: u64,
+) where
     I: Iterator<Item = &'a Controller> + Clone,
 {
     telemetry.with_metrics(|m| {
+        for (kind, n) in Event::KINDS.iter().zip(events.popped) {
+            m.set_counter(&labeled("events", &[("kind", kind)]), n);
+        }
+        m.set_counter("events_stale_bursts", stale_bursts);
+        m.set_counter("event_queue_far_pushes", events.far_pushes);
         m.set_counter("requests_serviced", run.total_serviced);
         m.set_counter("requests_spilled", run.spilled);
         m.set_counter("peak_queue_depth", run.peak_queue as u64);

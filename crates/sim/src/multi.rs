@@ -14,7 +14,14 @@
 //!   [`EventQueue`] (arrivals, completions, bank-ready wakeups).
 //!
 //! The controller and the front end are the same types the flat
-//! [`System`](crate::System) drives; only the loop differs.
+//! [`System`](crate::System) drives, and every queue — the
+//! coordinator's and each shard's — is the same calendar-wheel
+//! [`EventQueue`] as the flat loop's; only the loop differs. A queue
+//! refuses pushes before its last popped cycle. The exchange respects
+//! that: a shard's last pop lies below the window start, and the
+//! arrivals and completion notifications the coordinator routes to it
+//! are stamped at or after the start. A shard's refused pop at the
+//! bound leaves its window in place, so those pushes stay legal.
 //!
 //! Time advances in windows of `W = timing.round_trip(RowState::Hit)`
 //! cycles — the minimum issue-to-completion latency, so nothing a shard
@@ -256,10 +263,9 @@ impl MultiSystem {
             .map(|(mc, scheduler)| {
                 let range = cfg.topology.channel_range(mc);
                 owner.extend(range.clone().map(|_| mc.index()));
-                let events = EventQueue::for_shard(range.start);
                 Shard {
                     ctl: Controller::new(cfg, range, scheduler),
-                    events,
+                    events: EventQueue::new(),
                     outbox: Vec::new(),
                     next_tick: None, // armed below
                     now: 0,
@@ -351,10 +357,10 @@ impl MultiSystem {
         self.next_sample = telemetry.sample_interval().unwrap_or(Cycle::MAX);
     }
 
-    /// Test hook: routes all future event pushes — coordinator and
-    /// shards — through the reference binary-heap path (see
-    /// `EventQueue::set_reference_mode`), so equivalence tests can prove
-    /// the lane fast path is bit-identical.
+    /// Test hook: sends all future event pushes — coordinator and
+    /// shards — to their queues' far heaps, the pure binary-heap order
+    /// (see `EventQueue::set_reference_mode`), so equivalence tests can
+    /// prove the calendar wheel is bit-identical.
     #[doc(hidden)]
     pub fn set_reference_event_order(&mut self, on: bool) {
         self.events.set_reference_mode(on);
@@ -747,9 +753,13 @@ impl MultiSystem {
         for shard in &mut self.shards {
             shard.ctl.finish_verification(horizon)?;
         }
+        let mut events = self.events.counts;
+        for shard in &self.shards {
+            events += shard.events.counts;
+        }
         Ok(self
             .front
-            .collect(horizon, self.controllers(), &self.telemetry))
+            .collect(horizon, self.controllers(), events, &self.telemetry))
     }
 
     /// Fast-forwards `t` over windows that are provable no-ops: no event

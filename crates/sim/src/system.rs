@@ -423,7 +423,7 @@ impl System {
         self.ctl.finish_verification(horizon)?;
         Ok(self
             .front
-            .collect(horizon, std::iter::once(&self.ctl), &self.telemetry))
+            .collect(horizon, std::iter::once(&self.ctl), self.events.counts, &self.telemetry))
     }
 
     /// Full watchdog evaluation, run only when the per-event probe fires
@@ -445,9 +445,10 @@ impl System {
         Ok(())
     }
 
-    /// Test hook: routes all future event pushes through the reference
-    /// binary-heap path (see `EventQueue::set_reference_mode`), so
-    /// equivalence tests can prove the lane fast path is bit-identical.
+    /// Test hook: sends all future event pushes to the queue's far heap,
+    /// the pure binary-heap order (see `EventQueue::set_reference_mode`),
+    /// so equivalence tests can prove the calendar wheel is
+    /// bit-identical.
     #[doc(hidden)]
     pub fn set_reference_event_order(&mut self, on: bool) {
         self.events.set_reference_mode(on);

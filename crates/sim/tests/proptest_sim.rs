@@ -3,7 +3,11 @@
 //! random workloads.
 
 use proptest::prelude::*;
-use tcm_sim::{workload_metrics, Event, EventQueue, IpcPair, MultiSystem, PolicyKind, System};
+use std::collections::BTreeSet;
+use tcm_sim::{
+    workload_metrics, Event, EventQueue, IpcPair, MultiSystem, PolicyKind, System, EVENT_WINDOW,
+};
+use tcm_types::ThreadId;
 use tcm_types::{SystemConfig, Topology};
 use tcm_workload::{BenchmarkProfile, WorkloadSpec};
 
@@ -30,6 +34,45 @@ fn workload_from(profiles: &[(f64, f64, f64)]) -> WorkloadSpec {
     WorkloadSpec::new("prop", threads)
 }
 
+/// The `(cycle, seq)`-sorted reference for the event-queue properties.
+/// Each pushed event carries its `seq` as a core-burst epoch.
+#[derive(Default)]
+struct Model {
+    pending: BTreeSet<(u64, u64)>,
+    now: u64,
+    seq: u64,
+}
+
+impl Model {
+    fn burst(seq: u64) -> Event {
+        Event::CoreBurst { thread: ThreadId::new(0), epoch: seq }
+    }
+
+    /// Pushes an event `delta` cycles after the last pop.
+    fn push(&mut self, q: &mut EventQueue, delta: u64) {
+        q.push(self.now + delta, Self::burst(self.seq));
+        self.pending.insert((self.now + delta, self.seq));
+        self.seq += 1;
+    }
+
+    /// Pops at or before `bound` from both, checking `peek_cycle` first.
+    fn pop(&mut self, q: &mut EventQueue, bound: u64) -> Result<(), TestCaseError> {
+        let next = self.pending.first().copied();
+        prop_assert_eq!(q.peek_cycle(), next.map(|(c, _)| c));
+        let got = q.pop_at_or_before(bound);
+        match next.filter(|&(c, _)| c <= bound) {
+            Some((c, seq)) => {
+                self.pending.remove(&(c, seq));
+                self.now = c;
+                prop_assert_eq!(got, Some((c, Self::burst(seq))));
+            }
+            None => prop_assert_eq!(got, None),
+        }
+        prop_assert_eq!(q.len(), self.pending.len());
+        Ok(())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -49,6 +92,41 @@ proptest! {
         }
         let expected: Vec<u64> = reference.into_iter().map(|(c, _)| c).collect();
         prop_assert_eq!(popped, expected);
+    }
+
+    /// Interleaved pushes and bounded pops, with push cycles up to five
+    /// near windows past the last popped cycle (so events go through the
+    /// far heap and the slots wrap), pop in exactly the order of a
+    /// `(cycle, seq)`-sorted model, and `peek_cycle` always names the
+    /// cycle of the next pop. Runs in both the windowed and the
+    /// reference mode.
+    #[test]
+    fn event_queue_interleaved_matches_sorted_model(
+        ops in proptest::collection::vec(
+            (0u8..4, 0u64..5 * EVENT_WINDOW as u64, 0u64..2 * EVENT_WINDOW as u64),
+            1..400,
+        ),
+        reference in any::<bool>(),
+    ) {
+        let mut q = EventQueue::new();
+        q.set_reference_mode(reference);
+        let mut model = Model::default();
+        for (op, delta, slack) in ops {
+            match op {
+                // Half the pops are bounded just past the last pop.
+                0 => model.pop(&mut q, model.now + if slack % 2 == 0 { slack % 16 } else { slack })?,
+                // Near pushes, so same-cycle ties are common.
+                1 => model.push(&mut q, delta % 8),
+                // Pushes on a coarse grid of absolute cycles, so an event
+                // that waited in the far heap ties with later direct ones.
+                2 => model.push(&mut q, (model.now + delta).next_multiple_of(256) - model.now),
+                _ => model.push(&mut q, delta),
+            }
+        }
+        while !model.pending.is_empty() {
+            model.pop(&mut q, u64::MAX)?;
+        }
+        prop_assert!(q.is_empty());
     }
 
     /// Metric identities hold for arbitrary IPC pairs: WS <= N,
@@ -101,11 +179,11 @@ proptest! {
     }
 
     /// Skip-ahead stepping is bit-identical to the per-event reference
-    /// path: the lane-based event queue plus strided probe checks must
-    /// produce exactly the same `RunResult` (every counter, every float
-    /// bit) as the plain binary-heap ordering on random workloads under
-    /// every policy. This is the property the SoA/skip-ahead hot path is
-    /// allowed to assume.
+    /// path: the calendar-wheel event queue plus strided probe checks
+    /// must produce exactly the same `RunResult` (every counter, every
+    /// float bit) as the plain binary-heap ordering of the queue's
+    /// reference mode on random workloads under every policy. This is
+    /// the property the SoA/skip-ahead hot path is allowed to assume.
     #[test]
     fn skip_ahead_matches_per_event_reference(
         profiles in proptest::collection::vec(
@@ -133,11 +211,11 @@ proptest! {
     }
 
     /// The multi-controller engine's queues — the coordinator's and every
-    /// shard's, whose arrival, completion and bank-ready lanes are fed
-    /// across the barrier — pop in exactly the pure binary-heap order:
-    /// routing every push through the heap reproduces the `RunResult`
-    /// bit for bit, on uniform (2x2) and asymmetric (3+1) machines under
-    /// every policy.
+    /// shard's, whose arrivals and completions are fed across the
+    /// barrier — pop in exactly the pure binary-heap order: sending every
+    /// push to the far heap (the queues' reference mode) reproduces the
+    /// `RunResult` bit for bit, on uniform (2x2) and asymmetric (3+1)
+    /// machines under every policy.
     #[test]
     fn multi_lanes_match_heap_reference(
         profiles in proptest::collection::vec(
