@@ -41,9 +41,14 @@
 //! `--topology` selects the memory-system shape: `4` is the legacy flat
 //! single controller with 4 channels, `2x2` is two controllers with two
 //! channels each (coordinated by the paper's §5.3 meta-controller when
-//! the policy is TCM), `3+1` is an asymmetric pair. `--intra-hosts`
-//! shards a multi-controller cell's controllers across host threads —
-//! results are bit-identical for any value; it only trades wall-clock.
+//! the policy is TCM), `3+1` is an asymmetric pair.
+//!
+//! `--workers W` sets how many threads pull alone baselines and cells
+//! from the sweep's one work queue; results are bit-identical for any
+//! count. `--intra-hosts H` is an alias that multiplies it: `--workers W
+//! --intra-hosts H` runs W×H workers; each cell runs on one thread.
+//! Without `--workers`, the one-shot sweep takes a worker per core and
+//! ignores `--intra-hosts`; `--chaos-smoke` ignores it too.
 //!
 //! `--trace FILE` enables telemetry and writes the captured event log:
 //! as JSONL (one event per line, `cell_begin` marker lines between
@@ -62,9 +67,10 @@
 //! to FILE — simulated cycles/sec, cells/sec, peak queue depth — tagged
 //! with whether the telemetry hooks are compiled in.
 //! `scripts/bench.sh` runs the variants and merges their records into
-//! `BENCH_hotpath.json`. Only `--cycles`, `--workers`, the topology
-//! flags, and the `--verify`/`--chaos-empty` probes modify the fixed
-//! sweep (workers default to 1 in this mode for stable timing).
+//! `BENCH_hotpath.json`. Only `--cycles`, `--workers`/`--intra-hosts`,
+//! `--topology`, and the `--verify`/`--chaos-empty` probes modify the
+//! fixed sweep (`--workers` defaults to 1 in this mode for stable
+//! timing).
 //!
 //! `--checkpoint FILE` records every completed sweep cell to FILE
 //! (JSONL, atomically republished after each cell), and `--resume FILE`
@@ -83,10 +89,9 @@
 //! detector, and a zero-fault control run must finish clean and
 //! bit-identical to a run without the chaos layer. With a
 //! multi-controller `--topology` (e.g. `2x2`) the campaign runs on that
-//! machine instead — covering the coordination fault classes
+//! machine instead, covering the coordination fault classes
 //! (controller blackout, monitor skew) that have no flat-machine
-//! analogue — and honours `--intra-hosts`, so the same faults are
-//! provably host-count invariant. `--chaos-empty`
+//! analogue. `--chaos-empty`
 //! installs an *empty* fault plan on every run (arming the detectors
 //! without scheduling any fault); benches use it to prove the chaos
 //! layer is zero-cost when inert.
@@ -188,7 +193,6 @@ fn run_bench(
     cycles: u64,
     workers: usize,
     topology: Option<&Topology>,
-    intra_hosts: usize,
     verify: bool,
     chaos_empty: bool,
 ) -> i32 {
@@ -207,7 +211,6 @@ fn run_bench(
         RunConfig::builder()
             .system(cfg)
             .horizon(cycles)
-            .intra_hosts(intra_hosts)
             .verify(verify)
             .chaos(chaos_empty.then(FaultPlan::none))
             .build(),
@@ -290,23 +293,20 @@ fn run_bench(
 }
 
 /// Chaos smoke: prints the [`Campaign`]'s verdicts and returns the exit
-/// code. A multi-controller `--topology` runs it on that machine at
-/// `--intra-hosts`; otherwise it runs on one flat channel, where all
-/// traffic fights over one data bus, so every channel-level fault finds
-/// an eligible operation soon after arming.
-fn run_chaos_smoke(topology: Option<&Topology>, intra_hosts: usize) -> i32 {
+/// code. A multi-controller `--topology` runs it on that machine;
+/// otherwise it runs on one flat channel, where all traffic fights over
+/// one data bus, so every channel-level fault finds an eligible
+/// operation soon after arming.
+fn run_chaos_smoke(topology: Option<&Topology>) -> i32 {
     let (topology, horizon) = match topology {
         Some(topo) if topo.num_controllers() > 1 => (topo.clone(), 300_000),
         _ => (Topology::flat(1), 200_000),
     };
-    let campaign = Campaign::new(topology, 1, horizon)
-        .expect("smoke machine is valid")
-        .hosts(intra_hosts);
-    let rc = campaign.run_config();
-    let (topo, hosts) = (&rc.system.topology, rc.intra_hosts);
+    let campaign = Campaign::new(topology, 1, horizon).expect("smoke machine is valid");
+    let topo = &campaign.run_config().system.topology;
     let label = if campaign.is_multi() {
-        eprintln!("chaos smoke: every fault class vs its detector on {topo} across {hosts} host(s)");
-        format!("{topo} × {hosts} host(s)")
+        eprintln!("chaos smoke: every fault class vs its detector on {topo}");
+        topo.to_string()
     } else {
         eprintln!("chaos smoke: every fault class vs its detector");
         "flat".to_string()
@@ -1295,16 +1295,18 @@ fn usage() -> ! {
          --topology picks the memory-system shape: `4` = one controller with 4\n\
          \x20          channels (flat default), `2x2` = 2 controllers x 2 channels,\n\
          \x20          `3+1` = asymmetric per-controller channel counts\n\
-         --intra-hosts shards a multi-controller cell over H host threads\n\
-         \x20          (bit-identical results; wall-clock only)\n\
+         --workers W threads share the sweep's work queue (bit-identical results;\n\
+         \x20          default: one per core, or 1 with --bench-json)\n\
+         --intra-hosts H multiplies the workers to W*H (ignored by --chaos-smoke\n\
+         \x20          and by the default one-per-core sweep)\n\
          --verify enables the DRAM protocol invariant checker (observation-only)\n\
          --checkpoint records completed sweep cells to FILE (JSONL, atomic updates)\n\
          --resume restores completed cells from FILE, runs the rest, keeps FILE updated\n\
          --cell-deadline cancels (and retries once) any cell exceeding SECS wall-clock\n\
          --bench-json times the fixed paper-lineup sweep and writes the record to FILE\n\
          --chaos-smoke runs the fault-injection smoke campaign and exits (a\n\
-         \x20          multi-controller --topology runs it on MultiSystem, honouring\n\
-         \x20          --intra-hosts and covering the coordination fault classes)\n\
+         \x20          multi-controller --topology runs it on MultiSystem, covering\n\
+         \x20          the coordination fault classes)\n\
          --chaos-empty installs an empty fault plan on every run: detectors armed,\n\
          \x20          zero faults (benches use it to prove the inert layer is free)\n\
          --trace writes the telemetry event log to FILE (jsonl by default; chrome is\n\
@@ -1421,8 +1423,10 @@ fn main() {
         });
 
     if chaos_smoke {
-        std::process::exit(run_chaos_smoke(topology.as_ref(), intra_hosts));
+        std::process::exit(run_chaos_smoke(topology.as_ref()));
     }
+    // `--intra-hosts` is a thread budget: it multiplies the worker count.
+    let hosts = intra_hosts.max(1);
 
     if let Some(path) = bench_json {
         // Benchmark mode uses a fixed sweep; default to a shorter horizon
@@ -1431,9 +1435,8 @@ fn main() {
         std::process::exit(run_bench(
             &path,
             bench_cycles,
-            workers.unwrap_or(1),
+            workers.unwrap_or(1).saturating_mul(hosts),
             topology.as_ref(),
-            intra_hosts,
             verify,
             chaos_empty,
         ));
@@ -1473,7 +1476,6 @@ fn main() {
             .system(cfg)
             .horizon(cycles)
             .verify(verify)
-            .intra_hosts(intra_hosts)
             .chaos(chaos_empty.then(FaultPlan::none))
             .cell_deadline(cell_deadline)
             .telemetry(resolved.telemetry.then(TelemetryConfig::default))
@@ -1487,7 +1489,7 @@ fn main() {
         sweep = sweep.checkpoint(path);
     }
     let result = match workers {
-        Some(w) => sweep.run_parallel(w),
+        Some(w) => sweep.run_parallel(w.saturating_mul(hosts)),
         None => sweep.run_auto(),
     };
 

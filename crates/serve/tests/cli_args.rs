@@ -1,8 +1,8 @@
 //! `tcm-run`'s one-shot mode resolves its workload, policies, horizon
 //! and topology through the daemon's `resolve_sweep`, so a bad argument
 //! is a usage error (exit 2, no panic) carrying the same message the
-//! daemon gives a client for the same spec. The chaos smoke labels its
-//! host count as run, after clamping.
+//! daemon gives a client for the same spec. `--intra-hosts` only
+//! multiplies the worker count.
 
 use std::process::Command;
 use tcm_proto::{SweepSpec, WorkloadRef};
@@ -52,15 +52,35 @@ fn bad_workload_args_are_usage_errors_with_the_daemons_message() {
 }
 
 #[test]
-fn chaos_smoke_labels_the_clamped_host_count() {
+fn chaos_smoke_ignores_intra_hosts() {
     let out = Command::new(env!("CARGO_BIN_EXE_tcm-run"))
         .args(["--chaos-smoke", "--intra-hosts", "0", "--topology", "2x2"])
         .output()
         .expect("tcm-run runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
-    assert!(stderr.contains("on 2x2 across 1 host(s)"), "{stderr}");
-    assert!(stderr.contains("at 1 vs 1 host(s)"), "{stderr}");
-    assert!(stderr.contains("chaos smoke [2x2 × 1 host(s)]"), "{stderr}");
-    assert!(!stderr.contains("0 host(s)"), "{stderr}");
+    assert!(stderr.contains("vs its detector on 2x2\n"), "{stderr}");
+    assert!(
+        stderr.contains("chaos smoke [2x2]: all 10 fault classes"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("host"), "{stderr}");
+}
+
+#[test]
+fn intra_hosts_multiplies_the_bench_workers() {
+    let record = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("cli-args-bench-{}.json", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_tcm-run"))
+        .args(["--bench-json", record.to_str().expect("utf-8 path")])
+        .args(["--cycles", "20000", "--topology", "2x2"])
+        .args(["--intra-hosts", "2", "--workers", "1"])
+        .output()
+        .expect("tcm-run runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let json = std::fs::read_to_string(&record).expect("bench record written");
+    let _ = std::fs::remove_file(&record);
+    assert!(json.contains("\"workers\": 2,"), "{json}");
+    assert!(json.contains("\"topology\": \"2x2\""), "{json}");
 }

@@ -80,8 +80,8 @@ impl ProfileFingerprint {
 
 /// Everything [`compute_alone_ipc`] reads, and nothing else: the
 /// machine with `num_threads = 1` (so sessions that differ only in
-/// thread count share entries), the horizon, and the profile. The host
-/// shard count is left out because sharding is bit-invisible.
+/// thread count share entries), the horizon, and the profile.
+/// [`RunConfig::intra_hosts`] is left out because the engine ignores it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct AloneKey {
     system: SystemConfig,
@@ -115,9 +115,9 @@ fn compute_alone_ipc(profile: &BenchmarkProfile, rc: &RunConfig) -> f64 {
             .controllers()
             .map(|_| Box::new(FrFcfs::new()) as _)
             .collect();
-        let mut sys = MultiSystem::new(&cfg, &workload, controllers, None, 0);
-        sys.set_hosts(rc.intra_hosts);
-        sys.run(rc.horizon).ipc[0]
+        MultiSystem::new(&cfg, &workload, controllers, None, 0)
+            .run(rc.horizon)
+            .ipc[0]
     } else {
         let mut sys = System::new(&cfg, &workload, Box::new(FrFcfs::new()), 0);
         sys.run(rc.horizon).ipc[0]

@@ -63,7 +63,7 @@ pub struct Campaign {
 
 impl Campaign {
     /// Four threads of the intensity-1.0 random mix `mix_seed` on
-    /// `topology` and one host, `horizon` cycles per run.
+    /// `topology`, `horizon` cycles per run.
     ///
     /// # Errors
     ///
@@ -75,14 +75,7 @@ impl Campaign {
         Ok(Self { rc, workload })
     }
 
-    /// Shards each multi-controller run over `hosts` host threads
-    /// (at least 1).
-    pub fn hosts(mut self, hosts: usize) -> Self {
-        self.rc.intra_hosts = hosts.max(1);
-        self
-    }
-
-    /// Machine, horizon and host count of every run, before its plan.
+    /// Machine and horizon of every run, before its plan.
     pub fn run_config(&self) -> &RunConfig {
         &self.rc
     }
@@ -155,11 +148,11 @@ impl Campaign {
     }
 
     /// The clean control: under FR-FCFS and under the campaign's TCM, a
-    /// verified chaos-free run on one host must be bit-identical to an
-    /// empty-plan run on the campaign's host count, and both must pass.
+    /// verified chaos-free run must be bit-identical to an empty-plan
+    /// run, and both must pass.
     pub fn clean_control(&self) -> Verdict {
         let (mut bare, mut armed) = (self.rc.clone(), self.rc.clone());
-        (bare.verify, bare.chaos, bare.intra_hosts) = (true, None, 1);
+        (bare.verify, bare.chaos) = (true, None);
         armed.chaos = Some(FaultPlan::none());
         for policy in [PolicyKind::FrFcfs, Self::tcm()] {
             let run = |rc| run_cell(&policy, &self.workload, rc, 0, None, None, None);
@@ -170,12 +163,7 @@ impl Campaign {
             };
             return verdict("clean-control", false, detail);
         }
-        let hosts = self.rc.intra_hosts;
-        let detail = if self.is_multi() {
-            format!("zero detections, bit-identical to chaos-free run at 1 vs {hosts} host(s)")
-        } else {
-            "zero detections, bit-identical to no chaos layer".into()
-        };
+        let detail = "zero detections, bit-identical to no chaos layer".into();
         verdict("clean-control", true, detail)
     }
 }
@@ -210,15 +198,13 @@ mod tests {
     }
 
     #[test]
-    fn uniform_campaign_catches_every_class_at_one_and_three_hosts() {
-        for hosts in [1, 3] {
-            let campaign = smoke(Topology::uniform(2, 2), 300_000).hosts(hosts);
-            let verdicts = campaign.faults(20_000);
-            assert_eq!(names(&verdicts, Outcome::Pass).len(), 10, "{verdicts:#?}");
-            let control = campaign.clean_control();
-            assert_eq!(control.outcome, Outcome::Pass, "{control:?}");
-            assert!(control.detail.ends_with(&format!("1 vs {hosts} host(s)")));
-        }
+    fn uniform_campaign_catches_every_class() {
+        let campaign = smoke(Topology::uniform(2, 2), 300_000);
+        let verdicts = campaign.faults(20_000);
+        assert_eq!(names(&verdicts, Outcome::Pass).len(), 10, "{verdicts:#?}");
+        let control = campaign.clean_control();
+        assert_eq!(control.outcome, Outcome::Pass, "{control:?}");
+        assert_eq!(control.detail, "zero detections, bit-identical to no chaos layer");
     }
 
     #[test]

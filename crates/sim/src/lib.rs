@@ -6,8 +6,7 @@
 //! channels under a `tcm-sched` policy). Two deterministic event loops
 //! drive it: [`System`] runs a single-controller machine on one global
 //! event queue, and [`MultiSystem`] runs one controller per shard in
-//! barrier-synchronized windows, coordinated by a meta-controller and
-//! optionally sharded across host threads.
+//! barrier-synchronized windows, coordinated by a meta-controller.
 //!
 //! Experiments run through the [`Session`] / [`Sweep`] layer: a session
 //! fixes the machine configuration and caches alone-run IPCs, a sweep

@@ -32,9 +32,9 @@
 //!    below the window bound, pushing new requests and completion
 //!    notifications onto the owning shard's queue in a deterministic
 //!    order.
-//! 2. **Controller phase** (parallel): every shard independently
-//!    processes its local events below the bound, emitting completions
-//!    to an outbox.
+//! 2. **Controller phase**: every shard independently processes its
+//!    local events below the bound, in controller order, emitting
+//!    completions to an outbox.
 //!
 //! At the barrier, outboxes merge back into the coordinator queue in
 //! controller order, faults are surfaced, and any scheduler or
@@ -43,10 +43,13 @@
 //! [`MonitorSample`], compute one system-wide [`ClusterPlan`], and
 //! broadcast it back.
 //!
-//! Because shards touch disjoint state and every cross-shard hand-off
-//! happens at the barrier in a fixed order, running the controller
-//! phase on one host thread or many is **bit-identical** — see
-//! [`MultiSystem::set_hosts`].
+//! Shards touch disjoint state and every cross-shard hand-off happens at
+//! the barrier in a fixed order, so a shard's window never observes
+//! another shard's work from the same window. The engine steps shards
+//! inline on the calling thread: windows are one hit round-trip long and
+//! carry a handful of events each, too little for a per-window fork and
+//! join to pay. Parallelism comes from the sweep, which runs whole cells
+//! on its workers.
 //!
 //! [`ClusterPlan`]: tcm_sched::ClusterPlan
 //! [`Topology`]: tcm_types::Topology
@@ -77,18 +80,9 @@ use tcm_workload::WorkloadSpec;
 /// same-cycle livelock guard.
 pub const FROZEN_TICK_LIMIT: u64 = 1_000;
 
-/// Pending-event count below which a window's controller phase runs
-/// inline even when multiple host threads are configured (see
-/// [`MultiSystem::step_shards`]). An event costs on the order of 100ns
-/// to process; a `thread::scope` spawn-and-join costs tens of
-/// microseconds — parallelism only pays off for windows carrying
-/// thousands of events.
-const INLINE_WINDOW_THRESHOLD: usize = 2_048;
-
 /// One memory controller's share of the machine: a [`Controller`] plus
 /// the local event stream. Owns everything it touches during the
-/// controller phase, so shards can step on separate host threads
-/// without observable effect.
+/// controller phase, so shards cannot observe each other mid-window.
 #[derive(Debug)]
 struct Shard {
     ctl: Controller,
@@ -160,13 +154,13 @@ impl Shard {
 }
 
 /// One simulated CMP whose memory system spans multiple controllers,
-/// optionally coordinated by a [`MetaScheduler`] and optionally sharded
-/// across host threads. See the module docs for the execution model.
+/// optionally coordinated by a [`MetaScheduler`]. See the module docs
+/// for the execution model.
 ///
-/// Identical inputs produce bit-identical results regardless of
-/// [`MultiSystem::set_hosts`] — including under a fault-injection plan
-/// (see [`MultiSystem::install_chaos`]): faults fire at window barriers
-/// or shard-locally, never across the phase boundary.
+/// Identical inputs produce bit-identical results — including under a
+/// fault-injection plan (see [`MultiSystem::install_chaos`]): faults
+/// fire at window barriers or shard-locally, never across the phase
+/// boundary.
 ///
 /// # Example
 ///
@@ -204,8 +198,6 @@ pub struct MultiSystem {
     /// Window width: the hit round-trip, i.e. the minimum
     /// issue-to-completion latency.
     window: Cycle,
-    /// Host threads for the controller phase (1 = inline).
-    hosts: usize,
     telemetry: Telemetry,
     /// Next cycle at which the time-series sampler fires (`Cycle::MAX`
     /// when telemetry is disabled); checked once per barrier.
@@ -283,7 +275,6 @@ impl MultiSystem {
             meta_tick: meta.as_ref().and_then(|m| m.next_tick(0)),
             meta,
             window: cfg.timing.round_trip(RowState::Hit),
-            hosts: 1,
             telemetry: Telemetry::disabled(),
             next_sample: Cycle::MAX,
             chaos_flood: None,
@@ -304,12 +295,10 @@ impl MultiSystem {
         sys
     }
 
-    /// Sets the number of host threads the controller phase uses
-    /// (clamped to the controller count; 1 runs shards inline). Results
-    /// are bit-identical for any value — this only trades wall-clock.
-    pub fn set_hosts(&mut self, hosts: usize) {
-        self.hosts = hosts.max(1);
-    }
+    /// Has no effect: shards always step inline. Kept only because the
+    /// `perf/` benchmark package calls it; it goes when that package
+    /// stops passing a host count.
+    pub fn set_hosts(&mut self, _hosts: usize) {}
 
     /// Turns on the DRAM protocol invariant checker on every channel
     /// (observation-only; results are bit-identical with it on or off).
@@ -523,38 +512,6 @@ impl MultiSystem {
         }
     }
 
-    /// Phase 2: steps every shard to `bound`, chunked over host threads
-    /// when more than one is configured. Shards own disjoint state and
-    /// are joined in spawn order, so the thread count is unobservable —
-    /// which also makes the adaptive fast path safe: a window whose
-    /// total pending work is below [`INLINE_WINDOW_THRESHOLD`] events
-    /// runs inline, because spawning threads costs more than stepping a
-    /// near-empty window (the 200-cycle hit-round-trip windows of a
-    /// typical run carry a handful of events each; per-window spawns
-    /// were the dominant cost of the sharded engine).
-    fn step_shards(&mut self, bound: Cycle) {
-        let hosts = self.hosts.min(self.shards.len()).max(1);
-        if hosts > 1 {
-            let work: usize = self.shards.iter().map(|s| s.events.len()).sum();
-            if work >= INLINE_WINDOW_THRESHOLD {
-                let chunk = self.shards.len().div_ceil(hosts);
-                std::thread::scope(|scope| {
-                    for shards in self.shards.chunks_mut(chunk) {
-                        scope.spawn(move || {
-                            for shard in shards {
-                                shard.step(bound);
-                            }
-                        });
-                    }
-                });
-                return;
-            }
-        }
-        for shard in &mut self.shards {
-            shard.step(bound);
-        }
-    }
-
     /// Barrier: merges every shard's completions into the coordinator
     /// queue, in controller order.
     fn merge_outboxes(&mut self) {
@@ -722,7 +679,10 @@ impl MultiSystem {
                 }
             }
             self.phase_cores(bound);
-            self.step_shards(bound);
+            // Phase 2: every shard to `bound`, in controller order.
+            for shard in &mut self.shards {
+                shard.step(bound);
+            }
             self.poll_faults()?;
             self.merge_outboxes();
             self.now = bound.min(horizon);
@@ -771,8 +731,8 @@ impl MultiSystem {
     /// the per-window loop would have walked.
     ///
     /// Soundness: a window `[t, t+W)` with no event below its bound and
-    /// no timer due at it runs `phase_cores`/`step_shards` over nothing,
-    /// merges empty outboxes, and skips `run_ticks` — a strict no-op
+    /// no timer due at it runs `phase_cores` and the shard steps over
+    /// nothing, merges empty outboxes, and skips `run_ticks` — a strict no-op
     /// apart from the barrier bookkeeping, which is also unobservable in
     /// the skipped range: `frozen_ticks` stays 0 (every due is strictly
     /// beyond the range), the stall check is capped below (we never skip
@@ -866,26 +826,6 @@ mod tests {
         let mut params = TcmParams::paper_default(threads);
         params.quantum = 20_000;
         PolicyKind::Tcm(params)
-    }
-
-    #[test]
-    fn sharded_execution_is_bit_identical_to_sequential() {
-        let cfg = cfg(6, Topology::uniform(3, 2));
-        let w = random_workload(11, 6, 0.75);
-        let policy = fast_tcm(6);
-        let mut sequential = build(&cfg, &policy, &w);
-        sequential.set_hosts(1);
-        let baseline = sequential.run(120_000);
-        for hosts in [2, 3, 8] {
-            let mut sharded = build(&cfg, &policy, &w);
-            sharded.set_hosts(hosts);
-            assert_eq!(
-                sharded.run(120_000),
-                baseline,
-                "hosts={hosts} must be bit-identical to sequential"
-            );
-        }
-        assert!(baseline.total_serviced > 0);
     }
 
     #[test]

@@ -146,12 +146,10 @@ pub struct RunConfig {
     /// surfaces `SimError::Cancelled`, which sweeps record as a
     /// retryable timeout instead of poisoning other cells.
     pub cell_deadline: Option<Duration>,
-    /// Host threads used to shard one cell's controllers during
-    /// simulation (intra-cell parallelism). Only multi-controller
-    /// topologies can shard; `1` (the default) runs every controller on
-    /// the calling thread. Sharded execution is bit-identical to
-    /// sequential — the engine exchanges events at fixed barriers — so
-    /// this knob affects wall-clock only.
+    /// Has no effect on the engine: every cell runs on one thread, and a
+    /// sweep's parallelism is its worker count. Kept only because the
+    /// `perf/` benchmark package still sets and reads it; it goes when
+    /// that package stops passing a host count.
     pub intra_hosts: usize,
     /// Telemetry configuration for every evaluated cell. `None` (the
     /// default) runs with telemetry fully disabled — the hot-path cost is
@@ -241,8 +239,8 @@ impl RunConfigBuilder {
         self
     }
 
-    /// Sets the number of host threads sharding each cell's controllers
-    /// (default: 1 — sequential). See [`RunConfig::intra_hosts`].
+    /// Records a host count (clamped to at least 1; default 1) that the
+    /// engine ignores. See [`RunConfig::intra_hosts`].
     pub fn intra_hosts(mut self, hosts: usize) -> Self {
         self.intra_hosts = hosts.max(1);
         self

@@ -132,10 +132,10 @@ pub(crate) fn try_eval_cell(
 }
 
 /// Builds the engine for `rc.system.topology` ([`System`] for one
-/// controller, else [`MultiSystem`]: a policy instance per controller,
-/// the policy's meta-controller, `rc.intra_hosts` host threads), applies
-/// `rc` once and runs it. Returns the run with the engine's degradation
-/// log. Sweep cells and the [`campaign`](crate::campaign) share it.
+/// controller, else [`MultiSystem`]: a policy instance per controller
+/// and the policy's meta-controller), applies `rc` once and runs it.
+/// Returns the run with the engine's degradation log. Sweep cells and
+/// the [`campaign`](crate::campaign) share it.
 pub(crate) fn run_cell(
     policy: &PolicyKind,
     workload: &WorkloadSpec,
@@ -177,7 +177,6 @@ pub(crate) fn run_cell(
             .map(|_| policy.build_controller(n, cfg))
             .collect();
         let mut sys = MultiSystem::new(cfg, workload, controllers, policy.build_meta(n, cfg), seed);
-        sys.set_hosts(rc.intra_hosts);
         configure_and_run!(sys)
     } else {
         let mut sys = System::new(cfg, workload, policy.build(n, cfg), seed);
@@ -804,7 +803,6 @@ impl Sweep<'_> {
             .copied()
             .filter(|key| !cached.contains_key(key))
             .collect();
-        let workers = workers.min(to_run.len()).max(1);
 
         // Alone baselines only for workloads with a cell left to run (a
         // fully resumed workload needs none), each distinct profile once.
@@ -815,6 +813,8 @@ impl Sweep<'_> {
             .flat_map(|w| &self.workloads[w].threads)
             .filter(|profile| seen.insert(ProfileFingerprint::of(profile)))
             .collect();
+        // No more threads than the one queue has tasks.
+        let workers = workers.min(alone.len() + to_run.len()).max(1);
 
         // Streaming observers see resumed cells first, in grid order,
         // so a subscriber watching a restarted sweep receives the full
@@ -1059,7 +1059,8 @@ pub struct SweepStats {
     /// draining ([`Sweep::pause_flag`]) or cancelled
     /// ([`Sweep::cancel_token`]); a checkpointed re-run picks them up.
     pub skipped: usize,
-    /// Worker threads used.
+    /// Worker threads used: the requested count, capped at the queue's
+    /// task count (alone baselines plus cells left to run).
     pub workers: usize,
     /// Alone-run simulations triggered (cache misses during the sweep).
     pub alone_runs: u64,
@@ -1319,13 +1320,30 @@ mod tests {
             let session = small_session();
             let parallel = grid(&session, workers);
             assert_eq!(parallel.cells(), serial.cells(), "{workers} workers");
-            assert_eq!(parallel.stats().workers, workers.min(6));
+            // 8 baselines + 6 cells share the queue.
+            assert_eq!(parallel.stats().workers, workers.min(8 + 6));
             // Each distinct alone key is simulated exactly once.
             assert_eq!(session.alone_cache().misses(), 8);
             assert_eq!(parallel.stats().alone_runs, 8);
             assert_eq!(parallel.stats().sim_cycles, (6 + 8) * 60_000);
         }
         assert_eq!(serial.stats().alone_runs, 8);
+    }
+
+    #[test]
+    fn one_cell_runs_its_baselines_on_two_workers() {
+        fn sweep(session: &Session) -> Sweep<'_> {
+            session
+                .sweep()
+                .policies([PolicyKind::FrFcfs])
+                .workloads([random_workload(5, 4, 1.0)])
+        }
+        let serial = sweep(&small_session()).run();
+        let parallel = sweep(&small_session()).run_parallel(2);
+        assert_eq!(parallel.cells(), serial.cells());
+        // One cell, but its baselines share the queue with it.
+        assert!(parallel.stats().alone_runs >= 1);
+        assert_eq!(parallel.stats().workers, 2);
     }
 
     #[test]
@@ -1390,18 +1408,26 @@ mod tests {
     #[test]
     fn stats_account_cells_and_workers() {
         let session = small_session();
+        let workloads: Vec<_> = (0..2).map(|s| random_workload(s, 4, 0.5)).collect();
+        let profiles: HashSet<_> = workloads
+            .iter()
+            .flat_map(|w| &w.threads)
+            .map(ProfileFingerprint::of)
+            .collect();
         let result = session
             .sweep()
             .policies([PolicyKind::Fcfs])
-            .workloads((0..2).map(|s| random_workload(s, 4, 0.5)))
-            .run_parallel(8);
-        // 2 cells cap the worker count.
-        assert_eq!(result.stats().workers, 2);
+            .workloads(workloads)
+            .run_parallel(64);
+        // The queue (2 cells + one baseline per distinct profile) caps
+        // the worker count.
+        let tasks = 2 + profiles.len();
+        assert_eq!(result.stats().workers, tasks);
         assert_eq!(result.stats().cells, 2);
         assert!(result.stats().sim_cycles >= 2 * 60_000);
         let agg = session.stats();
         assert_eq!(agg.cells, 2);
-        assert_eq!(agg.max_workers, 2);
+        assert_eq!(agg.max_workers, tasks);
         assert!(session.stats_line().contains("2 cells"));
         assert!(!result.stats().throughput_line().is_empty());
     }

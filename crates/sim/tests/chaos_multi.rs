@@ -1,8 +1,7 @@
 //! Fault injection on the multi-controller engine: chaos plans route
 //! through `Topology::partition` to the owning shard, coordination
-//! faults quarantine exactly the controller they strike, sharded
-//! execution stays bit-identical across host counts under any plan,
-//! and durable sweeps (checkpoint/resume, deadlines) now cover
+//! faults quarantine exactly the controller they strike, chaotic runs
+//! replay bit-identically, and durable sweeps (checkpoint/resume, deadlines) now cover
 //! multi-controller cells too.
 
 use std::path::PathBuf;
@@ -51,46 +50,40 @@ fn blackout_on(controller: usize) -> FaultPlan {
 }
 
 #[test]
-fn chaos_outcomes_are_bit_identical_across_host_counts() {
+fn chaos_outcomes_replay_bit_identically() {
     let cfg = cfg(4, "2x2");
     let workload = random_workload(11, 4, 0.75);
 
-    // Ok outcome: a quarantine round-trip must not disturb host-count
-    // invariance — the fault fires at a barrier, never inside a window.
-    let run_ok = |hosts: usize| {
+    // Ok outcome: a quarantine round-trip replays exactly — the fault
+    // fires at a barrier, never inside a window.
+    let run_ok = || {
         let mut sys = build(&cfg, &fast_tcm(4), &workload);
-        sys.set_hosts(hosts);
         sys.install_chaos(&blackout_on(1));
         let result = sys.try_run(HORIZON).expect("quarantine is graceful");
         let events: Vec<String> = sys.degradation_events().iter().map(|a| a.to_string()).collect();
         (result, events)
     };
-    let (base_result, base_events) = run_ok(1);
+    let (base_result, base_events) = run_ok();
     assert!(!base_events.is_empty(), "the blackout must be detected");
-    for hosts in [2, 3] {
-        let (result, events) = run_ok(hosts);
-        assert_eq!(result, base_result, "diverged at {hosts} hosts");
-        assert_eq!(events, base_events, "event log diverged at {hosts} hosts");
-    }
+    let (result, events) = run_ok();
+    assert_eq!(result, base_result, "replay diverged");
+    assert_eq!(events, base_events, "event log diverged on replay");
 
     // Err outcome: a channel fault on the *last* global channel is
-    // detected identically — same violation, same site — at any count.
-    let run_err = |hosts: usize| {
+    // detected identically — same violation, same site — on replay.
+    let run_err = || {
         let mut sys = build(&cfg, &PolicyKind::FrFcfs, &workload);
-        sys.set_hosts(hosts);
         sys.install_chaos(&FaultPlan::none().with_fault(
             FaultSpec::new(FaultKind::TimingViolation, 30_000).on_channel(3),
         ));
         sys.try_run(HORIZON).expect_err("the fault must be detected")
     };
-    let base_err = run_err(1);
+    let base_err = run_err();
     match &base_err {
         SimError::InvariantViolation(v) => assert_eq!(v.channel.index(), 3, "wrong site"),
         other => panic!("expected an invariant violation, got {other}"),
     }
-    for hosts in [2, 3] {
-        assert_eq!(run_err(hosts), base_err, "error diverged at {hosts} hosts");
-    }
+    assert_eq!(run_err(), base_err, "error diverged on replay");
 }
 
 #[test]
@@ -102,7 +95,6 @@ fn zero_fault_plan_is_a_no_op_on_the_multi_engine() {
     let baseline = bare.try_run(HORIZON).expect("clean run");
 
     let mut chaos = build(&cfg, &fast_tcm(4), &workload);
-    chaos.set_hosts(3);
     chaos.install_chaos(&FaultPlan::none());
     let with_plan = chaos.try_run(HORIZON).expect("clean run");
     assert_eq!(baseline, with_plan, "empty plan must be a strict no-op");
@@ -160,7 +152,6 @@ fn scheduler_spin_stall_names_the_frozen_controller() {
     let cfg = cfg(4, "2x2");
     let workload = random_workload(1, 4, 1.0);
     let mut sys = build(&cfg, &PolicyKind::FrFcfs, &workload);
-    sys.set_hosts(2);
     sys.install_chaos(&FaultPlan::none().with_fault(
         FaultSpec::new(FaultKind::SchedulerSpin, 30_000).on_controller(1),
     ));
@@ -234,7 +225,6 @@ fn chaotic_multi_sweep_resumes_bit_identically() {
         RunConfig::builder()
             .system(cfg(4, "2x2"))
             .horizon(HORIZON)
-            .intra_hosts(2)
             .chaos(Some(blackout_on(1)))
             .build()
     };

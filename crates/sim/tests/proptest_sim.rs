@@ -253,44 +253,4 @@ proptest! {
         reference.set_reference_event_order(true);
         prop_assert_eq!(fast_result, reference.run(horizon));
     }
-
-    /// The multi-controller window loop's fast paths (empty-window
-    /// skip-ahead, adaptive inline stepping, reused merge scratch) keep
-    /// the determinism contract: results are bit-identical whichever
-    /// host count partitions the shards.
-    #[test]
-    fn multi_window_skip_is_host_count_invariant(
-        profiles in proptest::collection::vec(
-            (0.0..60.0f64, 0.0..1.0f64, 1.0..8.0f64),
-            2..6,
-        ),
-        policy_index in 0usize..6,
-        hosts in 2usize..5,
-        seed in any::<u64>(),
-    ) {
-        let n = profiles.len();
-        let cfg = SystemConfig::builder()
-            .num_threads(n)
-            .topology(Topology::uniform(2, 2))
-            .build()
-            .unwrap();
-        let workload = workload_from(&profiles);
-        let kinds = policy_lineup(n);
-        let kind = &kinds[policy_index % kinds.len()];
-        let horizon = 100_000;
-
-        let build = |kind: &PolicyKind| {
-            let controllers = (0..cfg.topology.num_controllers())
-                .map(|_| kind.build_controller(n, &cfg))
-                .collect();
-            MultiSystem::new(&cfg, &workload, controllers, kind.build_meta(n, &cfg), seed)
-        };
-        let mut sequential = build(kind);
-        sequential.set_hosts(1);
-        let baseline = sequential.run(horizon);
-
-        let mut sharded = build(kind);
-        sharded.set_hosts(hosts);
-        prop_assert_eq!(sharded.run(horizon), baseline);
-    }
 }

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Wall-clock benchmark of the controller hot path: times the fixed
 # paper-lineup sweep (tcm-run --bench-json) five times — on the default
-# build, on a 2x2 multi-controller topology with the controller phase
-# sharded over two host threads (default build), the same 2x2 sweep
-# with the protocol checker armed and again with an empty fault plan
+# build, on a 2x2 multi-controller topology (default build), the same
+# 2x2 sweep with the protocol checker armed and again with an empty fault plan
 # installed (isolating the chaos layer's cost), and with the telemetry
 # hooks compiled out (--features tcm-telemetry/off) — and merges the
 # records into BENCH_hotpath.json with the disabled-telemetry overhead
@@ -74,8 +73,9 @@ cargo build --release --offline -p tcm-serve --bin tcm-run >/dev/null 2>&1 || tr
 # - indexed / nohooks: the fixed flat-topology sweep on each build
 #   (telemetry-hook cost).
 # - multi: the same sweep on a 2x2 topology (two controllers x two
-#   channels, TCM cells coordinated by the meta-controller), controller
-#   phase sharded over two host threads; runs on the default build.
+#   channels, TCM cells coordinated by the meta-controller); runs on the
+#   default build. Every variant runs one worker, so the multi/flat
+#   ratio compares like with like.
 # - multi_verify / multi_chaos: the multi sweep with the protocol
 #   checker armed, then with an *empty* fault plan installed (same
 #   checker plus the inert chaos state). The pair isolates the chaos
@@ -87,13 +87,13 @@ for k in $(seq "$RUNS"); do
         --bench-json "$TMPDIR_BENCH/indexed.run$k.json" --cycles "$CYCLES"
     "$TMPDIR_BENCH/bin-indexed" \
         --bench-json "$TMPDIR_BENCH/multi.run$k.json" --cycles "$CYCLES" \
-        --topology 2x2 --intra-hosts 2
+        --topology 2x2
     "$TMPDIR_BENCH/bin-indexed" \
         --bench-json "$TMPDIR_BENCH/multi_verify.run$k.json" --cycles "$CYCLES" \
-        --topology 2x2 --intra-hosts 2 --verify
+        --topology 2x2 --verify
     "$TMPDIR_BENCH/bin-indexed" \
         --bench-json "$TMPDIR_BENCH/multi_chaos.run$k.json" --cycles "$CYCLES" \
-        --topology 2x2 --intra-hosts 2 --chaos-empty
+        --topology 2x2 --chaos-empty
     "$TMPDIR_BENCH/bin-nohooks" \
         --bench-json "$TMPDIR_BENCH/nohooks.run$k.json" --cycles "$CYCLES"
 done
@@ -227,7 +227,7 @@ with open(out_path, "w") as f:
 print(f"indexed: {indexed['sim_cycles_per_sec']:.3e} sim-cycles/sec "
       f"({indexed['wall_secs']:.2f}s)")
 print(f"multi:   {multi['sim_cycles_per_sec']:.3e} sim-cycles/sec "
-      f"({multi['wall_secs']:.2f}s, 2x2 topology, 2 intra-cell hosts)")
+      f"({multi['wall_secs']:.2f}s, 2x2 topology)")
 print(f"record -> {out_path}")
 print(f"multi over flat-engine ratio: {multi_over_flat:.3f} "
       f"(windowed-engine gap; 1.0 = parity)")

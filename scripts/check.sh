@@ -32,24 +32,22 @@ TCM_VERIFY=1 cargo test -q --release --offline -p tcm-sim -p tcm-dram
 echo "==> chaos smoke campaign"
 cargo run --release -q -p tcm-serve --bin tcm-run --offline -- --chaos-smoke
 
-# The same campaign on a sharded 2x2 multi-controller machine: all ten
-# fault classes (including the coordination kinds, which only exist
-# there), faults addressed to the last controller/channel to prove
-# topology-aware routing, and the clean control pinning 1-vs-3-host
-# bit-identity under the armed detectors.
-echo "==> chaos smoke campaign (2x2 topology, 3 intra-cell hosts)"
+# The same campaign on a 2x2 multi-controller machine: all ten fault
+# classes (including the coordination kinds, which only exist there),
+# faults addressed to the last controller/channel to prove
+# topology-aware routing, and the clean control pinning bit-identity
+# under the armed detectors.
+echo "==> chaos smoke campaign (2x2 topology)"
 cargo run --release -q -p tcm-serve --bin tcm-run --offline -- \
-    --chaos-smoke --topology 2x2 --intra-hosts 3
+    --chaos-smoke --topology 2x2
 
 # Multi-controller smoke: the paper lineup on a 2x2 topology (TCM cells
-# coordinated by the meta-controller), with the protocol checker on and
-# each cell's controller phase sharded across two host threads — the
-# sharding is required to be bit-identical to sequential stepping, which
-# tests/golden_fingerprints.rs and tests/determinism.rs pin exactly.
-echo "==> multi-controller topology smoke (2x2, sharded, verified)"
+# coordinated by the meta-controller), with the protocol checker on,
+# on two sweep workers.
+echo "==> multi-controller topology smoke (2x2, verified)"
 cargo run --release -q -p tcm-serve --bin tcm-run --offline -- \
     --topology 2x2 --threads 8 --cycles 1200000 \
-    --intra-hosts 2 --verify >/dev/null
+    --workers 2 --verify >/dev/null
 
 TRACE_TMP=$(mktemp -d)
 SERVE_TMP=$(mktemp -d)
@@ -57,21 +55,24 @@ trap 'rm -rf "$TRACE_TMP" "$SERVE_TMP"' EXIT
 
 # Worker-count bit-identity at the CLI: a sweep's workers pull alone
 # baselines and cells from one shared queue in whatever order they free
-# up, and the printed results must not depend on it.
+# up, and the printed results must not depend on it. `--intra-hosts H`
+# multiplies `--workers`, so `1 --intra-hosts 2` must match `2`.
 echo "==> tcm-run --json is byte-identical across worker counts"
-same_across_workers() { # <workers> <workers> <tcm-run args...>
+same_across_workers() { # <worker flags> <worker flags> <tcm-run args...>
     local a=$1 b=$2
     shift 2
-    target/release/tcm-run "$@" --workers "$a" >"$TRACE_TMP/workers-a.json"
-    target/release/tcm-run "$@" --workers "$b" >"$TRACE_TMP/workers-b.json"
+    # shellcheck disable=SC2086 # the worker flags split on purpose
+    target/release/tcm-run "$@" --workers $a >"$TRACE_TMP/workers-a.json"
+    # shellcheck disable=SC2086
+    target/release/tcm-run "$@" --workers $b >"$TRACE_TMP/workers-b.json"
     if ! cmp -s "$TRACE_TMP/workers-a.json" "$TRACE_TMP/workers-b.json"; then
         echo "tcm-run $* differs between --workers $a and --workers $b" >&2
         exit 1
     fi
 }
 same_across_workers 1 3 --workload B --cycles 1200000 --json
-same_across_workers 1 2 --workload B --cycles 1200000 --json \
-    --topology 2x2 --intra-hosts 2
+same_across_workers "1 --intra-hosts 2" 2 --workload B --cycles 1200000 --json \
+    --topology 2x2
 
 # Telemetry trace smoke: run one TCM cell with tracing and metrics
 # enabled and validate the emitted schemas — JSONL event lines, the

@@ -2,9 +2,8 @@
 //! policy must see the identical workload trace, and parallel sweep
 //! execution must be bit-identical to serial execution.
 
-use tcm::core::TcmParams;
 use tcm::sim::{PolicyKind, RunConfig, Session, System};
-use tcm::types::{SystemConfig, Topology};
+use tcm::types::SystemConfig;
 use tcm::workload::random_workload;
 
 fn small_system(threads: usize) -> SystemConfig {
@@ -110,43 +109,4 @@ fn parallel_sweep_is_bit_identical_to_serial() {
         assert_eq!(serial.policy_average(p), parallel.policy_average(p));
     }
     assert_eq!(serial.cells(), parallel.cells());
-}
-
-/// Intra-cell sharding: on a multi-controller topology, splitting one
-/// cell's controllers across host threads must be bit-identical to
-/// stepping them sequentially — for both an uncoordinated policy and
-/// TCM under its meta-controller, across quantum boundaries.
-#[test]
-fn intra_cell_sharding_is_bit_identical_to_sequential() {
-    let session_for = |spec: &str, hosts: usize| {
-        Session::new(
-            RunConfig::builder()
-                .system(
-                    SystemConfig::builder()
-                        .num_threads(8)
-                        .topology(Topology::parse(spec).unwrap())
-                        .build()
-                        .unwrap(),
-                )
-                .horizon(150_000)
-                .intra_hosts(hosts)
-                .build(),
-        )
-    };
-    // Quanta short enough that the horizon crosses several exchanges.
-    let mut params = TcmParams::paper_default(8);
-    params.quantum = 25_000;
-    let workload = random_workload(21, 8, 0.75);
-    for spec in ["2x2", "3+1"] {
-        for policy in [PolicyKind::FrFcfs, PolicyKind::Tcm(params)] {
-            let sequential = session_for(spec, 1).eval(&policy, &workload);
-            for hosts in [2, 4] {
-                let sharded = session_for(spec, hosts).eval(&policy, &workload);
-                assert_eq!(
-                    sequential, sharded,
-                    "{spec} with {hosts} hosts diverged from sequential"
-                );
-            }
-        }
-    }
 }

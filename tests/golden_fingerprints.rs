@@ -143,19 +143,11 @@ fn print_fingerprints() {
 /// The multi-controller grid: FR-FCFS (uncoordinated) and TCM (under
 /// the §5.3 meta-controller) on a uniform 2x2 and an asymmetric 3+1
 /// topology, past TCM's 1M-cycle quantum so the cross-controller
-/// exchange engages. Captured with `intra_hosts = 1`; the sharded test
-/// below reruns the same grid over multiple host threads and must land
-/// on the same fingerprints.
-fn compute_multi_fingerprints(spec: &str, intra_hosts: usize) -> Vec<(String, String, u64)> {
+/// exchange engages.
+fn compute_multi_fingerprints(spec: &str) -> Vec<(String, String, u64)> {
     let mut cfg = SystemConfig::paper_baseline();
     cfg.topology = Topology::parse(spec).expect("valid spec");
-    let session = Session::new(
-        RunConfig::builder()
-            .system(cfg)
-            .horizon(1_200_000)
-            .intra_hosts(intra_hosts)
-            .build(),
-    );
+    let session = Session::new(RunConfig::builder().system(cfg).horizon(1_200_000).build());
     let result = session
         .sweep()
         .policies([
@@ -188,39 +180,27 @@ const GOLDEN_MULTI: [(&str, &str, &str, u64); 4] = [
     ("3+1", "TCM", "rand-75%-01", 0x9738dfdf7bd812c8),
 ];
 
-fn assert_matches_multi_golden(hosts: usize) {
+#[test]
+fn multi_controller_grid_matches_golden_fingerprints() {
     let mut expected = GOLDEN_MULTI.iter();
     for spec in ["2x2", "3+1"] {
-        for (policy, workload, fp) in compute_multi_fingerprints(spec, hosts) {
+        for (policy, workload, fp) in compute_multi_fingerprints(spec) {
             let &(gs, gp, gw, gfp) = expected.next().expect("grid grew");
             assert_eq!((spec, policy.as_str(), workload.as_str()), (gs, gp, gw));
             assert_eq!(
                 fp, gfp,
-                "multi RunResult drifted for {spec} {policy} x {workload} \
-                 ({hosts} hosts): {fp:#018x} != golden {gfp:#018x}"
+                "multi RunResult drifted for {spec} {policy} x {workload}: \
+                 {fp:#018x} != golden {gfp:#018x}"
             );
         }
     }
 }
 
 #[test]
-fn multi_controller_grid_matches_golden_fingerprints() {
-    assert_matches_multi_golden(1);
-}
-
-/// The acceptance bar for intra-cell sharding: the identical grid,
-/// stepped with the controller phase split over three host threads,
-/// must reproduce the sequential fingerprints bit-for-bit.
-#[test]
-fn sharded_multi_controller_grid_matches_golden_fingerprints() {
-    assert_matches_multi_golden(3);
-}
-
-#[test]
 #[ignore = "re-capture helper: prints the GOLDEN_MULTI table"]
 fn print_multi_fingerprints() {
     for spec in ["2x2", "3+1"] {
-        for (policy, workload, fp) in compute_multi_fingerprints(spec, 1) {
+        for (policy, workload, fp) in compute_multi_fingerprints(spec) {
             println!("    (\"{spec}\", \"{policy}\", \"{workload}\", {fp:#018x}),");
         }
     }
@@ -229,13 +209,12 @@ fn print_multi_fingerprints() {
 /// The chaos-under-multi grid: a 2x2 machine struck by both
 /// coordination fault classes — a blackout on mc1 and a skew on mc2 —
 /// with a TCM quantum short enough that each quarantine *and* its
-/// re-admission land inside the horizon. Pins that barrier-synchronous
-/// fault application, quarantine fallback, and re-admission are
-/// bit-identical however the controller phase is sharded. The FR-FCFS
+/// re-admission land inside the horizon. Pins barrier-synchronous fault
+/// application, quarantine fallback, and re-admission. The FR-FCFS
 /// row pins that the same plan is inert (coordination faults have no
 /// target without a meta-controller) while its armed detectors stay
 /// observation-only.
-fn compute_chaos_multi_fingerprints(intra_hosts: usize) -> Vec<(String, String, u64)> {
+fn compute_chaos_multi_fingerprints() -> Vec<(String, String, u64)> {
     let mut cfg = SystemConfig::paper_baseline();
     cfg.topology = Topology::parse("2x2").expect("valid spec");
     // Both faults land after their target's first clean exchange at
@@ -251,7 +230,6 @@ fn compute_chaos_multi_fingerprints(intra_hosts: usize) -> Vec<(String, String, 
         RunConfig::builder()
             .system(cfg)
             .horizon(1_200_000)
-            .intra_hosts(intra_hosts)
             .chaos(Some(plan))
             .build(),
     );
@@ -288,36 +266,25 @@ const GOLDEN_CHAOS_MULTI: [(&str, &str, u64); 2] = [
     ("TCM", "rand-75%-01", 0xc2dba57447602141),
 ];
 
-fn assert_matches_chaos_multi_golden(hosts: usize) {
-    let got = compute_chaos_multi_fingerprints(hosts);
+/// The same faults, the same quarantines, the same bits.
+#[test]
+fn chaos_multi_grid_matches_golden_fingerprints() {
+    let got = compute_chaos_multi_fingerprints();
     assert_eq!(got.len(), GOLDEN_CHAOS_MULTI.len(), "grid shape changed");
     for ((policy, workload, fp), (gp, gw, gfp)) in got.iter().zip(GOLDEN_CHAOS_MULTI) {
         assert_eq!((policy.as_str(), workload.as_str()), (gp, gw));
         assert_eq!(
             *fp, gfp,
-            "chaos-multi RunResult drifted for {policy} x {workload} \
-             ({hosts} hosts): {fp:#018x} != golden {gfp:#018x}"
+            "chaos-multi RunResult drifted for {policy} x {workload}: \
+             {fp:#018x} != golden {gfp:#018x}"
         );
     }
-}
-
-/// The acceptance bar for fault-tolerant sharding: the same faults, the
-/// same quarantines, the same bits — at one, two, and three hosts.
-#[test]
-fn chaos_multi_grid_matches_golden_fingerprints() {
-    assert_matches_chaos_multi_golden(1);
-}
-
-#[test]
-fn sharded_chaos_multi_grid_matches_golden_fingerprints() {
-    assert_matches_chaos_multi_golden(2);
-    assert_matches_chaos_multi_golden(3);
 }
 
 #[test]
 #[ignore = "re-capture helper: prints the GOLDEN_CHAOS_MULTI table"]
 fn print_chaos_multi_fingerprints() {
-    for (policy, workload, fp) in compute_chaos_multi_fingerprints(1) {
+    for (policy, workload, fp) in compute_chaos_multi_fingerprints() {
         println!("    (\"{policy}\", \"{workload}\", {fp:#018x}),");
     }
 }
