@@ -1,44 +1,56 @@
-//! Runs every experiment of the paper (all figures and tables) and writes
-//! the combined report to `experiments_output.md` in the current
-//! directory, in the format EXPERIMENTS.md records.
+//! Runs the paper's experiments (all figures and tables).
+//!
+//! `reproduce` runs every experiment in `experiments::NAMES` order,
+//! prints the reports and writes them to `experiments_output.md` in the
+//! current directory, in the format EXPERIMENTS.md records.
+//! `reproduce NAME...` prints only the named reports and writes no file;
+//! an unknown name exits 2 and lists the known ones.
 //!
 //! Experiments share one [`tcm_sim::Session`] (alone IPCs computed once)
-//! and execute their grids as sharded sweeps; the trailing engine line
-//! reports cells simulated, worker count, and sim-cycles/sec.
+//! and run their grids as sweeps on worker threads; the trailing engine
+//! line reports cells simulated, worker count, and sim-cycles/sec.
 //!
-//! Scale via TCM_CYCLES / TCM_WORKLOADS / TCM_FULL=1.
+//! Scale via TCM_CYCLES / TCM_WORKLOADS / TCM_FULL=1; a value that is
+//! not a positive integer exits 2.
 
 use std::io::Write;
+use std::process::ExitCode;
 use tcm_bench::{experiments, Scale};
+use tcm_sim::Session;
 
-fn main() {
-    let scale = Scale::from_env();
-    let session = experiments::baseline_session(&scale);
-    let mut out = String::new();
-    out.push_str(&format!(
+fn main() -> ExitCode {
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = names.iter().find(|n| !experiments::NAMES.contains(&n.as_str())) {
+        eprintln!(
+            "reproduce: unknown experiment {unknown:?}; expected any of: {}",
+            experiments::NAMES.join(" ")
+        );
+        return ExitCode::from(2);
+    }
+    let scale = match Scale::from_env() {
+        Ok(scale) => scale,
+        Err(e) => {
+            eprintln!("reproduce: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let session = Session::baseline(scale.horizon);
+    let run = |name: &str| experiments::run(name, &scale, &session).expect("a known name");
+    if !names.is_empty() {
+        for name in &names {
+            println!("{}", run(name).render());
+        }
+        return ExitCode::SUCCESS;
+    }
+
+    let mut out = format!(
         "# TCM reproduction — experiment outputs\n\nScale: {} cycles per run, {} workloads \
          per intensity category, {} threads.\n\n",
         scale.horizon, scale.workloads_per_category, scale.threads
-    ));
+    );
     let t0 = std::time::Instant::now();
-    let reports = [
-        experiments::fig1(&scale, &session),
-        experiments::fig2(&scale),
-        experiments::fig3(),
-        experiments::fig4(&scale, &session),
-        experiments::fig5(&scale, &session),
-        experiments::fig6(&scale, &session),
-        experiments::fig7(&scale, &session),
-        experiments::fig8(&scale, &session),
-        experiments::table2(),
-        experiments::table4(),
-        experiments::table6(&scale, &session),
-        experiments::table7(&scale, &session),
-        experiments::table8(&scale),
-        experiments::ablation(&scale, &session),
-    ];
-    for report in &reports {
-        let rendered = report.render();
+    for name in experiments::NAMES {
+        let rendered = run(name).render();
         println!("{rendered}");
         out.push_str(&rendered);
         out.push('\n');
@@ -50,4 +62,5 @@ fn main() {
     file.write_all(out.as_bytes()).expect("write report");
     eprintln!("{engine}");
     eprintln!("wrote experiments_output.md in {:?}", t0.elapsed());
+    ExitCode::SUCCESS
 }

@@ -1,8 +1,8 @@
 //! One driver per table/figure of the paper.
 //!
-//! Every function renders a plain-text report (printed by the
-//! corresponding `src/bin/*` binary and collected by `reproduce` into
-//! EXPERIMENTS.md input). Functions share a [`Session`] so the expensive
+//! Every function renders a plain-text report; [`run`] looks one up by
+//! its name in [`NAMES`], which is how the `reproduce` binary prints one
+//! report or collects them all into EXPERIMENTS.md input. Functions share a [`Session`] so the expensive
 //! alone-run IPCs are computed once per scale, and run their experiment
 //! grids through the `Sweep` layer — on worker threads sharing one work
 //! queue, with bit-identical results to a serial run.
@@ -42,10 +42,34 @@ impl Report {
     }
 }
 
-/// The shared session every baseline-machine experiment runs in: the
-/// paper-baseline system at `scale`'s horizon.
-pub fn baseline_session(scale: &Scale) -> Session {
-    Session::new(RunConfig::builder().horizon(scale.horizon).build())
+/// Every experiment's name, in the order `reproduce` runs them.
+pub const NAMES: [&str; 14] = [
+    "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table2", "table4", "table6",
+    "table7", "table8", "ablation",
+];
+
+/// Runs the experiment called `name` (one of [`NAMES`]), or returns
+/// `None` for any other name. Experiments on the paper's baseline
+/// machine run in `session`, which should be
+/// `Session::baseline(scale.horizon)`; the others build their own.
+pub fn run(name: &str, scale: &Scale, session: &Session) -> Option<Report> {
+    Some(match name {
+        "fig1" => fig1(scale, session),
+        "fig2" => fig2(scale),
+        "fig3" => fig3(),
+        "fig4" => fig4(scale, session),
+        "fig5" => fig5(scale, session),
+        "fig6" => fig6(scale, session),
+        "fig7" => fig7(scale, session),
+        "fig8" => fig8(scale, session),
+        "table2" => table2(),
+        "table4" => table4(),
+        "table6" => table6(scale, session),
+        "table7" => table7(scale, session),
+        "table8" => table8(scale),
+        "ablation" => ablation(scale, session),
+        _ => return None,
+    })
 }
 
 /// Renders the paper's WS-vs-maxSD scatter geometry for a set of
@@ -61,7 +85,7 @@ fn lineup_scatter(averages: &[(String, WorkloadMetrics)]) -> String {
     format!("{}\nlegend: {}\n", plot.render(), legend.join("  "))
 }
 
-/// Runs every policy on every workload (one sharded sweep) and renders
+/// Runs every policy on every workload (one sweep) and renders
 /// an averaged comparison table; returns the per-policy averages
 /// alongside.
 fn lineup_comparison(
@@ -772,6 +796,19 @@ mod tests {
         };
         let r = fig2(&scale);
         assert!(r.body.contains("prioritized"));
+    }
+
+    #[test]
+    fn run_knows_only_the_listed_names() {
+        let scale = Scale {
+            horizon: 100_000,
+            workloads_per_category: 1,
+            threads: 24,
+        };
+        let session = Session::baseline(scale.horizon);
+        let r = run("table2", &scale, &session).expect("table2 is listed");
+        assert_eq!(r.render(), table2().render());
+        assert!(run("nope", &scale, &session).is_none());
     }
 
     #[test]

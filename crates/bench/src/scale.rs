@@ -1,5 +1,6 @@
 //! Experiment scaling knobs.
 
+use std::str::FromStr;
 use tcm_types::Cycle;
 
 /// How big to run the experiments.
@@ -19,43 +20,28 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the environment (see crate docs).
-    pub fn from_env() -> Self {
-        let full = std::env::var("TCM_FULL").map(|v| v == "1").unwrap_or(false);
-        let horizon = std::env::var("TCM_CYCLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(if full { 100_000_000 } else { 20_000_000 });
-        let workloads_per_category = std::env::var("TCM_WORKLOADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(if full { 32 } else { 8 });
-        Self {
-            horizon,
-            workloads_per_category,
+    /// Reads the scale from the environment (see crate docs). An unset
+    /// variable keeps its default; a `TCM_CYCLES` or `TCM_WORKLOADS` that
+    /// is not a positive integer is an error naming the variable.
+    pub fn from_env() -> Result<Self, String> {
+        let full = std::env::var("TCM_FULL").is_ok_and(|v| v == "1");
+        Ok(Self {
+            horizon: positive_var("TCM_CYCLES", if full { 100_000_000 } else { 20_000_000 })?,
+            workloads_per_category: positive_var("TCM_WORKLOADS", if full { 32 } else { 8 })?,
             threads: 24,
-        }
-    }
-
-    /// A tiny scale for unit tests and Criterion kernels.
-    pub fn smoke() -> Self {
-        Self {
-            horizon: 2_000_000,
-            workloads_per_category: 2,
-            threads: 24,
-        }
+        })
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn defaults_are_laptop_scale() {
-        // Environment-dependent, but the smoke scale is fixed.
-        let s = Scale::smoke();
-        assert_eq!(s.horizon, 2_000_000);
-        assert_eq!(s.threads, 24);
-    }
+/// The positive integer in environment variable `name`, or `default`
+/// when it is unset.
+fn positive_var<T: FromStr + Default + PartialEq>(name: &str, default: T) -> Result<T, String> {
+    let Some(value) = std::env::var_os(name) else {
+        return Ok(default);
+    };
+    value
+        .to_str()
+        .and_then(|v| v.parse().ok())
+        .filter(|n| *n != T::default())
+        .ok_or_else(|| format!("{name}={value:?} is not a positive integer"))
 }

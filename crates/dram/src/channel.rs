@@ -126,11 +126,6 @@ impl Channel {
         self.chaos_active = self.chaos.as_ref().is_some_and(|c| !c.is_empty());
     }
 
-    /// Whether a fault-injection state is installed (possibly empty).
-    pub fn chaos_installed(&self) -> bool {
-        self.chaos.is_some()
-    }
-
     /// Attaches a telemetry sink (a clone of the run's shared handle).
     /// Telemetry is observation-only: results are bit-identical with a
     /// sink attached or not.
@@ -192,16 +187,6 @@ impl Channel {
     #[inline]
     pub fn open_row(&self, bank: BankId) -> Option<Row> {
         self.banks.open_row(bank)
-    }
-
-    /// First cycle at which `bank` can begin a new access.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank` is out of range.
-    #[inline]
-    pub fn bank_ready_at(&self, bank: BankId) -> Cycle {
-        self.banks.ready_at(bank)
     }
 
     /// Whether `bank` is currently servicing a request.

@@ -315,11 +315,6 @@ impl Server {
         slog!(Level::Info, "server", "drained cleanly");
         Ok(0)
     }
-
-    /// The server-local drain flag (for tests and embedders).
-    pub fn drain_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shared.draining)
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -221,14 +221,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Fail fast: a single attempt, no retries.
-    pub fn no_retry() -> Self {
-        Self {
-            max_attempts: 1,
-            ..Self::default()
-        }
-    }
-
     /// `attempts` total attempts with the default backoff shape.
     pub fn with_attempts(attempts: u32) -> Self {
         Self {
@@ -1203,16 +1195,6 @@ impl SweepResult {
     /// One policy's metrics averaged over every workload and seed.
     pub fn policy_average(&self, policy: usize) -> WorkloadMetrics {
         average(self.policy_results(policy))
-    }
-
-    /// One (policy, workload) pair's metrics averaged over seeds.
-    pub fn policy_workload_metrics(&self, policy: usize, workload: usize) -> WorkloadMetrics {
-        average(
-            self.cells
-                .iter()
-                .filter(|c| c.policy == policy && c.workload == workload)
-                .map(|c| &c.result),
-        )
     }
 
     /// Per-policy `(label, average metrics)` pairs in sweep order — the

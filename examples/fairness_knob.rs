@@ -21,7 +21,7 @@ fn main() {
 
     println!("workload: {workload}");
 
-    // All five knob settings run as one sharded sweep.
+    // All five knob settings run as one sweep.
     let grid = session
         .sweep()
         .policies((2..=6).map(|k| {

@@ -51,7 +51,21 @@ cargo run --release -q -p tcm-serve --bin tcm-run --offline -- \
 
 TRACE_TMP=$(mktemp -d)
 SERVE_TMP=$(mktemp -d)
-trap 'rm -rf "$TRACE_TMP" "$SERVE_TMP"' EXIT
+REPRO_TMP=$(mktemp -d)
+trap 'rm -rf "$TRACE_TMP" "$SERVE_TMP" "$REPRO_TMP"' EXIT
+
+# Experiment smoke: every figure and table of the paper once, at a tiny
+# scale. It runs in a scratch directory so the committed
+# experiments_output.md is untouched, and must exit 0 with all 14
+# report headings.
+echo "==> reproduce: every experiment once (tiny scale)"
+REPRO_BIN="$PWD/target/release/reproduce"
+(cd "$REPRO_TMP" && TCM_CYCLES=300000 TCM_WORKLOADS=1 "$REPRO_BIN" >report.md)
+headings=$(grep -c '^## ' "$REPRO_TMP/report.md" || true)
+if [[ "$headings" -ne 14 ]]; then
+    echo "reproduce printed $headings report headings, expected 14" >&2
+    exit 1
+fi
 
 # Worker-count bit-identity at the CLI: a sweep's workers pull alone
 # baselines and cells from one shared queue in whatever order they free

@@ -1,7 +1,7 @@
 //! Small-scale checks of the paper's qualitative claims. These run at
 //! reduced horizons (with proportionally reduced TCM quanta) so they are
-//! fast in debug builds; the full-scale shapes are regenerated by the
-//! `tcm-bench` binaries.
+//! fast in debug builds; the full-scale shapes are regenerated by
+//! `tcm-bench`'s `reproduce`.
 
 use tcm::core::TcmParams;
 use tcm::sched::AtlasParams;
