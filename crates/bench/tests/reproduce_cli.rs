@@ -1,6 +1,7 @@
 //! `reproduce NAME...` prints only the named reports, exactly as
 //! [`experiments::run`] renders them, and writes no file; an unknown
-//! name or a bad scale variable is a usage error (exit 2, no panic).
+//! name or a bad scale variable is a usage error (exit 2, no panic),
+//! and a closed stdout pipe is a quiet success.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -14,17 +15,22 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Runs `reproduce args` in `dir` at a small scale, with `env` on top.
-fn reproduce(dir: &PathBuf, args: &[&str], env: &[(&str, &str)]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_reproduce"))
+/// `reproduce args` in `dir` at a small scale, with `env` on top.
+fn command(dir: &PathBuf, args: &[&str], env: &[(&str, &str)]) -> Command {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_reproduce"));
+    command
         .current_dir(dir)
         .env_remove("TCM_FULL")
         .env("TCM_CYCLES", "300000")
         .env("TCM_WORKLOADS", "1")
         .envs(env.iter().copied())
-        .args(args)
-        .output()
-        .expect("reproduce runs")
+        .args(args);
+    command
+}
+
+/// Runs `reproduce args` in `dir` (see [`command`]).
+fn reproduce(dir: &PathBuf, args: &[&str], env: &[(&str, &str)]) -> Output {
+    command(dir, args, env).output().expect("reproduce runs")
 }
 
 #[test]
@@ -65,5 +71,19 @@ fn bad_scale_variables_exit_2_without_a_panic() {
         assert!(out.stdout.is_empty(), "{var}={value} printed a report");
     }
     assert!(!dir.join("experiments_output.md").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_closed_stdout_pipe_is_a_quiet_success() {
+    let dir = scratch("pipe");
+    // The read end is closed before the child starts, so its first
+    // write to stdout fails with a broken pipe.
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = command(&dir, &["table2"], &[]).stdout(writer).output().expect("reproduce runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -75,10 +75,15 @@
 //! `--checkpoint FILE` records every completed sweep cell to FILE
 //! (JSONL, atomically republished after each cell), and `--resume FILE`
 //! restores completed cells from FILE before running the rest — the
-//! merged result is bit-identical to an uninterrupted run. The two
-//! flags name the same mechanism: `--resume` both reads and continues
-//! updating FILE. `--cell-deadline SECS` bounds each cell's wall-clock
-//! time; a cell that exceeds it is cancelled cooperatively, retried
+//! merged result is bit-identical to an uninterrupted run. Each cell is
+//! keyed by everything that can change its result (machine and
+//! topology, horizon, policy, workload, seed, `--verify`, fault plan,
+//! telemetry), so only cells this run would simulate identically are
+//! restored: a flat run's FILE resumes nothing under `--topology 2x2`.
+//! The two flags name the same mechanism: `--resume` both reads and
+//! rewrites FILE, which then holds this run's cells.
+//! `--cell-deadline SECS` bounds each cell's wall-clock time; a cell
+//! that exceeds it is cancelled cooperatively, retried
 //! once with a fresh deadline, and reported as a timeout — other cells
 //! are unaffected.
 //!
@@ -1301,7 +1306,9 @@ fn usage() -> ! {
          \x20          and by the default one-per-core sweep)\n\
          --verify enables the DRAM protocol invariant checker (observation-only)\n\
          --checkpoint records completed sweep cells to FILE (JSONL, atomic updates)\n\
-         --resume restores completed cells from FILE, runs the rest, keeps FILE updated\n\
+         --resume restores the cells of FILE this run would simulate identically\n\
+         \x20          (same machine, horizon, policy, workload, seed), runs the rest,\n\
+         \x20          keeps FILE updated\n\
          --cell-deadline cancels (and retries once) any cell exceeding SECS wall-clock\n\
          --bench-json times the fixed paper-lineup sweep and writes the record to FILE\n\
          --chaos-smoke runs the fault-injection smoke campaign and exits (a\n\

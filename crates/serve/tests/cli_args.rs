@@ -2,7 +2,8 @@
 //! and topology through the daemon's `resolve_sweep`, so a bad argument
 //! is a usage error (exit 2, no panic) carrying the same message the
 //! daemon gives a client for the same spec. `--intra-hosts` only
-//! multiplies the worker count.
+//! multiplies the worker count. A `--checkpoint` file written on one
+//! machine never resumes into a run on another.
 
 use std::process::Command;
 use tcm_proto::{SweepSpec, WorkloadRef};
@@ -83,4 +84,30 @@ fn intra_hosts_multiplies_the_bench_workers() {
     let _ = std::fs::remove_file(&record);
     assert!(json.contains("\"workers\": 2,"), "{json}");
     assert!(json.contains("\"topology\": \"2x2\""), "{json}");
+}
+
+#[test]
+fn a_flat_checkpoint_does_not_resume_into_a_2x2_run() {
+    let dir = std::env::temp_dir().join(format!("tcm-run-graft-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let ckpt = dir.join("ck.jsonl");
+    let _ = std::fs::remove_file(&ckpt);
+    let run = |extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_tcm-run"))
+            .args(["--cycles", "200000", "--threads", "8", "--policies", "fr-fcfs,tcm", "--json"])
+            .args(extra)
+            .output()
+            .expect("tcm-run runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "tcm-run {extra:?}: {stderr}");
+        (out.stdout, stderr)
+    };
+    let ckpt_arg = ckpt.to_str().expect("utf-8 path");
+    let (flat, _) = run(&["--checkpoint", ckpt_arg]);
+    let (resumed, stderr) = run(&["--topology", "2x2", "--resume", ckpt_arg]);
+    let (fresh, _) = run(&["--topology", "2x2"]);
+    assert!(!stderr.contains("resumed"), "flat cells resumed into 2x2: {stderr}");
+    assert_eq!(resumed, fresh, "the resumed 2x2 run prints the fresh 2x2 JSON");
+    assert_ne!(flat, fresh, "a graft would be visible");
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }

@@ -168,11 +168,11 @@ fn restarted_daemon_readmits_wal_jobs_and_finishes_bit_identically() {
     }
     let full = std::fs::read_to_string(ref_dir.join("state/job-1.ckpt.jsonl")).expect("ckpt");
     let lines: Vec<&str> = full.lines().collect();
-    assert_eq!(lines.len(), 5, "header + 4 cells");
-    let torn = &lines[2][..lines[2].len() / 2];
+    assert_eq!(lines.len(), 4, "one line per cell");
+    let torn = &lines[1][..lines[1].len() / 2];
     std::fs::write(
         state_dir.join("job-1.ckpt.jsonl"),
-        format!("{}\n{torn}", lines[..2].join("\n")),
+        format!("{}\n{torn}", lines[0]),
     )
     .expect("truncated ckpt");
     // A daemon stores each alone baseline before the job's first cell
@@ -198,7 +198,7 @@ fn restarted_daemon_readmits_wal_jobs_and_finishes_bit_identically() {
     assert_eq!(recovered, reference, "recovery is byte-identical");
     let republished =
         std::fs::read_to_string(state_dir.join("job-1.ckpt.jsonl")).expect("ckpt republished");
-    assert_eq!(republished.lines().count(), 5, "checkpoint is whole again");
+    assert_eq!(republished.lines().count(), 4, "checkpoint is whole again");
 
     // The restarted daemon's scrape must carry the recovery story: the
     // job folded out of the WAL and the checkpoint cell it replayed.

@@ -35,16 +35,14 @@
 //! as corrupt, recomputed and republished.
 
 use crate::checkpoint::write_durable;
-use crate::multi::MultiSystem;
-use crate::runner::{fnv1a, RunConfig};
-use crate::system::System;
+use crate::runner::{fnv1a, PolicyKind, RunConfig};
+use crate::sweep::run_cell;
 use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use tcm_sched::FrFcfs;
 use tcm_types::{Cycle, SystemConfig};
 use tcm_workload::{BenchmarkProfile, TraceGenerator, WorkloadSpec};
 
@@ -103,25 +101,19 @@ impl AloneKey {
 }
 
 /// IPC of memory-bound `profile` running alone on `rc`'s machine,
-/// simulated (uncached). The policy is irrelevant with a single thread,
-/// so FR-FCFS is used.
+/// simulated (uncached) through the sweep's engine entry. The policy is
+/// irrelevant with a single thread, so FR-FCFS is used. Only the
+/// machine and horizon come from `rc`: the run takes the builder's
+/// defaults (default watchdog; no chaos, verification, deadline or
+/// telemetry) whatever `rc` sets for the shared runs.
 fn compute_alone_ipc(profile: &BenchmarkProfile, rc: &RunConfig) -> f64 {
-    let mut cfg = rc.system.clone();
-    cfg.num_threads = 1;
+    let mut system = rc.system.clone();
+    system.num_threads = 1;
+    let alone = RunConfig::builder().system(system).horizon(rc.horizon).build();
     let workload = WorkloadSpec::new(profile.name.clone(), vec![profile.clone()]);
-    if cfg.topology.num_controllers() > 1 {
-        let controllers = cfg
-            .topology
-            .controllers()
-            .map(|_| Box::new(FrFcfs::new()) as _)
-            .collect();
-        MultiSystem::new(&cfg, &workload, controllers, None, 0)
-            .run(rc.horizon)
-            .ipc[0]
-    } else {
-        let mut sys = System::new(&cfg, &workload, Box::new(FrFcfs::new()), 0);
-        sys.run(rc.horizon).ipc[0]
-    }
+    let (run, _) = run_cell(&PolicyKind::FrFcfs, &workload, &alone, 0, None, None, None)
+        .expect("alone-run simulation failed");
+    run.ipc[0]
 }
 
 #[derive(Debug, Clone, Copy)]

@@ -1,88 +1,58 @@
 //! Incremental sweep checkpointing (see [`Sweep::checkpoint`]).
 //!
-//! A checkpoint is a JSONL file: one header line naming the grid
-//! (policy labels, workload names, seed values, horizon) followed by one
-//! line per *completed* cell. Every `f64` is stored as the decimal
-//! rendering of its IEEE-754 bit pattern, so a resumed sweep reproduces
-//! results **bit-identically** — no decimal round-trip error, NaN and
-//! infinity included.
+//! A checkpoint is a JSONL file with one line per *completed* cell:
+//! `{"key":"<cell key>","result":{...}}`. The key is the `{:?}` text of
+//! the cell's `CellKey` (`sweep.rs`), which holds everything that can
+//! change the cell's result: machine, horizon, policy and parameters,
+//! workload, seed, weights, verify, fault plan and telemetry. A sweep
+//! resumes exactly the cells whose key it computes itself, so a
+//! checkpoint can never graft a result simulated under another
+//! configuration, whatever grid wrote it. Every `f64` is stored as the
+//! decimal rendering of its IEEE-754 bit pattern, so a resumed cell is
+//! **bit-identical** — no decimal round-trip error, NaN and infinity
+//! included.
 //!
 //! Durability: every append rewrites the full buffer to `<path>.tmp` and
 //! atomically renames it over `<path>` — fsyncing the temp file before
 //! the rename and the parent directory after it — so the file on disk
 //! is always a complete, durable prefix of the sweep: a killed process
 //! (or lost power) never leaves a torn or stale published checkpoint
-//! behind. Loading is tolerant: a missing file or a mismatched
-//! header starts fresh, and a trailing partial line (from a pre-rename
-//! crash of some other writer) is ignored.
+//! behind. Loading is tolerant: a missing file loads nothing, and
+//! entries are read up to the first line that does not parse — a
+//! trailing partial line (from a pre-rename crash of some other writer)
+//! is dropped, and a file of the older header-first format loads as no
+//! entries at all.
 //!
 //! The format is an internal detail of [`Sweep::checkpoint`] /
-//! `tcm-run --resume`; the grid identity check means a checkpoint can
-//! never silently graft results from a different experiment.
+//! `tcm-run --resume`.
 //!
 //! [`Sweep::checkpoint`]: crate::Sweep::checkpoint
 
 use crate::metrics::WorkloadMetrics;
 use crate::runner::EvalResult;
-use crate::sweep::SweepCell;
 use crate::machine::RunResult;
+use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use tcm_telemetry::{MetricsRegistry, TelemetrySnapshot};
 use tcm_types::json::{self, Value};
 
-/// Schema tag of the only supported checkpoint version.
-const SCHEMA: &str = "tcm-sweep-checkpoint-v1";
-
-/// The grid a checkpoint belongs to. Two sweeps may share a checkpoint
-/// file only if their headers are identical.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct CheckpointHeader {
-    /// Policy labels, in sweep order.
-    pub policies: Vec<String>,
-    /// Workload names, in sweep order.
-    pub workloads: Vec<String>,
-    /// Seed axis values.
-    pub seeds: Vec<u64>,
-    /// Simulation horizon in cycles.
-    pub horizon: u64,
-}
-
-/// A loaded checkpoint: the grid header plus every completed cell.
-#[derive(Debug)]
-pub(crate) struct Checkpoint {
-    pub header: CheckpointHeader,
-    pub cells: Vec<SweepCell>,
-}
-
-/// Loads the checkpoint at `path`. Returns `Ok(None)` if the file does
-/// not exist; unparsable *trailing* cell lines are ignored (a torn
-/// write), but a bad header is an error so grid mismatches are loud.
-pub(crate) fn load(path: &Path) -> io::Result<Option<Checkpoint>> {
+/// Loads the entries of the checkpoint at `path`, as cell key text to
+/// result. A missing file loads nothing; reading stops at the first
+/// line that does not parse (a torn write), keeping the entries before
+/// it.
+pub(crate) fn load(path: &Path) -> io::Result<HashMap<String, EvalResult>> {
     let text = match fs::read_to_string(path) {
         Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(HashMap::new()),
         Err(e) => return Err(e),
     };
-    let mut lines = text.lines();
-    let Some(first) = lines.next() else {
-        return Ok(None);
-    };
-    let header = parse_header(first)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad checkpoint header"))?;
-    let mut cells = Vec::new();
-    for line in lines {
-        match parse_cell(line) {
-            Some(cell) => cells.push(cell),
-            None => break, // torn tail: keep the cells before it
-        }
-    }
-    Ok(Some(Checkpoint { header, cells }))
+    Ok(text.lines().map_while(parse_entry).collect())
 }
 
 /// Append-only checkpoint writer. Keeps the full serialized file in
-/// memory (header first) and atomically republishes it on every append.
+/// memory and atomically republishes it on every append.
 #[derive(Debug)]
 pub(crate) struct CheckpointWriter {
     path: PathBuf,
@@ -90,32 +60,32 @@ pub(crate) struct CheckpointWriter {
 }
 
 impl CheckpointWriter {
-    /// A writer for `path` starting from `header` and the already-known
-    /// `cells` (the resumed prefix). Publishes the initial state
-    /// immediately so a fresh sweep leaves a valid header-only file even
-    /// if it is killed before the first cell completes.
-    pub fn create(
+    /// A writer for `path` starting from the already-known `entries`
+    /// (the resumed cells). Publishes the initial state immediately, so
+    /// a stale file from another sweep is replaced even if this one is
+    /// killed before its first cell completes.
+    pub fn create<'e>(
         path: PathBuf,
-        header: &CheckpointHeader,
-        cells: &[SweepCell],
+        entries: impl IntoIterator<Item = (&'e str, &'e EvalResult)>,
     ) -> io::Result<Self> {
-        let mut lines = Vec::with_capacity(cells.len() + 1);
-        lines.push(write_header(header));
-        lines.extend(cells.iter().map(write_cell));
+        let lines = entries
+            .into_iter()
+            .map(|(key, result)| write_entry(key, result))
+            .collect();
         let writer = Self { path, lines };
         writer.publish()?;
         Ok(writer)
     }
 
-    /// Records one completed cell and republishes the file atomically.
-    pub fn append(&mut self, cell: &SweepCell) -> io::Result<()> {
-        self.lines.push(write_cell(cell));
+    /// Records one completed cell under its key text and republishes
+    /// the file atomically.
+    pub fn append(&mut self, key: &str, result: &EvalResult) -> io::Result<()> {
+        self.lines.push(write_entry(key, result));
         self.publish()
     }
 
     fn publish(&self) -> io::Result<()> {
-        let mut buffer = self.lines.join("\n");
-        buffer.push('\n');
+        let buffer: String = self.lines.iter().map(|line| format!("{line}\n")).collect();
         write_durable(&self.path, &buffer)
     }
 }
@@ -158,27 +128,10 @@ fn write_f64_array(out: &mut String, values: &[f64]) {
     json::write_u64_array(out, values.iter().map(|v| v.to_bits()));
 }
 
-fn write_header(header: &CheckpointHeader) -> String {
-    let mut out = String::new();
-    out.push_str("{\"schema\":");
-    json::write_str(&mut out, SCHEMA);
-    out.push_str(",\"policies\":");
-    json::write_str_array(&mut out, &header.policies);
-    out.push_str(",\"workloads\":");
-    json::write_str_array(&mut out, &header.workloads);
-    out.push_str(",\"seeds\":");
-    json::write_u64_array(&mut out, header.seeds.iter().copied());
-    out.push_str(&format!(",\"horizon\":{}}}", header.horizon));
-    out
-}
-
-fn write_cell(cell: &SweepCell) -> String {
-    let r = &cell.result;
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"policy\":{},\"workload\":{},\"seed\":{},\"result\":{{\"policy\":",
-        cell.policy, cell.workload, cell.seed
-    ));
+fn write_entry(key: &str, r: &EvalResult) -> String {
+    let mut out = String::from("{\"key\":");
+    json::write_str(&mut out, key);
+    out.push_str(",\"result\":{\"policy\":");
     json::write_str(&mut out, &r.policy);
     out.push_str(",\"workload\":");
     json::write_str(&mut out, &r.workload);
@@ -240,36 +193,21 @@ fn write_cell(cell: &SweepCell) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Parsing. Every reader returns `None` on any malformed input; callers
-// decide whether that is a torn tail (ignore) or a bad header (error).
+// Parsing. Every reader returns `None` on any malformed input.
 // ---------------------------------------------------------------------
 
-fn parse_header(line: &str) -> Option<CheckpointHeader> {
+fn parse_entry(line: &str) -> Option<(String, EvalResult)> {
     let doc = json::parse(line)?;
-    if doc.field("schema")?.as_str()? != SCHEMA {
-        return None;
-    }
-    Some(CheckpointHeader {
-        policies: doc.field("policies")?.str_array()?,
-        workloads: doc.field("workloads")?.str_array()?,
-        seeds: doc.field("seeds")?.u64_array()?,
-        horizon: doc.field("horizon")?.as_u64()?,
-    })
-}
-
-fn parse_cell(line: &str) -> Option<SweepCell> {
-    let doc = json::parse(line)?;
+    let key = doc.field("key")?.as_str()?.to_string();
     let result = doc.field("result")?;
     let metrics = result.field("metrics")?.f64_array()?;
     if metrics.len() != 3 {
         return None;
     }
     let run = result.field("run")?;
-    Some(SweepCell {
-        policy: doc.field("policy")?.as_u64()? as usize,
-        workload: doc.field("workload")?.as_u64()? as usize,
-        seed: doc.field("seed")?.as_u64()? as usize,
-        result: EvalResult {
+    Some((
+        key,
+        EvalResult {
             policy: result.field("policy")?.as_str()?.to_string(),
             workload: result.field("workload")?.as_str()?.to_string(),
             metrics: WorkloadMetrics {
@@ -295,11 +233,11 @@ fn parse_cell(line: &str) -> Option<SweepCell> {
                 None => None,
             },
         },
-    })
+    ))
 }
 
 /// Rebuilds the checkpointed metric summary of a telemetry snapshot.
-/// Only counters and gauges are persisted (see [`write_cell`]); the
+/// Only counters and gauges are persisted (see [`write_entry`]); the
 /// event log comes back empty.
 fn parse_telemetry(v: &Value) -> Option<TelemetrySnapshot> {
     let mut metrics = MetricsRegistry::default();
@@ -322,96 +260,95 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn sample_cell() -> SweepCell {
-        SweepCell {
-            policy: 1,
-            workload: 2,
-            seed: 0,
-            result: EvalResult {
-                policy: "TCM".into(),
-                workload: "w \"quoted\" \\slash\u{7}".into(),
-                metrics: WorkloadMetrics {
-                    weighted_speedup: 3.25,
-                    harmonic_speedup: f64::NAN,
-                    max_slowdown: f64::INFINITY,
-                },
-                slowdowns: vec![1.5, 2.5, -0.0],
-                speedups: vec![0.1, 0.9],
-                run: RunResult {
-                    cycles: 60_000,
-                    retired: vec![1, 2, u64::MAX],
-                    ipc: vec![0.25, 3.0],
-                    misses: vec![10, 20],
-                    service: vec![100, 200],
-                    total_serviced: 42,
-                    row_hit_rate: 0.123_456_789_012_345_67,
-                    spilled: 7,
-                    peak_queue: 99,
-                },
-                telemetry: Some(Box::new({
-                    let mut snapshot = TelemetrySnapshot::default();
-                    snapshot.metrics.set_counter("requests_serviced", 42);
-                    snapshot
-                        .metrics
-                        .set_gauge("row_hit_rate", 0.123_456_789_012_345_67);
-                    snapshot
-                })),
+    fn sample_result() -> EvalResult {
+        EvalResult {
+            policy: "TCM".into(),
+            workload: "w \"quoted\" \\slash\u{7}".into(),
+            metrics: WorkloadMetrics {
+                weighted_speedup: 3.25,
+                harmonic_speedup: f64::NAN,
+                max_slowdown: f64::INFINITY,
             },
+            slowdowns: vec![1.5, 2.5, -0.0],
+            speedups: vec![0.1, 0.9],
+            run: RunResult {
+                cycles: 60_000,
+                retired: vec![1, 2, u64::MAX],
+                ipc: vec![0.25, 3.0],
+                misses: vec![10, 20],
+                service: vec![100, 200],
+                total_serviced: 42,
+                row_hit_rate: 0.123_456_789_012_345_67,
+                spilled: 7,
+                peak_queue: 99,
+            },
+            telemetry: Some(Box::new({
+                let mut snapshot = TelemetrySnapshot::default();
+                snapshot.metrics.set_counter("requests_serviced", 42);
+                snapshot
+                    .metrics
+                    .set_gauge("row_hit_rate", 0.123_456_789_012_345_67);
+                snapshot
+            })),
         }
     }
 
-    fn sample_header() -> CheckpointHeader {
-        CheckpointHeader {
-            policies: vec!["FR-FCFS".into(), "TCM".into()],
-            workloads: vec!["w0".into(), "w1".into(), "w2".into()],
-            seeds: vec![0, 7],
-            horizon: 60_000,
-        }
+    /// The two entries of the committed golden: the sample result with
+    /// telemetry, then the same result without it under another key.
+    fn sample_entries() -> [(&'static str, EvalResult); 2] {
+        let plain = EvalResult {
+            telemetry: None,
+            ..sample_result()
+        };
+        [
+            ("CellKey { workload: \"w0\", seed: 0 }", sample_result()),
+            ("CellKey { workload: \"w0\", seed: 7 }", plain),
+        ]
     }
 
-    /// The committed bytes of a header plus one cell with telemetry.
-    /// Any change to them is a checkpoint-format change.
+    /// The committed bytes of the two sample entries. Any change to
+    /// them is a checkpoint-format change.
     const GOLDEN: &str = include_str!("../tests/fixtures/checkpoint.jsonl");
+
+    fn scratch(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("tcm-ckpt-{name}-{}.jsonl", std::process::id()))
+    }
 
     #[test]
     fn writer_output_matches_the_committed_golden() {
-        let text = format!("{}\n{}\n", write_header(&sample_header()), write_cell(&sample_cell()));
+        let text: String = sample_entries()
+            .iter()
+            .map(|(key, result)| format!("{}\n", write_entry(key, result)))
+            .collect();
         assert_eq!(text, GOLDEN);
-        let mut lines = GOLDEN.lines();
-        assert_eq!(parse_header(lines.next().unwrap()).unwrap(), sample_header());
-        let cell = parse_cell(lines.next().unwrap()).unwrap();
-        assert_eq!(write_cell(&cell), write_cell(&sample_cell()), "bit-exact round trip");
-    }
-
-    #[test]
-    fn header_round_trips() {
-        let header = sample_header();
-        assert_eq!(parse_header(&write_header(&header)).unwrap(), header);
+        for (line, (key, result)) in GOLDEN.lines().zip(sample_entries()) {
+            let (parsed_key, parsed) = parse_entry(line).unwrap();
+            assert_eq!(parsed_key, key);
+            assert_eq!(
+                write_entry(&parsed_key, &parsed),
+                write_entry(key, &result),
+                "bit-exact round trip"
+            );
+        }
     }
 
     #[test]
     fn cell_round_trips_bit_exactly_including_nan_and_infinity() {
-        let cell = sample_cell();
-        let parsed = parse_cell(&write_cell(&cell)).unwrap();
+        let result = sample_result();
+        let (key, parsed) = parse_entry(&write_entry("k \"1\"", &result)).unwrap();
+        assert_eq!(key, "k \"1\"");
         // PartialEq fails on NaN by design; compare bit patterns.
         assert_eq!(
-            parsed.result.metrics.harmonic_speedup.to_bits(),
-            cell.result.metrics.harmonic_speedup.to_bits()
+            parsed.metrics.harmonic_speedup.to_bits(),
+            result.metrics.harmonic_speedup.to_bits()
         );
-        assert_eq!(parsed.result.metrics.max_slowdown, f64::INFINITY);
-        assert_eq!(parsed.result.slowdowns[2].to_bits(), (-0.0f64).to_bits());
-        assert_eq!(
-            parsed.result.run.row_hit_rate.to_bits(),
-            cell.result.run.row_hit_rate.to_bits()
-        );
-        assert_eq!(parsed.result.workload, cell.result.workload);
-        assert_eq!(parsed.result.run.retired, cell.result.run.retired);
-        assert_eq!((parsed.policy, parsed.workload, parsed.seed), (1, 2, 0));
-        let telemetry = parsed.result.telemetry.as_ref().unwrap();
-        assert_eq!(
-            telemetry.metrics.counters().get("requests_serviced"),
-            Some(&42)
-        );
+        assert_eq!(parsed.metrics.max_slowdown, f64::INFINITY);
+        assert_eq!(parsed.slowdowns[2].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(parsed.run.row_hit_rate.to_bits(), result.run.row_hit_rate.to_bits());
+        assert_eq!(parsed.workload, result.workload);
+        assert_eq!(parsed.run.retired, result.run.retired);
+        let telemetry = parsed.telemetry.as_ref().unwrap();
+        assert_eq!(telemetry.metrics.counters().get("requests_serviced"), Some(&42));
         assert_eq!(
             telemetry
                 .metrics
@@ -425,72 +362,78 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_is_ignored_but_header_errors_are_loud() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("tcm-ckpt-test-{}.jsonl", std::process::id()));
-        let header = sample_header();
-        let mut text = write_header(&header);
-        text.push('\n');
-        text.push_str(&write_cell(&sample_cell()));
-        text.push('\n');
-        text.push_str("{\"policy\":1,\"work"); // torn mid-write
+    fn torn_tail_is_ignored_and_header_first_files_load_nothing() {
+        let path = scratch("torn");
+        let mut text = GOLDEN.lines().next().unwrap().to_string();
+        text.push_str("\n{\"key\":\"CellKey { wor"); // torn mid-write
         fs::write(&path, &text).unwrap();
-        let loaded = load(&path).unwrap().unwrap();
-        assert_eq!(loaded.header, header);
-        assert_eq!(loaded.cells.len(), 1, "torn tail dropped");
+        let loaded = load(&path).unwrap();
+        assert_eq!(loaded.len(), 1, "torn tail dropped");
+        assert!(loaded.contains_key(sample_entries()[0].0));
 
-        fs::write(&path, "{\"schema\":\"something-else\"}\n").unwrap();
-        assert!(load(&path).is_err(), "wrong schema must not load silently");
+        // The older format: a grid header, then cells named by grid index.
+        let v1 = "{\"schema\":\"tcm-sweep-checkpoint-v1\",\"policies\":[\"TCM\"],\
+                  \"workloads\":[\"w0\"],\"seeds\":[0],\"horizon\":60000}\n";
+        fs::write(&path, format!("{v1}{GOLDEN}")).unwrap();
+        assert!(load(&path).unwrap().is_empty(), "a header-first file resumes nothing");
         fs::remove_file(&path).unwrap();
-        assert!(load(&path).unwrap().is_none(), "missing file starts fresh");
+        assert!(load(&path).unwrap().is_empty(), "missing file starts fresh");
     }
 
     #[test]
     fn writer_publishes_atomically_and_appends() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("tcm-ckpt-writer-{}.jsonl", std::process::id()));
-        let header = sample_header();
-        let mut writer = CheckpointWriter::create(path.clone(), &header, &[]).unwrap();
-        let after_create = load(&path).unwrap().unwrap();
-        assert!(after_create.cells.is_empty(), "header-only file is valid");
-        writer.append(&sample_cell()).unwrap();
-        writer.append(&sample_cell()).unwrap();
-        let loaded = load(&path).unwrap().unwrap();
-        assert_eq!(loaded.cells.len(), 2);
+        let path = scratch("writer");
+        let mut writer = CheckpointWriter::create(path.clone(), []).unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), "", "nothing resumed: an empty file");
+        for (key, result) in &sample_entries() {
+            writer.append(key, result).unwrap();
+        }
+        assert_eq!(fs::read_to_string(&path).unwrap(), GOLDEN);
+        let loaded = load(&path).unwrap();
+        let reopened = CheckpointWriter::create(
+            path.clone(),
+            sample_entries().iter().map(|(key, _)| (*key, &loaded[*key])),
+        );
+        drop(reopened.unwrap());
+        let republished = fs::read_to_string(&path).unwrap();
+        assert_eq!(republished, GOLDEN, "resumed entries republish verbatim");
         fs::remove_file(&path).unwrap();
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Arbitrary bytes, truncations and single-bit flips of a valid
-        /// checkpoint load as a header plus a prefix of its cells, load
-        /// as nothing, or fail on the header; loading never panics.
+        /// Arbitrary bytes and single-bit flips of a valid checkpoint
+        /// load without panicking, and a cut of it loads exactly the
+        /// entries whose line it keeps whole.
         #[test]
         fn corrupted_files_load_or_are_refused(
             bytes in proptest::collection::vec(any::<u8>(), 0..128),
-            cut in 0..GOLDEN.len(),
+            cut in 0..GOLDEN.len() + 1,
             bit in 0..GOLDEN.len() * 8,
         ) {
-            let path = std::env::temp_dir()
-                .join(format!("tcm-ckpt-props-{}.jsonl", std::process::id()));
+            let path = scratch("props");
             let mut flipped = GOLDEN.as_bytes().to_vec();
             flipped[bit / 8] ^= 1 << (bit % 8);
             for text in [&bytes[..], &flipped] {
                 fs::write(&path, text).unwrap();
-                if let Ok(Some(loaded)) = load(&path) {
-                    prop_assert!(loaded.cells.len() <= 1);
+                if let Ok(loaded) = load(&path) {
+                    prop_assert!(loaded.len() <= 2);
                 }
             }
             fs::write(&path, &GOLDEN[..cut]).unwrap();
-            let header_end = GOLDEN.find('\n').unwrap();
-            match load(&path) {
-                Ok(None) => prop_assert_eq!(cut, 0),
-                Err(_) => prop_assert!(cut < header_end),
-                Ok(Some(loaded)) => {
-                    prop_assert_eq!(loaded.header, sample_header());
-                    prop_assert_eq!(loaded.cells.len(), usize::from(cut == GOLDEN.len() - 1));
-                }
+            let loaded = load(&path).unwrap();
+            let whole = GOLDEN
+                .lines()
+                .scan(0, |end, line| {
+                    *end += line.len() + 1;
+                    Some(*end - 1)
+                })
+                .filter(|&end| end <= cut)
+                .count();
+            prop_assert_eq!(loaded.len(), whole);
+            for (key, result) in sample_entries().iter().take(whole) {
+                prop_assert_eq!(write_entry(key, &loaded[*key]), write_entry(key, result));
             }
             fs::remove_file(&path).unwrap();
         }
@@ -498,11 +441,15 @@ mod tests {
 
     #[test]
     fn cells_with_wrongly_typed_fields_are_rejected() {
-        let cell = GOLDEN.lines().nth(1).unwrap();
-        assert!(parse_cell(cell).is_some());
-        let boolean = cell.replace("\"cycles\":60000", "\"cycles\":true");
-        assert!(parse_cell(&boolean).is_none(), "booleans are not counts");
-        let nested = cell.replace("\"spilled\":7", "\"spilled\":[7]");
-        assert!(parse_cell(&nested).is_none());
+        let entry = GOLDEN.lines().next().unwrap();
+        assert!(parse_entry(entry).is_some());
+        let boolean = entry.replace("\"cycles\":60000", "\"cycles\":true");
+        assert!(parse_entry(&boolean).is_none(), "booleans are not counts");
+        let nested = entry.replace("\"spilled\":7", "\"spilled\":[7]");
+        assert!(parse_entry(&nested).is_none());
+        let key = "{\"key\":\"CellKey { workload: \\\"w0\\\", seed: 0 }\"";
+        let unkeyed = entry.replace(key, "{\"key\":0");
+        assert_ne!(unkeyed, entry);
+        assert!(parse_entry(&unkeyed).is_none(), "a key is text");
     }
 }

@@ -156,9 +156,12 @@ pub struct RunConfig {
     /// one branch per hook. When set, each cell gets its own tracer and
     /// metrics registry whose snapshot lands in `EvalResult::telemetry`.
     /// Telemetry is observation-only: results are bit-identical either
-    /// way. Sweep checkpoints persist only the snapshot's counter/gauge
-    /// summary, so a cell restored by `--resume` carries an empty event
-    /// log.
+    /// way. It is still part of a checkpointed cell's key, because it
+    /// decides whether the stored result carries a snapshot: a cell
+    /// checkpointed without telemetry never resumes into a sweep with
+    /// it, and vice versa. Checkpoints persist only the snapshot's
+    /// counter/gauge summary, so a cell restored by `--resume` carries
+    /// an empty event log.
     pub telemetry: Option<TelemetryConfig>,
 }
 

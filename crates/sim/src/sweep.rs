@@ -42,7 +42,7 @@
 //! # Ok::<(), tcm_types::ConfigError>(())
 //! ```
 
-use crate::checkpoint::{self, CheckpointHeader, CheckpointWriter};
+use crate::checkpoint::{self, CheckpointWriter};
 use crate::metrics::{workload_metrics, IpcPair, WorkloadMetrics};
 use crate::multi::MultiSystem;
 use crate::runner::{workload_seed, EvalResult, PolicyKind, RunConfig};
@@ -54,8 +54,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-use tcm_telemetry::{DegradationAnomaly, Telemetry};
-use tcm_types::{CancelToken, ControllerId, Cycle, SimError};
+use tcm_chaos::FaultPlan;
+use tcm_telemetry::{DegradationAnomaly, Telemetry, TelemetryConfig};
+use tcm_types::{CancelToken, ControllerId, Cycle, SimError, SystemConfig};
 use tcm_workload::{BenchmarkProfile, WorkloadSpec};
 
 pub use crate::alone::{AloneIpcCache, ProfileFingerprint};
@@ -129,6 +130,55 @@ pub(crate) fn try_eval_cell(
         run,
         telemetry: telemetry.and_then(|t| t.snapshot()).map(Box::new),
     })
+}
+
+/// Everything [`try_eval_cell`] reads that can change a successful
+/// result: the machine (topology included), the horizon, the policy
+/// with its parameters, the workload's name (it seeds the traces) and
+/// profiles, the seed-axis value, the weights as bits, and the verify,
+/// chaos and telemetry settings. A sweep checkpoint names each stored
+/// cell by this key's `{:?}` text, so a cell resumes only into a sweep
+/// that would simulate it identically. [`RunConfig::watchdog`],
+/// [`RunConfig::cell_deadline`] and [`RunConfig::intra_hosts`] are left
+/// out: they decide whether a run fails or how it is scheduled, never
+/// what a successful one returns.
+#[derive(Debug)]
+#[allow(dead_code, reason = "the fields are read by the derived Debug, which is the key")]
+struct CellKey<'a> {
+    system: &'a SystemConfig,
+    horizon: Cycle,
+    policy: &'a PolicyKind,
+    workload: &'a str,
+    profiles: Vec<ProfileFingerprint>,
+    seed: u64,
+    weight_bits: Option<Vec<u64>>,
+    verify: bool,
+    chaos: Option<&'a FaultPlan>,
+    telemetry: Option<&'a TelemetryConfig>,
+}
+
+impl<'a> CellKey<'a> {
+    /// The key of `policy` on `workload` at seed-axis value `seed`.
+    fn new(
+        policy: &'a PolicyKind,
+        workload: &'a WorkloadSpec,
+        rc: &'a RunConfig,
+        weights: Option<&[f64]>,
+        seed: u64,
+    ) -> Self {
+        Self {
+            system: &rc.system,
+            horizon: rc.horizon,
+            policy,
+            workload: &workload.name,
+            profiles: workload.threads.iter().map(ProfileFingerprint::of).collect(),
+            seed,
+            weight_bits: weights.map(|w| w.iter().map(|v| v.to_bits()).collect()),
+            verify: rc.verify,
+            chaos: rc.chaos.as_ref(),
+            telemetry: rc.telemetry.as_ref(),
+        }
+    }
 }
 
 /// Builds the engine for `rc.system.topology` ([`System`] for one
@@ -654,14 +704,14 @@ impl Sweep<'_> {
     ///
     /// Every completed cell is appended durably (full rewrite to a
     /// `.tmp` sibling, then an atomic rename), so a killed sweep loses
-    /// at most the cells in flight. Re-running the identical sweep with
-    /// the same checkpoint path skips the recorded cells and merges
-    /// their stored results **bit-identically** — floats are stored as
-    /// IEEE-754 bit patterns, not decimal.
-    ///
-    /// A checkpoint from a *different* grid (policies, workloads, seeds
-    /// or horizon changed) is ignored with a warning and overwritten;
-    /// failed cells are never recorded, so a resume retries them.
+    /// at most the cells in flight. Each entry is keyed by everything
+    /// that can change the cell's result — machine, horizon, policy and
+    /// parameters, workload, seed, weights, verify, fault plan and
+    /// telemetry. A sweep run with the same checkpoint path restores
+    /// every cell whose key is stored, **bit-identically** (floats are
+    /// stored as IEEE-754 bit patterns, not decimal), and simulates the
+    /// rest. It then rewrites the file to hold this sweep's cells only.
+    /// Failed cells are never recorded, so a resume retries them.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint = Some(path.into());
         self
@@ -741,6 +791,7 @@ impl Sweep<'_> {
             "a sweep needs at least one policy and one workload"
         );
         let t0 = Instant::now();
+        let rc = &self.session.rc;
         let (np, nw, ns) = (self.policies.len(), self.workloads.len(), self.seeds.len());
         let total = np * nw * ns;
         // Grid order: policy-major, then workload, then seed.
@@ -748,60 +799,59 @@ impl Sweep<'_> {
             .flat_map(|p| (0..nw).flat_map(move |w| (0..ns).map(move |s| (p, w, s))))
             .collect();
 
-        // Checkpoint/resume: recorded cells of an identical grid are
-        // reused verbatim (bit-identical — see `checkpoint.rs`); a
-        // mismatched header means a different experiment, so start over.
-        let header = CheckpointHeader {
-            policies: self.policies.iter().map(PolicyKind::label).collect(),
-            workloads: self.workloads.iter().map(|w| w.name.clone()).collect(),
-            seeds: self.seeds.clone(),
-            horizon: self.session.rc.horizon,
-        };
-        let mut cached: HashMap<(usize, usize, usize), SweepCell> = HashMap::new();
-        if let Some(path) = &self.checkpoint {
-            match checkpoint::load(path) {
-                Ok(Some(loaded)) if loaded.header == header => {
-                    for cell in loaded.cells {
-                        let key = (cell.policy, cell.workload, cell.seed);
-                        if indices.contains(&key) {
-                            cached.insert(key, cell);
-                        }
-                    }
-                }
-                Ok(Some(_)) => eprintln!(
-                    "warning: checkpoint {} belongs to a different sweep grid; starting fresh",
-                    path.display()
-                ),
-                Ok(None) => {}
-                Err(err) => eprintln!(
+        // Checkpoint/resume: a grid position whose key is stored is
+        // restored verbatim (bit-identical — see `checkpoint.rs`); the
+        // rest run.
+        let keys: Vec<String> = indices
+            .iter()
+            .map(|&(p, w, s)| {
+                let key = CellKey::new(
+                    &self.policies[p],
+                    &self.workloads[w],
+                    rc,
+                    self.weights.as_deref(),
+                    self.seeds[s],
+                );
+                format!("{key:?}")
+            })
+            .collect();
+        let stored = match &self.checkpoint {
+            Some(path) => checkpoint::load(path).unwrap_or_else(|err| {
+                eprintln!(
                     "warning: could not read checkpoint {}: {err}; starting fresh",
                     path.display()
-                ),
-            }
-        }
-        let resumed = cached.len();
+                );
+                HashMap::new()
+            }),
+            None => HashMap::new(),
+        };
+        let mut cells: Vec<Option<SweepCell>> = indices
+            .iter()
+            .zip(&keys)
+            .map(|(&(policy, workload, seed), key)| {
+                let result = stored.get(key)?.clone();
+                Some(SweepCell { policy, workload, seed, result })
+            })
+            .collect();
+        let resumed = cells.iter().flatten().count();
         let writer: Option<Mutex<CheckpointWriter>> = self.checkpoint.as_ref().map(|path| {
-            let prefix: Vec<SweepCell> = indices
+            let entries = cells
                 .iter()
-                .filter_map(|key| cached.get(key).cloned())
-                .collect();
+                .zip(&keys)
+                .filter_map(|(cell, key)| Some((key.as_str(), &cell.as_ref()?.result)));
             Mutex::new(
-                CheckpointWriter::create(path.clone(), &header, &prefix)
+                CheckpointWriter::create(path.clone(), entries)
                     .expect("cannot create sweep checkpoint file"),
             )
         });
-        let to_run: Vec<(usize, usize, usize)> = indices
-            .iter()
-            .copied()
-            .filter(|key| !cached.contains_key(key))
-            .collect();
+        let to_run: Vec<usize> = (0..total).filter(|&i| cells[i].is_none()).collect();
 
         // Alone baselines only for workloads with a cell left to run (a
         // fully resumed workload needs none), each distinct profile once.
         let alone_runs = AtomicU64::new(0);
         let mut seen = HashSet::new();
         let alone: Vec<&BenchmarkProfile> = (0..nw)
-            .filter(|&w| to_run.iter().any(|&(_, pending, _)| pending == w))
+            .filter(|&w| to_run.iter().any(|&i| indices[i].1 == w))
             .flat_map(|w| &self.workloads[w].threads)
             .filter(|profile| seen.insert(ProfileFingerprint::of(profile)))
             .collect();
@@ -812,10 +862,8 @@ impl Sweep<'_> {
         // so a subscriber watching a restarted sweep receives the full
         // grid without consulting the checkpoint itself.
         if let Some(hook) = &self.on_cell {
-            for key in &indices {
-                if let Some(cell) = cached.get(key) {
-                    hook(cell, true);
-                }
+            for cell in cells.iter().flatten() {
+                hook(cell, true);
             }
         }
 
@@ -858,7 +906,8 @@ impl Sweep<'_> {
             })
         };
         type CellOutcome = Option<Result<SweepCell, Box<CellError>>>;
-        let eval_one = |&(p, w, s): &(usize, usize, usize)| -> CellOutcome {
+        let eval_one = |i: usize| -> CellOutcome {
+            let (p, w, s) = indices[i];
             if should_stop() {
                 return None; // skipped: resumable from the checkpoint
             }
@@ -895,7 +944,7 @@ impl Sweep<'_> {
                     writer
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .append(&cell)
+                        .append(&keys[i], &cell.result)
                         .map_err(|e| CellFailureKind::Checkpoint(e.to_string()))?;
                 }
                 Ok(cell)
@@ -946,22 +995,18 @@ impl Sweep<'_> {
         // One queue: the alone baselines, then the cells in grid order (a
         // cell needing a baseline in flight waits for it: single-flight).
         let outcomes = work_queue(alone.len() + to_run.len(), workers, |i| match alone.get(i) {
-            None => eval_one(&to_run[i - alone.len()]),
+            None => eval_one(to_run[i - alone.len()]),
             Some(_) if should_stop() => None,
             Some(profile) => {
                 self.session.alone_ipc_counted(profile, &alone_runs);
                 None
             }
         });
-        // Merge fresh outcomes with resumed cells, restoring grid order.
-        let mut fresh: HashMap<(usize, usize, usize), SweepCell> = HashMap::new();
         let mut failures = Vec::new();
         let mut skipped = 0usize;
-        for outcome in outcomes.into_iter().skip(alone.len()) {
+        for (&i, outcome) in to_run.iter().zip(outcomes.into_iter().skip(alone.len())) {
             match outcome {
-                Some(Ok(cell)) => {
-                    fresh.insert((cell.policy, cell.workload, cell.seed), cell);
-                }
+                Some(Ok(cell)) => cells[i] = Some(cell),
                 Some(Err(err)) => {
                     // One stable, grep-able line per failed cell so CI
                     // logs surface failures without parsing the report.
@@ -971,13 +1016,8 @@ impl Sweep<'_> {
                 None => skipped += 1,
             }
         }
-        let executed = fresh.len();
-        let mut cells = Vec::with_capacity(resumed + executed);
-        for key in &indices {
-            if let Some(cell) = cached.remove(key).or_else(|| fresh.remove(key)) {
-                cells.push(cell);
-            }
-        }
+        let cells: Vec<SweepCell> = cells.into_iter().flatten().collect();
+        let executed = cells.len() - resumed;
 
         let wall = t0.elapsed();
         let alone_runs = alone_runs.into_inner();
@@ -990,12 +1030,12 @@ impl Sweep<'_> {
             skipped,
             workers,
             alone_runs,
-            sim_cycles: (executed as u64 + alone_runs) * self.session.rc.horizon,
+            sim_cycles: (executed as u64 + alone_runs) * rc.horizon,
             wall,
         };
         SweepResult {
-            policy_labels: header.policies,
-            workload_names: header.workloads,
+            policy_labels: self.policies.iter().map(PolicyKind::label).collect(),
+            workload_names: self.workloads.iter().map(|w| w.name.clone()).collect(),
             seeds: self.seeds,
             cells,
             failures,
@@ -1448,6 +1488,59 @@ mod tests {
     }
 
     #[test]
+    fn cell_key_holds_what_changes_a_result_and_nothing_else() {
+        let base_rc = rc(4, "4", 60_000);
+        let tcm = PolicyKind::Tcm(tcm_core::TcmParams::paper_default(4));
+        let workload = random_workload(1, 4, 0.5);
+        fn key(
+            policy: &PolicyKind,
+            workload: &WorkloadSpec,
+            rc: &RunConfig,
+            weights: Option<&[f64]>,
+            seed: u64,
+        ) -> String {
+            format!("{:?}", CellKey::new(policy, workload, rc, weights, seed))
+        }
+        let on = |rc: &RunConfig| key(&tcm, &workload, rc, None, 0);
+        let with = |edit: fn(&mut RunConfig)| {
+            let mut rc = base_rc.clone();
+            edit(&mut rc);
+            rc
+        };
+        let base = on(&base_rc);
+
+        let retuned =
+            PolicyKind::Tcm(tcm_core::TcmParams::paper_default(4).with_cluster_thresh(0.25));
+        let mut renamed = workload.clone();
+        renamed.name.push('x');
+        let mut heavier = workload.clone();
+        heavier.threads[0].mpki = f64::from_bits(heavier.threads[0].mpki.to_bits() + 1);
+        let changed = [
+            ("topology", on(&rc(4, "2x2", 60_000))),
+            ("horizon", on(&rc(4, "4", 90_000))),
+            ("TCM param", key(&retuned, &workload, &base_rc, None, 0)),
+            ("one profile's mpki bits", key(&tcm, &heavier, &base_rc, None, 0)),
+            ("workload name", key(&tcm, &renamed, &base_rc, None, 0)),
+            ("seed", key(&tcm, &workload, &base_rc, None, 7)),
+            ("weights", key(&tcm, &workload, &base_rc, Some(&[1.0; 4]), 0)),
+            ("verify", on(&with(|rc| rc.verify = true))),
+            ("empty fault plan", on(&with(|rc| rc.chaos = Some(FaultPlan::none())))),
+            ("telemetry", on(&with(|rc| rc.telemetry = Some(TelemetryConfig::default())))),
+        ];
+        for (what, changed) in &changed {
+            assert_ne!(changed, &base, "{what} must change the key");
+        }
+        let same = [
+            ("watchdog", with(|rc| rc.watchdog = None)),
+            ("cell deadline", with(|rc| rc.cell_deadline = Some(Duration::from_secs(1)))),
+            ("intra hosts", with(|rc| rc.intra_hosts = 4)),
+        ];
+        for (what, rc) in &same {
+            assert_eq!(on(rc), base, "{what} must leave the key equal");
+        }
+    }
+
+    #[test]
     fn concurrent_sweeps_on_a_shared_cache_count_only_their_own_alone_runs() {
         let cache = Arc::new(AloneIpcCache::default());
         let sessions = [
@@ -1549,20 +1642,14 @@ mod tests {
         };
         let _ = std::fs::remove_file(&path);
         let first = sweep(&small_session(), 1);
-        // Keep only the finished workload's cells in the checkpoint.
-        let header = CheckpointHeader {
-            policies: first.policy_labels().to_vec(),
-            workloads: first.workload_names().to_vec(),
-            seeds: vec![0],
-            horizon: 60_000,
-        };
-        let done: Vec<SweepCell> = first
-            .cells()
-            .iter()
-            .filter(|cell| cell.workload == 0)
-            .cloned()
+        // Keep only the finished workload's entries in the checkpoint.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let done: Vec<&str> = text
+            .lines()
+            .filter(|entry| entry.contains("\"workload\":\"done\""))
             .collect();
-        drop(CheckpointWriter::create(path.clone(), &header, &done).unwrap());
+        assert_eq!(done.len(), 2);
+        std::fs::write(&path, format!("{}\n", done.join("\n"))).unwrap();
 
         let session = small_session();
         let resumed = sweep(&session, 2);

@@ -1,20 +1,30 @@
 //! Durable-sweep integration tests: incremental checkpointing, resume
-//! after an interrupted run, and per-cell wall-clock deadlines.
+//! after an interrupted run, resume across grids, and per-cell
+//! wall-clock deadlines.
 //!
 //! The kill-mid-flight scenario is emulated by truncating the
-//! checkpoint file to the header plus a prefix of completed cells —
-//! exactly what a process killed between two atomic publishes leaves
-//! behind — then resuming into a fresh `Session`.
+//! checkpoint file to a prefix of completed cells — exactly what a
+//! process killed between two atomic publishes leaves behind — then
+//! resuming into a fresh `Session`.
 
 use std::path::PathBuf;
 use std::time::Duration;
+use tcm_core::TcmParams;
 use tcm_sim::{CellFailureKind, PolicyKind, RunConfig, Session, SweepResult};
-use tcm_types::SystemConfig;
+use tcm_types::{SystemConfig, Topology};
 use tcm_workload::random_workload;
 
 fn cfg(threads: usize) -> SystemConfig {
     SystemConfig::builder()
         .num_threads(threads)
+        .build()
+        .expect("config is valid")
+}
+
+fn two_by_two(threads: usize) -> SystemConfig {
+    SystemConfig::builder()
+        .num_threads(threads)
+        .topology(Topology::parse("2x2").expect("topology parses"))
         .build()
         .expect("config is valid")
 }
@@ -54,18 +64,13 @@ fn interrupted_sweep_resumes_bit_identically() {
     assert!(reference.is_complete());
 
     // First attempt, checkpointed. Then emulate a kill between two
-    // atomic publishes: keep the header plus the first three cells.
+    // atomic publishes: keep the first three cells.
     let first = sweep_with(&Session::new(run_config()), Some(&path));
     assert!(first.is_complete());
     let full = std::fs::read_to_string(&path).expect("checkpoint exists");
     let lines: Vec<&str> = full.lines().collect();
-    assert_eq!(
-        lines.len(),
-        1 + reference.cells().len(),
-        "header + one line per completed cell"
-    );
-    let kept = 1 + 3;
-    std::fs::write(&path, format!("{}\n", lines[..kept].join("\n")))
+    assert_eq!(lines.len(), reference.cells().len(), "one line per completed cell");
+    std::fs::write(&path, format!("{}\n", lines[..3].join("\n")))
         .expect("truncate checkpoint");
 
     // Resume into a fresh session: three cells restore, nine re-run.
@@ -111,8 +116,8 @@ fn kill_nine_mid_republish_leaves_a_resumable_checkpoint() {
 
     // The crash scene: two intact cells, a torn third line in the
     // published file, and a half-written rewrite in the `.tmp` sibling.
-    let torn = &lines[3][..lines[3].len() / 2];
-    std::fs::write(&path, format!("{}\n{torn}", lines[..3].join("\n")))
+    let torn = &lines[2][..lines[2].len() / 2];
+    std::fs::write(&path, format!("{}\n{torn}", lines[..2].join("\n")))
         .expect("truncate checkpoint mid-line");
     std::fs::write(&tmp, &full[..full.len() / 3]).expect("stale tmp");
 
@@ -130,7 +135,7 @@ fn kill_nine_mid_republish_leaves_a_resumable_checkpoint() {
     let republished = std::fs::read_to_string(&path).expect("checkpoint republished");
     assert_eq!(
         republished.lines().count(),
-        1 + reference.cells().len(),
+        reference.cells().len(),
         "checkpoint is whole again after resume"
     );
 
@@ -142,15 +147,9 @@ fn checkpoint_from_a_different_grid_is_refused() {
     let path = scratch("mismatch");
     let _ = std::fs::remove_file(&path);
 
-    // Checkpoint a *different* sweep (other policy axis) to the path.
-    let session = Session::new(run_config());
-    let other = session
-        .sweep()
-        .policies([PolicyKind::Fcfs])
-        .workloads([random_workload(0, 4, 0.75)])
-        .checkpoint(path.clone())
-        .run();
-    assert!(other.is_complete());
+    // Checkpoint the same axes at another horizon to the path.
+    let other = RunConfig::builder().system(cfg(4)).horizon(90_000).build();
+    assert!(sweep_with(&Session::new(other), Some(&path)).is_complete());
 
     // The real sweep must not adopt the foreign cells: everything
     // re-runs and the result matches a checkpoint-free reference.
@@ -158,6 +157,51 @@ fn checkpoint_from_a_different_grid_is_refused() {
     assert_eq!(resumed.stats().resumed, 0, "foreign grid: start fresh");
     let reference = sweep_with(&Session::new(run_config()), None);
     assert_eq!(resumed.cells(), reference.cells());
+
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn flat_checkpoint_resumes_nothing_into_a_2x2_sweep() {
+    let path = scratch("flat-to-2x2");
+    let _ = std::fs::remove_file(&path);
+    let on = |system| Session::new(RunConfig::builder().system(system).horizon(60_000).build());
+
+    // The same labels, workloads, seeds and horizon, on another machine.
+    let flat = sweep_with(&on(cfg(4)), Some(&path));
+    assert!(flat.is_complete());
+    let resumed = sweep_with(&on(two_by_two(4)), Some(&path));
+    assert_eq!(resumed.stats().resumed, 0, "flat cells never graft onto 2x2");
+    let fresh = sweep_with(&on(two_by_two(4)), None);
+    assert_eq!(resumed.cells(), fresh.cells());
+    assert_ne!(flat.cells(), fresh.cells(), "a graft would be visible");
+
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn checkpoint_of_a_policy_subset_resumes_its_cells_into_a_larger_grid() {
+    let path = scratch("subset");
+    let _ = std::fs::remove_file(&path);
+    let tcm = || PolicyKind::Tcm(TcmParams::paper_default(4));
+    let atlas = || PolicyKind::Atlas(tcm_sched::AtlasParams::paper_default());
+    let sweep = |policies: Vec<PolicyKind>, checkpoint: bool| {
+        let session = Session::new(run_config());
+        let mut sweep = session
+            .sweep()
+            .policies(policies)
+            .workloads([random_workload(3, 4, 0.75)]);
+        if checkpoint {
+            sweep = sweep.checkpoint(path.clone());
+        }
+        sweep.run_parallel(2)
+    };
+
+    assert!(sweep(vec![PolicyKind::FrFcfs, tcm()], true).is_complete());
+    let resumed = sweep(vec![PolicyKind::FrFcfs, atlas(), tcm()], true);
+    assert_eq!(resumed.stats().resumed, 2, "FR-FCFS and TCM restore, ATLAS runs");
+    let fresh = sweep(vec![PolicyKind::FrFcfs, atlas(), tcm()], false);
+    assert_eq!(resumed.cells(), fresh.cells(), "bit-identical to a fresh run");
 
     let _ = std::fs::remove_file(&path);
 }

@@ -67,6 +67,20 @@ if [[ "$headings" -ne 14 ]]; then
     exit 1
 fi
 
+# A reader that closes the pipe early ends reproduce quietly: exit 0
+# and nothing on stderr (no broken-pipe panic).
+echo "==> reproduce | head -1 exits 0 quietly"
+set +o pipefail # read the producer's status from PIPESTATUS instead
+TCM_CYCLES=300000 TCM_WORKLOADS=1 "$REPRO_BIN" table2 2>"$REPRO_TMP/pipe.err" \
+    | head -1 >/dev/null
+status=${PIPESTATUS[0]}
+set -o pipefail
+if [[ "$status" -ne 0 || -s "$REPRO_TMP/pipe.err" ]]; then
+    echo "reproduce table2 | head -1 exited $status with stderr:" >&2
+    cat "$REPRO_TMP/pipe.err" >&2
+    exit 1
+fi
+
 # Worker-count bit-identity at the CLI: a sweep's workers pull alone
 # baselines and cells from one shared queue in whatever order they free
 # up, and the printed results must not depend on it. `--intra-hosts H`
@@ -87,6 +101,17 @@ same_across_workers() { # <worker flags> <worker flags> <tcm-run args...>
 same_across_workers 1 3 --workload B --cycles 1200000 --json
 same_across_workers "1 --intra-hosts 2" 2 --workload B --cycles 1200000 --json \
     --topology 2x2
+
+# Checkpoint entries are keyed by what each cell simulates: a flat
+# checkpoint resumed under --topology 2x2 must resume nothing and print
+# exactly the fresh 2x2 run's JSON.
+echo "==> a flat checkpoint does not resume into a 2x2 run"
+GRAFT=(--cycles 200000 --threads 8 --policies fr-fcfs,tcm --json)
+target/release/tcm-run "${GRAFT[@]}" --checkpoint "$TRACE_TMP/ck.jsonl" >/dev/null
+target/release/tcm-run "${GRAFT[@]}" --topology 2x2 --resume "$TRACE_TMP/ck.jsonl" \
+    >"$TRACE_TMP/graft.json"
+target/release/tcm-run "${GRAFT[@]}" --topology 2x2 >"$TRACE_TMP/fresh.json"
+cmp "$TRACE_TMP/graft.json" "$TRACE_TMP/fresh.json"
 
 # Telemetry trace smoke: run one TCM cell with tracing and metrics
 # enabled and validate the emitted schemas — JSONL event lines, the
