@@ -145,15 +145,27 @@ fn print_fingerprints() {
 /// topology, past TCM's 1M-cycle quantum so the cross-controller
 /// exchange engages.
 fn compute_multi_fingerprints(spec: &str) -> Vec<(String, String, u64)> {
+    compute_topology_fingerprints(
+        spec,
+        [
+            PolicyKind::FrFcfs,
+            PolicyKind::Tcm(tcm::core::TcmParams::paper_default(24)),
+        ],
+    )
+}
+
+/// `policies` on one random mixed workload on the `spec` topology at
+/// 1.2M cycles.
+fn compute_topology_fingerprints(
+    spec: &str,
+    policies: impl IntoIterator<Item = PolicyKind>,
+) -> Vec<(String, String, u64)> {
     let mut cfg = SystemConfig::paper_baseline();
     cfg.topology = Topology::parse(spec).expect("valid spec");
     let session = Session::new(RunConfig::builder().system(cfg).horizon(1_200_000).build());
     let result = session
         .sweep()
-        .policies([
-            PolicyKind::FrFcfs,
-            PolicyKind::Tcm(tcm::core::TcmParams::paper_default(24)),
-        ])
+        .policies(policies)
         .workloads([random_workload(1, 24, 0.75)])
         .run();
     assert!(result.is_complete(), "multi golden grid must not fail");
@@ -201,6 +213,59 @@ fn multi_controller_grid_matches_golden_fingerprints() {
 fn print_multi_fingerprints() {
     for spec in ["2x2", "3+1"] {
         for (policy, workload, fp) in compute_multi_fingerprints(spec) {
+            println!("    (\"{spec}\", \"{policy}\", \"{workload}\", {fp:#018x}),");
+        }
+    }
+}
+
+/// The rest of the paper's lineup on the same two topologies: STFM,
+/// PAR-BS and ATLAS, each policy instance arbitrating one controller.
+fn compute_multi_lineup_fingerprints(spec: &str) -> Vec<(String, String, u64)> {
+    compute_topology_fingerprints(
+        spec,
+        [
+            PolicyKind::Stfm(tcm::sched::StfmParams::paper_default()),
+            PolicyKind::ParBs(tcm::sched::ParBsParams::paper_default()),
+            PolicyKind::Atlas(tcm::sched::AtlasParams::paper_default()),
+        ],
+    )
+}
+
+/// Captured before PAR-BS read the controller's buffer and before shard
+/// completion notices became opt-in; pins both changes to the old bits.
+/// ATLAS's 10M-cycle quantum never elapses here, so its cells coincide
+/// with the `GOLDEN_MULTI` FR-FCFS entries.
+const GOLDEN_MULTI_LINEUP: [(&str, &str, &str, u64); 6] = [
+    ("2x2", "STFM", "rand-75%-01", 0x0f72d6909a13778e),
+    ("2x2", "PAR-BS", "rand-75%-01", 0xa40eea0bba2c0423),
+    ("2x2", "ATLAS", "rand-75%-01", 0x437f563057e4e484),
+    ("3+1", "STFM", "rand-75%-01", 0x05f8b00f123fec76),
+    ("3+1", "PAR-BS", "rand-75%-01", 0xf501ba6d10134a6e),
+    ("3+1", "ATLAS", "rand-75%-01", 0x9c68390431a821ed),
+];
+
+#[test]
+fn multi_controller_lineup_matches_golden_fingerprints() {
+    let mut expected = GOLDEN_MULTI_LINEUP.iter();
+    for spec in ["2x2", "3+1"] {
+        for (policy, workload, fp) in compute_multi_lineup_fingerprints(spec) {
+            let &(gs, gp, gw, gfp) = expected.next().expect("grid grew");
+            assert_eq!((spec, policy.as_str(), workload.as_str()), (gs, gp, gw));
+            assert_eq!(
+                fp, gfp,
+                "multi lineup RunResult drifted for {spec} {policy} x {workload}: \
+                 {fp:#018x} != golden {gfp:#018x}"
+            );
+        }
+    }
+    assert!(expected.next().is_none(), "grid shrank");
+}
+
+#[test]
+#[ignore = "re-capture helper: prints the GOLDEN_MULTI_LINEUP table"]
+fn print_multi_lineup_fingerprints() {
+    for spec in ["2x2", "3+1"] {
+        for (policy, workload, fp) in compute_multi_lineup_fingerprints(spec) {
             println!("    (\"{spec}\", \"{policy}\", \"{workload}\", {fp:#018x}),");
         }
     }
