@@ -35,23 +35,28 @@ impl Scheduler for StaticPriority {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tcm_dram::RequestQueue;
     use tcm_types::{BankId, ChannelId, MemAddress, RequestId, Row};
 
     #[test]
     fn top_thread_always_wins() {
         let mut s = StaticPriority::new(ThreadId::new(1));
         let addr = |row| MemAddress::new(ChannelId::new(0), BankId::new(0), Row::new(row));
-        let pending = vec![
-            Request::new(RequestId::new(0), ThreadId::new(0), addr(9), 0),
-            Request::new(RequestId::new(1), ThreadId::new(1), addr(1), 100),
-        ];
+        let mut queue = RequestQueue::new(128, 4);
+        queue
+            .push(Request::new(RequestId::new(0), ThreadId::new(0), addr(9), 0))
+            .unwrap();
+        queue
+            .push(Request::new(RequestId::new(1), ThreadId::new(1), addr(1), 100))
+            .unwrap();
         let ctx = PickContext {
             now: 200,
             channel: ChannelId::new(0),
             bank: BankId::new(0),
             open_row: Some(Row::new(9)),
+            queue: &queue,
         };
         // Thread 0 has the row hit and the age, but thread 1 is static top.
-        assert_eq!(s.pick(&pending, &ctx), 1);
+        assert_eq!(s.pick(queue.pending_for_bank(BankId::new(0)), &ctx), 1);
     }
 }

@@ -109,6 +109,10 @@ impl Scheduler for TcmController {
         self.priority.clear();
         self.priority.extend_from_slice(&plan.priorities);
     }
+
+    fn observes_completions(&self) -> bool {
+        false
+    }
 }
 
 /// The central TCM meta-controller (paper §5.3): aggregates every
@@ -668,10 +672,9 @@ mod tests {
             .min_by_key(|&t| plan.priorities[t])
             .unwrap();
         assert_ne!(plan.priorities[top], plan.priorities[bottom]);
-        let pending = vec![
-            req(10, bottom, 0, 0, 1, 0),
-            req(11, top, 0, 0, 2, 500),
-        ];
+        let mut queue = tcm_dram::RequestQueue::new(128, 2);
+        queue.push(req(10, bottom, 0, 0, 1, 0)).unwrap();
+        queue.push(req(11, top, 0, 0, 2, 500)).unwrap();
         let ctx = PickContext {
             now: 1_000_100,
             channel: ChannelId::new(0),
@@ -679,7 +682,8 @@ mod tests {
             // The bottom thread's request would be the row hit; rank
             // still wins (Algorithm 3 puts rank above row-hit).
             open_row: Some(Row::new(1)),
+            queue: &queue,
         };
-        assert_eq!(ctl.pick(&pending, &ctx), 1);
+        assert_eq!(ctl.pick(queue.pending_for_bank(BankId::new(0)), &ctx), 1);
     }
 }

@@ -596,6 +596,10 @@ impl Scheduler for Tcm {
     fn degradation_events(&self) -> &[DegradationAnomaly] {
         &self.anomalies
     }
+
+    fn observes_completions(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]
@@ -613,12 +617,16 @@ mod tests {
         )
     }
 
-    fn ctx(now: Cycle, open_row: Option<usize>) -> PickContext {
+    /// A pick context over an empty buffer: TCM reads only the pending
+    /// set.
+    fn ctx(now: Cycle, open_row: Option<usize>) -> PickContext<'static> {
+        static EMPTY: std::sync::OnceLock<tcm_dram::RequestQueue> = std::sync::OnceLock::new();
         PickContext {
             now,
             channel: ChannelId::new(0),
             bank: BankId::new(0),
             open_row: open_row.map(Row::new),
+            queue: EMPTY.get_or_init(|| tcm_dram::RequestQueue::new(0, 0)),
         }
     }
 

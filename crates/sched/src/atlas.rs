@@ -152,6 +152,10 @@ impl Scheduler for Atlas {
         }
         self.recompute_priorities();
     }
+
+    fn observes_completions(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

@@ -28,6 +28,10 @@ impl Scheduler for Fcfs {
     fn pick(&mut self, pending: &[Request], _ctx: &PickContext) -> usize {
         pick_max_by_key(pending, age_key)
     }
+
+    fn observes_completions(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

@@ -81,6 +81,10 @@ impl Scheduler for FairQueueing {
             *vt = (*vt).max(min);
         }
     }
+
+    fn observes_completions(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

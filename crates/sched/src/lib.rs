@@ -23,7 +23,8 @@
 //!
 //! The simulator consults the policy each time a DRAM bank is idle and
 //! has pending requests, passing the bank's pending set and a
-//! [`PickContext`]; the policy returns the index of the request to issue.
+//! [`PickContext`], which also lends the whole channel's buffer
+//! read-only; the policy returns the index of the request to issue.
 //! Policies keep their own state current via the notification hooks
 //! (`on_enqueue` / `on_service` / `on_complete`) and via periodic
 //! [`Scheduler::tick`]s, which receive a [`SystemView`] of per-thread
@@ -33,22 +34,25 @@
 //! # Example
 //!
 //! ```
+//! use tcm_dram::RequestQueue;
 //! use tcm_sched::{FrFcfs, PickContext, Scheduler};
 //! use tcm_types::{BankId, ChannelId, MemAddress, Request, RequestId, Row, ThreadId};
 //!
 //! let mut policy = FrFcfs::new();
 //! let addr = |row| MemAddress::new(ChannelId::new(0), BankId::new(0), Row::new(row));
-//! let pending = vec![
-//!     Request::new(RequestId::new(0), ThreadId::new(0), addr(1), 0),
-//!     Request::new(RequestId::new(1), ThreadId::new(1), addr(2), 5),
-//! ];
+//! let mut queue = RequestQueue::new(128, 4);
+//! queue.push(Request::new(RequestId::new(0), ThreadId::new(0), addr(1), 0))?;
+//! queue.push(Request::new(RequestId::new(1), ThreadId::new(1), addr(2), 5))?;
 //! let ctx = PickContext {
 //!     now: 10,
 //!     channel: ChannelId::new(0),
 //!     bank: BankId::new(0),
 //!     open_row: Some(Row::new(2)), // request 1 is a row hit
+//!     queue: &queue,
 //! };
-//! assert_eq!(policy.pick(&pending, &ctx), 1);
+//! let pending = queue.pending_for_bank(BankId::new(0));
+//! assert_eq!(policy.pick(pending, &ctx), 1);
+//! # Ok::<(), tcm_dram::QueueFullError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -57,7 +61,6 @@
 
 mod atlas;
 pub mod chaos;
-mod fasthash;
 mod fcfs;
 mod fqm;
 mod frfcfs;
@@ -74,14 +77,14 @@ pub use parbs::{ParBs, ParBsParams};
 pub use stfm::{Stfm, StfmParams};
 
 use tcm_chaos::FaultSpec;
-use tcm_dram::ServiceOutcome;
+use tcm_dram::{RequestQueue, ServiceOutcome};
 use tcm_telemetry::{DegradationAnomaly, Telemetry};
 use tcm_types::{BankId, ChannelId, Cycle, Request, Row};
 
 /// Everything a policy may inspect when choosing the next request for a
 /// bank.
 #[derive(Debug, Clone, Copy)]
-pub struct PickContext {
+pub struct PickContext<'a> {
     /// Current cycle.
     pub now: Cycle,
     /// Channel owning the bank being scheduled.
@@ -90,6 +93,13 @@ pub struct PickContext {
     pub bank: BankId,
     /// Row currently open in the bank's row-buffer, if any.
     pub open_row: Option<Row>,
+    /// The whole channel's request buffer, read-only. Each per-bank lane
+    /// is in arrival order, and a channel admits requests in id order,
+    /// so within a lane ids ascend. The pending set passed to
+    /// [`Scheduler::pick`] is this buffer's lane for `bank`. Policies
+    /// whose decision spans banks (PAR-BS batch formation) read it
+    /// instead of mirroring the buffer through [`Scheduler::on_enqueue`].
+    pub queue: &'a RequestQueue,
 }
 
 /// Snapshot of per-thread hardware counters, indexed by thread id.
@@ -176,8 +186,8 @@ pub trait Scheduler: std::fmt::Debug + Send {
     /// Chooses which request the bank should service next.
     ///
     /// `pending` is the non-empty, arrival-ordered set of requests queued
-    /// for `ctx.bank` on `ctx.channel`; the returned value is an index
-    /// into it.
+    /// for `ctx.bank` on `ctx.channel` — the bank's lane of `ctx.queue`;
+    /// the returned value is an index into it.
     fn pick(&mut self, pending: &[Request], ctx: &PickContext) -> usize;
 
     /// Called when a request enters a controller's request buffer.
@@ -197,6 +207,18 @@ pub trait Scheduler: std::fmt::Debug + Send {
 
     /// Called when a request's data returns to the core.
     fn on_complete(&mut self, _req: &Request, _now: Cycle) {}
+
+    /// Whether [`Scheduler::on_complete`] does anything for this policy.
+    ///
+    /// A multi-controller machine delivers a completion to the owning
+    /// controller as a second event, so it is sent only to policies
+    /// that answer `true`. The default is `true`, so a policy or
+    /// wrapper that does not override this still gets every
+    /// completion; policies whose `on_complete` is a no-op answer
+    /// `false`, and wrappers forward their inner policy's answer.
+    fn observes_completions(&self) -> bool {
+        true
+    }
 
     /// The next cycle strictly after `now` at which [`Scheduler::tick`]
     /// should run, or `None` for policies without timers.
@@ -303,6 +325,8 @@ pub trait MetaScheduler: std::fmt::Debug + Send {
 pub(crate) mod testutil {
     //! Shared helpers for scheduler unit tests.
 
+    use std::sync::OnceLock;
+    use tcm_dram::RequestQueue;
     use tcm_types::{
         BankId, ChannelId, Cycle, MemAddress, Request, RequestId, Row, ThreadId,
     };
@@ -322,13 +346,16 @@ pub(crate) mod testutil {
         )
     }
 
-    /// A pick context for channel 0 / bank 0.
-    pub fn ctx(now: Cycle, open_row: Option<usize>) -> crate::PickContext {
+    /// A pick context for channel 0 / bank 0 over an empty buffer, for
+    /// policies that read only the pending set.
+    pub fn ctx(now: Cycle, open_row: Option<usize>) -> crate::PickContext<'static> {
+        static EMPTY: OnceLock<RequestQueue> = OnceLock::new();
         crate::PickContext {
             now,
             channel: ChannelId::new(0),
             bank: BankId::new(0),
             open_row: open_row.map(Row::new),
+            queue: EMPTY.get_or_init(|| RequestQueue::new(0, 0)),
         }
     }
 }

@@ -73,7 +73,7 @@
 //! timing).
 //!
 //! `--checkpoint FILE` records every completed sweep cell to FILE
-//! (JSONL, atomically republished after each cell), and `--resume FILE`
+//! (JSONL, one fsynced line appended per cell), and `--resume FILE`
 //! restores completed cells from FILE before running the rest — the
 //! merged result is bit-identical to an uninterrupted run. Each cell is
 //! keyed by everything that can change its result (machine and

@@ -12,16 +12,16 @@
 //! **bit-identical** — no decimal round-trip error, NaN and infinity
 //! included.
 //!
-//! Durability: every append rewrites the full buffer to `<path>.tmp` and
-//! atomically renames it over `<path>` — fsyncing the temp file before
-//! the rename and the parent directory after it — so the file on disk
-//! is always a complete, durable prefix of the sweep: a killed process
-//! (or lost power) never leaves a torn or stale published checkpoint
-//! behind. Loading is tolerant: a missing file loads nothing, and
-//! entries are read up to the first line that does not parse — a
-//! trailing partial line (from a pre-rename crash of some other writer)
-//! is dropped, and a file of the older header-first format loads as no
-//! entries at all.
+//! Durability: [`CheckpointWriter::create`] publishes the resumed
+//! entries atomically through [`write_durable`], so a stale file from
+//! another sweep is replaced whole or not at all. Each completed cell is
+//! then appended as one line to the open file and fsynced before the
+//! cell reports done. A crash (a killed process, lost power) mid-append
+//! can leave at most a torn last line, and loading is tolerant of
+//! exactly that: a missing file loads nothing, and entries are read up
+//! to the first line that does not parse — the torn tail is dropped and
+//! the next `create` republishes without it. A file of the older
+//! header-first format loads as no entries at all.
 //!
 //! The format is an internal detail of [`Sweep::checkpoint`] /
 //! `tcm-run --resume`.
@@ -51,50 +51,49 @@ pub(crate) fn load(path: &Path) -> io::Result<HashMap<String, EvalResult>> {
     Ok(text.lines().map_while(parse_entry).collect())
 }
 
-/// Append-only checkpoint writer. Keeps the full serialized file in
-/// memory and atomically republishes it on every append.
+/// Append-only checkpoint writer: one atomic publish of the resumed
+/// entries, then one fsynced line per completed cell.
 #[derive(Debug)]
 pub(crate) struct CheckpointWriter {
-    path: PathBuf,
-    lines: Vec<String>,
+    file: fs::File,
 }
 
 impl CheckpointWriter {
     /// A writer for `path` starting from the already-known `entries`
-    /// (the resumed cells). Publishes the initial state immediately, so
-    /// a stale file from another sweep is replaced even if this one is
-    /// killed before its first cell completes.
+    /// (the resumed cells). Publishes them immediately and atomically,
+    /// so a stale file from another sweep is replaced even if this one
+    /// is killed before its first cell completes.
     pub fn create<'e>(
         path: PathBuf,
         entries: impl IntoIterator<Item = (&'e str, &'e EvalResult)>,
     ) -> io::Result<Self> {
-        let lines = entries
+        let text: String = entries
             .into_iter()
-            .map(|(key, result)| write_entry(key, result))
+            .map(|(key, result)| write_entry(key, result) + "\n")
             .collect();
-        let writer = Self { path, lines };
-        writer.publish()?;
-        Ok(writer)
+        write_durable(&path, &text)?;
+        let file = fs::OpenOptions::new().append(true).open(&path)?;
+        Ok(Self { file })
     }
 
-    /// Records one completed cell under its key text and republishes
-    /// the file atomically.
+    /// Appends one completed cell under its key text and fsyncs it. A
+    /// crash mid-write leaves a torn last line, which [`load`] drops.
     pub fn append(&mut self, key: &str, result: &EvalResult) -> io::Result<()> {
-        self.lines.push(write_entry(key, result));
-        self.publish()
-    }
-
-    fn publish(&self) -> io::Result<()> {
-        let buffer: String = self.lines.iter().map(|line| format!("{line}\n")).collect();
-        write_durable(&self.path, &buffer)
+        use std::io::Write;
+        let line = write_entry(key, result) + "\n";
+        self.file.write_all(line.as_bytes())?;
+        self.file.sync_data()
     }
 }
 
 /// Writes `contents` to `path` crash-consistently: a `<path>.tmp`
 /// sibling, fsync, atomic rename over `path`, fsync of the parent
-/// directory. Every durable file the workspace publishes goes through
-/// here: sweep checkpoints, stored alone baselines, and the daemon's
-/// result and scrape files.
+/// directory. Every durable file the workspace publishes whole goes
+/// through here: stored alone baselines, the daemon's result and scrape
+/// files, and a sweep checkpoint's resumed entries when it is created.
+/// A checkpoint's later cells are appended in place instead, one
+/// fsynced line each; its torn-tail loading rule covers a crash
+/// mid-append.
 pub fn write_durable(path: &Path, contents: &str) -> io::Result<()> {
     let mut tmp = path.to_path_buf().into_os_string();
     tmp.push(".tmp");
@@ -397,6 +396,28 @@ mod tests {
         drop(reopened.unwrap());
         let republished = fs::read_to_string(&path).unwrap();
         assert_eq!(republished, GOLDEN, "resumed entries republish verbatim");
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn each_append_adds_one_line_and_a_torn_last_line_loses_only_itself() {
+        let path = scratch("append");
+        let mut writer = CheckpointWriter::create(path.clone(), []).unwrap();
+        let keys: Vec<String> = (0..5).map(|seed| format!("CellKey {{ seed: {seed} }}")).collect();
+        for (n, key) in keys.iter().enumerate() {
+            writer.append(key, &sample_result()).unwrap();
+            let text = fs::read_to_string(&path).unwrap();
+            assert_eq!(text.lines().count(), n + 1, "one line per appended cell");
+            assert!(text.ends_with('\n'));
+        }
+        drop(writer);
+        // A crash mid-append: the last line is cut short.
+        let text = fs::read_to_string(&path).unwrap();
+        let last = text[..text.len() - 1].rfind('\n').unwrap() + 1;
+        fs::write(&path, &text[..last + (text.len() - last) / 2]).unwrap();
+        let loaded = load(&path).unwrap();
+        assert_eq!(loaded.len(), keys.len() - 1);
+        assert!(keys[..keys.len() - 1].iter().all(|key| loaded.contains_key(key)));
         fs::remove_file(&path).unwrap();
     }
 

@@ -122,6 +122,11 @@ pub(crate) struct Controller {
     /// (reused across `schedule_idle_banks` calls, never allocated per
     /// decision).
     scratch_banks: Vec<BankId>,
+    /// Per local channel, one past the last admitted request id. A
+    /// channel admits ids in increasing order, so each buffer lane's ids
+    /// ascend; PAR-BS marks a batch by id cutoffs that rely on it.
+    #[cfg(debug_assertions)]
+    admitted_below: Vec<u64>,
 }
 
 impl Controller {
@@ -146,6 +151,8 @@ impl Controller {
         Self {
             channel_base,
             spill: (0..channels.len()).map(|_| VecDeque::new()).collect(),
+            #[cfg(debug_assertions)]
+            admitted_below: vec![0; channels.len()],
             channels,
             scheduler,
             spilled: 0,
@@ -174,7 +181,7 @@ impl Controller {
     pub(crate) fn admit(&mut self, request: Request, now: Cycle) {
         let local = self.local(request.addr.channel);
         if self.spill[local].is_empty() && self.channels[local].enqueue(request).is_ok() {
-            self.scheduler.on_enqueue(&request, now);
+            self.admitted(&request, now);
             return;
         }
         self.spilled += 1;
@@ -209,11 +216,28 @@ impl Controller {
             };
             if self.channels[local].enqueue(request).is_ok() {
                 self.spill[local].pop_front();
-                self.scheduler.on_enqueue(&request, now);
+                self.admitted(&request, now);
             } else {
                 break;
             }
         }
+    }
+
+    /// `request` entered its channel's buffer: tells the policy, and in
+    /// debug builds checks that the channel's ids ascend.
+    #[inline]
+    fn admitted(&mut self, request: &Request, now: Cycle) {
+        #[cfg(debug_assertions)]
+        {
+            let (local, id) = (self.local(request.addr.channel), request.id.raw());
+            debug_assert!(
+                id >= self.admitted_below[local],
+                "channel {} admitted request {id} after a higher id",
+                request.addr.channel.index()
+            );
+            self.admitted_below[local] = id + 1;
+        }
+        self.scheduler.on_enqueue(request, now);
     }
 
     /// Runs a scheduling decision for every idle bank of local channel
@@ -234,8 +258,9 @@ impl Controller {
     /// handing the outcome to `out`.
     ///
     /// Allocation-free: the policy sees the bank's pending lane as a
-    /// borrowed slice (disjoint field borrows let `self.scheduler` be
-    /// consulted while the slice borrows `self.channels`).
+    /// borrowed slice and the channel's buffer by reference (disjoint
+    /// field borrows let `self.scheduler` be consulted while both borrow
+    /// `self.channels`).
     pub(crate) fn decide(&mut self, local: usize, bank: BankId, now: Cycle, out: &mut impl Outlet) {
         let channel = ChannelId::new(self.channel_base + local);
         let ctx = PickContext {
@@ -243,6 +268,7 @@ impl Controller {
             channel,
             bank,
             open_row: self.channels[local].open_row(bank),
+            queue: self.channels[local].queue(),
         };
         let pending = self.channels[local].pending_for_bank(bank);
         debug_assert!(!pending.is_empty());
@@ -803,6 +829,53 @@ mod tests {
                 assert!(v.detail.contains("spill queue"), "detail: {}", v.detail);
             }
             other => panic!("expected an invariant violation, got {other}"),
+        }
+    }
+
+    #[test]
+    fn an_overfilled_channel_drains_its_spill_into_age_ordered_lanes() {
+        let cfg = SystemConfig::builder().num_threads(2).build().unwrap();
+        let policy = Box::new(tcm_sched::ParBs::new(cfg.num_threads));
+        let mut ctl = Controller::new(&cfg, 0..cfg.num_channels(), policy);
+        ctl.spill_bound = usize::MAX;
+        let banks = cfg.banks_per_channel;
+        for i in 0..200u64 {
+            let bank = BankId::new(i as usize % banks);
+            let addr = MemAddress::new(ChannelId::new(0), bank, tcm_types::Row::new(i as usize % 3));
+            let req = Request::new(RequestId::new(i), ThreadId::new(i as usize % 2), addr, i);
+            ctl.admit(req, i);
+        }
+        assert_eq!(ctl.channels()[0].queue().len(), cfg.request_buffer);
+        assert_eq!(ctl.spilled, 200 - cfg.request_buffer as u64);
+        let lanes_in_age_order = |ctl: &Controller| {
+            (0..banks).all(|b| {
+                let lane = ctl.channels()[0].pending_for_bank(BankId::new(b));
+                lane.windows(2)
+                    .all(|w| (w[0].issued_at, w[0].id) < (w[1].issued_at, w[1].id))
+            })
+        };
+        assert!(lanes_in_age_order(&ctl));
+        let mut events = EventQueue::new();
+        let mut now = 1_000;
+        while ctl.backlog() > 0 {
+            for b in 0..banks {
+                ctl.bank_ready(0, BankId::new(b), now, &mut events);
+                assert!(lanes_in_age_order(&ctl), "lanes out of order at {now}");
+            }
+            now += 1_000;
+        }
+        assert!(ctl.spill[0].is_empty() && ctl.pending_error.is_none());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "admitted request 4 after a higher id")]
+    fn a_channel_admitting_a_lower_id_trips_the_debug_check() {
+        let cfg = SystemConfig::builder().num_threads(1).build().unwrap();
+        let mut ctl = Controller::new(&cfg, 0..cfg.num_channels(), Box::new(FrFcfs::new()));
+        let addr = MemAddress::new(ChannelId::new(0), BankId::new(0), tcm_types::Row::new(0));
+        for id in [5, 4] {
+            ctl.admit(Request::new(RequestId::new(id), ThreadId::new(0), addr, 0), 0);
         }
     }
 

@@ -11,7 +11,8 @@
 //!   policies.
 //! * Each **shard** owns one [`Controller`] — its channels, its
 //!   [`Scheduler`] instance, its spill queues — and a local
-//!   [`EventQueue`] (arrivals, completions, bank-ready wakeups).
+//!   [`EventQueue`] (arrivals, bank-ready wakeups, and completion
+//!   notifications when its policy observes completions).
 //!
 //! The controller and the front end are the same types the flat
 //! [`System`](crate::System) drives, and every queue — the
@@ -29,9 +30,10 @@
 //! within the same window. Each window runs two phases:
 //!
 //! 1. **Core phase** (serial): the coordinator processes core events
-//!    below the window bound, pushing new requests and completion
-//!    notifications onto the owning shard's queue in a deterministic
-//!    order.
+//!    below the window bound, pushing new requests — and completion
+//!    notifications, for policies whose
+//!    [`Scheduler::observes_completions`] is `true` — onto the owning
+//!    shard's queue in a deterministic order.
 //! 2. **Controller phase**: every shard independently processes its
 //!    local events below the bound, in controller order, emitting
 //!    completions to an outbox.
@@ -88,7 +90,8 @@ struct Shard {
     ctl: Controller,
     /// Local queue: arrivals and completion notifications pushed by the
     /// coordinator (in its processing order, during the serial core
-    /// phase), and this controller's bank wakeups.
+    /// phase; notifications only if the policy observes completions),
+    /// and this controller's bank wakeups.
     events: EventQueue,
     /// Completions produced this window: `(completes_at, request)`.
     outbox: Vec<(Cycle, Request)>,
@@ -477,8 +480,11 @@ impl MultiSystem {
     }
 
     /// Phase 1: processes core-side events below `bound`. Injected
-    /// requests and completion notifications go onto the owning shard's
-    /// queue in processing order.
+    /// requests go onto the owning shard's queue in processing order,
+    /// and so do completion notifications when the shard's policy
+    /// observes completions. A notification is pushed and popped within
+    /// its completion's window, so for any other policy leaving it out
+    /// changes nothing but the event count.
     fn phase_cores(&mut self, bound: Cycle) {
         // `bound >= t + 1 >= 1`, so the inclusive form cannot underflow.
         while let Some((cycle, event)) = self.events.pop_at_or_before(bound - 1) {
@@ -501,9 +507,10 @@ impl MultiSystem {
                 }
                 Event::Completion { request } => {
                     self.front.retire(&request, cycle, &mut self.events);
-                    self.shards[self.owner[request.addr.channel.index()]]
-                        .events
-                        .push(cycle, Event::Completion { request });
+                    let shard = &mut self.shards[self.owner[request.addr.channel.index()]];
+                    if shard.ctl.scheduler.observes_completions() {
+                        shard.events.push(cycle, Event::Completion { request });
+                    }
                 }
                 Event::BankReady { .. } | Event::SchedTick | Event::Arrival { .. } => {
                     unreachable!("coordinator queue carries core events only")
@@ -672,11 +679,16 @@ impl MultiSystem {
                     self.frozen_ticks[i] = 0;
                 }
             }
-            if let Some(fault) = self.chaos_flood {
-                if fault.at < bound {
-                    self.chaos_flood = None;
-                    self.trigger_flood(fault, fault.at.max(t));
+            if let Some(fault) = self.chaos_flood.filter(|f| f.at < bound) {
+                // Core events before the flood go first, so its phantoms
+                // take their ids in cycle order and every channel still
+                // admits ids in increasing order.
+                let at = fault.at.max(t);
+                if at > t {
+                    self.phase_cores(at);
                 }
+                self.chaos_flood = None;
+                self.trigger_flood(fault, at);
             }
             self.phase_cores(bound);
             // Phase 2: every shard to `bound`, in controller order.

@@ -333,6 +333,28 @@ mod tests {
     }
 
     #[test]
+    fn only_stfm_asks_for_completion_notices() {
+        let cfg = SystemConfig::builder().num_threads(4).build().unwrap();
+        let kinds = [
+            (PolicyKind::Fcfs, false),
+            (PolicyKind::FrFcfs, false),
+            (PolicyKind::Stfm(StfmParams::paper_default()), true),
+            (PolicyKind::ParBs(ParBsParams::paper_default()), false),
+            (PolicyKind::Atlas(AtlasParams::paper_default()), false),
+            (PolicyKind::FairQueueing, false),
+            (PolicyKind::Tcm(TcmParams::paper_default(4)), false),
+        ];
+        for (kind, observes) in kinds {
+            let label = kind.label();
+            for policy in [kind.build(4, &cfg), kind.build_controller(4, &cfg)] {
+                assert_eq!(policy.observes_completions(), observes, "{label}");
+                let wrapped = tcm_sched::ChaosScheduler::new(policy, 1_000);
+                assert_eq!(wrapped.observes_completions(), observes, "wrapped {label}");
+            }
+        }
+    }
+
+    #[test]
     fn builder_defaults_to_paper_baseline() {
         let rc = RunConfig::builder().horizon(5_000).build();
         assert_eq!(rc.system, SystemConfig::paper_baseline());

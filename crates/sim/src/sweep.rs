@@ -702,15 +702,16 @@ impl Sweep<'_> {
 
     /// Checkpoints the sweep to (and resumes it from) a JSONL file.
     ///
-    /// Every completed cell is appended durably (full rewrite to a
-    /// `.tmp` sibling, then an atomic rename), so a killed sweep loses
-    /// at most the cells in flight. Each entry is keyed by everything
+    /// Every completed cell is appended durably (one line, fsynced), so
+    /// a killed sweep loses at most the cells in flight and a torn last
+    /// line, which loading drops. Each entry is keyed by everything
     /// that can change the cell's result — machine, horizon, policy and
     /// parameters, workload, seed, weights, verify, fault plan and
     /// telemetry. A sweep run with the same checkpoint path restores
     /// every cell whose key is stored, **bit-identically** (floats are
     /// stored as IEEE-754 bit patterns, not decimal), and simulates the
-    /// rest. It then rewrites the file to hold this sweep's cells only.
+    /// rest. Before its first cell it atomically rewrites the file to
+    /// hold only the cells it restored.
     /// Failed cells are never recorded, so a resume retries them.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint = Some(path.into());

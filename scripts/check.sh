@@ -113,6 +113,26 @@ target/release/tcm-run "${GRAFT[@]}" --topology 2x2 --resume "$TRACE_TMP/ck.json
 target/release/tcm-run "${GRAFT[@]}" --topology 2x2 >"$TRACE_TMP/fresh.json"
 cmp "$TRACE_TMP/graft.json" "$TRACE_TMP/fresh.json"
 
+# A 2x2 shard gets a completion notice only when its policy observes
+# completions (STFM alone does): FR-FCFS pops at most one completion
+# event per serviced request, STFM still pops the notices on top.
+echo "==> 2x2 completion notices only for policies that observe them"
+target/release/tcm-run --topology 2x2 --workload A --cycles 1200000 \
+    --policies fr-fcfs,stfm --metrics-json "$TRACE_TMP/notices.json" >/dev/null
+python3 - "$TRACE_TMP/notices.json" <<'PY'
+import json
+import sys
+
+cells = {c["policy"]: c["counters"] for c in json.load(open(sys.argv[1]))["cells"]}
+for policy, notified in (("FR-FCFS", False), ("STFM", True)):
+    popped = cells[policy]["events{kind=completion}"]
+    serviced = cells[policy]["requests_serviced"]
+    if (popped > serviced) != notified:
+        sys.exit(f"{policy}: {popped} completion events for {serviced} serviced "
+                 f"requests; expected {'more' if notified else 'at most as many'}")
+    print(f"{policy}: {popped} completion events, {serviced} serviced")
+PY
+
 # Telemetry trace smoke: run one TCM cell with tracing and metrics
 # enabled and validate the emitted schemas — JSONL event lines, the
 # Perfetto-loadable Chrome array, and the tcm-metrics-v1 document.
