@@ -79,6 +79,8 @@ impl BatchState {
             self.count.fill(0);
             for r in queue.pending_for_bank(bank) {
                 let t = r.thread.index();
+                // Rows and `count` grow together, so `count` is never
+                // shorter than a row.
                 if t >= below.len() {
                     below.resize(t + 1, 0);
                     self.count.resize(self.count.len().max(t + 1), 0);
