@@ -380,20 +380,9 @@ impl FaultPlan {
             .copied()
     }
 
-    /// Earliest scheduler-spin arm cycle, if the plan schedules one
-    /// (all spins regardless of controller target — the flat engine
-    /// has exactly one scheduler).
-    pub fn spin_at(&self) -> Option<Cycle> {
-        self.faults
-            .iter()
-            .filter(|f| f.kind == FaultKind::SchedulerSpin)
-            .map(|f| f.at)
-            .min()
-    }
-
     /// Earliest scheduler-spin arm cycle targeting `controller`, if
-    /// the plan schedules one (the multi-controller engine wedges only
-    /// the named shard's scheduler).
+    /// the plan schedules one (a spin wedges only the named
+    /// controller's scheduler).
     pub fn spin_for(&self, controller: usize) -> Option<Cycle> {
         self.faults
             .iter()
@@ -403,8 +392,8 @@ impl FaultPlan {
     }
 
     /// The coordination faults (controller blackout / monitor skew),
-    /// in insertion order. Only the multi-controller engine executes
-    /// these; they are inert on the flat engine.
+    /// in insertion order. Only a multi-controller machine executes
+    /// these, at its quantum exchange; they are inert on a flat one.
     pub fn coordination_faults(&self) -> impl Iterator<Item = FaultSpec> + '_ {
         self.faults
             .iter()
@@ -571,7 +560,7 @@ mod tests {
             plan.monitor_faults().map(|f| f.thread).collect::<Vec<_>>(),
             vec![3]
         );
-        assert_eq!(plan.spin_at(), Some(30));
+        assert_eq!(plan.spin_for(0), Some(30));
         assert!(plan.channel_chaos(2).is_empty(), "flood is not a channel fault");
         assert!(FaultPlan::none().is_empty());
         assert_eq!(FaultPlan::none(), FaultPlan::default());
@@ -615,7 +604,6 @@ mod tests {
         assert_eq!(plan.spin_for(2), Some(30));
         assert_eq!(plan.spin_for(0), Some(40));
         assert_eq!(plan.spin_for(9), None);
-        assert_eq!(plan.spin_at(), Some(30), "flat accessor sees every spin");
         // Coordination faults never land in channel state.
         assert!(plan.channel_chaos(0).is_empty());
     }

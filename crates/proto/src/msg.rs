@@ -138,7 +138,7 @@ pub enum JobState {
     Running,
     /// Finished with a complete, durable result.
     Done,
-    /// Finished with failed (quarantined) cells or a missed deadline.
+    /// Finished with failed cells or a missed deadline.
     Failed,
     /// Cancelled by request or drain before completion.
     Cancelled,
@@ -178,7 +178,7 @@ pub struct JobStatusInfo {
     /// Current lifecycle state.
     pub state: JobState,
     /// Human detail: progress counts, `cell-failure` lines (verbatim
-    /// sweep format), quarantine notes.
+    /// sweep format), the list of failed cells.
     pub detail: String,
     /// Live work-unit progress, when the daemon tracks it. Optional on
     /// the wire (`tcmp1`-compatible: old peers ignore the field, old

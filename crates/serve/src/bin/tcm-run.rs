@@ -1312,7 +1312,7 @@ fn usage() -> ! {
          --cell-deadline cancels (and retries once) any cell exceeding SECS wall-clock\n\
          --bench-json times the fixed paper-lineup sweep and writes the record to FILE\n\
          --chaos-smoke runs the fault-injection smoke campaign and exits (a\n\
-         \x20          multi-controller --topology runs it on MultiSystem, covering\n\
+         \x20          multi-controller --topology runs it on the window loop, covering\n\
          \x20          the coordination fault classes)\n\
          --chaos-empty installs an empty fault plan on every run: detectors armed,\n\
          \x20          zero faults (benches use it to prove the inert layer is free)\n\

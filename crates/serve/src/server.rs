@@ -30,14 +30,15 @@
 //! in-flight cells abort cooperatively; either way [`Server::run`]
 //! returns 0 once the pool has parked.
 //!
-//! # Retry and quarantine
+//! # Failed cells
 //!
-//! Within a sweep, timed-out cells retry under the engine's
-//! deterministic seeded backoff ([`RetryPolicy`]) up to the job's
-//! `max_attempts`. If retryable failures survive a full pass, the job
-//! gets exactly one re-admission pass (resuming the checkpoint, so only
-//! failed cells re-run); cells that fail again are quarantined and the
-//! job reports `Failed`, naming them.
+//! A job runs one sweep pass. Within it, timed-out cells retry under
+//! the engine's deterministic seeded backoff ([`RetryPolicy`]) up to the
+//! job's `max_attempts`. A job with failed cells reports `Failed`,
+//! naming them. The daemon sets no per-cell deadline, so a cell times
+//! out only when the job's token fires — a client cancel, a drain
+//! deadline or the job deadline — and each of those ends the job before
+//! its failures are listed.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
@@ -926,7 +927,7 @@ fn run_sweep_job(
     let ckpt = shared.state_dir.join(format!("job-{id}.ckpt.jsonl"));
     let retry = RetryPolicy::with_attempts(spec.max_attempts);
 
-    let mut result = sweep_pass(shared, id, &session, &resolved, &ckpt, retry, token);
+    let result = sweep_pass(shared, id, &session, &resolved, &ckpt, retry, token);
     if !result.is_complete() {
         if job_cancelled(shared, id) {
             return Some((JobState::Cancelled, "cancelled by client".into()));
@@ -942,23 +943,6 @@ fn run_sweep_job(
                     result.failures().len() + result.stats().skipped
                 ),
             ));
-        }
-        // Quarantine pass: exactly one re-admission for retryable
-        // failures. The checkpoint resume re-runs only the failed
-        // cells; completed cells replay bit-identically.
-        if result.failures().iter().any(|f| f.kind.is_retryable()) {
-            shared.metrics.add("tcm_serve_quarantine_passes_total", 1);
-            slog!(Level::Info, "worker", "starting quarantine pass for retryable failures";
-                job = id, failures = result.failures().len());
-            result = sweep_pass(shared, id, &session, &resolved, &ckpt, retry, token);
-            if !result.is_complete() {
-                if job_cancelled(shared, id) {
-                    return Some((JobState::Cancelled, "cancelled by client".into()));
-                }
-                if shared.draining.load(Ordering::SeqCst) || signal::drain_requested() {
-                    return None;
-                }
-            }
         }
     }
 
@@ -979,18 +963,14 @@ fn run_sweep_job(
             ),
         ))
     } else {
-        let quarantined: Vec<String> = result
+        let failed: Vec<String> = result
             .failures()
             .iter()
             .map(|f| format!("{}×{}@{}", f.policy_label, f.workload_name, f.seed_value))
             .collect();
         Some((
             JobState::Failed,
-            format!(
-                "{} cell(s) quarantined after repeated failure: {}",
-                quarantined.len(),
-                quarantined.join(", ")
-            ),
+            format!("{} cell(s) failed: {}", failed.len(), failed.join(", ")),
         ))
     }
 }

@@ -1,6 +1,6 @@
-//! Deterministic event queue for both simulator loops: the flat
-//! [`System`](crate::System)'s global queue, and the coordinator and
-//! per-shard queues of [`MultiSystem`](crate::MultiSystem).
+//! Deterministic event queue for both of [`System`](crate::System)'s
+//! stepping rules: the flat loop's global queue, and the window loop's
+//! core-side and per-shard queues.
 //!
 //! It is a calendar queue (R. Brown, "Calendar Queues", CACM 1988) with
 //! one bucket per cycle. Each cycle of the *near window*
@@ -17,7 +17,7 @@
 //!
 //! Pushing before the last popped cycle is a caller bug and panics in
 //! every build. A bounded pop that finds nothing due leaves the window
-//! alone, so the multi loop may still push arrivals up to its bound.
+//! alone, so the window loop may still push arrivals up to its bound.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -3,9 +3,10 @@
 //! Binds the substrates together into one machine model: a core front
 //! end (`tcm-cpu` cores fed by `tcm-workload` trace generators) and one
 //! memory controller per controller of the topology (`tcm-dram`
-//! channels under a `tcm-sched` policy). Two deterministic event loops
-//! drive it: [`System`] runs a single-controller machine on one global
-//! event queue, and [`MultiSystem`] runs one controller per shard in
+//! channels under a `tcm-sched` policy). One engine type, [`System`],
+//! simulates every topology with two deterministic stepping rules: a
+//! single-controller machine pops one global event queue, and a machine
+//! with two or more controllers steps one queue per controller in
 //! barrier-synchronized windows, coordinated by a meta-controller.
 //!
 //! Experiments run through the [`Session`] / [`Sweep`] layer: a session
@@ -63,7 +64,6 @@ pub use event::{Event, EventQueue};
 #[doc(hidden)]
 pub use event::WINDOW as EVENT_WINDOW;
 pub use machine::{RunResult, DEFAULT_STALL_LIMIT};
-pub use multi::MultiSystem;
 pub use metrics::{mean, variance, workload_metrics, IpcPair, WorkloadMetrics};
 pub use runner::{
     average_metrics, EvalResult, PolicyKind, RunConfig, RunConfigBuilder, PAPER_LINEUP_LABELS,
@@ -72,4 +72,5 @@ pub use sweep::{
     AloneIpcCache, CellError, CellFailureKind, ProfileFingerprint, RetryPolicy, Session,
     SessionStats, Sweep, SweepCell, SweepResult, SweepStats,
 };
+pub use multi::MultiSystem;
 pub use system::System;

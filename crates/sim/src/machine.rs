@@ -1,25 +1,25 @@
-//! The simulated machine both event loops drive.
+//! The simulated hardware that [`System`](crate::System) steps.
 //!
-//! [`System`](crate::System) and [`MultiSystem`](crate::MultiSystem)
-//! simulate the same hardware and differ only in how they order time:
-//! `System` pops one global `(cycle, seq)` queue, `MultiSystem` steps
-//! one queue per controller in barrier-synchronized windows. Everything
-//! that is not loop order lives here, once:
+//! `System` has two stepping rules — the flat loop pops one global
+//! `(cycle, seq)` queue, the window loop steps one queue per controller
+//! in barrier-synchronized windows — and both drive the same parts,
+//! defined here once:
 //!
 //! * [`Controller`] — one memory controller: its channels, its
 //!   scheduling policy, its spill queues, admission and the scheduling
-//!   decision, plus the fault poll and the channel wiring. `System` owns
-//!   one; each `MultiSystem` shard owns one.
+//!   decision, plus the fault poll and the channel wiring. A system owns
+//!   one per controller of its topology.
 //! * [`FrontEnd`] — the cores and their trace generators: burst arming,
-//!   polling and injection, and retirement bookkeeping.
+//!   polling and injection, retirement bookkeeping, and the per-thread
+//!   counter view handed to policy timers.
 //! * The end of a run: [`FrontEnd::collect`] builds the [`RunResult`]
 //!   and absorbs the metrics catalog, [`sample_series`] is the periodic
 //!   sampler, and [`FrontEnd::stall_report`] fills a watchdog report.
 //!
 //! A controller never owns an event queue. Callers pass their clock and
 //! an [`Outlet`], which receives each issued request's completion and
-//! bank wakeup: the flat loop's outlet is its global queue, a shard's
-//! sends the completion to its outbox and the wakeup to its own queue.
+//! bank wakeup: the flat loop's outlet is its global queue; a shard's
+//! sends the completion to the core-side queue and the wakeup to its own.
 
 use crate::event::{Event, EventCounts, EventQueue};
 use std::collections::VecDeque;
@@ -27,7 +27,7 @@ use std::ops::Range;
 use tcm_chaos::FaultPlan;
 use tcm_cpu::{Core, CoreStatus};
 use tcm_dram::{Channel, ServiceOutcome};
-use tcm_sched::{ChaosScheduler, PickContext, Scheduler};
+use tcm_sched::{ChaosScheduler, PickContext, Scheduler, SystemView};
 use tcm_telemetry::{labeled, Histogram, Telemetry};
 use tcm_types::{
     BankId, ChannelId, ControllerId, Cycle, DramTiming, Invariant, InvariantViolation, MemAddress,
@@ -402,6 +402,11 @@ pub(crate) struct FrontEnd {
     stale_bursts: u64,
     /// Scratch: request ids of the burst currently being injected.
     scratch_ids: Vec<RequestId>,
+    /// Scratch: the per-thread counter view handed to policy timers
+    /// (reused across ticks; see [`FrontEnd::view`]).
+    scratch_retired: Vec<u64>,
+    scratch_misses: Vec<u64>,
+    scratch_service: Vec<u64>,
 }
 
 impl FrontEnd {
@@ -459,6 +464,9 @@ impl FrontEnd {
             events_since_retire: 0,
             stale_bursts: 0,
             scratch_ids: Vec::new(),
+            scratch_retired: Vec::new(),
+            scratch_misses: Vec::new(),
+            scratch_service: Vec::new(),
         }
     }
 
@@ -589,21 +597,43 @@ impl FrontEnd {
         }
     }
 
-    /// Fills the per-thread counter view in place: retired instructions
-    /// and misses from the cores, service summed over `controllers`.
-    pub(crate) fn view_into<'a>(
-        &self,
+    /// The per-thread counter view a policy timer reads: retired
+    /// instructions and misses from the cores, service summed over
+    /// `controllers`. Built in reused scratch buffers: timers fire every
+    /// barrier for some policies, and allocating three vectors per firing
+    /// was measurable.
+    pub(crate) fn view<'a>(
+        &mut self,
+        controllers: impl IntoIterator<Item = &'a Controller>,
+    ) -> SystemView<'_> {
+        Self::view_into(
+            &self.cores,
+            controllers,
+            &mut self.scratch_retired,
+            &mut self.scratch_misses,
+            &mut self.scratch_service,
+        );
+        SystemView {
+            retired: &self.scratch_retired,
+            misses: &self.scratch_misses,
+            service: &self.scratch_service,
+        }
+    }
+
+    /// Fills a per-thread counter view in place (see [`FrontEnd::view`]).
+    fn view_into<'a>(
+        cores: &[Core],
         controllers: impl IntoIterator<Item = &'a Controller>,
         retired: &mut Vec<u64>,
         misses: &mut Vec<u64>,
         service: &mut Vec<u64>,
     ) {
         retired.clear();
-        retired.extend(self.cores.iter().map(Core::retired));
+        retired.extend(cores.iter().map(Core::retired));
         misses.clear();
-        misses.extend(self.cores.iter().map(Core::misses_issued));
+        misses.extend(cores.iter().map(Core::misses_issued));
         service.clear();
-        service.resize(self.cores.len(), 0);
+        service.resize(cores.len(), 0);
         for ctl in controllers {
             ctl.add_service(service);
         }
@@ -650,7 +680,7 @@ impl FrontEnd {
         I: Iterator<Item = &'a Controller> + Clone,
     {
         let (mut retired, mut misses, mut service) = (Vec::new(), Vec::new(), Vec::new());
-        self.view_into(controllers.clone(), &mut retired, &mut misses, &mut service);
+        Self::view_into(&self.cores, controllers.clone(), &mut retired, &mut misses, &mut service);
         let ipc = retired
             .iter()
             .map(|&r| r as f64 / horizon.max(1) as f64)

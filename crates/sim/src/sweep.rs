@@ -44,7 +44,6 @@
 
 use crate::checkpoint::{self, CheckpointWriter};
 use crate::metrics::{workload_metrics, IpcPair, WorkloadMetrics};
-use crate::multi::MultiSystem;
 use crate::runner::{workload_seed, EvalResult, PolicyKind, RunConfig};
 use crate::machine::RunResult;
 use crate::system::System;
@@ -181,11 +180,10 @@ impl<'a> CellKey<'a> {
     }
 }
 
-/// Builds the engine for `rc.system.topology` ([`System`] for one
-/// controller, else [`MultiSystem`]: a policy instance per controller
-/// and the policy's meta-controller), applies `rc` once and runs it.
-/// Returns the run with the engine's degradation log. Sweep cells and
-/// the [`campaign`](crate::campaign) share it.
+/// Builds the machine for `rc.system.topology` ([`System::for_policy`]),
+/// applies `rc` once and runs it. Returns the run with the engine's
+/// degradation log. Sweep cells and the [`campaign`](crate::campaign)
+/// share it.
 pub(crate) fn run_cell(
     policy: &PolicyKind,
     workload: &WorkloadSpec,
@@ -198,40 +196,25 @@ pub(crate) fn run_cell(
     if let Some(plan) = &rc.chaos {
         plan.validate(&rc.system.topology).map_err(SimError::Config)?;
     }
-    // Both engines expose the same setters; this applies `rc` to either.
-    macro_rules! configure_and_run {
-        ($sys:ident) => {{
-            if rc.verify {
-                $sys.enable_verification();
-            }
-            $sys.set_watchdog(rc.watchdog);
-            if let Some(plan) = &rc.chaos {
-                $sys.install_chaos(plan);
-            }
-            $sys.set_cancel_token(cell_token(rc, cancel));
-            if let Some(w) = weights {
-                $sys.set_thread_weights(w);
-            }
-            // Attached last so a ChaosScheduler wrapper installed by
-            // `install_chaos` receives the handle too.
-            if let Some(t) = telemetry {
-                $sys.set_telemetry(t);
-            }
-            let run = $sys.try_run(rc.horizon)?;
-            Ok((run, $sys.degradation_events().to_vec()))
-        }};
+    let mut sys = System::for_policy(&rc.system, workload, policy, seed);
+    if rc.verify {
+        sys.enable_verification();
     }
-    let (n, cfg) = (workload.threads.len(), &rc.system);
-    if cfg.topology.num_controllers() > 1 {
-        let controllers = (0..cfg.topology.num_controllers())
-            .map(|_| policy.build_controller(n, cfg))
-            .collect();
-        let mut sys = MultiSystem::new(cfg, workload, controllers, policy.build_meta(n, cfg), seed);
-        configure_and_run!(sys)
-    } else {
-        let mut sys = System::new(cfg, workload, policy.build(n, cfg), seed);
-        configure_and_run!(sys)
+    sys.set_watchdog(rc.watchdog);
+    if let Some(plan) = &rc.chaos {
+        sys.install_chaos(plan);
     }
+    sys.set_cancel_token(cell_token(rc, cancel));
+    if let Some(w) = weights {
+        sys.set_thread_weights(w);
+    }
+    // Attached last so a ChaosScheduler wrapper installed by
+    // `install_chaos` receives the handle too.
+    if let Some(t) = telemetry {
+        sys.set_telemetry(t);
+    }
+    let run = sys.try_run(rc.horizon)?;
+    Ok((run, sys.degradation_events().to_vec()))
 }
 
 /// Retry policy for timed-out cells: bounded attempts with a
@@ -251,44 +234,40 @@ pub(crate) fn run_cell(
 pub struct RetryPolicy {
     /// Total attempts per cell, counting the first (minimum 1).
     pub max_attempts: u32,
-    /// Backoff unit: the window for the first retry is `[base/2, base)`,
-    /// doubling per subsequent attempt.
-    pub base: Duration,
-    /// Upper bound on any single backoff sleep.
-    pub cap: Duration,
 }
+
+/// Backoff unit: the window for the first retry is
+/// `[BACKOFF_BASE/2, BACKOFF_BASE)`, doubling per subsequent attempt.
+const BACKOFF_BASE: Duration = Duration::from_millis(50);
+/// Upper bound on any single backoff sleep.
+const BACKOFF_CAP: Duration = Duration::from_secs(2);
 
 impl Default for RetryPolicy {
     /// Two attempts (one retry) with a short jittered pause — the
     /// successor of the historical immediate retry-once policy.
     fn default() -> Self {
-        Self {
-            max_attempts: 2,
-            base: Duration::from_millis(50),
-            cap: Duration::from_secs(2),
-        }
+        Self { max_attempts: 2 }
     }
 }
 
 impl RetryPolicy {
-    /// `attempts` total attempts with the default backoff shape.
+    /// `attempts` total attempts.
     pub fn with_attempts(attempts: u32) -> Self {
         Self {
             max_attempts: attempts.max(1),
-            ..Self::default()
         }
     }
 
     /// The sleep before retrying after failed attempt `attempt`
     /// (1-based). Deterministic in `(cell_seed, attempt)`: exponential
-    /// window `base * 2^(attempt-1)` capped at [`RetryPolicy::cap`],
-    /// jittered into its upper half by a splitmix64 draw of the seed so
-    /// simultaneous retries of different cells do not stampede in sync.
+    /// window `BACKOFF_BASE * 2^(attempt-1)` capped at `BACKOFF_CAP`
+    /// (50 ms and 2 s), jittered into its upper half by a splitmix64
+    /// draw of the seed so simultaneous retries of different cells do
+    /// not stampede in sync.
     pub fn backoff(&self, cell_seed: u64, attempt: u32) -> Duration {
-        let window = self
-            .base
+        let window = BACKOFF_BASE
             .saturating_mul(1u32 << attempt.clamp(1, 16).saturating_sub(1))
-            .min(self.cap);
+            .min(BACKOFF_CAP);
         let half = window.as_nanos() as u64 / 2;
         if half == 0 {
             return Duration::ZERO;

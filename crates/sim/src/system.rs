@@ -1,15 +1,27 @@
-//! The flat event loop: one [`Controller`] (every channel under one
-//! scheduling policy) and the cores, driven by a single global
-//! `(cycle, seq)` event queue.
+//! The simulated machine's one engine type, [`System`]: the core front
+//! end, one [`Controller`] per memory controller of the topology, and —
+//! for coordinated policies — the paper's §5.3 meta-controller.
+//! Everything except the order of time lives here once. Two stepping
+//! rules advance it, and [`System::try_run`] picks one by controller
+//! count:
+//!
+//! * **one controller**: the flat event loop below, which pops one
+//!   global `(cycle, seq)` queue;
+//! * **two or more**: the window loop of the `multi` module, which
+//!   steps one queue per controller in barrier-synchronized windows.
 
 use crate::event::{Event, EventQueue};
 use crate::machine::{sample_series, Controller, FrontEnd, RunResult, DEFAULT_STALL_LIMIT};
+use crate::multi::Windows;
+use crate::runner::PolicyKind;
+use std::cmp::Reverse;
+use std::ops::Range;
 use tcm_chaos::{FaultKind, FaultPlan, FaultSpec};
-use tcm_sched::{Scheduler, SystemView};
-use tcm_telemetry::{Telemetry, TraceEvent};
+use tcm_sched::{MetaScheduler, Scheduler};
+use tcm_telemetry::{DegradationAnomaly, Telemetry, TraceEvent};
 use tcm_types::{
-    BankId, CancelToken, ChannelId, Cycle, MemAddress, SimError, StallReport, SystemConfig,
-    ThreadId,
+    BankId, CancelToken, ChannelId, ControllerId, Cycle, MemAddress, SimError, StallReport,
+    SystemConfig, ThreadId,
 };
 use tcm_workload::WorkloadSpec;
 
@@ -18,19 +30,23 @@ use tcm_workload::WorkloadSpec;
 /// wall-clock read, so it is strided; the first event always checks.
 pub const CANCEL_CHECK_STRIDE: u64 = 4096;
 
-/// One simulated CMP + memory system executing one workload under one
-/// scheduling policy.
+/// One simulated CMP + memory system executing one workload: the cores,
+/// one memory controller per controller of the topology, each under its
+/// own scheduling policy instance, and, for a coordinated policy on two
+/// or more controllers, the meta-controller that merges their monitors
+/// at quantum boundaries (paper §5.3).
 ///
 /// Drive it with [`System::run`]; everything else is plumbing fed by the
-/// event queue. Identical inputs (workload, seed base, config, policy)
-/// produce bit-identical results.
+/// event queues. Identical inputs (workload, seed base, config, policy)
+/// produce bit-identical results, including under a fault-injection
+/// plan (see [`System::install_chaos`]).
 ///
 /// # Example
 ///
 /// ```
 /// use tcm_sched::FrFcfs;
-/// use tcm_sim::System;
-/// use tcm_types::SystemConfig;
+/// use tcm_sim::{PolicyKind, System};
+/// use tcm_types::{SystemConfig, Topology};
 /// use tcm_workload::random_workload;
 ///
 /// let cfg = SystemConfig::builder().num_threads(4).build()?;
@@ -38,36 +54,63 @@ pub const CANCEL_CHECK_STRIDE: u64 = 4096;
 /// let mut sys = System::new(&cfg, &workload, Box::new(FrFcfs::new()), 1);
 /// let result = sys.run(50_000);
 /// assert_eq!(result.ipc.len(), 4);
+///
+/// // The same workload on two controllers of two channels each.
+/// let cfg = SystemConfig::builder()
+///     .num_threads(4)
+///     .topology(Topology::uniform(2, 2))
+///     .build()?;
+/// let mut sys = System::for_policy(&cfg, &workload, &PolicyKind::FrFcfs, 1);
+/// assert_eq!(sys.run(50_000).ipc.len(), 4);
 /// # Ok::<(), tcm_types::ConfigError>(())
 /// ```
 #[derive(Debug)]
 pub struct System {
-    cfg: SystemConfig,
-    front: FrontEnd,
-    /// The one memory controller: every channel, the policy, the spill
-    /// queues.
-    ctl: Controller,
-    events: EventQueue,
-    now: Cycle,
+    pub(crate) cfg: SystemConfig,
+    pub(crate) front: FrontEnd,
+    /// The memory controllers, in controller order: one on a flat
+    /// machine.
+    pub(crate) ctls: Vec<Controller>,
+    /// Global channel index → index into `ctls`.
+    pub(crate) owner: Vec<usize>,
+    /// The meta-controller coordinating the controllers' policies, for a
+    /// coordinated policy on two or more controllers.
+    pub(crate) meta: Option<Box<dyn MetaScheduler>>,
+    /// The flat loop's one global queue; under the window rule, the
+    /// core-side queue (bursts and completions).
+    pub(crate) events: EventQueue,
+    pub(crate) now: Cycle,
+    /// Watchdog: declare the run stalled when requests are outstanding
+    /// but none retires for this many cycles. `None` disables.
+    pub(crate) stall_limit: Option<Cycle>,
+    /// Cooperative cancellation; `None` means the run cannot be
+    /// cancelled.
+    pub(crate) cancel: Option<CancelToken>,
+    /// Whether any channel has the protocol checker armed (mirror of
+    /// `verification_enabled()`, so the flat loop's per-event fault poll
+    /// skips the per-channel walk when nothing can ever be reported).
+    verify_armed: bool,
+    /// Armed spill-flood fault: at its cycle, phantom requests are
+    /// admitted until the target channel's spill queue outgrows its
+    /// resource bound.
+    pub(crate) chaos_flood: Option<FaultSpec>,
+    /// Structured-event/metric sink, shared with every channel and
+    /// policy. Disabled by default; see [`System::set_telemetry`].
+    pub(crate) telemetry: Telemetry,
+    /// Next cycle at which the time-series sampler fires (`Cycle::MAX`
+    /// when telemetry is disabled — the per-event check is one compare).
+    pub(crate) next_sample: Cycle,
+    // The flat loop's own state.
     sched_tick_pending: bool,
     /// Events processed at the current cycle (livelock guard).
     events_at_now: u64,
     /// Ceiling on `events_at_now`; exceeding it means the event loop is
     /// spinning without advancing time.
     livelock_limit: u64,
-    /// Watchdog: declare the run stalled when requests are outstanding
-    /// but none retires for this many cycles. `None` disables.
-    stall_limit: Option<Cycle>,
-    /// Cooperative cancellation: checked every [`CANCEL_CHECK_STRIDE`]
-    /// events; `None` means the run cannot be cancelled.
-    cancel: Option<CancelToken>,
     /// Events until the next cancellation check (strided probe: checks
     /// at the same event indices the old `events_processed % STRIDE`
     /// test did — the first event always checks).
     cancel_countdown: u64,
-    /// Armed spill-flood fault: at its cycle, phantom requests are
-    /// admitted until the spill queue outgrows its resource bound.
-    chaos_flood: Option<FaultSpec>,
     /// Cycle the armed flood fires (`Cycle::MAX` when none is armed), so
     /// the per-event probe is one compare instead of an `Option` walk.
     chaos_flood_at: Cycle,
@@ -78,28 +121,17 @@ pub struct System {
     /// full check runs only past the boundary — with semantics identical
     /// to evaluating it every event.
     stall_probe_at: Cycle,
-    /// Whether any channel has the protocol checker armed (mirror of
-    /// `verification_enabled()`, so the per-event fault poll skips the
-    /// per-channel walk when nothing can ever be reported).
-    verify_armed: bool,
     /// Scratch: per-channel "this burst touched it" flags (reused, reset
     /// after each injection).
     touched_channels: Vec<bool>,
-    /// Scratch: per-thread counter views for `SchedTick` (reused across
-    /// ticks).
-    scratch_retired: Vec<u64>,
-    scratch_misses: Vec<u64>,
-    scratch_service: Vec<u64>,
-    /// Structured-event/metric sink, shared with every channel and the
-    /// policy. Disabled by default; see [`System::set_telemetry`].
-    telemetry: Telemetry,
-    /// Next cycle at which the time-series sampler fires (`Cycle::MAX`
-    /// when telemetry is disabled — the per-event check is one compare).
-    next_sample: Cycle,
+    /// The window loop's own state: one local queue and timer per
+    /// controller (none on a flat machine).
+    pub(crate) windows: Windows,
 }
 
 impl System {
-    /// Builds a system running `workload` under `scheduler`.
+    /// Builds a flat system: one controller over every channel of `cfg`,
+    /// running `workload` under `scheduler`.
     ///
     /// `seed_base` decorrelates multiple instances of the same benchmark
     /// within a workload (thread `i` uses seed
@@ -115,32 +147,109 @@ impl System {
         scheduler: Box<dyn Scheduler>,
         seed_base: u64,
     ) -> Self {
+        Self::build(cfg, workload, vec![(0..cfg.num_channels(), scheduler)], None, seed_base)
+    }
+
+    /// Builds a system with one controller per controller of
+    /// `cfg.topology`. `controllers` supplies their policy instances in
+    /// controller order (see [`PolicyKind::build_controller`]); `meta`
+    /// is the meta-controller for policies that need one (see
+    /// [`PolicyKind::build_meta`]). `seed_base` is as in
+    /// [`System::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the config fails validation, the workload's thread
+    /// count differs from `cfg.num_threads`, `controllers` does not
+    /// match the topology's controller count, or a meta-controller is
+    /// given for a single controller.
+    pub fn with_controllers(
+        cfg: &SystemConfig,
+        workload: &WorkloadSpec,
+        controllers: Vec<Box<dyn Scheduler>>,
+        meta: Option<Box<dyn MetaScheduler>>,
+        seed_base: u64,
+    ) -> Self {
+        let topology = &cfg.topology;
+        assert_eq!(
+            controllers.len(),
+            topology.num_controllers(),
+            "one scheduler instance per memory controller"
+        );
+        let ranges = topology.controllers().map(|mc| topology.channel_range(mc));
+        Self::build(cfg, workload, ranges.zip(controllers).collect(), meta, seed_base)
+    }
+
+    /// `policy` on `cfg`'s topology: the policy itself
+    /// ([`PolicyKind::build`]) on one controller; on more, one instance
+    /// per controller and the policy's meta-controller. Sweep cells and
+    /// the fault campaign build their machines this way.
+    pub fn for_policy(
+        cfg: &SystemConfig,
+        workload: &WorkloadSpec,
+        policy: &PolicyKind,
+        seed_base: u64,
+    ) -> Self {
+        let n = workload.threads.len();
+        match cfg.topology.num_controllers() {
+            1 => Self::new(cfg, workload, policy.build(n, cfg), seed_base),
+            controllers => Self::with_controllers(
+                cfg,
+                workload,
+                (0..controllers).map(|_| policy.build_controller(n, cfg)).collect(),
+                policy.build_meta(n, cfg),
+                seed_base,
+            ),
+        }
+    }
+
+    fn build(
+        cfg: &SystemConfig,
+        workload: &WorkloadSpec,
+        controllers: Vec<(Range<usize>, Box<dyn Scheduler>)>,
+        meta: Option<Box<dyn MetaScheduler>>,
+        seed_base: u64,
+    ) -> Self {
         cfg.validate().expect("invalid system config");
+        assert!(
+            meta.is_none() || controllers.len() > 1,
+            "a meta-controller coordinates two or more controllers"
+        );
+        let front = FrontEnd::new(cfg, workload, seed_base);
+        let mut owner = Vec::with_capacity(cfg.num_channels());
+        let ctls: Vec<Controller> = controllers
+            .into_iter()
+            .enumerate()
+            .map(|(i, (channels, scheduler))| {
+                owner.extend(channels.clone().map(|_| i));
+                Controller::new(cfg, channels, scheduler)
+            })
+            .collect();
         let mut sys = Self {
-            cfg: cfg.clone(),
-            front: FrontEnd::new(cfg, workload, seed_base),
-            ctl: Controller::new(cfg, 0..cfg.num_channels(), scheduler),
+            front,
+            windows: Windows::new(ctls.len(), cfg),
+            ctls,
+            owner,
+            meta,
             events: EventQueue::new(),
             now: 0,
+            stall_limit: Some(DEFAULT_STALL_LIMIT),
+            cancel: None,
+            verify_armed: false,
+            chaos_flood: None,
+            telemetry: Telemetry::disabled(),
+            next_sample: Cycle::MAX,
             sched_tick_pending: false,
             events_at_now: 0,
             // Per cycle the loop legitimately processes at most one event
             // per thread, a couple per bank, and one scheduler tick; 1024x
             // that is unreachable without a same-cycle spin.
             livelock_limit: 1024 * (cfg.num_threads + cfg.total_banks() + 4) as u64,
-            stall_limit: Some(DEFAULT_STALL_LIMIT),
-            cancel: None,
             cancel_countdown: 0,
-            chaos_flood: None,
             chaos_flood_at: Cycle::MAX,
             stall_probe_at: DEFAULT_STALL_LIMIT,
-            verify_armed: false,
             touched_channels: vec![false; cfg.num_channels()],
-            scratch_retired: Vec::new(),
-            scratch_misses: Vec::new(),
-            scratch_service: Vec::new(),
-            telemetry: Telemetry::disabled(),
-            next_sample: Cycle::MAX,
+            cfg: cfg.clone(),
         };
         if std::env::var_os("TCM_VERIFY").is_some_and(|v| v != "0") {
             sys.enable_verification();
@@ -149,9 +258,14 @@ impl System {
         // fault-poll gate in sync with whatever they decided.
         sys.verify_armed = sys.verification_enabled();
         sys.front.bootstrap(&mut sys.events);
-        sys.schedule_next_tick();
+        sys.arm_timers();
         sys
     }
+
+    /// Has no effect: every cell runs on one thread. Kept only because
+    /// the `perf/` benchmark package calls it; it goes with that
+    /// package's next change (ROADMAP item 2).
+    pub fn set_hosts(&mut self, _hosts: usize) {}
 
     /// Turns on the DRAM protocol invariant checker on every channel
     /// (observation-only; results are bit-identical with it on or off).
@@ -165,13 +279,15 @@ impl System {
 
     /// Enables or disables protocol verification on every channel.
     pub fn set_verification(&mut self, enabled: bool) {
-        self.ctl.set_verification(enabled);
+        for ctl in &mut self.ctls {
+            ctl.set_verification(enabled);
+        }
         self.verify_armed = enabled;
     }
 
     /// Whether protocol verification is active on any channel.
     pub fn verification_enabled(&self) -> bool {
-        self.ctl.verification_enabled()
+        self.ctls.iter().any(Controller::verification_enabled)
     }
 
     /// Sets the forward-progress watchdog limit (cycles without a
@@ -185,29 +301,61 @@ impl System {
         };
     }
 
-    /// Installs a cooperative cancellation token. The event loop polls it
-    /// every [`CANCEL_CHECK_STRIDE`] events and surfaces
-    /// [`SimError::Cancelled`] once it fires; `None` (the default) makes
-    /// the run uncancellable.
+    /// Installs a cooperative cancellation token. The flat loop polls it
+    /// every [`CANCEL_CHECK_STRIDE`] events, the window loop at every
+    /// barrier, and either surfaces [`SimError::Cancelled`] once it
+    /// fires; `None` (the default) makes the run uncancellable.
     pub fn set_cancel_token(&mut self, token: Option<CancelToken>) {
         self.cancel = token;
     }
 
-    /// Shares a telemetry handle with every channel and the policy, and
-    /// arms the time-series sampler. Telemetry is observation-only:
-    /// results are bit-identical with it attached or not.
+    /// Installs OS thread weights on every policy instance and the
+    /// meta-controller.
+    pub fn set_thread_weights(&mut self, weights: &[f64]) {
+        if let Some(meta) = &mut self.meta {
+            meta.set_thread_weights(weights);
+        }
+        for ctl in &mut self.ctls {
+            ctl.scheduler.set_thread_weights(weights);
+        }
+    }
+
+    /// Shares a telemetry handle with every channel, every policy
+    /// instance and the meta-controller, and arms the time-series
+    /// sampler. Telemetry is observation-only: results are bit-identical
+    /// with it attached or not.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         self.telemetry = telemetry.clone();
-        self.ctl.set_telemetry(telemetry);
+        for ctl in &mut self.ctls {
+            ctl.set_telemetry(telemetry);
+        }
+        if let Some(meta) = &mut self.meta {
+            meta.attach_telemetry(telemetry);
+        }
         self.next_sample = telemetry.sample_interval().unwrap_or(Cycle::MAX);
+    }
+
+    /// Test hook: sends all future event pushes, on every queue, to the
+    /// queue's far heap, the pure binary-heap order (see
+    /// `EventQueue::set_reference_mode`), so equivalence tests can prove
+    /// the calendar wheel is bit-identical.
+    #[doc(hidden)]
+    pub fn set_reference_event_order(&mut self, on: bool) {
+        self.events.set_reference_mode(on);
+        self.windows.set_reference_mode(on);
     }
 
     /// Installs a fault-injection plan (see the `tcm-chaos` crate).
     ///
-    /// Routes each fault to its execution site: channel faults to their
-    /// target channel, monitor faults to the policy, the spill flood to
-    /// the admission path, and — when a scheduler-spin fault is armed —
-    /// wraps the policy in a [`ChaosScheduler`](tcm_sched::ChaosScheduler).
+    /// Routes each fault to its execution site through the channel
+    /// partition: channel faults to their channel, monitor faults to the
+    /// meta-controller (or the target controller's policy when there is
+    /// none), the spill flood to the owning controller's admission path,
+    /// each scheduler spin to its controller's policy (wrapped in a
+    /// [`ChaosScheduler`](tcm_sched::ChaosScheduler)), and coordination
+    /// faults (controller blackout / monitor skew) to the window loop's
+    /// quantum-exchange harvest; a flat machine has no exchange, so
+    /// they are inert there.
     ///
     /// Also enables protocol verification on every channel: injecting
     /// faults without the detectors armed would be undetectable by
@@ -216,26 +364,42 @@ impl System {
     /// bit-identical to no plan at all.
     pub fn install_chaos(&mut self, plan: &FaultPlan) {
         self.enable_verification();
-        self.ctl.install_channel_chaos(plan);
+        for ctl in &mut self.ctls {
+            ctl.install_channel_chaos(plan);
+        }
         for fault in plan.monitor_faults() {
-            self.ctl.scheduler.inject_monitor_fault(&fault);
+            if let Some(meta) = &mut self.meta {
+                meta.inject_monitor_fault(&fault);
+            } else {
+                let c = fault.controller.min(self.ctls.len() - 1);
+                self.ctls[c].scheduler.inject_monitor_fault(&fault);
+            }
         }
         self.chaos_flood = plan.flood();
         self.chaos_flood_at = self.chaos_flood.map_or(Cycle::MAX, |f| f.at);
-        if let Some(spin_at) = plan.spin_at() {
-            self.ctl.wrap_spin(spin_at);
-            // Policies without timers never got a tick scheduled at
-            // bootstrap; the wrapper needs one for the spin to engage.
-            self.schedule_next_tick();
+        self.windows.coordination = plan.coordination_faults().collect();
+        let mut spun = false;
+        for (i, ctl) in self.ctls.iter_mut().enumerate() {
+            if let Some(spin_at) = plan.spin_for(i) {
+                ctl.wrap_spin(spin_at);
+                spun = true;
+            }
+        }
+        if spun {
+            // Policies without timers never armed one; the wrapper needs
+            // one for the spin to engage.
+            self.arm_timers();
         }
     }
 
-    /// Executes an armed spill-flood fault: admits phantom requests to
-    /// the target channel until its buffer and spill queue both overflow,
-    /// tripping the controller's resource-bound detector.
-    fn trigger_flood(&mut self, fault: FaultSpec) {
+    /// Executes the armed spill flood at `at`: admits
+    /// `request_buffer + spill_bound + 1` phantom requests to the target
+    /// channel back to back, with no scheduling pass between them, so
+    /// its buffer and spill queue both overflow and the controller's
+    /// resource-bound detector trips at `at`.
+    pub(crate) fn flood(&mut self, fault: FaultSpec, at: Cycle) {
         self.telemetry.emit(|| TraceEvent::ChaosInjected {
-            cycle: self.now,
+            cycle: at,
             kind: FaultKind::SpillFlood,
         });
         let channel = fault.channel.min(self.cfg.num_channels() - 1);
@@ -245,35 +409,46 @@ impl System {
             tcm_types::Row::new(0),
         );
         let thread = ThreadId::new(fault.thread.min(self.cfg.num_threads - 1));
-        let phantoms = self.cfg.request_buffer + self.ctl.spill_bound + 1;
+        let ctl = &mut self.ctls[self.owner[channel]];
+        let phantoms = self.cfg.request_buffer + ctl.spill_bound + 1;
         for _ in 0..phantoms {
-            let request = self.front.next_request(thread, addr, self.now);
-            self.ctl.admit(request, self.now);
-            if self.ctl.pending_error.is_some() {
+            let request = self.front.next_request(thread, addr, at);
+            ctl.admit(request, at);
+            if ctl.pending_error.is_some() {
                 // The bound tripped; no need to keep flooding. The
-                // phantoms already admitted stay queued — poll_faults
+                // phantoms already admitted stay queued — the fault poll
                 // surfaces the error before any of them is serviced.
                 break;
             }
         }
     }
 
-    /// The policy's plausibility-guard anomaly log (empty for policies
-    /// without a guard; see `Scheduler::degradation_events`).
-    pub fn degradation_events(&self) -> &[tcm_telemetry::DegradationAnomaly] {
-        self.ctl.scheduler.degradation_events()
+    /// The plausibility-guard anomaly log: the meta-controller's when
+    /// there is one, else the first controller's policy's (empty for
+    /// policies without a guard; see `Scheduler::degradation_events`).
+    pub fn degradation_events(&self) -> &[DegradationAnomaly] {
+        match &self.meta {
+            Some(meta) => meta.degradation_events(),
+            None => self.ctls[0].scheduler.degradation_events(),
+        }
     }
 
-    /// Installs OS thread weights on the policy.
-    pub fn set_thread_weights(&mut self, weights: &[f64]) {
-        self.ctl.scheduler.set_thread_weights(weights);
+    /// Arms the policy timers at the current cycle: the flat loop's
+    /// `SchedTick` event, or every controller's and the
+    /// meta-controller's timer under the window rule.
+    fn arm_timers(&mut self) {
+        if self.ctls.len() == 1 {
+            self.schedule_next_tick();
+        } else {
+            self.windows.arm(&self.ctls, self.meta.as_deref(), self.now);
+        }
     }
 
     fn schedule_next_tick(&mut self) {
         if self.sched_tick_pending {
             return;
         }
-        if let Some(at) = self.ctl.scheduler.next_tick(self.now) {
+        if let Some(at) = self.ctls[0].scheduler.next_tick(self.now) {
             self.events.push(at, Event::SchedTick);
             self.sched_tick_pending = true;
         }
@@ -283,7 +458,7 @@ impl System {
     /// then gives every channel it touched a scheduling pass.
     fn inject_burst(&mut self, t: usize) {
         let now = self.now;
-        let (ctl, touched) = (&mut self.ctl, &mut self.touched_channels);
+        let (ctl, touched) = (&mut self.ctls[0], &mut self.touched_channels);
         self.front.inject_burst(t, now, |request| {
             ctl.admit(request, now);
             touched[request.addr.channel.index()] = true;
@@ -292,7 +467,7 @@ impl System {
         // array visits channels in ascending id order.
         for c in 0..self.touched_channels.len() {
             if std::mem::take(&mut self.touched_channels[c]) {
-                self.ctl.schedule_idle_banks(c, now, &mut self.events);
+                self.ctls[0].schedule_idle_banks(c, now, &mut self.events);
             }
         }
         self.front.rearm(t, now, &mut self.events);
@@ -317,24 +492,51 @@ impl System {
 
     /// Processes events until `horizon`, then settles all cores at the
     /// horizon and reports the run's results — or a typed error if the
-    /// simulation cannot finish soundly.
+    /// simulation cannot finish soundly. One controller runs the flat
+    /// event loop; two or more run the window loop.
     ///
     /// # Errors
     ///
     /// * [`SimError::Stalled`] — requests were outstanding but none
     ///   retired for [`DEFAULT_STALL_LIMIT`] cycles (tune or disable via
-    ///   [`System::set_watchdog`]), the event loop spun at a frozen cycle
+    ///   [`System::set_watchdog`]), the loop spun at a frozen cycle
     ///   (e.g. a policy whose `next_tick` never advances), or the event
-    ///   queue drained with requests still in flight. The report carries a
-    ///   snapshot of queue depths, bank states, and per-thread outstanding
-    ///   counts.
+    ///   queues drained with requests still in flight. The report carries
+    ///   a snapshot of queue depths, bank states, and per-thread
+    ///   outstanding counts, and on a multi-controller machine names the
+    ///   suspect controller.
     /// * [`SimError::InvariantViolation`] — the DRAM protocol checker (if
     ///   enabled) observed an illegal command sequence, or a spill queue
     ///   outgrew the MSHR-implied bound on outstanding misses.
+    /// * [`SimError::Cancelled`] — the cancellation token fired.
     ///
     /// After an error the system is left at the faulting cycle; resuming
     /// is not supported.
     pub fn try_run(&mut self, horizon: Cycle) -> Result<RunResult, SimError> {
+        if self.ctls.len() == 1 {
+            self.run_events(horizon)?;
+        } else {
+            self.run_windows(horizon)?;
+        }
+        if self.stall_limit.is_some() && self.front.outstanding() && self.drained() {
+            // Nothing left to process but requests are still in flight:
+            // whatever event should have completed them was never pushed.
+            return Err(SimError::Stalled(Box::new(self.stall_report())));
+        }
+        self.now = horizon;
+        self.front.settle(horizon);
+        for ctl in &mut self.ctls {
+            ctl.finish_verification(horizon)?;
+        }
+        let mut events = self.events.counts;
+        events += self.windows.counts();
+        Ok(self
+            .front
+            .collect(horizon, self.ctls.iter(), events, &self.telemetry))
+    }
+
+    /// The flat stepping rule: pops the global queue up to `horizon`.
+    fn run_events(&mut self, horizon: Cycle) -> Result<(), SimError> {
         // The conditional pop jumps `now` straight to the next scheduled
         // event; cancel/sample/chaos/stall checks below are strided or
         // boundary probes with semantics identical to the old per-event
@@ -357,17 +559,12 @@ impl System {
             }
             self.cancel_countdown -= 1;
             if self.now >= self.next_sample {
-                sample_series(
-                    &self.telemetry,
-                    &mut self.next_sample,
-                    self.now,
-                    self.ctl.channels().iter(),
-                );
+                self.sample_series();
             }
             if self.now >= self.chaos_flood_at {
                 self.chaos_flood_at = Cycle::MAX;
                 if let Some(fault) = self.chaos_flood.take() {
-                    self.trigger_flood(fault);
+                    self.flood(fault, self.now);
                 }
             }
             if self.events_at_now > self.livelock_limit || self.now > self.stall_probe_at {
@@ -384,46 +581,26 @@ impl System {
                     }
                 }
                 Event::BankReady { channel, bank } => {
-                    self.ctl.bank_ready(channel.index(), bank, self.now, &mut self.events);
+                    self.ctls[0].bank_ready(channel.index(), bank, self.now, &mut self.events);
                 }
                 Event::Completion { request } => {
                     self.front.retire(&request, self.now, &mut self.events);
-                    self.ctl.scheduler.on_complete(&request, self.now);
+                    self.ctls[0].scheduler.on_complete(&request, self.now);
                 }
                 Event::SchedTick => {
                     self.sched_tick_pending = false;
-                    let mut retired = std::mem::take(&mut self.scratch_retired);
-                    let mut misses = std::mem::take(&mut self.scratch_misses);
-                    let mut service = std::mem::take(&mut self.scratch_service);
-                    self.front.view_into([&self.ctl], &mut retired, &mut misses, &mut service);
-                    let view = SystemView {
-                        retired: &retired,
-                        misses: &misses,
-                        service: &service,
-                    };
-                    self.ctl.scheduler.tick(self.now, &view);
-                    self.scratch_retired = retired;
-                    self.scratch_misses = misses;
-                    self.scratch_service = service;
+                    let ctl = &mut self.ctls[0];
+                    let view = self.front.view([&*ctl]);
+                    ctl.scheduler.tick(self.now, &view);
                     self.schedule_next_tick();
                 }
                 Event::Arrival { .. } => unreachable!("the flat loop admits at injection"),
             }
-            if self.ctl.pending_error.is_some() || self.verify_armed {
+            if self.ctls[0].pending_error.is_some() || self.verify_armed {
                 self.poll_faults()?;
             }
         }
-        if self.stall_limit.is_some() && self.front.outstanding() && self.events.is_empty() {
-            // Nothing left to process but requests are still in flight:
-            // whatever event should have completed them was never pushed.
-            return Err(SimError::Stalled(Box::new(self.stall_report())));
-        }
-        self.now = horizon;
-        self.front.settle(horizon);
-        self.ctl.finish_verification(horizon)?;
-        Ok(self
-            .front
-            .collect(horizon, std::iter::once(&self.ctl), self.events.counts, &self.telemetry))
+        Ok(())
     }
 
     /// Full watchdog evaluation, run only when the per-event probe fires
@@ -445,29 +622,54 @@ impl System {
         Ok(())
     }
 
-    /// Test hook: sends all future event pushes to the queue's far heap,
-    /// the pure binary-heap order (see `EventQueue::set_reference_mode`),
-    /// so equivalence tests can prove the calendar wheel is
-    /// bit-identical.
-    #[doc(hidden)]
-    pub fn set_reference_event_order(&mut self, on: bool) {
-        self.events.set_reference_mode(on);
+    /// Samples the periodic telemetry series over every channel at `now`.
+    pub(crate) fn sample_series(&mut self) {
+        let channels = self.ctls.iter().flat_map(Controller::channels);
+        sample_series(&self.telemetry, &mut self.next_sample, self.now, channels);
     }
 
-    /// Surfaces any fault recorded during event processing: a pending
-    /// typed error or a protocol-checker violation on some channel.
-    fn poll_faults(&mut self) -> Result<(), SimError> {
-        match self.ctl.pending_error.take().or_else(|| self.ctl.violation()) {
+    /// Surfaces any fault recorded during event processing, in
+    /// controller order: typed controller errors first, then
+    /// protocol-checker violations.
+    pub(crate) fn poll_faults(&mut self) -> Result<(), SimError> {
+        for ctl in &mut self.ctls {
+            if let Some(err) = ctl.pending_error.take() {
+                return Err(err);
+            }
+        }
+        match self.ctls.iter().find_map(Controller::violation) {
             Some(err) => Err(err),
             None => Ok(()),
         }
     }
 
-    /// Snapshot of simulator state for a [`SimError::Stalled`] report. A
-    /// single-controller machine has no one else to blame.
-    fn stall_report(&self) -> StallReport {
-        self.front
-            .stall_report(self.now, None, std::iter::once(&self.ctl))
+    /// Whether no event anywhere can ever fire again (timers alone never
+    /// create events).
+    pub(crate) fn drained(&self) -> bool {
+        self.events.is_empty() && self.windows.drained()
+    }
+
+    /// Snapshot of simulator state for a [`SimError::Stalled`] report.
+    /// With no specific culprit known, a multi-controller machine blames
+    /// the controller with the deepest backlog (queues + spill), ties to
+    /// the lowest index: that is where progress died.
+    pub(crate) fn stall_report(&self) -> StallReport {
+        let suspect = self
+            .ctls
+            .iter()
+            .enumerate()
+            .max_by_key(|(i, ctl)| (ctl.backlog(), Reverse(*i)))
+            .map(|(i, _)| i);
+        self.stall_report_for(suspect)
+    }
+
+    /// A stall report attributing `controller` (when known and the
+    /// machine actually has more than one).
+    pub(crate) fn stall_report_for(&self, controller: Option<usize>) -> StallReport {
+        let controller = controller
+            .filter(|_| self.ctls.len() > 1)
+            .map(ControllerId::new);
+        self.front.stall_report(self.now, controller, self.ctls.iter())
     }
 }
 

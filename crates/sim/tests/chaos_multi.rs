@@ -1,4 +1,4 @@
-//! Fault injection on the multi-controller engine: chaos plans route
+//! Fault injection on multi-controller machines: chaos plans route
 //! through `Topology::partition` to the owning shard, coordination
 //! faults quarantine exactly the controller they strike, chaotic runs
 //! replay bit-identically, and durable sweeps (checkpoint/resume, deadlines) now cover
@@ -8,10 +8,10 @@ use std::path::PathBuf;
 use tcm_chaos::{FaultKind, FaultPlan, FaultSpec};
 use tcm_core::TcmParams;
 use tcm_sim::{
-    CellFailureKind, MultiSystem, PolicyKind, RunConfig, Session, SweepResult,
+    CellFailureKind, PolicyKind, RunConfig, Session, SweepResult, System,
 };
 use tcm_telemetry::{DegradationAnomaly, QuarantineReason};
-use tcm_types::{ControllerId, SimError, SystemConfig, Topology};
+use tcm_types::{ControllerId, Invariant, SimError, SystemConfig, Topology};
 use tcm_workload::{random_workload, WorkloadSpec};
 
 const HORIZON: u64 = 120_000;
@@ -33,12 +33,8 @@ fn fast_tcm(threads: usize) -> PolicyKind {
     })
 }
 
-fn build(cfg: &SystemConfig, policy: &PolicyKind, workload: &WorkloadSpec) -> MultiSystem {
-    let n = cfg.num_threads;
-    let controllers = (0..cfg.topology.num_controllers())
-        .map(|_| policy.build_controller(n, cfg))
-        .collect();
-    MultiSystem::new(cfg, workload, controllers, policy.build_meta(n, cfg), 7)
+fn build(cfg: &SystemConfig, policy: &PolicyKind, workload: &WorkloadSpec) -> System {
+    System::for_policy(cfg, workload, policy, 7)
 }
 
 /// A blackout that lands *after* the target controller's first clean
@@ -166,6 +162,31 @@ fn scheduler_spin_stall_names_the_frozen_controller() {
             assert!(report.summary().contains("mc1"), "summary names the controller");
         }
         other => panic!("expected Stalled, got {other}"),
+    }
+}
+
+/// A spill flood trips the resource bound at its own cycle on a 2x2
+/// machine, under every policy of the lineup. The phantoms are admitted
+/// back to back: with a scheduling pass after each one, issued requests
+/// freed buffer slots, the bound tripped late or not at all, and a
+/// serviced phantom retired at a core that never issued it (a panic).
+#[test]
+fn spill_flood_trips_the_bound_at_its_cycle_under_every_policy() {
+    let cfg = cfg(4, "2x2");
+    let workload = random_workload(1, 4, 1.0);
+    for policy in PolicyKind::paper_lineup(4) {
+        for at in [20_300, 20_333, 20_370, 20_400] {
+            let mut sys = System::for_policy(&cfg, &workload, &policy, 0);
+            sys.install_chaos(&FaultPlan::single(FaultKind::SpillFlood, at));
+            let label = policy.label();
+            match sys.try_run(60_000) {
+                Err(SimError::InvariantViolation(v)) => {
+                    assert_eq!(v.invariant, Invariant::ResourceBound, "{label} at {at}: {v}");
+                    assert_eq!(v.cycle, at, "{label} at {at}: {v}");
+                }
+                other => panic!("{label} at {at}: expected the resource bound, got {other:?}"),
+            }
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tcm_sim::{
-    workload_metrics, Event, EventQueue, IpcPair, MultiSystem, PolicyKind, System, EVENT_WINDOW,
+    workload_metrics, Event, EventQueue, IpcPair, PolicyKind, System, EVENT_WINDOW,
 };
 use tcm_types::ThreadId;
 use tcm_types::{SystemConfig, Topology};
@@ -210,10 +210,10 @@ proptest! {
         prop_assert_eq!(fast_result, reference_result);
     }
 
-    /// The multi-controller engine's queues — the coordinator's and every
-    /// shard's, whose arrivals and completions are fed across the
-    /// barrier — pop in exactly the pure binary-heap order: sending every
-    /// push to the far heap (the queues' reference mode) reproduces the
+    /// The window loop's queues — the core side's and every shard's,
+    /// whose arrivals and completions are fed across the barrier — pop
+    /// in exactly the pure binary-heap order: sending every push to the
+    /// far heap (the queues' reference mode) reproduces the
     /// `RunResult` bit for bit, on uniform (2x2) and asymmetric (3+1)
     /// machines under every policy.
     #[test]
@@ -242,12 +242,7 @@ proptest! {
         let kind = &kinds[policy_index % kinds.len()];
         let horizon = 100_000;
 
-        let build = || {
-            let controllers = (0..cfg.topology.num_controllers())
-                .map(|_| kind.build_controller(n, &cfg))
-                .collect();
-            MultiSystem::new(&cfg, &workload, controllers, kind.build_meta(n, &cfg), seed)
-        };
+        let build = || System::for_policy(&cfg, &workload, kind, seed);
         let fast_result = build().run(horizon);
         let mut reference = build();
         reference.set_reference_event_order(true);

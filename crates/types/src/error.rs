@@ -156,9 +156,9 @@ pub struct StallReport {
     /// Number of busy banks, per channel.
     pub busy_banks: Vec<usize>,
     /// The controller attributed as the stall site, when the engine can
-    /// name one. The flat single-controller engine reports `None`; the
-    /// multi-controller engine names the shard whose timer froze or
-    /// whose queues back up the most.
+    /// name one. A single-controller machine reports `None`; a
+    /// multi-controller machine names the controller whose timer froze
+    /// or whose queues back up the most.
     pub controller: Option<ControllerId>,
 }
 

@@ -54,6 +54,23 @@ SERVE_TMP=$(mktemp -d)
 REPRO_TMP=$(mktemp -d)
 trap 'rm -rf "$TRACE_TMP" "$SERVE_TMP" "$REPRO_TMP"' EXIT
 
+# The benchmark package (perf/) is a package of its own that builds
+# against the workspace crates by path, so the workspace legs above
+# never compile it. Type-checking it here makes an API change that
+# breaks it fail CI instead of the benchmark run. Cargo rewrites
+# perf/Cargo.lock while resolving, so the committed lock is put back
+# whether or not the check passes.
+echo "==> cargo check the benchmark package (perf/)"
+cp perf/Cargo.lock "$TRACE_TMP/perf-Cargo.lock"
+perf_status=0
+cargo check --offline --quiet --manifest-path perf/Cargo.toml \
+    --target-dir target/perf-check || perf_status=$?
+cp "$TRACE_TMP/perf-Cargo.lock" perf/Cargo.lock
+if [[ "$perf_status" -ne 0 ]]; then
+    echo "the benchmark package perf/ no longer type-checks against the tree" >&2
+    exit 1
+fi
+
 # Experiment smoke: every figure and table of the paper once, at a tiny
 # scale. It runs in a scratch directory so the committed
 # experiments_output.md is untouched, and must exit 0 with all 14
