@@ -155,8 +155,8 @@ impl ExactSizeIterator for BankSetIter {}
 ///
 /// Requests stay in the buffer until a scheduling policy picks them for
 /// service; lookups are by *position within a bank's pending set*, which
-/// is how scheduling decisions are phrased. See the [module docs](self)
-/// for the layout.
+/// is how scheduling decisions are phrased. The layout is described in
+/// the module docs of `queue.rs`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestQueue {
     /// Per-bank lanes, each in arrival order. A request lives in exactly

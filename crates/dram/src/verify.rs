@@ -44,7 +44,7 @@ struct BankShadow {
 }
 
 /// Observation-only runtime checker for one channel's DRAM protocol
-/// invariants. See the [module docs](self) for the invariant list.
+/// invariants. The module docs of `verify.rs` list the invariants.
 #[derive(Debug, Clone)]
 pub struct ProtocolChecker {
     channel: ChannelId,

@@ -81,7 +81,8 @@
 //! telemetry), so only cells this run would simulate identically are
 //! restored: a flat run's FILE resumes nothing under `--topology 2x2`.
 //! The two flags name the same mechanism: `--resume` both reads and
-//! rewrites FILE, which then holds this run's cells.
+//! appends to FILE, which keeps the cells of every run that used it
+//! (only a torn last line is cut off).
 //! `--cell-deadline SECS` bounds each cell's wall-clock time; a cell
 //! that exceeds it is cancelled cooperatively, retried
 //! once with a fresh deadline, and reported as a timeout — other cells
@@ -1305,7 +1306,7 @@ fn usage() -> ! {
          --intra-hosts H multiplies the workers to W*H (ignored by --chaos-smoke\n\
          \x20          and by the default one-per-core sweep)\n\
          --verify enables the DRAM protocol invariant checker (observation-only)\n\
-         --checkpoint records completed sweep cells to FILE (JSONL, atomic updates)\n\
+         --checkpoint appends each completed sweep cell to FILE (one fsynced JSONL line)\n\
          --resume restores the cells of FILE this run would simulate identically\n\
          \x20          (same machine, horizon, policy, workload, seed), runs the rest,\n\
          \x20          keeps FILE updated\n\

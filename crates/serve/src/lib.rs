@@ -38,4 +38,4 @@ pub use log::Level;
 pub use metrics::DaemonMetrics;
 pub use queue::{JobQueue, QueueFull};
 pub use server::{Server, ServerConfig};
-pub use wal::{ReplayedJob, Wal, WalStats};
+pub use wal::{ReplayedJob, Wal};

@@ -98,7 +98,7 @@ fn push_text_value(out: &mut String, value: &str) {
     out.push('"');
 }
 
-/// Emits one record. Prefer the [`slog!`](crate::slog) macro, which
+/// Emits one record. Prefer the crate's `slog!` macro, which
 /// formats fields lazily behind an [`enabled`] check.
 pub fn write(level: Level, target: &str, msg: &str, fields: &[(&str, String)]) {
     if !enabled(level) {

@@ -124,6 +124,8 @@ struct Shared {
     inner: Mutex<Inner>,
     work: Condvar,
     wal: Mutex<Wal>,
+    /// Jobs the WAL held when this daemon started.
+    wal_replayed_jobs: u64,
     /// Server-local drain flag; doubles as every sweep's pause flag.
     /// The process-wide signal flag ([`signal::drain_requested`]) is
     /// polled separately so in-process tests never cross-talk.
@@ -226,6 +228,7 @@ impl Server {
                 }),
                 work: Condvar::new(),
                 wal: Mutex::new(wal),
+                wal_replayed_jobs: replayed.len() as u64,
                 draining: Arc::new(AtomicBool::new(false)),
                 subscribers: Mutex::new(HashMap::new()),
                 next_id: AtomicU64::new(next_id),
@@ -342,9 +345,9 @@ fn scrape(shared: &Shared) -> String {
         workers: shared.workers_total as u64,
         watch_subscribers,
         draining: shared.draining.load(Ordering::SeqCst),
-        wal_appended_records: wal.appended_records,
-        wal_appended_bytes: wal.appended_bytes,
-        wal_replayed_jobs: wal.replayed_jobs,
+        wal_appended_records: wal.records,
+        wal_appended_bytes: wal.bytes,
+        wal_replayed_jobs: shared.wal_replayed_jobs,
         wal_truncated_bytes: wal.truncated_bytes,
         alone_runs: shared.alone.misses(),
         alone_memory_hits: shared.alone.hits(),

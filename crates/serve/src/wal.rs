@@ -18,18 +18,17 @@
 //! re-admitted sweep job resumes from its per-job cell checkpoint, so
 //! only the cells that were mid-flight re-run (bit-identically).
 //!
-//! Loading tolerates a torn tail (a crash mid-append): replay stops at
-//! the first unparsable (or unterminated) line and the file is
-//! truncated back to the durable prefix before it is reopened for
-//! append — otherwise the next record would concatenate onto the torn
-//! fragment and everything written after recovery would be lost on the
-//! *following* restart. A mismatched schema is a loud error — a WAL can
-//! never be silently misread as a different format.
+//! The log is a [`tcm_sim::durable::AppendLog`] headed by the schema
+//! line, so it shares the workspace's one torn-tail rule: replay stops
+//! at the first unparsable (or unterminated) line, and the file is cut
+//! back to the durable prefix before anything is appended. A mismatched
+//! schema is a loud error — a WAL can never be silently misread as a
+//! different format.
 
-use std::fs;
-use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::PathBuf;
 use tcm_proto::{JobSpec, JobState};
+use tcm_sim::durable::{AppendLog, LogStats};
 use tcm_types::json::{self, Value};
 
 /// Schema tag on the WAL's first line.
@@ -50,65 +49,41 @@ pub struct ReplayedJob {
     pub terminal: Option<JobState>,
 }
 
-/// Durability counters the daemon exposes for scraping: what this
-/// handle appended this lifetime and what [`Wal::open`] found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WalStats {
-    /// Op records appended (and fsynced) through this handle.
-    pub appended_records: u64,
-    /// Bytes appended through this handle (records plus newlines).
-    pub appended_bytes: u64,
-    /// Jobs folded out of the log at open.
-    pub replayed_jobs: u64,
-    /// Torn-tail bytes truncated back to the durable prefix at open.
-    pub truncated_bytes: u64,
-}
-
 /// Append handle over the WAL file.
 #[derive(Debug)]
 pub struct Wal {
-    file: fs::File,
-    path: PathBuf,
-    stats: WalStats,
+    log: AppendLog,
 }
 
 impl Wal {
     /// Opens (or creates) the WAL at `path`, returning the handle plus
     /// every replayed job in first-admission order.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<(Self, Vec<ReplayedJob>)> {
-        let path = path.into();
-        let mut truncated_bytes = 0;
-        let jobs = match fs::read_to_string(&path) {
-            Ok(text) => {
-                let (jobs, durable_len) = replay(&text)?;
-                // Truncate a torn tail before reopening for append:
-                // appending after an unterminated fragment would corrupt
-                // the first post-recovery record, silently losing every
-                // fsynced op after it on the next replay.
-                if durable_len < text.len() as u64 {
-                    truncated_bytes = text.len() as u64 - durable_len;
-                    let file = fs::OpenOptions::new().write(true).open(&path)?;
-                    file.set_len(durable_len)?;
-                    file.sync_all()?;
+        let header = format!("{{\"schema\":\"{WAL_SCHEMA}\"}}");
+        let (log, ops) = AppendLog::open(&path.into(), Some(&header), parse_op)?;
+        let mut jobs: Vec<ReplayedJob> = Vec::new();
+        for op in ops {
+            let (id, started, terminal) = match op {
+                Op::Submit { id, seq, spec } => {
+                    jobs.push(ReplayedJob {
+                        id,
+                        seq,
+                        spec,
+                        started: false,
+                        terminal: None,
+                    });
+                    continue;
                 }
-                jobs
+                Op::Start(id) => (id, true, None),
+                Op::Finish(id, state) => (id, false, Some(state)),
+                Op::Cancel(id) => (id, false, Some(JobState::Cancelled)),
+            };
+            if let Some(job) = jobs.iter_mut().find(|j| j.id == id) {
+                job.started |= started;
+                job.terminal = terminal.or(job.terminal);
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                let mut file = fs::File::create(&path)?;
-                writeln!(file, "{{\"schema\":\"{WAL_SCHEMA}\"}}")?;
-                file.sync_all()?;
-                sync_parent(&path)?;
-                Vec::new()
-            }
-            Err(e) => return Err(e),
-        };
-        let file = fs::OpenOptions::new().append(true).open(&path)?;
-        let stats = WalStats {
-            replayed_jobs: jobs.len() as u64,
-            truncated_bytes,
-            ..WalStats::default()
-        };
-        Ok((Self { file, path, stats }, jobs))
+        }
+        Ok((Self { log }, jobs))
     }
 
     /// Records an admission; durable before the caller acknowledges it.
@@ -116,17 +91,18 @@ impl Wal {
         let mut line = format!("{{\"op\":\"submit\",\"id\":{id},\"seq\":{seq},\"spec\":");
         spec.encode_body(&mut line);
         line.push('}');
-        self.append(&line)
+        self.log.append(&line)
     }
 
     /// Records that a worker started the job.
     pub fn start(&mut self, id: u64) -> io::Result<()> {
-        self.append(&format!("{{\"op\":\"start\",\"id\":{id}}}"))
+        self.log
+            .append(&format!("{{\"op\":\"start\",\"id\":{id}}}"))
     }
 
     /// Records a terminal state (`Done` or `Failed`).
     pub fn finish(&mut self, id: u64, state: JobState) -> io::Result<()> {
-        self.append(&format!(
+        self.log.append(&format!(
             "{{\"op\":\"finish\",\"id\":{id},\"state\":\"{}\"}}",
             state.as_str()
         ))
@@ -134,125 +110,57 @@ impl Wal {
 
     /// Records a cancellation (terminal).
     pub fn cancel(&mut self, id: u64) -> io::Result<()> {
-        self.append(&format!("{{\"op\":\"cancel\",\"id\":{id}}}"))
+        self.log
+            .append(&format!("{{\"op\":\"cancel\",\"id\":{id}}}"))
     }
 
-    /// The WAL file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Durability counters for this handle (see [`WalStats`]).
-    pub fn stats(&self) -> WalStats {
-        self.stats
-    }
-
-    fn append(&mut self, line: &str) -> io::Result<()> {
-        self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")?;
-        self.file.sync_data()?;
-        self.stats.appended_records += 1;
-        self.stats.appended_bytes += line.len() as u64 + 1;
-        Ok(())
+    /// What this handle appended, and what its open cut off.
+    pub fn stats(&self) -> LogStats {
+        self.log.stats()
     }
 }
 
-fn sync_parent(path: &Path) -> io::Result<()> {
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    fs::File::open(parent)?.sync_all()
+/// One WAL line, parsed (see the module docs for the op grammar).
+#[doc(hidden)]
+#[derive(Debug)]
+pub enum Op {
+    /// `submit`: a job admitted with its queue sequence number.
+    Submit { id: u64, seq: u64, spec: JobSpec },
+    /// `start`: a worker picked the job up.
+    Start(u64),
+    /// `finish`: the job ended `Done` or `Failed`.
+    Finish(u64, JobState),
+    /// `cancel`: the job was cancelled.
+    Cancel(u64),
 }
 
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// Folds WAL text into per-job histories (see module docs), returning
-/// the jobs plus the byte length of the durable prefix: the header and
-/// every fully parsed, newline-terminated op line. Bytes past that
-/// prefix are a torn tail from a crash mid-append (an unterminated line
-/// was never fsync-acknowledged) and must be truncated before the file
-/// is reopened for append.
-fn replay(text: &str) -> io::Result<(Vec<ReplayedJob>, u64)> {
-    let Some(header_end) = text.find('\n').map(|i| i + 1) else {
-        return Err(bad("WAL header unterminated"));
-    };
-    let header =
-        json::parse(&text[..header_end - 1]).ok_or_else(|| bad("WAL header unparsable"))?;
-    match header.field("schema").and_then(Value::as_str) {
-        Some(WAL_SCHEMA) => {}
-        Some(other) => return Err(bad(format!("WAL schema `{other}`, expected `{WAL_SCHEMA}`"))),
-        None => return Err(bad("WAL header missing schema")),
-    }
-    let mut jobs: Vec<ReplayedJob> = Vec::new();
-    let mut durable = header_end as u64;
-    let mut pos = header_end;
-    // A torn tail (crash mid-append) ends replay; everything before it
-    // was fsynced and is authoritative. `durable` only advances past a
-    // line once it has fully parsed *and* carries its newline.
-    while let Some(nl) = text[pos..].find('\n') {
-        let line = &text[pos..pos + nl];
-        pos += nl + 1;
-        if line.is_empty() {
-            durable = pos as u64;
-            continue;
-        }
-        let Some(v) = json::parse(line) else { break };
-        let Some(op) = v.field("op").and_then(Value::as_str) else {
-            break;
-        };
-        let Some(id) = v.field("id").and_then(Value::as_u64) else {
-            break;
-        };
-        match op {
-            "submit" => {
-                let (Some(seq), Some(spec)) = (
-                    v.field("seq").and_then(Value::as_u64),
-                    v.field("spec").and_then(|s| JobSpec::from_value(s).ok()),
-                ) else {
-                    break;
-                };
-                jobs.push(ReplayedJob {
-                    id,
-                    seq,
-                    spec,
-                    started: false,
-                    terminal: None,
-                });
-            }
-            "start" => {
-                if let Some(job) = jobs.iter_mut().find(|j| j.id == id) {
-                    job.started = true;
-                }
-            }
-            "finish" => {
-                let state = match v.field("state").and_then(Value::as_str) {
-                    Some("done") => JobState::Done,
-                    Some("failed") => JobState::Failed,
-                    _ => break,
-                };
-                if let Some(job) = jobs.iter_mut().find(|j| j.id == id) {
-                    job.terminal = Some(state);
-                }
-            }
-            "cancel" => {
-                if let Some(job) = jobs.iter_mut().find(|j| j.id == id) {
-                    job.terminal = Some(JobState::Cancelled);
-                }
-            }
-            _ => break,
-        }
-        durable = pos as u64;
-    }
-    Ok((jobs, durable))
+/// Parses one WAL op line; `None` for anything replay must stop at.
+#[doc(hidden)]
+pub fn parse_op(line: &str) -> Option<Op> {
+    let v = json::parse(line)?;
+    let id = v.field("id").and_then(Value::as_u64)?;
+    Some(match v.field("op").and_then(Value::as_str)? {
+        "submit" => Op::Submit {
+            id,
+            seq: v.field("seq").and_then(Value::as_u64)?,
+            spec: JobSpec::from_value(v.field("spec")?).ok()?,
+        },
+        "start" => Op::Start(id),
+        "finish" => match v.field("state").and_then(Value::as_str)? {
+            "done" => Op::Finish(id, JobState::Done),
+            "failed" => Op::Finish(id, JobState::Failed),
+            _ => return None,
+        },
+        "cancel" => Op::Cancel(id),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use std::fs;
     use tcm_proto::{JobKind, SoakSpec};
 
     fn spec() -> JobSpec {
@@ -279,7 +187,7 @@ mod tests {
         {
             let (mut wal, replayed) = Wal::open(&path).unwrap();
             assert!(replayed.is_empty());
-            assert_eq!(wal.stats(), WalStats::default());
+            assert_eq!(wal.stats(), LogStats::default());
             wal.submit(1, 0, &spec()).unwrap();
             wal.submit(2, 1, &spec()).unwrap();
             wal.submit(3, 2, &spec()).unwrap();
@@ -287,12 +195,11 @@ mod tests {
             wal.finish(1, JobState::Done).unwrap();
             wal.start(2).unwrap(); // in-flight at the "crash"
             wal.cancel(3).unwrap();
-            assert_eq!(wal.stats().appended_records, 7);
-            assert!(wal.stats().appended_bytes > 0);
+            assert_eq!(wal.stats().records, 7);
+            assert!(wal.stats().bytes > 0);
         }
         let (wal, replayed) = Wal::open(&path).unwrap();
-        assert_eq!(wal.stats().replayed_jobs, 3);
-        assert_eq!(wal.stats().appended_records, 0, "appends count per handle");
+        assert_eq!(wal.stats().records, 0, "appends count per handle");
         assert_eq!(replayed.len(), 3);
         assert_eq!(replayed[0].terminal, Some(JobState::Done));
         assert_eq!(replayed[1].terminal, None, "in-flight job re-admits");

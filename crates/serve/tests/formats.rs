@@ -1,18 +1,28 @@
 //! The daemon's durable formats pinned byte for byte (`tcm-serve-wal-v1`
 //! and `tcm-serve-result-v1`), and WAL replay driven with arbitrary
 //! bytes, truncations and bit flips of a valid log: replay returns the
-//! jobs of its durable prefix or an error, and never panics.
+//! jobs of its durable prefix or an error, and never panics. The same
+//! inputs drive the append-log rule every durable parser shares, with
+//! the WAL op, checkpoint entry and stored alone-baseline parsers.
 
 use proptest::prelude::*;
+use std::fmt::Debug;
 use std::path::{Path, PathBuf};
 use tcm_proto::{JobKind, JobSpec, JobState, SoakSpec, SweepSpec, WorkloadRef};
 use tcm_serve::job::{render_result, resolve_sweep};
+use tcm_serve::wal::parse_op;
 use tcm_serve::{ReplayedJob, Wal};
-use tcm_sim::{RunConfig, Session};
+use tcm_sim::durable::AppendLog;
+use tcm_sim::{parse_alone_entry, parse_checkpoint_entry, render_alone_entry, RunConfig, Session};
 use tcm_types::{json, SystemConfig};
 
-/// A header plus every op kind, as the WAL stores them.
+/// A header plus every op kind, as the WAL stores them. Written by the
+/// daemon before its WAL became an `AppendLog`; the test below pins that
+/// today's daemon writes the same bytes.
 const GOLDEN_WAL: &str = include_str!("fixtures/wal.jsonl");
+
+/// Two sweep checkpoint entries, as `tcm-sim` stores them.
+const GOLDEN_CHECKPOINT: &str = include_str!("../../sim/tests/fixtures/checkpoint.jsonl");
 
 /// The result document of [`small_grid`].
 const GOLDEN_RESULT: &str = include_str!("fixtures/result.json");
@@ -146,8 +156,118 @@ fn result_document_matches_the_committed_golden() {
     }
 }
 
+/// The records and byte length of the durable prefix of `bytes` under
+/// the torn-tail rule, written out independently of `AppendLog`: after
+/// the `header` line, every line up to the first that lacks its
+/// newline, is not UTF-8 or is rejected by `parse`. `None` when the
+/// header line is missing or different.
+fn durable_prefix<T>(
+    bytes: &[u8],
+    header: Option<&str>,
+    parse: fn(&str) -> Option<T>,
+) -> Option<(Vec<T>, usize)> {
+    let mut at = match header {
+        Some(header) => {
+            let line = format!("{header}\n");
+            bytes.starts_with(line.as_bytes()).then_some(line.len())?
+        }
+        None => 0,
+    };
+    let mut records = Vec::new();
+    while let Some(len) = bytes[at..].iter().position(|&b| b == b'\n') {
+        match std::str::from_utf8(&bytes[at..at + len])
+            .ok()
+            .and_then(parse)
+        {
+            Some(record) => records.push(record),
+            None => break,
+        }
+        at += len + 1;
+    }
+    Some((records, at))
+}
+
+/// Opens `bytes` as an append log and checks it against
+/// [`durable_prefix`]: the same records, the file cut to that prefix,
+/// and `valid` appended after recovery read back by the next open.
+fn check_append_log<T: Debug>(
+    path: &Path,
+    bytes: &[u8],
+    header: Option<&str>,
+    parse: fn(&str) -> Option<T>,
+    valid: &str,
+) -> Result<(), TestCaseError> {
+    std::fs::write(path, bytes).unwrap();
+    let opened = AppendLog::open(path, header, parse);
+    let Some((expected, prefix)) = durable_prefix(bytes, header, parse) else {
+        prop_assert!(opened.is_err(), "a log without its header is refused");
+        return Ok(());
+    };
+    let (mut log, records) = opened.unwrap();
+    prop_assert_eq!(format!("{records:?}"), format!("{expected:?}"));
+    prop_assert_eq!(std::fs::read(path).unwrap(), &bytes[..prefix]);
+    prop_assert_eq!(log.stats().truncated_bytes, (bytes.len() - prefix) as u64);
+    log.append(valid).unwrap();
+    drop(log);
+    let (log, again) = AppendLog::open(path, header, parse).unwrap();
+    prop_assert_eq!(log.stats().truncated_bytes, 0);
+    prop_assert_eq!(
+        again.len(),
+        expected.len() + 1,
+        "the post-recovery append survives"
+    );
+    prop_assert_eq!(
+        format!("{:?}", again.last()),
+        format!("{:?}", parse(valid).as_ref())
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every durable parser on one set of inputs: arbitrary bytes, and a
+    /// valid file with arbitrary bytes after it, cut at any byte, or
+    /// with one bit flipped. The WAL and checkpoint parsers run under
+    /// the append-log rule; a stored alone baseline, which is one whole
+    /// file, is trusted only when it is exactly the entry for its key.
+    #[test]
+    fn append_logs_keep_exactly_their_durable_prefix(
+        bytes in proptest::collection::vec(any::<u8>(), 0..96),
+        cut in 0..1usize << 16,
+        bit in 0..1usize << 20,
+    ) {
+        let path = scratch("append-log");
+        let inputs = |golden: &str| {
+            let mut flipped = golden.as_bytes().to_vec();
+            flipped[bit / 8 % golden.len()] ^= 1 << (bit % 8);
+            [
+                bytes.clone(),
+                [golden.as_bytes(), &bytes].concat(),
+                golden.as_bytes()[..cut % (golden.len() + 1)].to_vec(),
+                flipped,
+            ]
+        };
+        let header = GOLDEN_WAL.lines().next().unwrap();
+        for input in inputs(GOLDEN_WAL) {
+            check_append_log(&path, &input, Some(header), parse_op, "{\"op\":\"cancel\",\"id\":9}")?;
+        }
+        // Without the header, arbitrary bytes reach the op parser itself.
+        for input in inputs(&GOLDEN_WAL[header.len() + 1..]) {
+            check_append_log(&path, &input, None, parse_op, "{\"op\":\"start\",\"id\":1}")?;
+        }
+        let entry = GOLDEN_CHECKPOINT.lines().next().unwrap();
+        for input in inputs(GOLDEN_CHECKPOINT) {
+            check_append_log(&path, &input, None, parse_checkpoint_entry, entry)?;
+        }
+        let key = "AloneKey { system: .., horizon: 1000, profile: .. }";
+        let alone = render_alone_entry(key, 1.25);
+        for input in inputs(&alone) {
+            let trusted = parse_alone_entry(&String::from_utf8_lossy(&input), key);
+            prop_assert_eq!(trusted.is_some(), input == alone.as_bytes());
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
 
     /// Arbitrary bytes after a valid header replay as a (possibly
     /// empty) durable prefix; arbitrary bytes in place of the header are

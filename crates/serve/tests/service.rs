@@ -156,7 +156,7 @@ fn restarted_daemon_readmits_wal_jobs_and_finishes_bit_identically() {
 
     // The crash scene: a WAL with submit+start but no terminal record,
     // plus the reference checkpoint truncated mid-line — exactly what a
-    // SIGKILL between two atomic publishes leaves behind.
+    // SIGKILL mid-append leaves behind.
     let crash_dir = scratch_dir("crash");
     let state_dir = crash_dir.join("state");
     std::fs::create_dir_all(&state_dir).expect("state dir");
@@ -196,9 +196,9 @@ fn restarted_daemon_readmits_wal_jobs_and_finishes_bit_identically() {
     assert_eq!(state, JobState::Done, "{detail}");
     let recovered = std::fs::read(state_dir.join("job-1.result.json")).expect("result file");
     assert_eq!(recovered, reference, "recovery is byte-identical");
-    let republished =
-        std::fs::read_to_string(state_dir.join("job-1.ckpt.jsonl")).expect("ckpt republished");
-    assert_eq!(republished.lines().count(), 4, "checkpoint is whole again");
+    let whole =
+        std::fs::read_to_string(state_dir.join("job-1.ckpt.jsonl")).expect("ckpt after recovery");
+    assert_eq!(whole.lines().count(), 4, "checkpoint is whole again");
 
     // The restarted daemon's scrape must carry the recovery story: the
     // job folded out of the WAL and the checkpoint cell it replayed.

@@ -27,14 +27,15 @@
 //! ```
 //!
 //! `check` is the FNV-1a of the four lines above it. Entries are read
-//! lazily, on a memory miss, and written when computed, through the
-//! checkpoint's crash-consistent publish ([`write_durable`]). An entry is
-//! trusted only if it re-renders byte for byte from its own `ipc_bits`
-//! and the key being looked up. Anything else — a truncated file, a
-//! flipped bit, another key's entry, another build's entry — is counted
-//! as corrupt, recomputed and republished.
+//! lazily, on a memory miss, and written when computed, each published
+//! whole through [`write_durable`] (an entry is one file, not an append
+//! log, so no torn-tail rule applies). An entry is trusted only if it
+//! re-renders byte for byte from its own `ipc_bits` and the key being
+//! looked up. Anything else — a truncated file, a flipped bit, another
+//! key's entry, another build's entry — is counted as corrupt,
+//! recomputed and republished.
 
-use crate::checkpoint::write_durable;
+use crate::durable::write_durable;
 use crate::runner::{fnv1a, PolicyKind, RunConfig};
 use crate::sweep::run_cell;
 use std::collections::HashMap;
@@ -309,7 +310,7 @@ impl Drop for Claim<'_> {
 }
 
 /// The store entry for `key_text` holding `ipc` (see the module docs).
-fn render_entry(key_text: &str, ipc: f64) -> String {
+pub fn render_entry(key_text: &str, ipc: f64) -> String {
     let body = format!(
         "{SCHEMA}\nbuild {BUILD}\nkey {key_text}\nipc_bits {}\n",
         ipc.to_bits()
@@ -320,7 +321,7 @@ fn render_entry(key_text: &str, ipc: f64) -> String {
 
 /// The IPC an entry holds, if it is exactly the entry
 /// [`render_entry`] writes for `key_text`.
-fn parse_entry(text: &str, key_text: &str) -> Option<f64> {
+pub fn parse_entry(text: &str, key_text: &str) -> Option<f64> {
     let bits = text
         .lines()
         .nth(3)?

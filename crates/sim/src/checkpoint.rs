@@ -12,110 +12,35 @@
 //! **bit-identical** — no decimal round-trip error, NaN and infinity
 //! included.
 //!
-//! Durability: [`CheckpointWriter::create`] publishes the resumed
-//! entries atomically through [`write_durable`], so a stale file from
-//! another sweep is replaced whole or not at all. Each completed cell is
-//! then appended as one line to the open file and fsynced before the
-//! cell reports done. A crash (a killed process, lost power) mid-append
-//! can leave at most a torn last line, and loading is tolerant of
-//! exactly that: a missing file loads nothing, and entries are read up
-//! to the first line that does not parse — the torn tail is dropped and
-//! the next `create` republishes without it. A file of the older
-//! header-first format loads as no entries at all.
+//! Durability: the checkpoint is an [`AppendLog`] without a header.
+//! Each completed cell is appended as one line and fsynced before the
+//! cell reports done, so a crash (a killed process, lost power) loses at
+//! most the cells in flight and a torn last line, which the next open
+//! cuts off. Entries of other grids stay in the file: their keys never
+//! match a cell simulated differently. A file of the older header-first
+//! format opens as no entries, and is cut back to empty.
 //!
 //! The format is an internal detail of [`Sweep::checkpoint`] /
 //! `tcm-run --resume`.
 //!
 //! [`Sweep::checkpoint`]: crate::Sweep::checkpoint
 
+use crate::durable::AppendLog;
 use crate::metrics::WorkloadMetrics;
 use crate::runner::EvalResult;
 use crate::machine::RunResult;
 use std::collections::HashMap;
-use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use tcm_telemetry::{MetricsRegistry, TelemetrySnapshot};
 use tcm_types::json::{self, Value};
 
-/// Loads the entries of the checkpoint at `path`, as cell key text to
-/// result. A missing file loads nothing; reading stops at the first
-/// line that does not parse (a torn write), keeping the entries before
-/// it.
-pub(crate) fn load(path: &Path) -> io::Result<HashMap<String, EvalResult>> {
-    let text = match fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(HashMap::new()),
-        Err(e) => return Err(e),
-    };
-    Ok(text.lines().map_while(parse_entry).collect())
-}
-
-/// Append-only checkpoint writer: one atomic publish of the resumed
-/// entries, then one fsynced line per completed cell.
-#[derive(Debug)]
-pub(crate) struct CheckpointWriter {
-    file: fs::File,
-}
-
-impl CheckpointWriter {
-    /// A writer for `path` starting from the already-known `entries`
-    /// (the resumed cells). Publishes them immediately and atomically,
-    /// so a stale file from another sweep is replaced even if this one
-    /// is killed before its first cell completes.
-    pub fn create<'e>(
-        path: PathBuf,
-        entries: impl IntoIterator<Item = (&'e str, &'e EvalResult)>,
-    ) -> io::Result<Self> {
-        let text: String = entries
-            .into_iter()
-            .map(|(key, result)| write_entry(key, result) + "\n")
-            .collect();
-        write_durable(&path, &text)?;
-        let file = fs::OpenOptions::new().append(true).open(&path)?;
-        Ok(Self { file })
-    }
-
-    /// Appends one completed cell under its key text and fsyncs it. A
-    /// crash mid-write leaves a torn last line, which [`load`] drops.
-    pub fn append(&mut self, key: &str, result: &EvalResult) -> io::Result<()> {
-        use std::io::Write;
-        let line = write_entry(key, result) + "\n";
-        self.file.write_all(line.as_bytes())?;
-        self.file.sync_data()
-    }
-}
-
-/// Writes `contents` to `path` crash-consistently: a `<path>.tmp`
-/// sibling, fsync, atomic rename over `path`, fsync of the parent
-/// directory. Every durable file the workspace publishes whole goes
-/// through here: stored alone baselines, the daemon's result and scrape
-/// files, and a sweep checkpoint's resumed entries when it is created.
-/// A checkpoint's later cells are appended in place instead, one
-/// fsynced line each; its torn-tail loading rule covers a crash
-/// mid-append.
-pub fn write_durable(path: &Path, contents: &str) -> io::Result<()> {
-    let mut tmp = path.to_path_buf().into_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    // Fsync the temp file *before* the rename (so the rename can never
-    // install a file whose data is still in the page cache) and the
-    // parent directory *after* it (so the rename itself — a directory
-    // mutation — is durable). Without both, power loss or SIGKILL in
-    // the window between write and rename can surface a stale or torn
-    // file on restart.
-    {
-        use std::io::Write;
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(contents.as_bytes())?;
-        file.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    fs::File::open(parent)?.sync_all()
+/// Opens (or creates) the checkpoint at `path` for appending
+/// [`write_entry`] lines, with its stored entries as cell key text to
+/// result.
+pub(crate) fn open(path: &Path) -> io::Result<(AppendLog, HashMap<String, EvalResult>)> {
+    let (log, entries) = AppendLog::open(path, None, parse_entry)?;
+    Ok((log, entries.into_iter().collect()))
 }
 
 // ---------------------------------------------------------------------
@@ -127,7 +52,7 @@ fn write_f64_array(out: &mut String, values: &[f64]) {
     json::write_u64_array(out, values.iter().map(|v| v.to_bits()));
 }
 
-fn write_entry(key: &str, r: &EvalResult) -> String {
+pub(crate) fn write_entry(key: &str, r: &EvalResult) -> String {
     let mut out = String::from("{\"key\":");
     json::write_str(&mut out, key);
     out.push_str(",\"result\":{\"policy\":");
@@ -195,7 +120,9 @@ fn write_entry(key: &str, r: &EvalResult) -> String {
 // Parsing. Every reader returns `None` on any malformed input.
 // ---------------------------------------------------------------------
 
-fn parse_entry(line: &str) -> Option<(String, EvalResult)> {
+/// One checkpoint line's cell key text and result; `None` when the
+/// line does not parse as an entry.
+pub fn parse_entry(line: &str) -> Option<(String, EvalResult)> {
     let doc = json::parse(line)?;
     let key = doc.field("key")?.as_str()?.to_string();
     let result = doc.field("result")?;
@@ -258,6 +185,8 @@ fn parse_telemetry(v: &Value) -> Option<TelemetrySnapshot> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::fs;
+    use std::path::PathBuf;
 
     fn sample_result() -> EvalResult {
         EvalResult {
@@ -360,13 +289,19 @@ mod tests {
         assert!(telemetry.events.is_empty(), "event logs are not persisted");
     }
 
+    /// The entries `path` opens with (cutting off what they do not
+    /// cover).
+    fn load(path: &Path) -> HashMap<String, EvalResult> {
+        open(path).unwrap().1
+    }
+
     #[test]
     fn torn_tail_is_ignored_and_header_first_files_load_nothing() {
         let path = scratch("torn");
         let mut text = GOLDEN.lines().next().unwrap().to_string();
         text.push_str("\n{\"key\":\"CellKey { wor"); // torn mid-write
         fs::write(&path, &text).unwrap();
-        let loaded = load(&path).unwrap();
+        let loaded = load(&path);
         assert_eq!(loaded.len(), 1, "torn tail dropped");
         assert!(loaded.contains_key(sample_entries()[0].0));
 
@@ -374,50 +309,52 @@ mod tests {
         let v1 = "{\"schema\":\"tcm-sweep-checkpoint-v1\",\"policies\":[\"TCM\"],\
                   \"workloads\":[\"w0\"],\"seeds\":[0],\"horizon\":60000}\n";
         fs::write(&path, format!("{v1}{GOLDEN}")).unwrap();
-        assert!(load(&path).unwrap().is_empty(), "a header-first file resumes nothing");
+        assert!(load(&path).is_empty(), "a header-first file resumes nothing");
         fs::remove_file(&path).unwrap();
-        assert!(load(&path).unwrap().is_empty(), "missing file starts fresh");
+        assert!(load(&path).is_empty(), "missing file starts fresh");
+        fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn writer_publishes_atomically_and_appends() {
+    fn open_creates_appends_and_reopens_verbatim() {
         let path = scratch("writer");
-        let mut writer = CheckpointWriter::create(path.clone(), []).unwrap();
+        let _ = fs::remove_file(&path);
+        let (mut log, loaded) = open(&path).unwrap();
+        assert!(loaded.is_empty());
         assert_eq!(fs::read_to_string(&path).unwrap(), "", "nothing resumed: an empty file");
         for (key, result) in &sample_entries() {
-            writer.append(key, result).unwrap();
+            log.append(&write_entry(key, result)).unwrap();
         }
         assert_eq!(fs::read_to_string(&path).unwrap(), GOLDEN);
-        let loaded = load(&path).unwrap();
-        let reopened = CheckpointWriter::create(
-            path.clone(),
-            sample_entries().iter().map(|(key, _)| (*key, &loaded[*key])),
-        );
-        drop(reopened.unwrap());
-        let republished = fs::read_to_string(&path).unwrap();
-        assert_eq!(republished, GOLDEN, "resumed entries republish verbatim");
+        let loaded = load(&path);
+        for (key, result) in &sample_entries() {
+            assert_eq!(write_entry(key, &loaded[*key]), write_entry(key, result));
+        }
+        assert_eq!(fs::read_to_string(&path).unwrap(), GOLDEN, "opening rewrites nothing");
         fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn each_append_adds_one_line_and_a_torn_last_line_loses_only_itself() {
         let path = scratch("append");
-        let mut writer = CheckpointWriter::create(path.clone(), []).unwrap();
+        let _ = fs::remove_file(&path);
+        let (mut log, _) = open(&path).unwrap();
         let keys: Vec<String> = (0..5).map(|seed| format!("CellKey {{ seed: {seed} }}")).collect();
         for (n, key) in keys.iter().enumerate() {
-            writer.append(key, &sample_result()).unwrap();
+            log.append(&write_entry(key, &sample_result())).unwrap();
             let text = fs::read_to_string(&path).unwrap();
             assert_eq!(text.lines().count(), n + 1, "one line per appended cell");
             assert!(text.ends_with('\n'));
         }
-        drop(writer);
+        drop(log);
         // A crash mid-append: the last line is cut short.
         let text = fs::read_to_string(&path).unwrap();
         let last = text[..text.len() - 1].rfind('\n').unwrap() + 1;
         fs::write(&path, &text[..last + (text.len() - last) / 2]).unwrap();
-        let loaded = load(&path).unwrap();
+        let loaded = load(&path);
         assert_eq!(loaded.len(), keys.len() - 1);
         assert!(keys[..keys.len() - 1].iter().all(|key| loaded.contains_key(key)));
+        assert_eq!(fs::read_to_string(&path).unwrap(), text[..last], "cut to the whole lines");
         fs::remove_file(&path).unwrap();
     }
 
@@ -426,7 +363,7 @@ mod tests {
 
         /// Arbitrary bytes and single-bit flips of a valid checkpoint
         /// load without panicking, and a cut of it loads exactly the
-        /// entries whose line it keeps whole.
+        /// entries whose line it keeps whole, newline included.
         #[test]
         fn corrupted_files_load_or_are_refused(
             bytes in proptest::collection::vec(any::<u8>(), 0..128),
@@ -438,19 +375,17 @@ mod tests {
             flipped[bit / 8] ^= 1 << (bit % 8);
             for text in [&bytes[..], &flipped] {
                 fs::write(&path, text).unwrap();
-                if let Ok(loaded) = load(&path) {
-                    prop_assert!(loaded.len() <= 2);
-                }
+                prop_assert!(load(&path).len() <= 2);
             }
             fs::write(&path, &GOLDEN[..cut]).unwrap();
-            let loaded = load(&path).unwrap();
+            let loaded = load(&path);
             let whole = GOLDEN
                 .lines()
                 .scan(0, |end, line| {
                     *end += line.len() + 1;
                     Some(*end - 1)
                 })
-                .filter(|&end| end <= cut)
+                .filter(|&newline| newline < cut)
                 .count();
             prop_assert_eq!(loaded.len(), whole);
             for (key, result) in sample_entries().iter().take(whole) {

@@ -49,6 +49,7 @@
 mod alone;
 pub mod campaign;
 mod checkpoint;
+pub mod durable;
 mod event;
 mod machine;
 mod metrics;
@@ -59,10 +60,14 @@ pub mod scatter;
 pub mod sweep;
 mod system;
 
-pub use checkpoint::write_durable;
+pub use durable::write_durable;
 pub use event::{Event, EventQueue};
 #[doc(hidden)]
 pub use event::WINDOW as EVENT_WINDOW;
+#[doc(hidden)]
+pub use alone::{parse_entry as parse_alone_entry, render_entry as render_alone_entry};
+#[doc(hidden)]
+pub use checkpoint::parse_entry as parse_checkpoint_entry;
 pub use machine::{RunResult, DEFAULT_STALL_LIMIT};
 pub use metrics::{mean, variance, workload_metrics, IpcPair, WorkloadMetrics};
 pub use runner::{

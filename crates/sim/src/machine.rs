@@ -36,7 +36,8 @@ use tcm_types::{
 use tcm_workload::{MachineShape, TraceGenerator, WorkloadSpec};
 
 /// Default forward-progress watchdog limit: if memory requests are
-/// outstanding but none retires for this many cycles, the run is
+/// outstanding but none retires for this many cycles (counted from the
+/// burst that ended an idle stretch, when that is later), the run is
 /// declared [`SimError::Stalled`].
 ///
 /// Generously above any legitimate retirement gap: even a single fully
@@ -395,7 +396,9 @@ pub(crate) struct FrontEnd {
     /// Misses whose data returned to a core.
     pub(crate) completed: u64,
     /// Cycle at which the most recent request retired.
-    pub(crate) last_retire: Cycle,
+    last_retire: Cycle,
+    /// Cycle of the latest burst injected while nothing was outstanding.
+    woke_at: Cycle,
     /// Events processed since the most recent retirement.
     pub(crate) events_since_retire: u64,
     /// `CoreBurst` events that arrived with a stale epoch.
@@ -461,6 +464,7 @@ impl FrontEnd {
             injected: 0,
             completed: 0,
             last_retire: 0,
+            woke_at: 0,
             events_since_retire: 0,
             stale_bursts: 0,
             scratch_ids: Vec::new(),
@@ -555,6 +559,9 @@ impl FrontEnd {
             place(request);
         }
         self.cores[t].issue_burst(&ids);
+        if self.injected == self.completed {
+            self.woke_at = now;
+        }
         self.injected += ids.len() as u64;
         self.scratch_ids = ids;
         // Hand the (drained) buffer back so arm_next_burst refills it in
@@ -588,6 +595,13 @@ impl FrontEnd {
     /// Whether injected requests are still in flight.
     pub(crate) fn outstanding(&self) -> bool {
         self.injected > self.completed
+    }
+
+    /// The cycle the stall watchdog counts from: the last retirement or,
+    /// if later, the burst that ended an idle stretch (a thread may
+    /// compute past the stall limit with nothing outstanding).
+    pub(crate) fn progress_at(&self) -> Cycle {
+        self.last_retire.max(self.woke_at)
     }
 
     /// Settles every core at the horizon.

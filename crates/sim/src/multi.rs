@@ -274,7 +274,7 @@ impl System {
                 }
             }
             if let Some(limit) = self.stall_limit {
-                if self.front.outstanding() && bound.saturating_sub(self.front.last_retire) > limit {
+                if self.front.outstanding() && bound.saturating_sub(self.front.progress_at()) > limit {
                     return Err(SimError::Stalled(Box::new(self.stall_report())));
                 }
             }
@@ -444,9 +444,9 @@ impl System {
     /// barrier bookkeeping, which is also unobservable in the skipped
     /// range: every `frozen_ticks` stays 0 (every due is strictly beyond
     /// the range), the stall check is capped below (we never skip past
-    /// `last_retire + limit`, so a watchdog error surfaces at the same
+    /// `progress_at + limit`, so a watchdog error surfaces at the same
     /// barrier bound it always did), and nothing in the range can change
-    /// `injected`/`completed`/`last_retire`. The skip target is held
+    /// `injected`/`completed`/`progress_at`. The skip target is held
     /// strictly below the first constraint (`limit - 1` in the divide)
     /// so the barrier *at* a due cycle still runs its ticks.
     fn skip_empty_windows(&self, t: Cycle, horizon: Cycle) -> Cycle {
@@ -471,7 +471,7 @@ impl System {
         }
         if let Some(stall) = self.stall_limit {
             if self.front.outstanding() {
-                clamp(self.front.last_retire.saturating_add(stall).saturating_add(1));
+                clamp(self.front.progress_at().saturating_add(stall).saturating_add(1));
             }
         }
         if limit <= t {

@@ -42,7 +42,7 @@
 //! # Ok::<(), tcm_types::ConfigError>(())
 //! ```
 
-use crate::checkpoint::{self, CheckpointWriter};
+use crate::checkpoint;
 use crate::metrics::{workload_metrics, IpcPair, WorkloadMetrics};
 use crate::runner::{workload_seed, EvalResult, PolicyKind, RunConfig};
 use crate::machine::RunResult;
@@ -59,25 +59,6 @@ use tcm_types::{CancelToken, ControllerId, Cycle, SimError, SystemConfig};
 use tcm_workload::{BenchmarkProfile, WorkloadSpec};
 
 pub use crate::alone::{AloneIpcCache, ProfileFingerprint};
-
-/// Runs one (policy, workload) cell and computes the paper's metrics,
-/// treating any simulator fault as fatal.
-///
-/// Thin wrapper over [`try_eval_cell`] for the deprecated single-cell
-/// entry points, which predate typed errors.
-pub(crate) fn eval_cell(
-    policy: &PolicyKind,
-    workload: &WorkloadSpec,
-    rc: &RunConfig,
-    weights: Option<&[f64]>,
-    seed_xor: u64,
-    alone_ipc: impl FnMut(&BenchmarkProfile) -> f64,
-) -> EvalResult {
-    match try_eval_cell(policy, workload, rc, weights, seed_xor, None, alone_ipc) {
-        Ok(result) => result,
-        Err(err) => panic!("cell evaluation failed: {err}"),
-    }
-}
 
 /// The cooperative token one cell polls: the per-cell deadline from the
 /// run configuration (fresh per attempt, so a retried timeout gets a
@@ -560,9 +541,10 @@ impl Session {
     ) -> EvalResult {
         let t0 = Instant::now();
         let runs = AtomicU64::new(0);
-        let result = eval_cell(policy, workload, &self.rc, weights, 0, |p| {
+        let result = try_eval_cell(policy, workload, &self.rc, weights, 0, None, |p| {
             self.alone_ipc_counted(p, &runs)
-        });
+        })
+        .unwrap_or_else(|err| panic!("cell evaluation failed: {err}"));
         self.record(1, runs.into_inner(), t0.elapsed(), 1);
         result
     }
@@ -689,9 +671,9 @@ impl Sweep<'_> {
     /// telemetry. A sweep run with the same checkpoint path restores
     /// every cell whose key is stored, **bit-identically** (floats are
     /// stored as IEEE-754 bit patterns, not decimal), and simulates the
-    /// rest. Before its first cell it atomically rewrites the file to
-    /// hold only the cells it restored.
-    /// Failed cells are never recorded, so a resume retries them.
+    /// rest. Entries it does not restore stay in the file; only a torn
+    /// last line is cut off. Failed cells are never recorded, so a
+    /// resume retries them.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint = Some(path.into());
         self
@@ -795,15 +777,14 @@ impl Sweep<'_> {
                 format!("{key:?}")
             })
             .collect();
-        let stored = match &self.checkpoint {
-            Some(path) => checkpoint::load(path).unwrap_or_else(|err| {
-                eprintln!(
-                    "warning: could not read checkpoint {}: {err}; starting fresh",
-                    path.display()
-                );
-                HashMap::new()
-            }),
-            None => HashMap::new(),
+        let (log, stored) = match &self.checkpoint {
+            Some(path) => {
+                let (log, stored) = checkpoint::open(path).unwrap_or_else(|err| {
+                    panic!("cannot open sweep checkpoint {}: {err}", path.display())
+                });
+                (Some(Mutex::new(log)), stored)
+            }
+            None => (None, HashMap::new()),
         };
         let mut cells: Vec<Option<SweepCell>> = indices
             .iter()
@@ -814,16 +795,6 @@ impl Sweep<'_> {
             })
             .collect();
         let resumed = cells.iter().flatten().count();
-        let writer: Option<Mutex<CheckpointWriter>> = self.checkpoint.as_ref().map(|path| {
-            let entries = cells
-                .iter()
-                .zip(&keys)
-                .filter_map(|(cell, key)| Some((key.as_str(), &cell.as_ref()?.result)));
-            Mutex::new(
-                CheckpointWriter::create(path.clone(), entries)
-                    .expect("cannot create sweep checkpoint file"),
-            )
-        });
         let to_run: Vec<usize> = (0..total).filter(|&i| cells[i].is_none()).collect();
 
         // Alone baselines only for workloads with a cell left to run (a
@@ -920,11 +891,10 @@ impl Sweep<'_> {
                     seed: s,
                     result,
                 };
-                if let Some(writer) = &writer {
-                    writer
-                        .lock()
+                if let Some(log) = &log {
+                    log.lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .append(&keys[i], &cell.result)
+                        .append(&checkpoint::write_entry(&keys[i], &cell.result))
                         .map_err(|e| CellFailureKind::Checkpoint(e.to_string()))?;
                 }
                 Ok(cell)

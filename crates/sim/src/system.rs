@@ -115,7 +115,7 @@ pub struct System {
     /// the per-event probe is one compare instead of an `Option` walk.
     chaos_flood_at: Cycle,
     /// Next cycle boundary at which the stall watchdog must be
-    /// re-evaluated: `last_retire + stall_limit` (the earliest cycle the
+    /// re-evaluated: `progress_at + stall_limit` (the earliest cycle the
     /// stalled condition can possibly hold), `Cycle::MAX` when the
     /// watchdog is disabled. The per-event probe is one compare; the
     /// full check runs only past the boundary — with semantics identical
@@ -291,18 +291,19 @@ impl System {
     }
 
     /// Sets the forward-progress watchdog limit (cycles without a
-    /// retirement while requests are outstanding). `None` disables the
-    /// watchdog, including the same-cycle livelock guard.
+    /// retirement while requests are outstanding, counted from the burst
+    /// that ended an idle stretch when that is later). `None` disables
+    /// the watchdog, including the same-cycle livelock guard.
     pub fn set_watchdog(&mut self, stall_limit: Option<Cycle>) {
         self.stall_limit = stall_limit;
         self.stall_probe_at = match stall_limit {
-            Some(limit) => self.front.last_retire.saturating_add(limit),
+            Some(limit) => self.front.progress_at().saturating_add(limit),
             None => Cycle::MAX,
         };
     }
 
     /// Installs a cooperative cancellation token. The flat loop polls it
-    /// every [`CANCEL_CHECK_STRIDE`] events, the window loop at every
+    /// every `CANCEL_CHECK_STRIDE` events, the window loop at every
     /// barrier, and either surfaces [`SimError::Cancelled`] once it
     /// fires; `None` (the default) makes the run uncancellable.
     pub fn set_cancel_token(&mut self, token: Option<CancelToken>) {
@@ -611,11 +612,11 @@ impl System {
     fn check_watchdog(&mut self) -> Result<(), SimError> {
         if let Some(limit) = self.stall_limit {
             let stalled = self.front.outstanding()
-                && self.now.saturating_sub(self.front.last_retire) > limit;
+                && self.now.saturating_sub(self.front.progress_at()) > limit;
             if stalled || self.events_at_now > self.livelock_limit {
                 return Err(SimError::Stalled(Box::new(self.stall_report())));
             }
-            self.stall_probe_at = self.front.last_retire.saturating_add(limit);
+            self.stall_probe_at = self.front.progress_at().saturating_add(limit);
         } else {
             self.stall_probe_at = Cycle::MAX;
         }

@@ -4,8 +4,8 @@
 //!
 //! The kill-mid-flight scenario is emulated by truncating the
 //! checkpoint file to a prefix of completed cells — exactly what a
-//! process killed between two atomic publishes leaves behind — then
-//! resuming into a fresh `Session`.
+//! process killed between two appends leaves behind — then resuming
+//! into a fresh `Session`.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -64,7 +64,7 @@ fn interrupted_sweep_resumes_bit_identically() {
     assert!(reference.is_complete());
 
     // First attempt, checkpointed. Then emulate a kill between two
-    // atomic publishes: keep the first three cells.
+    // appends: keep the first three cells.
     let first = sweep_with(&Session::new(run_config()), Some(&path));
     assert!(first.is_complete());
     let full = std::fs::read_to_string(&path).expect("checkpoint exists");
@@ -84,8 +84,8 @@ fn interrupted_sweep_resumes_bit_identically() {
     );
     assert_eq!(resumed.stats().cells, reference.stats().cells);
 
-    // The republished checkpoint is whole again: a second resume
-    // restores everything and simulates nothing.
+    // The checkpoint is whole again: a second resume restores
+    // everything and simulates nothing.
     let replayed = sweep_with(&Session::new(run_config()), Some(&path));
     assert_eq!(replayed.stats().resumed, reference.cells().len());
     assert_eq!(replayed.cells(), reference.cells());
@@ -93,12 +93,11 @@ fn interrupted_sweep_resumes_bit_identically() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// `kill -9` lands **mid-republish**: the `.tmp` sibling holds a
-/// half-written rewrite (never renamed into place) and the published
-/// file itself ends in a torn line (the tail of an older, interrupted
-/// append-era write). Resume must ignore both artifacts, restore the
-/// intact prefix, and merge bit-identically — and the next publish must
-/// clobber the stale `.tmp` rather than trip over it.
+/// `kill -9` lands mid-append, next to a stale `.tmp` sibling (a
+/// half-written whole-file rewrite, as earlier versions published at
+/// resume and never renamed into place): the file ends in a torn line.
+/// Resume must ignore both artifacts, restore the intact prefix, and
+/// merge bit-identically.
 #[test]
 fn kill_nine_mid_republish_leaves_a_resumable_checkpoint() {
     let path = scratch("midpublish");
@@ -130,16 +129,15 @@ fn kill_nine_mid_republish_leaves_a_resumable_checkpoint() {
         "merged result is bit-identical to the uninterrupted run"
     );
 
-    // The republish overwrote the stale tmp and renamed it away.
-    assert!(!tmp.exists(), "publish must consume (not trip over) the stale .tmp");
-    let republished = std::fs::read_to_string(&path).expect("checkpoint republished");
+    let whole = std::fs::read_to_string(&path).expect("checkpoint after resume");
     assert_eq!(
-        republished.lines().count(),
+        whole.lines().count(),
         reference.cells().len(),
         "checkpoint is whole again after resume"
     );
 
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&tmp);
 }
 
 #[test]
@@ -175,6 +173,23 @@ fn flat_checkpoint_resumes_nothing_into_a_2x2_sweep() {
     let fresh = sweep_with(&on(two_by_two(4)), None);
     assert_eq!(resumed.cells(), fresh.cells());
     assert_ne!(flat.cells(), fresh.cells(), "a graft would be visible");
+
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_checkpoint_keeps_the_cells_of_other_grids() {
+    let path = scratch("shared");
+    let _ = std::fs::remove_file(&path);
+    let on = |system| Session::new(RunConfig::builder().system(system).horizon(60_000).build());
+
+    let flat = sweep_with(&on(cfg(4)), Some(&path));
+    assert!(flat.is_complete());
+    let two_by_two = sweep_with(&on(two_by_two(4)), Some(&path));
+    assert_eq!(two_by_two.stats().resumed, 0, "flat cells never graft onto 2x2");
+    let again = sweep_with(&on(cfg(4)), Some(&path));
+    assert_eq!(again.stats().resumed, flat.cells().len(), "the 2x2 run kept the flat cells");
+    assert_eq!(again.cells(), flat.cells());
 
     let _ = std::fs::remove_file(&path);
 }

@@ -6,8 +6,8 @@
 //!   quantum boundaries, cluster assignments with niceness ranks,
 //!   shuffle applications, row hits/misses/conflicts, bank
 //!   activates/precharges, degradation fallbacks and chaos injections —
-//!   with JSONL and Chrome-trace exporters (see [`export`] helpers
-//!   re-exported at the crate root).
+//!   with JSONL and Chrome-trace exporters ([`events_to_jsonl`],
+//!   [`chrome_event`] and their siblings at the crate root).
 //! * A **metrics registry** ([`MetricsRegistry`]): counters, gauges,
 //!   fixed-bucket histograms and per-quantum series under
 //!   label-qualified names.

@@ -17,6 +17,12 @@ use std::ops::Range;
 /// sync.
 pub const MAX_BANKS_PER_CHANNEL: usize = 128;
 
+/// Upper bound on a topology's total channel count. The largest machine
+/// the paper evaluates has 8 channels (Table 8); the bound leaves room
+/// for experiments while keeping a spec like `"4000000000x1"` from
+/// allocating before it is refused.
+pub const MAX_CHANNELS: usize = 64;
+
 /// Hierarchical memory-system shape: `Topology -> Controller -> Channel
 /// -> Bank`.
 ///
@@ -88,7 +94,13 @@ impl Topology {
             })
         };
         let topology = if let Some((controllers, each)) = spec.split_once('x') {
-            Self::uniform(num(controllers)?, num(each)?)
+            let (controllers, each) = (num(controllers)?, num(each)?);
+            // Bound the counts before `uniform` allocates one entry per
+            // controller (each controller owns at least one channel).
+            if controllers > MAX_CHANNELS || controllers.saturating_mul(each) > MAX_CHANNELS {
+                return Err(too_many_channels());
+            }
+            Self::uniform(controllers, each)
         } else if spec.contains('+') {
             Self::asymmetric(spec.split('+').map(num).collect::<Result<Vec<_>, _>>()?)
         } else {
@@ -98,7 +110,8 @@ impl Topology {
         Ok(topology)
     }
 
-    /// Validates the shape: at least one controller, no empty controllers.
+    /// Validates the shape: at least one controller, no empty controllers,
+    /// at most [`MAX_CHANNELS`] channels in total.
     ///
     /// # Errors
     ///
@@ -115,6 +128,10 @@ impl Topology {
                 "num_channels",
                 "every controller must own at least one channel",
             ));
+        }
+        let total = self.channels.iter().try_fold(0usize, |sum, &n| sum.checked_add(n));
+        if total.is_none_or(|total| total > MAX_CHANNELS) {
+            return Err(too_many_channels());
         }
         Ok(())
     }
@@ -197,6 +214,13 @@ impl Topology {
     pub fn controllers(&self) -> impl Iterator<Item = ControllerId> {
         (0..self.channels.len()).map(ControllerId::new)
     }
+}
+
+fn too_many_channels() -> ConfigError {
+    ConfigError::invalid(
+        "num_channels",
+        format!("a topology has at most {MAX_CHANNELS} channels in total"),
+    )
 }
 
 impl fmt::Display for Topology {
@@ -337,9 +361,9 @@ impl Default for DramTiming {
 pub struct SystemConfig {
     /// Number of hardware threads (= cores; one thread per core).
     pub num_threads: usize,
-    /// The controller/channel hierarchy. [`Topology::flat(n)`]
-    /// (Topology::flat) reproduces the legacy flat `num_channels: n`
-    /// configuration bit-identically.
+    /// The controller/channel hierarchy.
+    /// [`Topology::flat(n)`](Topology::flat) reproduces the legacy flat
+    /// `num_channels: n` configuration bit-identically.
     pub topology: Topology,
     /// DRAM banks per channel.
     pub banks_per_channel: usize,
@@ -612,6 +636,26 @@ mod tests {
         assert!(Topology::parse("2x0").is_err());
         assert!(Topology::parse("3+0").is_err());
         assert!(Topology::parse("banana").is_err());
+    }
+
+    #[test]
+    fn topology_counts_are_bounded_before_allocating() {
+        // Each is refused before anything is sized by its counts, a sum
+        // that overflows included.
+        for spec in [
+            "18446744073709551615x1",
+            "4000000000x1",
+            "4000000000x0",
+            "1x4000000000",
+            "18446744073709551615+1",
+            "65",
+            "9x8",
+        ] {
+            let err = Topology::parse(spec).unwrap_err();
+            assert_eq!(err.field(), "num_channels", "{spec}");
+        }
+        assert_eq!(Topology::parse("8x8").unwrap().num_channels(), MAX_CHANNELS);
+        assert!(Topology::asymmetric([usize::MAX, 1]).validate().is_err());
     }
 
     #[test]

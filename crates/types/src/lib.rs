@@ -40,7 +40,9 @@ pub mod json;
 mod request;
 
 pub use cancel::CancelToken;
-pub use config::{DramTiming, SystemConfig, SystemConfigBuilder, Topology, MAX_BANKS_PER_CHANNEL};
+pub use config::{
+    DramTiming, SystemConfig, SystemConfigBuilder, Topology, MAX_BANKS_PER_CHANNEL, MAX_CHANNELS,
+};
 pub use error::{ConfigError, Invariant, InvariantViolation, SimError, StallReport};
 pub use ids::{BankId, ChannelId, ControllerId, GlobalBank, Row, ThreadId};
 pub use request::{MemAddress, Request, RequestId, RowState};

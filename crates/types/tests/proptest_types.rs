@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use tcm_types::{
     BankId, ChannelId, DramTiming, GlobalBank, Request, RequestId, RowState, SystemConfig,
-    Topology,
+    Topology, MAX_CHANNELS,
 };
 
 proptest! {
@@ -113,5 +113,30 @@ proptest! {
         }
         prop_assert_eq!(next, t.num_channels());
         prop_assert_eq!(Topology::parse(&t.to_string()), Ok(t));
+    }
+
+    /// `--topology` and daemon job specs reach `Topology::parse` as
+    /// arbitrary text: it returns a topology of at most `MAX_CHANNELS`
+    /// channels that displays back to itself, or a typed error — never a
+    /// panic, and never an allocation sized by an unchecked count.
+    #[test]
+    fn arbitrary_topology_specs_parse_or_are_refused(
+        raw in proptest::collection::vec(any::<u8>(), 0..16),
+        pieces in proptest::collection::vec((any::<u64>(), 0u64..80, 0usize..6), 1..5),
+    ) {
+        let _ = Topology::parse(&String::from_utf8_lossy(&raw));
+        let mut spec = String::new();
+        for (huge, small, sep) in pieces {
+            spec.push_str(&if sep % 3 == 0 { huge } else { small }.to_string());
+            spec.push(['x', '+', 'x', '+', ' ', '-'][sep]);
+        }
+        spec.pop();
+        match Topology::parse(&spec) {
+            Ok(t) => {
+                prop_assert!(t.num_channels() <= MAX_CHANNELS, "{}", spec);
+                prop_assert_eq!(Topology::parse(&t.to_string()), Ok(t));
+            }
+            Err(e) => prop_assert!(!e.to_string().is_empty()),
+        }
     }
 }

@@ -18,6 +18,11 @@ cargo test --workspace -q --offline
 echo "==> cargo clippy -D warnings (all targets)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Broken or private intra-doc links are warnings in rustdoc; deny them so
+# the API docs keep resolving.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline
+
 # Debug builds always run the DRAM protocol checker; this release-mode
 # pass force-enables it via TCM_VERIFY so the optimized build is also
 # checked (the checker is observation-only, results are bit-identical).
