@@ -22,7 +22,10 @@ use tcm_sim::Session;
 
 fn main() -> ExitCode {
     let names: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(unknown) = names.iter().find(|n| !experiments::NAMES.contains(&n.as_str())) {
+    if let Some(unknown) = names
+        .iter()
+        .find(|n| !experiments::NAMES.contains(&n.as_str()))
+    {
         eprintln!(
             "reproduce: unknown experiment {unknown:?}; expected any of: {}",
             experiments::NAMES.join(" ")
@@ -75,7 +78,10 @@ fn report(names: &[String], scale: &Scale) -> io::Result<()> {
     }
     let engine = session.stats_line();
     writeln!(stdout, "{engine}")?;
-    out.push_str(&format!("\n{engine}\nTotal wall time: {:?}\n", t0.elapsed()));
+    out.push_str(&format!(
+        "\n{engine}\nTotal wall time: {:?}\n",
+        t0.elapsed()
+    ));
     std::fs::write("experiments_output.md", out)?;
     eprintln!("{engine}");
     eprintln!("wrote experiments_output.md in {:?}", t0.elapsed());

@@ -114,7 +114,11 @@ fn lineup_comparison(
 /// Figure 1: fairness vs throughput of the four baselines, averaged over
 /// the 50/75/100 %-intensity workload suite.
 pub fn fig1(scale: &Scale, session: &Session) -> Report {
-    let suite = workload_suite(&[0.5, 0.75, 1.0], scale.workloads_per_category, scale.threads);
+    let suite = workload_suite(
+        &[0.5, 0.75, 1.0],
+        scale.workloads_per_category,
+        scale.threads,
+    );
     let kinds = [
         PolicyKind::FrFcfs,
         PolicyKind::Stfm(StfmParams::paper_default()),
@@ -160,7 +164,12 @@ pub fn fig2(scale: &Scale) -> Report {
         let sd = (alone_random / run.ipc[0], alone_streaming / run.ipc[1]);
         slowdowns.push(sd);
         table.row(vec![
-            if top == 0 { "random-access" } else { "streaming" }.into(),
+            if top == 0 {
+                "random-access"
+            } else {
+                "streaming"
+            }
+            .into(),
             f2(sd.0),
             f2(sd.1),
         ]);
@@ -203,7 +212,10 @@ pub fn fig3() -> Report {
     }
     for (label, states) in [
         ("(a) round-robin", &rr_states),
-        ("(b) insertion, suffix-restore reading (matches Fig. 3b prose)", &suffix_states),
+        (
+            "(b) insertion, suffix-restore reading (matches Fig. 3b prose)",
+            &suffix_states,
+        ),
         ("(c) insertion, literal printed pseudocode", &printed_states),
     ] {
         body.push_str(label);
@@ -229,7 +241,11 @@ pub fn fig3() -> Report {
 /// Figure 4 (headline): TCM vs all four baselines over the workload
 /// suite, with the paper's percentage comparisons.
 pub fn fig4(scale: &Scale, session: &Session) -> Report {
-    let suite = workload_suite(&[0.5, 0.75, 1.0], scale.workloads_per_category, scale.threads);
+    let suite = workload_suite(
+        &[0.5, 0.75, 1.0],
+        scale.workloads_per_category,
+        scale.threads,
+    );
     let kinds = PolicyKind::paper_lineup(scale.threads);
     let (table, averages) = lineup_comparison(&kinds, &suite, session);
     let get = |label: &str| {
@@ -278,8 +294,12 @@ pub fn fig5(scale: &Scale, session: &Session) -> Report {
         .policies(kinds.iter().cloned())
         .workloads(workloads.iter().cloned())
         .run_auto();
-    let mut ws_table = Table::new(vec!["workload", "FR-FCFS", "STFM", "PAR-BS", "ATLAS", "TCM"]);
-    let mut ms_table = Table::new(vec!["workload", "FR-FCFS", "STFM", "PAR-BS", "ATLAS", "TCM"]);
+    let mut ws_table = Table::new(vec![
+        "workload", "FR-FCFS", "STFM", "PAR-BS", "ATLAS", "TCM",
+    ]);
+    let mut ms_table = Table::new(vec![
+        "workload", "FR-FCFS", "STFM", "PAR-BS", "ATLAS", "TCM",
+    ]);
     for (w, workload) in workloads.iter().enumerate() {
         let mut ws_row = vec![workload.name.clone()];
         let mut ms_row = vec![workload.name.clone()];
@@ -383,8 +403,22 @@ pub fn fig6(scale: &Scale, session: &Session) -> Report {
 /// Figure 7: effect of workload memory intensity (25/50/75/100 %).
 pub fn fig7(scale: &Scale, session: &Session) -> Report {
     let kinds = PolicyKind::paper_lineup(scale.threads);
-    let mut ws_table = Table::new(vec!["intensity", "FR-FCFS", "STFM", "PAR-BS", "ATLAS", "TCM"]);
-    let mut ms_table = Table::new(vec!["intensity", "FR-FCFS", "STFM", "PAR-BS", "ATLAS", "TCM"]);
+    let mut ws_table = Table::new(vec![
+        "intensity",
+        "FR-FCFS",
+        "STFM",
+        "PAR-BS",
+        "ATLAS",
+        "TCM",
+    ]);
+    let mut ms_table = Table::new(vec![
+        "intensity",
+        "FR-FCFS",
+        "STFM",
+        "PAR-BS",
+        "ATLAS",
+        "TCM",
+    ]);
     for intensity in [0.25, 0.5, 0.75, 1.0] {
         let suite = workload_suite(&[intensity], scale.workloads_per_category, scale.threads);
         let result = session
@@ -485,7 +519,11 @@ pub fn table2() -> Report {
     let model = StorageModel::paper_baseline();
     let mut table = Table::new(vec!["structure", "function", "bits"]);
     for row in model.rows() {
-        table.row(vec![row.name.into(), row.function.into(), row.bits.to_string()]);
+        table.row(vec![
+            row.name.into(),
+            row.function.into(),
+            row.bits.to_string(),
+        ]);
     }
     let cfg = SystemConfig::paper_baseline();
     Report::new(
@@ -521,7 +559,13 @@ pub fn table4() -> Report {
         rows_per_bank: 16384,
     };
     let mut table = Table::new(vec![
-        "benchmark", "MPKI", "gen MPKI", "RBL%", "gen RBL%", "BLP", "gen BLP",
+        "benchmark",
+        "MPKI",
+        "gen MPKI",
+        "RBL%",
+        "gen RBL%",
+        "BLP",
+        "gen BLP",
     ]);
     let mut worst_rel = 0.0f64;
     for profile in spec2006() {
@@ -664,7 +708,10 @@ pub fn table8(scale: &Scale) -> Report {
         let threads = system.num_threads;
         // A fresh session per configuration: alone IPCs depend on it.
         let session = Session::new(
-            RunConfig::builder().system(system).horizon(scale.horizon).build(),
+            RunConfig::builder()
+                .system(system)
+                .horizon(scale.horizon)
+                .build(),
         );
         let workloads: Vec<WorkloadSpec> = (0..scale.workloads_per_category.min(4))
             .map(|s| random_workload(s as u64 + 100, threads, 0.5).with_mpki_scaled(mpki_scale))
@@ -695,7 +742,10 @@ pub fn table8(scale: &Scale) -> Report {
         compare("controllers".into(), channels.to_string(), system, 1.0);
     }
     for cores in [4usize, 8, 16, 24, 32] {
-        let system = SystemConfig::builder().num_threads(cores).build().expect("valid");
+        let system = SystemConfig::builder()
+            .num_threads(cores)
+            .build()
+            .expect("valid");
         compare("cores".into(), cores.to_string(), system, 1.0);
     }
     for (label, factor) in [("512KB", 1.0), ("1MB", 0.7), ("2MB", 0.5)] {
@@ -719,7 +769,10 @@ pub fn ablation(scale: &Scale, session: &Session) -> Report {
     let suite = workload_suite(&[0.5, 1.0], scale.workloads_per_category, scale.threads);
     let n = scale.threads;
     let configs: [(&str, PolicyKind); 5] = [
-        ("TCM (full)", PolicyKind::Tcm(TcmParams::reproduction_default(n))),
+        (
+            "TCM (full)",
+            PolicyKind::Tcm(TcmParams::reproduction_default(n)),
+        ),
         // No latency cluster: a vanishing ClusterThresh puts everyone in
         // the bandwidth cluster -> pure shuffling.
         (
@@ -829,6 +882,9 @@ mod tests {
         let suite = workload_suite(&[0.5], 1, 4);
         let kinds = [PolicyKind::Fcfs, PolicyKind::FrFcfs];
         let _ = lineup_comparison(&kinds, &suite, &session);
-        assert!(session.stats().max_workers > 1, "sweeps shard across workers");
+        assert!(
+            session.stats().max_workers > 1,
+            "sweeps shard across workers"
+        );
     }
 }

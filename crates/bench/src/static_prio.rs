@@ -44,10 +44,20 @@ mod tests {
         let addr = |row| MemAddress::new(ChannelId::new(0), BankId::new(0), Row::new(row));
         let mut queue = RequestQueue::new(128, 4);
         queue
-            .push(Request::new(RequestId::new(0), ThreadId::new(0), addr(9), 0))
+            .push(Request::new(
+                RequestId::new(0),
+                ThreadId::new(0),
+                addr(9),
+                0,
+            ))
             .unwrap();
         queue
-            .push(Request::new(RequestId::new(1), ThreadId::new(1), addr(1), 100))
+            .push(Request::new(
+                RequestId::new(1),
+                ThreadId::new(1),
+                addr(1),
+                100,
+            ))
             .unwrap();
         let ctx = PickContext {
             now: 200,

@@ -37,11 +37,21 @@ fn reproduce(dir: &PathBuf, args: &[&str], env: &[(&str, &str)]) -> Output {
 fn named_experiments_print_their_reports_and_write_no_file() {
     let dir = scratch("named");
     let out = reproduce(&dir, &["fig3", "table2"], &[]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let expected =
-        format!("{}\n{}\n", experiments::fig3().render(), experiments::table2().render());
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let expected = format!(
+        "{}\n{}\n",
+        experiments::fig3().render(),
+        experiments::table2().render()
+    );
     assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
-    assert!(!dir.join("experiments_output.md").exists(), "a named run wrote the report file");
+    assert!(
+        !dir.join("experiments_output.md").exists(),
+        "a named run wrote the report file"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -53,7 +63,10 @@ fn an_unknown_name_exits_2_and_lists_every_experiment() {
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     for name in experiments::NAMES {
-        assert!(stderr.contains(name), "stderr does not name {name}: {stderr}");
+        assert!(
+            stderr.contains(name),
+            "stderr does not name {name}: {stderr}"
+        );
     }
     assert!(out.stdout.is_empty());
     std::fs::remove_dir_all(&dir).unwrap();
@@ -62,12 +75,22 @@ fn an_unknown_name_exits_2_and_lists_every_experiment() {
 #[test]
 fn bad_scale_variables_exit_2_without_a_panic() {
     let dir = scratch("scale");
-    for (var, value) in [("TCM_WORKLOADS", "0"), ("TCM_CYCLES", "0"), ("TCM_CYCLES", "abc")] {
+    for (var, value) in [
+        ("TCM_WORKLOADS", "0"),
+        ("TCM_CYCLES", "0"),
+        ("TCM_CYCLES", "abc"),
+    ] {
         let out = reproduce(&dir, &["fig4"], &[(var, value)]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{var}={value}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{var}={value} panicked: {stderr}");
-        assert!(stderr.contains(var), "{var}={value}: the message names no variable: {stderr}");
+        assert!(
+            !stderr.contains("panicked"),
+            "{var}={value} panicked: {stderr}"
+        );
+        assert!(
+            stderr.contains(var),
+            "{var}={value}: the message names no variable: {stderr}"
+        );
         assert!(out.stdout.is_empty(), "{var}={value} printed a report");
     }
     assert!(!dir.join("experiments_output.md").exists());
@@ -81,7 +104,10 @@ fn a_closed_stdout_pipe_is_a_quiet_success() {
     // write to stdout fails with a broken pipe.
     let (reader, writer) = std::io::pipe().unwrap();
     drop(reader);
-    let out = command(&dir, &["table2"], &[]).stdout(writer).output().expect("reproduce runs");
+    let out = command(&dir, &["table2"], &[])
+        .stdout(writer)
+        .output()
+        .expect("reproduce runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");

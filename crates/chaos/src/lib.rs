@@ -503,7 +503,9 @@ mod tests {
         // All five invariant classes are covered by some fault.
         assert_eq!(invariants.len(), 5);
         // Stall, degradation and quarantine are covered too.
-        assert!(FaultKind::ALL.iter().any(|k| k.detector() == Detector::Stall));
+        assert!(FaultKind::ALL
+            .iter()
+            .any(|k| k.detector() == Detector::Stall));
         assert!(FaultKind::ALL
             .iter()
             .any(|k| k.detector() == Detector::Degradation));
@@ -512,7 +514,10 @@ mod tests {
             .any(|k| k.detector() == Detector::Quarantine));
         // Exactly the coordination faults map to quarantine.
         for k in FaultKind::ALL {
-            assert_eq!(k.detector() == Detector::Quarantine, k.is_coordination_fault());
+            assert_eq!(
+                k.detector() == Detector::Quarantine,
+                k.is_coordination_fault()
+            );
         }
     }
 
@@ -561,7 +566,10 @@ mod tests {
             vec![3]
         );
         assert_eq!(plan.spin_for(0), Some(30));
-        assert!(plan.channel_chaos(2).is_empty(), "flood is not a channel fault");
+        assert!(
+            plan.channel_chaos(2).is_empty(),
+            "flood is not a channel fault"
+        );
         assert!(FaultPlan::none().is_empty());
         assert_eq!(FaultPlan::none(), FaultPlan::default());
     }
@@ -571,14 +579,14 @@ mod tests {
         let t = Topology::asymmetric([2, 2]);
         FaultPlan::none().validate(&t).unwrap();
         // A channel index past the topology is a typed error, not an alias.
-        let bad_channel =
-            FaultPlan::none().with_fault(FaultSpec::new(FaultKind::TimingViolation, 10).on_channel(4));
+        let bad_channel = FaultPlan::none()
+            .with_fault(FaultSpec::new(FaultKind::TimingViolation, 10).on_channel(4));
         let err = bad_channel.validate(&t).unwrap_err();
         assert_eq!(err.field(), "chaos");
         assert!(err.reason().contains("channel 4"), "{err}");
         // Same for a controller index.
-        let bad_controller =
-            FaultPlan::none().with_fault(FaultSpec::new(FaultKind::ControllerBlackout, 10).on_controller(2));
+        let bad_controller = FaultPlan::none()
+            .with_fault(FaultSpec::new(FaultKind::ControllerBlackout, 10).on_controller(2));
         let err = bad_controller.validate(&t).unwrap_err();
         assert!(err.reason().contains("controller 2"), "{err}");
         // In-range addresses pass.

@@ -240,11 +240,12 @@ impl MetaController {
                     } else {
                         QuarantineReason::StaleSample
                     };
-                    self.core.record_anomaly(DegradationAnomaly::ControllerQuarantined {
-                        cycle: now,
-                        controller: c,
-                        reason,
-                    });
+                    self.core
+                        .record_anomaly(DegradationAnomaly::ControllerQuarantined {
+                            cycle: now,
+                            controller: c,
+                            reason,
+                        });
                 }
             } else if stale || skewed {
                 self.clean_quanta[c] = 0;
@@ -254,11 +255,12 @@ impl MetaController {
                     let clean_quanta = self.clean_quanta[c];
                     self.quarantined[c] = false;
                     self.clean_quanta[c] = 0;
-                    self.core.record_anomaly(DegradationAnomaly::ControllerReadmitted {
-                        cycle: now,
-                        controller: c,
-                        clean_quanta,
-                    });
+                    self.core
+                        .record_anomaly(DegradationAnomaly::ControllerReadmitted {
+                            cycle: now,
+                            controller: c,
+                            clean_quanta,
+                        });
                 }
             }
             if sample.is_some() {
@@ -309,8 +311,7 @@ impl MetaController {
                 (_, 0) => f64::INFINITY,
                 (m, i) => m as f64 * 1000.0 / i as f64,
             };
-            snap.bw_usage[t] =
-                view.service.get(t).copied().unwrap_or(0) - self.service_snapshot[t];
+            snap.bw_usage[t] = view.service.get(t).copied().unwrap_or(0) - self.service_snapshot[t];
             snap.rbl[t] = if accesses[t] > 0 {
                 hits[t] as f64 / accesses[t] as f64
             } else {
@@ -436,10 +437,8 @@ mod tests {
         };
         let now = 1_000_000;
         assert!(meta.needs_samples(now), "the quantum is due at 1M cycles");
-        let samples: Vec<Option<MonitorSample>> = ctls
-            .iter_mut()
-            .map(|c| c.quantum_exchange(now))
-            .collect();
+        let samples: Vec<Option<MonitorSample>> =
+            ctls.iter_mut().map(|c| c.quantum_exchange(now)).collect();
         let plan = meta.exchange(now, &view, &samples);
         for ctl in &mut ctls {
             ctl.apply_broadcast(&plan, now);
@@ -629,7 +628,11 @@ mod tests {
         ));
         assert!(matches!(
             events[1],
-            DegradationAnomaly::ControllerReadmitted { controller: 1, clean_quanta: 2, .. }
+            DegradationAnomaly::ControllerReadmitted {
+                controller: 1,
+                clean_quanta: 2,
+                ..
+            }
         ));
     }
 
@@ -665,12 +668,8 @@ mod tests {
         let (plan, mut ctls, _) = one_quantum(1);
         let ctl = &mut ctls[0];
         // Find a top-ranked and a bottom-ranked thread.
-        let top = (0..4)
-            .max_by_key(|&t| plan.priorities[t])
-            .unwrap();
-        let bottom = (0..4)
-            .min_by_key(|&t| plan.priorities[t])
-            .unwrap();
+        let top = (0..4).max_by_key(|&t| plan.priorities[t]).unwrap();
+        let bottom = (0..4).min_by_key(|&t| plan.priorities[t]).unwrap();
         assert_ne!(plan.priorities[top], plan.priorities[bottom]);
         let mut queue = tcm_dram::RequestQueue::new(128, 2);
         queue.push(req(10, bottom, 0, 0, 1, 0)).unwrap();

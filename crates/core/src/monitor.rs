@@ -161,8 +161,7 @@ impl TcmMonitor {
                 (_, 0) => f64::INFINITY,
                 (m, i) => m as f64 * 1000.0 / i as f64,
             };
-            snap.bw_usage[t] =
-                service.get(t).copied().unwrap_or(0) - self.service_snapshot[t];
+            snap.bw_usage[t] = service.get(t).copied().unwrap_or(0) - self.service_snapshot[t];
             snap.rbl[t] = self.shadow.thread_rbl(ThreadId::new(t)).unwrap_or(0.0);
             snap.blp[t] = if self.busy_time[t] > 0 {
                 self.blp_integral[t] as f64 / self.busy_time[t] as f64

@@ -127,7 +127,10 @@ impl TcmParams {
             ));
         }
         if self.quantum == 0 {
-            return Err(tcm_types::ConfigError::invalid("quantum", "must be non-zero"));
+            return Err(tcm_types::ConfigError::invalid(
+                "quantum",
+                "must be non-zero",
+            ));
         }
         if self.shuffle_interval == 0 || self.shuffle_interval > self.quantum {
             return Err(tcm_types::ConfigError::invalid(

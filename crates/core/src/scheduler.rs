@@ -222,7 +222,11 @@ impl Tcm {
     /// The bounds are deliberately loose — MPKI of `+inf` is *legal* (a
     /// thread that missed without retiring an instruction) — so a healthy
     /// run can never trip this check.
-    fn implausible_monitor(&self, snap: &QuantumSnapshot, now: Cycle) -> Option<DegradationAnomaly> {
+    fn implausible_monitor(
+        &self,
+        snap: &QuantumSnapshot,
+        now: Cycle,
+    ) -> Option<DegradationAnomaly> {
         let banks = self.monitor.total_banks() as f64;
         let anomaly = |thread, counter, value, upper| DegradationAnomaly::ImplausibleCounter {
             cycle: now,
@@ -339,9 +343,9 @@ impl Tcm {
                 s.advance();
                 Some(Shuffler::Random(s))
             }
-            ActiveShuffle::RoundRobin => Some(Shuffler::RoundRobin(RoundRobinShuffler::new(
-                bw_threads,
-            ))),
+            ActiveShuffle::RoundRobin => {
+                Some(Shuffler::RoundRobin(RoundRobinShuffler::new(bw_threads)))
+            }
             ActiveShuffle::WeightedRandom => {
                 let perm = self.weighted_ranking(&bw_threads);
                 Some(Shuffler::RoundRobin(RoundRobinShuffler::new(perm)))
@@ -400,7 +404,11 @@ impl Tcm {
             let latency = share(&self.clustering.latency);
             let bandwidth = share(&self.clustering.bandwidth);
             self.telemetry.with_metrics(|m| {
-                m.push_series(&labeled("bw_share", &[("cluster", "latency")]), now, latency);
+                m.push_series(
+                    &labeled("bw_share", &[("cluster", "latency")]),
+                    now,
+                    latency,
+                );
                 m.push_series(
                     &labeled("bw_share", &[("cluster", "bandwidth")]),
                     now,
@@ -564,9 +572,9 @@ impl Scheduler for Tcm {
 
     fn tick(&mut self, now: Cycle, view: &SystemView<'_>) {
         let snap = if self.is_quantum_due(now) {
-            let mut snap = self
-                .monitor
-                .quantum_snapshot(now, view.retired, view.misses, view.service);
+            let mut snap =
+                self.monitor
+                    .quantum_snapshot(now, view.retired, view.misses, view.service);
             if !self.pending_monitor_faults.is_empty() {
                 self.apply_monitor_faults(&mut snap, now);
             }
@@ -642,7 +650,11 @@ mod tests {
     /// Drives one quantum with thread 0 light and thread 1..=3 heavy.
     fn tcm_after_one_quantum() -> Tcm {
         let cfg = small_config();
-        let mut tcm = Tcm::with_params(TcmParams::paper_default(4).with_cluster_thresh(0.25), 4, &cfg);
+        let mut tcm = Tcm::with_params(
+            TcmParams::paper_default(4).with_cluster_thresh(0.25),
+            4,
+            &cfg,
+        );
         // Simulated counters: thread 0 retired a lot with few misses;
         // the rest are memory-bound with heavy service.
         let retired = [3_000_000u64, 200_000, 200_000, 200_000];
@@ -694,9 +706,7 @@ mod tests {
         for _ in 0..12 {
             t += tcm.params().shuffle_interval;
             tcm.tick(t, &view);
-            let bw_prios: Vec<usize> = (1..4)
-                .map(|i| tcm.priorities()[i])
-                .collect();
+            let bw_prios: Vec<usize> = (1..4).map(|i| tcm.priorities()[i]).collect();
             orders.insert(bw_prios);
         }
         assert!(orders.len() >= 2, "shuffling must change the order");
@@ -726,7 +736,11 @@ mod tests {
     #[test]
     fn homogeneous_cluster_falls_back_to_random_shuffle() {
         let cfg = small_config();
-        let mut tcm = Tcm::with_params(TcmParams::paper_default(4).with_cluster_thresh(0.25), 4, &cfg);
+        let mut tcm = Tcm::with_params(
+            TcmParams::paper_default(4).with_cluster_thresh(0.25),
+            4,
+            &cfg,
+        );
         // No enqueues at all: BLP and RBL are flat across threads.
         let retired = [100_000u64; 4];
         let misses = [10_000u64; 4];
@@ -743,7 +757,11 @@ mod tests {
     #[test]
     fn diverse_cluster_uses_insertion_shuffle() {
         let cfg = small_config();
-        let mut tcm = Tcm::with_params(TcmParams::paper_default(4).with_cluster_thresh(0.25), 4, &cfg);
+        let mut tcm = Tcm::with_params(
+            TcmParams::paper_default(4).with_cluster_thresh(0.25),
+            4,
+            &cfg,
+        );
         // Feed the monitor diverse access behavior: thread 1 streams one
         // bank with one row; thread 2 sprays all four banks with new rows.
         use tcm_types::GlobalBank;
@@ -775,13 +793,21 @@ mod tests {
             service: &service,
         };
         tcm.tick(1_000_000, &view);
-        assert_eq!(tcm.shuffle_algo_counts(), (1, 0), "insertion shuffle chosen");
+        assert_eq!(
+            tcm.shuffle_algo_counts(),
+            (1, 0),
+            "insertion shuffle chosen"
+        );
     }
 
     #[test]
     fn weights_switch_to_weighted_shuffling() {
         let cfg = small_config();
-        let mut tcm = Tcm::with_params(TcmParams::paper_default(4).with_cluster_thresh(0.25), 4, &cfg);
+        let mut tcm = Tcm::with_params(
+            TcmParams::paper_default(4).with_cluster_thresh(0.25),
+            4,
+            &cfg,
+        );
         tcm.set_thread_weights(&[1.0, 1.0, 1.0, 16.0]);
         let retired = [100_000u64; 4];
         // Thread 3 is so intensive that even its weight-scaled MPKI keeps
@@ -823,9 +849,14 @@ mod tests {
     #[test]
     fn monitor_corruption_degrades_to_frfcfs_and_recovers() {
         let cfg = small_config();
-        let mut tcm =
-            Tcm::with_params(TcmParams::paper_default(4).with_cluster_thresh(0.25), 4, &cfg);
-        tcm.inject_monitor_fault(&FaultSpec::new(FaultKind::MonitorCorruption, 500_000).on_thread(1));
+        let mut tcm = Tcm::with_params(
+            TcmParams::paper_default(4).with_cluster_thresh(0.25),
+            4,
+            &cfg,
+        );
+        tcm.inject_monitor_fault(
+            &FaultSpec::new(FaultKind::MonitorCorruption, 500_000).on_thread(1),
+        );
         let retired = [3_000_000u64, 200_000, 200_000, 200_000];
         let misses = [30u64, 20_000, 20_000, 20_000];
         let service = [2_000u64, 300_000, 300_000, 300_000];
@@ -859,14 +890,21 @@ mod tests {
         tcm.tick(2_000_000, &view);
         assert!(!tcm.degraded(), "must recover at the next clean quantum");
         assert!(tcm.priorities().iter().any(|&p| p > 0));
-        assert_eq!(tcm.anomaly_events().len(), 1, "no new anomaly after recovery");
+        assert_eq!(
+            tcm.anomaly_events().len(),
+            1,
+            "no new anomaly after recovery"
+        );
     }
 
     #[test]
     fn monitor_fault_is_inert_until_its_cycle() {
         let cfg = small_config();
-        let mut tcm =
-            Tcm::with_params(TcmParams::paper_default(4).with_cluster_thresh(0.25), 4, &cfg);
+        let mut tcm = Tcm::with_params(
+            TcmParams::paper_default(4).with_cluster_thresh(0.25),
+            4,
+            &cfg,
+        );
         // Armed far in the future: the first quantum must be unaffected.
         tcm.inject_monitor_fault(&FaultSpec::new(FaultKind::MonitorCorruption, 5_000_000));
         let retired = [3_000_000u64, 200_000, 200_000, 200_000];
@@ -881,14 +919,21 @@ mod tests {
         assert!(!tcm.degraded());
         assert!(tcm.anomaly_events().is_empty());
         let clean = tcm_after_one_quantum();
-        assert_eq!(tcm.priorities(), clean.priorities(), "armed-but-idle fault is a no-op");
+        assert_eq!(
+            tcm.priorities(),
+            clean.priorities(),
+            "armed-but-idle fault is a no-op"
+        );
     }
 
     #[test]
     fn non_monitor_faults_are_ignored_by_tcm() {
         let cfg = small_config();
-        let mut tcm =
-            Tcm::with_params(TcmParams::paper_default(4).with_cluster_thresh(0.25), 4, &cfg);
+        let mut tcm = Tcm::with_params(
+            TcmParams::paper_default(4).with_cluster_thresh(0.25),
+            4,
+            &cfg,
+        );
         tcm.inject_monitor_fault(&FaultSpec::new(FaultKind::TimingViolation, 0));
         assert!(tcm.pending_monitor_faults.is_empty());
     }
@@ -898,8 +943,11 @@ mod tests {
         // A thread that missed without retiring reports MPKI = +inf;
         // the guard must not flag healthy-but-extreme data.
         let cfg = small_config();
-        let mut tcm =
-            Tcm::with_params(TcmParams::paper_default(4).with_cluster_thresh(0.25), 4, &cfg);
+        let mut tcm = Tcm::with_params(
+            TcmParams::paper_default(4).with_cluster_thresh(0.25),
+            4,
+            &cfg,
+        );
         let retired = [0u64, 200_000, 200_000, 200_000];
         let misses = [500u64, 20_000, 20_000, 20_000];
         let service = [2_000u64, 300_000, 300_000, 300_000];
@@ -916,13 +964,8 @@ mod tests {
     #[test]
     fn name_reflects_shuffle_mode() {
         let cfg = small_config();
-        let mk = |mode| {
-            Tcm::with_params(
-                TcmParams::paper_default(4).with_shuffle_mode(mode),
-                4,
-                &cfg,
-            )
-        };
+        let mk =
+            |mode| Tcm::with_params(TcmParams::paper_default(4).with_shuffle_mode(mode), 4, &cfg);
         assert_eq!(mk(ShuffleMode::Dynamic).name(), "TCM");
         assert_eq!(mk(ShuffleMode::RoundRobin).name(), "TCM-roundrobin");
         assert_eq!(mk(ShuffleMode::RandomOnly).name(), "TCM-random");

@@ -228,11 +228,12 @@ pub fn weighted_random_permutation(
     rng: &mut StdRng,
 ) -> Vec<ThreadId> {
     assert_eq!(threads.len(), weights.len(), "weights must align");
-    assert!(
-        weights.iter().all(|&w| w > 0.0),
-        "weights must be positive"
-    );
-    let mut pool: Vec<(ThreadId, f64)> = threads.iter().copied().zip(weights.iter().copied()).collect();
+    assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
+    let mut pool: Vec<(ThreadId, f64)> = threads
+        .iter()
+        .copied()
+        .zip(weights.iter().copied())
+        .collect();
     let mut order_top_down = Vec::with_capacity(pool.len());
     while !pool.is_empty() {
         let total: f64 = pool.iter().map(|&(_, w)| w).sum();
@@ -301,7 +302,11 @@ mod tests {
             assert!(is_permutation(s.ranking(), 8));
             seen.insert(s.ranking().to_vec());
         }
-        assert!(seen.len() > 10, "permutations vary ({} distinct)", seen.len());
+        assert!(
+            seen.len() > 10,
+            "permutations vary ({} distinct)",
+            seen.len()
+        );
     }
 
     #[test]
@@ -347,7 +352,11 @@ mod tests {
         // no-op), then successively less nice threads.
         assert_eq!(tops, vec![tid(3), tid(3), tid(2), tid(1)]);
         s.advance();
-        assert_eq!(*s.ranking_vec().last().unwrap(), tid(0), "least nice tops once");
+        assert_eq!(
+            *s.ranking_vec().last().unwrap(),
+            tid(0),
+            "least nice tops once"
+        );
     }
 
     #[test]

@@ -199,7 +199,10 @@ mod tests {
         let mut m = StorageModel::paper_baseline();
         m.num_threads = 48;
         assert_eq!(m.mpki_counter_bits(), 480);
-        assert_eq!(m.total_bits(), 2 * StorageModel::paper_baseline().total_bits());
+        assert_eq!(
+            m.total_bits(),
+            2 * StorageModel::paper_baseline().total_bits()
+        );
     }
 
     #[test]

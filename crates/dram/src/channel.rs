@@ -235,7 +235,10 @@ impl Channel {
     /// Panics in debug builds if the request is addressed to a different
     /// channel.
     pub fn enqueue(&mut self, request: Request) -> Result<(), QueueFullError> {
-        debug_assert_eq!(request.addr.channel, self.id, "request routed to wrong channel");
+        debug_assert_eq!(
+            request.addr.channel, self.id,
+            "request routed to wrong channel"
+        );
         self.queue.push(request)?;
         self.stats.observe_queue_depth(self.queue.len());
         if let Some(checker) = self.checker.as_mut() {
@@ -335,7 +338,9 @@ impl Channel {
             .queue
             .take_for_bank(bank_id, pos)
             .expect("scheduler picked a request position that does not exist");
-        let service = self.banks.begin_service(bank_id, request.addr.row, now, timing);
+        let service = self
+            .banks
+            .begin_service(bank_id, request.addr.row, now, timing);
         let (_, bus_end) = self.bus.reserve(service.access_done, timing.bus_burst);
         // The bank is held until its data has left on the bus, for every
         // row-buffer state. (Deliberately not modeling CAS pipelining:
@@ -386,8 +391,11 @@ impl Channel {
         };
         let cycle = outcome.bank_start;
         if row_outcome == RowOutcome::Conflict {
-            self.telemetry
-                .emit(|| TraceEvent::BankPrecharge { cycle, channel, bank });
+            self.telemetry.emit(|| TraceEvent::BankPrecharge {
+                cycle,
+                channel,
+                bank,
+            });
         }
         if row_outcome != RowOutcome::Hit {
             self.telemetry.emit(|| TraceEvent::BankActivate {
@@ -410,7 +418,12 @@ impl Channel {
     /// legal [`ServiceOutcome`] and reporting it to stats/checker. Each
     /// fault corrupts the outcome in a way its matching invariant
     /// detector observes; without armed faults the outcome is untouched.
-    fn inject_service_faults(&mut self, outcome: &mut ServiceOutcome, timing: &DramTiming, now: Cycle) {
+    fn inject_service_faults(
+        &mut self,
+        outcome: &mut ServiceOutcome,
+        timing: &DramTiming,
+        now: Cycle,
+    ) {
         let Some(chaos) = self.chaos.as_mut() else {
             return;
         };

@@ -192,7 +192,9 @@ impl RequestQueue {
         );
         let per_lane = capacity.div_ceil(num_banks.max(1)).min(capacity);
         Self {
-            lanes: (0..num_banks).map(|_| Vec::with_capacity(per_lane)).collect(),
+            lanes: (0..num_banks)
+                .map(|_| Vec::with_capacity(per_lane))
+                .collect(),
             occupied: BankSet::empty(),
             len: 0,
             capacity,
@@ -398,7 +400,8 @@ mod tests {
     fn len_tracks_takes_and_removes() {
         let mut q = RequestQueue::new(16, 4);
         for i in 0..6u64 {
-            q.push(req(i, (i % 2) as usize, (i % 3) as usize, i)).unwrap();
+            q.push(req(i, (i % 2) as usize, (i % 3) as usize, i))
+                .unwrap();
         }
         q.take_for_bank(BankId::new(0), 0).unwrap();
         q.remove(RequestId::new(1)).unwrap();

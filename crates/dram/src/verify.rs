@@ -324,7 +324,10 @@ impl ProtocolChecker {
                     now,
                     None,
                     Some(**request),
-                    format!("request {} queued at end of run but never admitted", request.id),
+                    format!(
+                        "request {} queued at end of run but never admitted",
+                        request.id
+                    ),
                 );
                 return;
             }
@@ -455,7 +458,9 @@ mod tests {
         o0.row_state = RowState::Hit;
         o0.service_cycles = t.access_phase(RowState::Hit) + t.bus_burst;
         c.on_issue(&o0, &t, 0);
-        let v = c.take_violation().expect("row-state mismatch must be reported");
+        let v = c
+            .take_violation()
+            .expect("row-state mismatch must be reported");
         assert_eq!(v.invariant, Invariant::RowState);
         assert!(v.detail.contains("hit"), "{}", v.detail);
     }
@@ -483,7 +488,9 @@ mod tests {
         let r0 = req(0, 0, 1, 0);
         // Serviced but never admitted.
         c.on_issue(&legal_outcome(r0, 0, &t), &t, 0);
-        let v = c.take_violation().expect("unadmitted service must be reported");
+        let v = c
+            .take_violation()
+            .expect("unadmitted service must be reported");
         assert_eq!(v.invariant, Invariant::Conservation);
         assert!(v.detail.contains("never admitted"), "{}", v.detail);
 
@@ -496,8 +503,8 @@ mod tests {
         o1.row_state = RowState::Hit;
         o1.service_cycles = t.access_phase(RowState::Hit) + t.bus_burst;
         // Keep the other fields legal so only conservation trips.
-        o1.completes_at = o1.bank_start + t.access_phase(RowState::Hit)
-            + t.bus_burst + t.fixed_overhead;
+        o1.completes_at =
+            o1.bank_start + t.access_phase(RowState::Hit) + t.bus_burst + t.fixed_overhead;
         o1.bank_free = o1.bank_start + t.access_phase(RowState::Hit) + t.bus_burst;
         c.on_issue(&o1, &t, 0);
         let v = c.take_violation().expect("double service must be reported");

@@ -72,7 +72,11 @@ impl FlatModel {
 #[derive(Debug, Clone, Copy)]
 enum Op {
     /// Push a request for (thread, bank, row).
-    Push { thread: usize, bank: usize, row: usize },
+    Push {
+        thread: usize,
+        bank: usize,
+        row: usize,
+    },
     /// Take the `pos % pending`-th request of `bank`.
     Take { bank: usize, pos: usize },
     /// Remove by id, selected as the `nth % len`-th buffered request.
@@ -82,13 +86,17 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     // Weighted choice via a selector (the vendored proptest stub has no
     // prop_oneof): 3 parts push, 2 parts take, 1 part remove.
-    (0usize..6, 0..NUM_THREADS, 0..NUM_BANKS, 0usize..32).prop_map(
-        |(select, thread, bank, arg)| match select {
-            0..=2 => Op::Push { thread, bank, row: arg % 8 },
+    (0usize..6, 0..NUM_THREADS, 0..NUM_BANKS, 0usize..32).prop_map(|(select, thread, bank, arg)| {
+        match select {
+            0..=2 => Op::Push {
+                thread,
+                bank,
+                row: arg % 8,
+            },
             3..=4 => Op::Take { bank, pos: arg },
             _ => Op::Remove { nth: arg },
-        },
-    )
+        }
+    })
 }
 
 /// Every observable of `queue` must match `model`.

@@ -426,8 +426,7 @@ impl JobSpec {
             .field("priority")
             .and_then(Value::as_u64)
             .ok_or_else(|| err("job spec missing priority"))?;
-        let priority =
-            u8::try_from(priority).map_err(|_| err("priority must fit in a byte"))?;
+        let priority = u8::try_from(priority).map_err(|_| err("priority must fit in a byte"))?;
         let deadline_ms = match v.field("deadline_ms") {
             Some(d) => Some(d.as_u64().ok_or_else(|| err("bad deadline_ms"))?),
             None => None,
@@ -962,7 +961,10 @@ mod tests {
                     draining: false,
                 }),
             },
-            Response::Status { jobs: vec![], server: None },
+            Response::Status {
+                jobs: vec![],
+                server: None,
+            },
             Response::Cancelled { id: 4, found: true },
             Response::Draining,
             Response::Error {
@@ -1050,7 +1052,10 @@ mod tests {
         let frame = Request::Drain.encode().replace("\"v\":1", "\"v\":99");
         let e = Request::decode(&frame).unwrap_err();
         assert!(e.0.contains("version 99"), "{e}");
-        assert!(Request::decode("{\"type\":\"drain\"}").is_err(), "missing v");
+        assert!(
+            Request::decode("{\"type\":\"drain\"}").is_err(),
+            "missing v"
+        );
         assert!(Request::decode("{\"v\":1,\"type\":\"launch_missiles\"}").is_err());
     }
 }

@@ -181,8 +181,7 @@ mod tests {
         let pending = vec![req(0, 0, 1, 0), req(1, 1, 2, 50)];
         assert_eq!(a.pick(&pending, &ctx(100, None)), 1);
         assert!(
-            a.total_attained_service(ThreadId::new(1))
-                < a.total_attained_service(ThreadId::new(0))
+            a.total_attained_service(ThreadId::new(1)) < a.total_attained_service(ThreadId::new(0))
         );
     }
 

@@ -153,7 +153,11 @@ mod tests {
     fn spin_refuses_to_advance_time() {
         let chaos = ChaosScheduler::new(Box::new(FrFcfs::new()), 1_000);
         assert_eq!(chaos.next_tick(1_000), Some(1_000));
-        assert_eq!(chaos.next_tick(5_000), Some(5_000), "frozen at `now` forever");
+        assert_eq!(
+            chaos.next_tick(5_000),
+            Some(5_000),
+            "frozen at `now` forever"
+        );
         assert_eq!(chaos.spin_at(), 1_000);
     }
 }

@@ -327,9 +327,7 @@ pub(crate) mod testutil {
 
     use std::sync::OnceLock;
     use tcm_dram::RequestQueue;
-    use tcm_types::{
-        BankId, ChannelId, Cycle, MemAddress, Request, RequestId, Row, ThreadId,
-    };
+    use tcm_types::{BankId, ChannelId, Cycle, MemAddress, Request, RequestId, Row, ThreadId};
 
     /// Builds a request on channel 0, bank 0.
     pub fn req(id: u64, thread: usize, row: usize, at: Cycle) -> Request {

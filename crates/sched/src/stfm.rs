@@ -129,11 +129,7 @@ impl Scheduler for Stfm {
             if min > 0.0 && max / min > self.params.fairness_threshold {
                 // Fairness mode: requests of the most-slowed thread first.
                 return pick_max_by_key(pending, |r| {
-                    (
-                        r.thread == max_thread,
-                        row_hit(r, ctx.open_row),
-                        age_key(r),
-                    )
+                    (r.thread == max_thread, row_hit(r, ctx.open_row), age_key(r))
                 });
             }
         }

@@ -122,12 +122,12 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use tcm_chaos::FaultPlan;
 use tcm_proto::{
     Event, JobKind, JobSpec, JobState, JobStatusInfo, ServerInfo, SoakSpec, SweepSpec, WorkloadRef,
 };
 use tcm_serve::job::resolve_sweep;
 use tcm_serve::{Client, Level, Server, ServerConfig};
-use tcm_chaos::FaultPlan;
 use tcm_sim::campaign::{Campaign, Outcome, QUANTUM};
 use tcm_sim::{CellFailureKind, PolicyKind, RunConfig, Session, SweepCell};
 use tcm_telemetry::{
@@ -157,7 +157,11 @@ impl Output {
         let mut s = String::new();
         s.push_str("{\n  \"workload\": ");
         json::write_str(&mut s, &self.workload);
-        let _ = write!(s, ",\n  \"threads\": {},\n  \"cycles\": {}", self.threads, self.cycles);
+        let _ = write!(
+            s,
+            ",\n  \"threads\": {},\n  \"cycles\": {}",
+            self.threads, self.cycles
+        );
         s.push_str(",\n  \"benchmarks\": [");
         for (i, b) in self.benchmarks.iter().enumerate() {
             if i > 0 {
@@ -221,13 +225,13 @@ fn run_bench(
             .chaos(chaos_empty.then(FaultPlan::none))
             .build(),
     );
-    let sweep = session
-        .sweep()
-        .policies(policies)
-        .workloads(workloads);
+    let sweep = session.sweep().policies(policies).workloads(workloads);
     let result = sweep.run_parallel(workers);
     if !result.is_complete() {
-        eprintln!("bench sweep had {} failed cell(s):", result.failures().len());
+        eprintln!(
+            "bench sweep had {} failed cell(s):",
+            result.failures().len()
+        );
         for failure in result.failures() {
             eprintln!("  {failure}");
         }
@@ -318,7 +322,10 @@ fn run_chaos_smoke(topology: Option<&Topology>) -> i32 {
         "flat".to_string()
     };
     let mut verdicts = campaign.faults(20_000);
-    let classes = verdicts.iter().filter(|v| v.outcome != Outcome::Skipped).count();
+    let classes = verdicts
+        .iter()
+        .filter(|v| v.outcome != Outcome::Skipped)
+        .count();
     verdicts.push(campaign.clean_control());
     for v in &verdicts {
         let (tag, hint) = match v.outcome {
@@ -328,7 +335,10 @@ fn run_chaos_smoke(topology: Option<&Topology>) -> i32 {
         };
         eprintln!("  {:<20} {tag} {}{hint}", v.name, v.detail);
     }
-    let failures = verdicts.iter().filter(|v| v.outcome == Outcome::Fail).count();
+    let failures = verdicts
+        .iter()
+        .filter(|v| v.outcome == Outcome::Fail)
+        .count();
     if failures > 0 {
         eprintln!("chaos smoke [{label}]: {failures} check(s) FAILED");
         return 1;
@@ -419,7 +429,11 @@ fn render_metrics(cells: &[SweepCell]) -> String {
         json::write_str(&mut s, &cell.result.policy);
         s.push_str(", \"workload\": ");
         json::write_str(&mut s, &cell.result.workload);
-        let _ = write!(s, ", \"seed\": {}, \"dropped_events\": {}", cell.seed, snapshot.dropped);
+        let _ = write!(
+            s,
+            ", \"seed\": {}, \"dropped_events\": {}",
+            cell.seed, snapshot.dropped
+        );
         let m = &snapshot.metrics;
         s.push_str(",\n     \"counters\": {");
         for (i, (name, value)) in m.counters().iter().enumerate() {
@@ -623,7 +637,11 @@ fn print_event(event: &Event) {
             if *resumed { " (resumed)" } else { "" },
         ),
         Event::CellFailure { line, .. } => eprintln!("{line}"),
-        Event::Telemetry { counters, gauge_bits, .. } => println!(
+        Event::Telemetry {
+            counters,
+            gauge_bits,
+            ..
+        } => println!(
             "telemetry: {} counter(s), {} gauge(s)",
             counters.len(),
             gauge_bits.len()
@@ -742,11 +760,14 @@ fn client_main(args: &[String]) -> i32 {
                 };
                 match arg.as_str() {
                     "--priority" => {
-                        spec.priority = value("--priority").parse().unwrap_or_else(|_| client_usage())
+                        spec.priority = value("--priority")
+                            .parse()
+                            .unwrap_or_else(|_| client_usage())
                     }
                     "--deadline" => {
-                        let secs: f64 =
-                            value("--deadline").parse().unwrap_or_else(|_| client_usage());
+                        let secs: f64 = value("--deadline")
+                            .parse()
+                            .unwrap_or_else(|_| client_usage());
                         if !secs.is_finite() || secs < 0.0 {
                             client_usage()
                         }
@@ -758,8 +779,7 @@ fn client_main(args: &[String]) -> i32 {
                             .unwrap_or_else(|_| client_usage())
                     }
                     "--policies" if !is_soak => {
-                        sweep.policies =
-                            value("--policies").split(',').map(String::from).collect()
+                        sweep.policies = value("--policies").split(',').map(String::from).collect()
                     }
                     "--workloads" if !is_soak => {
                         sweep.workloads = value("--workloads")
@@ -819,7 +839,9 @@ fn client_main(args: &[String]) -> i32 {
             }
         }
         "status" => {
-            let id = args.first().map(|s| s.parse().unwrap_or_else(|_| client_usage()));
+            let id = args
+                .first()
+                .map(|s| s.parse().unwrap_or_else(|_| client_usage()));
             match client.status_full(id) {
                 Ok((jobs, server)) => {
                     if let Some(info) = server {
@@ -885,7 +907,11 @@ fn client_main(args: &[String]) -> i32 {
                 Ok(found) => {
                     println!(
                         "job {id}: {}",
-                        if found { "cancelled" } else { "nothing to cancel" }
+                        if found {
+                            "cancelled"
+                        } else {
+                            "nothing to cancel"
+                        }
                     );
                     0
                 }
@@ -1017,7 +1043,11 @@ fn event_line(id: u64, event: &Event) -> String {
             if *resumed { " (resumed)" } else { "" },
         ),
         Event::CellFailure { line, .. } => format!("job {id}: {line}"),
-        Event::Telemetry { counters, gauge_bits, .. } => format!(
+        Event::Telemetry {
+            counters,
+            gauge_bits,
+            ..
+        } => format!(
             "job {id}: telemetry {} counter(s), {} gauge(s)",
             counters.len(),
             gauge_bits.len()
@@ -1049,7 +1079,9 @@ fn maybe_spawn_watcher(
         .max();
     let Some(id) = candidate else { return };
     {
-        let mut slot = watching.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut slot = watching
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         if slot.is_some() {
             return;
         }
@@ -1060,7 +1092,9 @@ fn maybe_spawn_watcher(
     let watching = Arc::clone(watching);
     std::thread::spawn(move || {
         let push = |line: String| {
-            let mut q = events.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut q = events
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             q.push_back(line);
             while q.len() > TOP_EVENT_LINES {
                 q.pop_front();
@@ -1071,7 +1105,9 @@ fn maybe_spawn_watcher(
                 push(format!("job {id}: {}", state.as_str()));
             }
         }
-        *watching.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+        *watching
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
     });
 }
 
@@ -1088,7 +1124,9 @@ fn render_top(
 ) -> String {
     let g = |k: &str| metrics.get(k).copied().unwrap_or(0.0);
     let by_state = |state: &str| {
-        g(&format!("tcm_serve_jobs_completed_total{{state=\"{state}\"}}"))
+        g(&format!(
+            "tcm_serve_jobs_completed_total{{state=\"{state}\"}}"
+        ))
     };
     let mut s = String::new();
     let _ = writeln!(s, "tcm-serve top — socket {}", socket.display());

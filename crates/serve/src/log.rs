@@ -54,7 +54,11 @@ impl Level {
             "info" => Level::Info,
             "warn" => Level::Warn,
             "error" => Level::Error,
-            other => return Err(format!("unknown log level `{other}` (debug|info|warn|error)")),
+            other => {
+                return Err(format!(
+                    "unknown log level `{other}` (debug|info|warn|error)"
+                ))
+            }
         })
     }
 }

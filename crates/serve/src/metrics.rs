@@ -124,10 +124,19 @@ impl DaemonMetrics {
     /// state.
     pub fn render(&self, live: &LiveGauges) -> String {
         let mut registry = lock(&self.registry).clone();
-        registry.set_counter("tcm_serve_wal_appended_records_total", live.wal_appended_records);
-        registry.set_counter("tcm_serve_wal_appended_bytes_total", live.wal_appended_bytes);
+        registry.set_counter(
+            "tcm_serve_wal_appended_records_total",
+            live.wal_appended_records,
+        );
+        registry.set_counter(
+            "tcm_serve_wal_appended_bytes_total",
+            live.wal_appended_bytes,
+        );
         registry.set_counter("tcm_serve_wal_replayed_jobs_total", live.wal_replayed_jobs);
-        registry.set_counter("tcm_serve_wal_truncated_bytes_total", live.wal_truncated_bytes);
+        registry.set_counter(
+            "tcm_serve_wal_truncated_bytes_total",
+            live.wal_truncated_bytes,
+        );
         registry.set_counter("tcm_serve_alone_runs_total", live.alone_runs);
         for (source, hits) in [
             ("memory", live.alone_memory_hits),

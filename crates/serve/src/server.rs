@@ -305,7 +305,11 @@ impl Server {
                 for token in lock(&shared.inner).active.values() {
                     token.cancel();
                 }
-                slog!(Level::Warn, "server", "drain deadline hit; aborting in-flight cells");
+                slog!(
+                    Level::Warn,
+                    "server",
+                    "drain deadline hit; aborting in-flight cells"
+                );
             }
             thread::sleep(Duration::from_millis(10));
         }
@@ -435,11 +439,7 @@ fn handle_conn(shared: &Arc<Shared>, stream: UnixStream) {
 /// workers broadcast the `JobDone` event while holding `inner` too, so
 /// no event can reach the stream ahead of the Status frame. The write
 /// under the lock is bounded by [`WRITE_TIMEOUT`].
-fn handle_watch(
-    shared: &Arc<Shared>,
-    writer: &Arc<Mutex<UnixStream>>,
-    id: u64,
-) -> io::Result<()> {
+fn handle_watch(shared: &Arc<Shared>, writer: &Arc<Mutex<UnixStream>>, id: u64) -> io::Result<()> {
     let inner = lock(&shared.inner);
     let Some(job) = inner.jobs.get(&id) else {
         drop(inner);
@@ -468,7 +468,13 @@ fn handle_watch(
         slog!(Level::Debug, "server", "watch subscribed"; job = id);
     }
     let server = Some(server_info(shared, &inner));
-    let status_sent = send(writer, &Response::Status { jobs: vec![info], server });
+    let status_sent = send(
+        writer,
+        &Response::Status {
+            jobs: vec![info],
+            server,
+        },
+    );
     drop(inner);
     status_sent?;
     match done {
@@ -531,7 +537,9 @@ fn handle_request(shared: &Arc<Shared>, req: Request) -> Response {
             }
             let _ = inner.queue.push(id, spec.priority, seq);
             shared.metrics.add("tcm_serve_jobs_submitted_total", 1);
-            shared.metrics.raise_queue_high_water(inner.queue.len() as u64);
+            shared
+                .metrics
+                .raise_queue_high_water(inner.queue.len() as u64);
             let priority = spec.priority;
             inner.jobs.insert(
                 id,
@@ -583,9 +591,12 @@ fn handle_request(shared: &Arc<Shared>, req: Request) -> Response {
                     job.state = JobState::Cancelled;
                     job.detail = detail.clone();
                 }
-                shared
-                    .metrics
-                    .add_labeled("tcm_serve_jobs_completed_total", "state", "cancelled", 1);
+                shared.metrics.add_labeled(
+                    "tcm_serve_jobs_completed_total",
+                    "state",
+                    "cancelled",
+                    1,
+                );
                 slog!(Level::Info, "server", "job cancelled while queued"; job = id);
                 let mut subs = lock(&shared.subscribers);
                 broadcast_locked(
@@ -641,7 +652,12 @@ fn broadcast(shared: &Shared, job: u64, event: Event) {
     broadcast_locked(shared, &mut lock(&shared.subscribers), job, event);
 }
 
-fn broadcast_locked(shared: &Shared, subs: &mut MutexGuard<'_, Subscribers>, job: u64, event: Event) {
+fn broadcast_locked(
+    shared: &Shared,
+    subs: &mut MutexGuard<'_, Subscribers>,
+    job: u64,
+    event: Event,
+) {
     let Some(streams) = subs.get_mut(&job) else {
         return;
     };
@@ -652,7 +668,9 @@ fn broadcast_locked(shared: &Shared, subs: &mut MutexGuard<'_, Subscribers>, job
     streams.retain(|stream| write_frame(&mut *lock(stream), &payload).is_ok());
     let pruned = before - streams.len();
     if pruned > 0 {
-        shared.metrics.add("tcm_serve_watch_pruned_total", pruned as u64);
+        shared
+            .metrics
+            .add("tcm_serve_watch_pruned_total", pruned as u64);
         slog!(Level::Warn, "server", "pruned dead or stalled watch subscriber(s)";
             job = job, pruned = pruned);
     }
@@ -750,7 +768,11 @@ fn conclude(shared: &Arc<Shared>, id: u64, state: JobState, detail: String, star
     inner.active.remove(&id);
     // A client cancel that raced the final cells wins: the WAL already
     // holds the `cancel` op.
-    let state = if inner.jobs.get(&id).is_some_and(|j| j.state == JobState::Cancelled) {
+    let state = if inner
+        .jobs
+        .get(&id)
+        .is_some_and(|j| j.state == JobState::Cancelled)
+    {
         JobState::Cancelled
     } else {
         state
@@ -815,7 +837,12 @@ fn sweep_pass(
     // resume re-fires `on_cell` (with `resumed = true`) for every
     // already-complete cell, so counting from scratch stays exact.
     let total = (resolved.policies.len() * resolved.workloads.len() * resolved.seeds.len()) as u64;
-    set_progress(shared, id, |p| *p = JobProgress { total, ..JobProgress::default() });
+    set_progress(shared, id, |p| {
+        *p = JobProgress {
+            total,
+            ..JobProgress::default()
+        }
+    });
     session
         .sweep()
         .policies(resolved.policies.iter().cloned())
@@ -831,7 +858,9 @@ fn sweep_pass(
                 p.done += 1;
                 p.resumed += u64::from(resumed);
             });
-            cell_shared.metrics.add("tcm_serve_cells_completed_total", 1);
+            cell_shared
+                .metrics
+                .add("tcm_serve_cells_completed_total", 1);
             if resumed {
                 cell_shared.metrics.add("tcm_serve_cells_resumed_total", 1);
             }
@@ -875,9 +904,10 @@ fn sweep_pass(
         .on_failure(move |err| {
             set_progress(&fail_shared, id, |p| p.failed += 1);
             fail_shared.metrics.add("tcm_serve_cell_failures_total", 1);
-            fail_shared
-                .metrics
-                .add("tcm_serve_cell_retries_total", u64::from(err.attempts.saturating_sub(1)));
+            fail_shared.metrics.add(
+                "tcm_serve_cell_retries_total",
+                u64::from(err.attempts.saturating_sub(1)),
+            );
             slog!(Level::Warn, "worker", "cell failed";
                 job = id,
                 cell = format!("{}x{}", err.policy_label, err.workload_name),
@@ -952,18 +982,11 @@ fn run_sweep_job(
     if result.is_complete() {
         let path = shared.state_dir.join(format!("job-{id}.result.json"));
         if let Err(e) = write_durable(&path, &render_result(&result)) {
-            return Some((
-                JobState::Failed,
-                format!("result write failed: {e}"),
-            ));
+            return Some((JobState::Failed, format!("result write failed: {e}")));
         }
         Some((
             JobState::Done,
-            format!(
-                "{} cell(s) -> {}",
-                result.cells().len(),
-                path.display()
-            ),
+            format!("{} cell(s) -> {}", result.cells().len(), path.display()),
         ))
     } else {
         let failed: Vec<String> = result
@@ -991,7 +1014,10 @@ fn soak_round(seed: u64, horizon: u64) -> (u32, u32, Vec<&'static str>) {
         return (0, 1, Vec::new());
     };
     let verdicts = campaign.faults((horizon / 10).max(1));
-    let classes = verdicts.iter().filter(|v| v.outcome != Outcome::Skipped).count() as u32;
+    let classes = verdicts
+        .iter()
+        .filter(|v| v.outcome != Outcome::Skipped)
+        .count() as u32;
     let missed: Vec<_> = verdicts
         .iter()
         .filter(|v| v.outcome == Outcome::Fail)
@@ -1071,6 +1097,9 @@ mod tests {
 
     #[test]
     fn a_short_soak_round_names_the_class_that_escaped() {
-        assert_eq!(soak_round(7, QUANTUM - 1), (7, 8, vec!["monitor-corruption"]));
+        assert_eq!(
+            soak_round(7, QUANTUM - 1),
+            (7, 8, vec!["monitor-corruption"])
+        );
     }
 }

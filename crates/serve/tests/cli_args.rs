@@ -32,7 +32,10 @@ fn bad_workload_args_are_usage_errors_with_the_daemons_message() {
     let cases: [(&[&str], SweepSpec); 4] = [
         (&["--threads", "0"], one_shot_spec(0, 0.5, 5_000_000)),
         (&["--intensity", "-3"], one_shot_spec(24, -3.0, 5_000_000)),
-        (&["--intensity", "nan"], one_shot_spec(24, f64::NAN, 5_000_000)),
+        (
+            &["--intensity", "nan"],
+            one_shot_spec(24, f64::NAN, 5_000_000),
+        ),
         (&["--cycles", "0"], one_shot_spec(24, 0.5, 0)),
     ];
     for (args, spec) in cases {
@@ -43,7 +46,10 @@ fn bad_workload_args_are_usage_errors_with_the_daemons_message() {
             .expect("tcm-run runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "tcm-run {args:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "tcm-run {args:?} panicked: {stderr}");
+        assert!(
+            !stderr.contains("panicked"),
+            "tcm-run {args:?} panicked: {stderr}"
+        );
         assert!(
             stderr.contains(&daemon_message),
             "tcm-run {args:?} should say `{daemon_message}`, got: {stderr}"
@@ -94,7 +100,15 @@ fn a_flat_checkpoint_does_not_resume_into_a_2x2_run() {
     let _ = std::fs::remove_file(&ckpt);
     let run = |extra: &[&str]| {
         let out = Command::new(env!("CARGO_BIN_EXE_tcm-run"))
-            .args(["--cycles", "200000", "--threads", "8", "--policies", "fr-fcfs,tcm", "--json"])
+            .args([
+                "--cycles",
+                "200000",
+                "--threads",
+                "8",
+                "--policies",
+                "fr-fcfs,tcm",
+                "--json",
+            ])
             .args(extra)
             .output()
             .expect("tcm-run runs");
@@ -106,8 +120,14 @@ fn a_flat_checkpoint_does_not_resume_into_a_2x2_run() {
     let (flat, _) = run(&["--checkpoint", ckpt_arg]);
     let (resumed, stderr) = run(&["--topology", "2x2", "--resume", ckpt_arg]);
     let (fresh, _) = run(&["--topology", "2x2"]);
-    assert!(!stderr.contains("resumed"), "flat cells resumed into 2x2: {stderr}");
-    assert_eq!(resumed, fresh, "the resumed 2x2 run prints the fresh 2x2 JSON");
+    assert!(
+        !stderr.contains("resumed"),
+        "flat cells resumed into 2x2: {stderr}"
+    );
+    assert_eq!(
+        resumed, fresh,
+        "the resumed 2x2 run prints the fresh 2x2 JSON"
+    );
     assert_ne!(flat, fresh, "a graft would be visible");
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }

@@ -203,17 +203,37 @@ fn restarted_daemon_readmits_wal_jobs_and_finishes_bit_identically() {
     // The restarted daemon's scrape must carry the recovery story: the
     // job folded out of the WAL and the checkpoint cell it replayed.
     let text = client.metrics().expect("metrics after recovery");
-    assert_eq!(metric(&text, "tcm_serve_wal_replayed_jobs_total"), Some(1.0), "{text}");
-    assert_eq!(metric(&text, "tcm_serve_jobs_readmitted_total"), Some(1.0), "{text}");
-    assert_eq!(metric(&text, "tcm_serve_cells_resumed_total"), Some(1.0), "{text}");
+    assert_eq!(
+        metric(&text, "tcm_serve_wal_replayed_jobs_total"),
+        Some(1.0),
+        "{text}"
+    );
+    assert_eq!(
+        metric(&text, "tcm_serve_jobs_readmitted_total"),
+        Some(1.0),
+        "{text}"
+    );
+    assert_eq!(
+        metric(&text, "tcm_serve_cells_resumed_total"),
+        Some(1.0),
+        "{text}"
+    );
     // The re-admitted job read its baselines from disk instead of
     // re-running them.
-    assert_eq!(metric(&text, "tcm_serve_alone_runs_total"), Some(0.0), "{text}");
+    assert_eq!(
+        metric(&text, "tcm_serve_alone_runs_total"),
+        Some(0.0),
+        "{text}"
+    );
     assert!(
         metric(&text, "tcm_serve_alone_cache_hits_total{source=\"disk\"}") >= Some(1.0),
         "{text}"
     );
-    assert_eq!(metric(&text, "tcm_serve_alone_cache_corrupt_total"), Some(0.0), "{text}");
+    assert_eq!(
+        metric(&text, "tcm_serve_alone_cache_corrupt_total"),
+        Some(0.0),
+        "{text}"
+    );
 
     client.drain().expect("drain");
     assert_eq!(handle.join().expect("join"), 0);
@@ -234,18 +254,30 @@ fn overlapping_jobs_simulate_only_their_new_alone_baselines() {
     let mut client = Client::connect(&socket).expect("connect");
 
     let result = run_to_done(&mut client, &state_dir, sweep_spec());
-    assert_eq!(result, render_cold(&sweep_spec()), "first job matches a cold Session");
+    assert_eq!(
+        result,
+        render_cold(&sweep_spec()),
+        "first job matches a cold Session"
+    );
     let text = client.metrics().expect("scrape");
     let runs = metric(&text, "tcm_serve_alone_runs_total");
     assert_eq!(runs, Some(first.len() as f64), "{text}");
 
     let spec = sweep_spec_with_mix(seed);
     let result = run_to_done(&mut client, &state_dir, spec.clone());
-    assert_eq!(result, render_cold(&spec), "second job matches a cold Session");
+    assert_eq!(
+        result,
+        render_cold(&spec),
+        "second job matches a cold Session"
+    );
     let text = client.metrics().expect("scrape");
     let new = second.difference(&first).count();
     let runs = metric(&text, "tcm_serve_alone_runs_total");
-    assert_eq!(runs, Some((first.len() + new) as f64), "only new profiles run: {text}");
+    assert_eq!(
+        runs,
+        Some((first.len() + new) as f64),
+        "only new profiles run: {text}"
+    );
 
     client.drain().expect("drain");
     assert_eq!(handle.join().expect("join"), 0);
@@ -263,7 +295,11 @@ fn corrupt_alone_entries_are_recomputed_counted_and_republished() {
     assert_eq!(handle.join().expect("join"), 0);
 
     let entries = alone_entries(&state_dir);
-    assert_eq!(entries.len(), mix_profiles(5).len(), "one entry per profile");
+    assert_eq!(
+        entries.len(),
+        mix_profiles(5).len(),
+        "one entry per profile"
+    );
     assert!(entries.len() >= 3, "the test needs three entries to damage");
     let original: Vec<Vec<u8>> = entries
         .iter()
@@ -280,17 +316,33 @@ fn corrupt_alone_entries_are_recomputed_counted_and_republished() {
     let (handle, socket) = start(config(&dir));
     let mut client = Client::connect(&socket).expect("reconnect");
     let result = run_to_done(&mut client, &state_dir, sweep_spec());
-    assert_eq!(result, reference, "recomputed baselines give the same result");
+    assert_eq!(
+        result, reference,
+        "recomputed baselines give the same result"
+    );
     let text = client.metrics().expect("scrape");
-    assert_eq!(metric(&text, "tcm_serve_alone_cache_corrupt_total"), Some(3.0), "{text}");
-    assert_eq!(metric(&text, "tcm_serve_alone_runs_total"), Some(3.0), "{text}");
+    assert_eq!(
+        metric(&text, "tcm_serve_alone_cache_corrupt_total"),
+        Some(3.0),
+        "{text}"
+    );
+    assert_eq!(
+        metric(&text, "tcm_serve_alone_runs_total"),
+        Some(3.0),
+        "{text}"
+    );
     assert_eq!(
         metric(&text, "tcm_serve_alone_cache_hits_total{source=\"disk\"}"),
         Some((entries.len() - 3) as f64),
         "{text}"
     );
     for (path, bytes) in entries.iter().zip(&original) {
-        assert_eq!(&std::fs::read(path).expect("entry"), bytes, "{}", path.display());
+        assert_eq!(
+            &std::fs::read(path).expect("entry"),
+            bytes,
+            "{}",
+            path.display()
+        );
     }
 
     client.drain().expect("drain");
@@ -344,7 +396,10 @@ fn backpressure_cancel_and_streaming_roundtrip() {
     assert!(err.to_string().contains("queue full"), "{err}");
 
     assert!(client.cancel(a).expect("cancel queued"), "queued job found");
-    assert!(!client.cancel(a).expect("re-cancel"), "second cancel is a no-op");
+    assert!(
+        !client.cancel(a).expect("re-cancel"),
+        "second cancel is a no-op"
+    );
     let jobs = client.status(None).expect("status");
     let find = |id: u64| jobs.iter().find(|j| j.id == id).expect("listed").state;
     assert_eq!(find(a), JobState::Cancelled);
@@ -369,9 +424,16 @@ fn backpressure_cancel_and_streaming_roundtrip() {
 
     // Hard-cancel the running job: its cells abort mid-simulation and
     // the worker moves on to `b`.
-    assert!(client.cancel(running).expect("cancel running"), "running job found");
+    assert!(
+        client.cancel(running).expect("cancel running"),
+        "running job found"
+    );
     let (state, _) = client.watch(running, |_| {}).expect("watch cancelled");
-    assert_eq!(state, JobState::Cancelled, "hard cancel aborts in-flight cells");
+    assert_eq!(
+        state,
+        JobState::Cancelled,
+        "hard cancel aborts in-flight cells"
+    );
 
     let (state, cells) = streamer.join().expect("streamer");
     assert_eq!(state, JobState::Done);
@@ -390,10 +452,17 @@ fn metrics_and_progress_track_the_job_lifecycle() {
 
     // Baseline scrape: gauges reflect the configuration before any job.
     let text = client.metrics().expect("baseline scrape");
-    assert_eq!(metric(&text, "tcm_serve_queue_capacity"), Some(8.0), "{text}");
+    assert_eq!(
+        metric(&text, "tcm_serve_queue_capacity"),
+        Some(8.0),
+        "{text}"
+    );
     assert_eq!(metric(&text, "tcm_serve_workers"), Some(2.0), "{text}");
     assert_eq!(metric(&text, "tcm_serve_queue_depth"), Some(0.0), "{text}");
-    assert!(metric(&text, "tcm_serve_jobs_submitted_total").is_none(), "{text}");
+    assert!(
+        metric(&text, "tcm_serve_jobs_submitted_total").is_none(),
+        "{text}"
+    );
 
     // One clean job: every submit/run/done stage must move its metric.
     let id = client.submit(sweep_spec()).expect("submit");
@@ -412,13 +481,21 @@ fn metrics_and_progress_track_the_job_lifecycle() {
     assert_eq!(progress.failed, 0);
 
     let text = client.metrics().expect("post-job scrape");
-    assert_eq!(metric(&text, "tcm_serve_jobs_submitted_total"), Some(1.0), "{text}");
+    assert_eq!(
+        metric(&text, "tcm_serve_jobs_submitted_total"),
+        Some(1.0),
+        "{text}"
+    );
     assert_eq!(
         metric(&text, "tcm_serve_jobs_completed_total{state=\"done\"}"),
         Some(1.0),
         "{text}"
     );
-    assert_eq!(metric(&text, "tcm_serve_cells_completed_total"), Some(4.0), "{text}");
+    assert_eq!(
+        metric(&text, "tcm_serve_cells_completed_total"),
+        Some(4.0),
+        "{text}"
+    );
     assert_eq!(
         metric(&text, "tcm_serve_job_duration_ms_count{state=\"done\"}"),
         Some(1.0),
@@ -433,7 +510,10 @@ fn metrics_and_progress_track_the_job_lifecycle() {
         metric(&text, "tcm_serve_wal_appended_records_total") >= Some(3.0),
         "{text}"
     );
-    assert!(metric(&text, "tcm_serve_wal_appended_bytes_total") > Some(0.0), "{text}");
+    assert!(
+        metric(&text, "tcm_serve_wal_appended_bytes_total") > Some(0.0),
+        "{text}"
+    );
 
     // A job that blows its wall-clock deadline lands in the failed
     // family of the same counters and histogram.
@@ -516,7 +596,11 @@ fn soak_job_streams_every_round_and_short_horizons_are_refused() {
 
     let ((state, detail), rounds) = streamer.join().expect("streamer");
     assert_eq!(state, JobState::Done, "{detail}");
-    assert_eq!(rounds, [(8, 8), (8, 8)], "every class caught in both rounds");
+    assert_eq!(
+        rounds,
+        [(8, 8), (8, 8)],
+        "every class caught in both rounds"
+    );
 
     client.drain().expect("drain");
     assert_eq!(handle.join().expect("join"), 0);

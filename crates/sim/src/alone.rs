@@ -110,7 +110,10 @@ impl AloneKey {
 fn compute_alone_ipc(profile: &BenchmarkProfile, rc: &RunConfig) -> f64 {
     let mut system = rc.system.clone();
     system.num_threads = 1;
-    let alone = RunConfig::builder().system(system).horizon(rc.horizon).build();
+    let alone = RunConfig::builder()
+        .system(system)
+        .horizon(rc.horizon)
+        .build();
     let workload = WorkloadSpec::new(profile.name.clone(), vec![profile.clone()]);
     let (run, _) = run_cell(&PolicyKind::FrFcfs, &workload, &alone, 0, None, None, None)
         .expect("alone-run simulation failed");

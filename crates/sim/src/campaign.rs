@@ -48,7 +48,11 @@ pub struct Verdict {
 
 fn verdict(name: &'static str, pass: bool, detail: String) -> Verdict {
     let outcome = if pass { Outcome::Pass } else { Outcome::Fail };
-    Verdict { name, outcome, detail }
+    Verdict {
+        name,
+        outcome,
+        detail,
+    }
 }
 
 /// One campaign: a machine, a workload and a horizon. Faults strike
@@ -69,7 +73,10 @@ impl Campaign {
     ///
     /// Returns [`ConfigError`] if `topology` is not a valid machine.
     pub fn new(topology: Topology, mix_seed: u64, horizon: Cycle) -> Result<Self, ConfigError> {
-        let system = SystemConfig::builder().num_threads(THREADS).topology(topology).build()?;
+        let system = SystemConfig::builder()
+            .num_threads(THREADS)
+            .topology(topology)
+            .build()?;
         let rc = RunConfig::builder().system(system).horizon(horizon).build();
         let workload = random_workload(mix_seed, THREADS, 1.0);
         Ok(Self { rc, workload })
@@ -103,7 +110,11 @@ impl Campaign {
         let (name, coordination) = (kind.name(), kind.is_coordination_fault());
         if coordination && !self.is_multi() {
             let detail = "coordination fault needs a meta-controller".to_string();
-            return Verdict { name, outcome: Outcome::Skipped, detail };
+            return Verdict {
+                name,
+                outcome: Outcome::Skipped,
+                detail,
+            };
         }
         let topology = &self.rc.system.topology;
         let (channel, controller) = (topology.num_channels() - 1, topology.num_controllers() - 1);
@@ -135,9 +146,9 @@ impl Campaign {
                 let quarantined = log.iter().any(|a| {
                     matches!(a, ControllerQuarantined { controller: c, .. } if *c == controller)
                 });
-                let readmitted = log.iter().any(|a| {
-                    matches!(a, ControllerReadmitted { controller: c, .. } if *c == controller)
-                });
+                let readmitted = log.iter().any(
+                    |a| matches!(a, ControllerReadmitted { controller: c, .. } if *c == controller),
+                );
                 let pass = quarantined && readmitted;
                 let first = first(&log, "no quarantine logged");
                 verdict(name, pass, format!("quarantined + readmitted: {first}"))
@@ -178,7 +189,11 @@ mod tests {
     use super::*;
 
     fn names(verdicts: &[Verdict], outcome: Outcome) -> Vec<&'static str> {
-        verdicts.iter().filter(|v| v.outcome == outcome).map(|v| v.name).collect()
+        verdicts
+            .iter()
+            .filter(|v| v.outcome == outcome)
+            .map(|v| v.name)
+            .collect()
     }
 
     fn smoke(topology: Topology, horizon: Cycle) -> Campaign {
@@ -191,10 +206,16 @@ mod tests {
         let verdicts = campaign.faults(20_000);
         assert_eq!(verdicts.len(), FaultKind::ALL.len());
         assert_eq!(names(&verdicts, Outcome::Pass).len(), 8, "{verdicts:#?}");
-        assert_eq!(names(&verdicts, Outcome::Skipped), ["controller-blackout", "monitor-skew"]);
+        assert_eq!(
+            names(&verdicts, Outcome::Skipped),
+            ["controller-blackout", "monitor-skew"]
+        );
         let control = campaign.clean_control();
         assert_eq!(control.outcome, Outcome::Pass, "{control:?}");
-        assert_eq!(control.detail, "zero detections, bit-identical to no chaos layer");
+        assert_eq!(
+            control.detail,
+            "zero detections, bit-identical to no chaos layer"
+        );
     }
 
     #[test]
@@ -204,7 +225,10 @@ mod tests {
         assert_eq!(names(&verdicts, Outcome::Pass).len(), 10, "{verdicts:#?}");
         let control = campaign.clean_control();
         assert_eq!(control.outcome, Outcome::Pass, "{control:?}");
-        assert_eq!(control.detail, "zero detections, bit-identical to no chaos layer");
+        assert_eq!(
+            control.detail,
+            "zero detections, bit-identical to no chaos layer"
+        );
     }
 
     #[test]
@@ -224,8 +248,9 @@ mod tests {
 
     #[test]
     fn horizon_below_the_quantum_misses_monitor_corruption() {
-        let verdicts =
-            Campaign::new(Topology::flat(1), 7, QUANTUM - 1).expect("valid").faults(4_999);
+        let verdicts = Campaign::new(Topology::flat(1), 7, QUANTUM - 1)
+            .expect("valid")
+            .faults(4_999);
         assert_eq!(names(&verdicts, Outcome::Fail), ["monitor-corruption"]);
     }
 }

@@ -26,9 +26,9 @@
 //! [`Sweep::checkpoint`]: crate::Sweep::checkpoint
 
 use crate::durable::AppendLog;
+use crate::machine::RunResult;
 use crate::metrics::WorkloadMetrics;
 use crate::runner::EvalResult;
-use crate::machine::RunResult;
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
@@ -73,7 +73,10 @@ pub(crate) fn write_entry(key: &str, r: &EvalResult) -> String {
     out.push_str(",\"speedups\":");
     write_f64_array(&mut out, &r.speedups);
     let run = &r.run;
-    out.push_str(&format!(",\"run\":{{\"cycles\":{},\"retired\":", run.cycles));
+    out.push_str(&format!(
+        ",\"run\":{{\"cycles\":{},\"retired\":",
+        run.cycles
+    ));
     json::write_u64_array(&mut out, run.retired.iter().copied());
     out.push_str(",\"ipc\":");
     write_f64_array(&mut out, &run.ipc);
@@ -272,11 +275,17 @@ mod tests {
         );
         assert_eq!(parsed.metrics.max_slowdown, f64::INFINITY);
         assert_eq!(parsed.slowdowns[2].to_bits(), (-0.0f64).to_bits());
-        assert_eq!(parsed.run.row_hit_rate.to_bits(), result.run.row_hit_rate.to_bits());
+        assert_eq!(
+            parsed.run.row_hit_rate.to_bits(),
+            result.run.row_hit_rate.to_bits()
+        );
         assert_eq!(parsed.workload, result.workload);
         assert_eq!(parsed.run.retired, result.run.retired);
         let telemetry = parsed.telemetry.as_ref().unwrap();
-        assert_eq!(telemetry.metrics.counters().get("requests_serviced"), Some(&42));
+        assert_eq!(
+            telemetry.metrics.counters().get("requests_serviced"),
+            Some(&42)
+        );
         assert_eq!(
             telemetry
                 .metrics
@@ -309,7 +318,10 @@ mod tests {
         let v1 = "{\"schema\":\"tcm-sweep-checkpoint-v1\",\"policies\":[\"TCM\"],\
                   \"workloads\":[\"w0\"],\"seeds\":[0],\"horizon\":60000}\n";
         fs::write(&path, format!("{v1}{GOLDEN}")).unwrap();
-        assert!(load(&path).is_empty(), "a header-first file resumes nothing");
+        assert!(
+            load(&path).is_empty(),
+            "a header-first file resumes nothing"
+        );
         fs::remove_file(&path).unwrap();
         assert!(load(&path).is_empty(), "missing file starts fresh");
         fs::remove_file(&path).unwrap();
@@ -321,7 +333,11 @@ mod tests {
         let _ = fs::remove_file(&path);
         let (mut log, loaded) = open(&path).unwrap();
         assert!(loaded.is_empty());
-        assert_eq!(fs::read_to_string(&path).unwrap(), "", "nothing resumed: an empty file");
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            "",
+            "nothing resumed: an empty file"
+        );
         for (key, result) in &sample_entries() {
             log.append(&write_entry(key, result)).unwrap();
         }
@@ -330,7 +346,11 @@ mod tests {
         for (key, result) in &sample_entries() {
             assert_eq!(write_entry(key, &loaded[*key]), write_entry(key, result));
         }
-        assert_eq!(fs::read_to_string(&path).unwrap(), GOLDEN, "opening rewrites nothing");
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            GOLDEN,
+            "opening rewrites nothing"
+        );
         fs::remove_file(&path).unwrap();
     }
 
@@ -339,7 +359,9 @@ mod tests {
         let path = scratch("append");
         let _ = fs::remove_file(&path);
         let (mut log, _) = open(&path).unwrap();
-        let keys: Vec<String> = (0..5).map(|seed| format!("CellKey {{ seed: {seed} }}")).collect();
+        let keys: Vec<String> = (0..5)
+            .map(|seed| format!("CellKey {{ seed: {seed} }}"))
+            .collect();
         for (n, key) in keys.iter().enumerate() {
             log.append(&write_entry(key, &sample_result())).unwrap();
             let text = fs::read_to_string(&path).unwrap();
@@ -353,8 +375,14 @@ mod tests {
         fs::write(&path, &text[..last + (text.len() - last) / 2]).unwrap();
         let loaded = load(&path);
         assert_eq!(loaded.len(), keys.len() - 1);
-        assert!(keys[..keys.len() - 1].iter().all(|key| loaded.contains_key(key)));
-        assert_eq!(fs::read_to_string(&path).unwrap(), text[..last], "cut to the whole lines");
+        assert!(keys[..keys.len() - 1]
+            .iter()
+            .all(|key| loaded.contains_key(key)));
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            text[..last],
+            "cut to the whole lines"
+        );
         fs::remove_file(&path).unwrap();
     }
 

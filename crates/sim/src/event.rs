@@ -66,8 +66,13 @@ pub enum Event {
 impl Event {
     /// The `kind` label of each variant in the metric catalog, indexed
     /// by [`Event::kind`].
-    pub(crate) const KINDS: [&'static str; 5] =
-        ["core_burst", "bank_ready", "completion", "sched_tick", "arrival"];
+    pub(crate) const KINDS: [&'static str; 5] = [
+        "core_burst",
+        "bank_ready",
+        "completion",
+        "sched_tick",
+        "arrival",
+    ];
 
     /// Index of this event's variant in [`Event::KINDS`].
     pub(crate) fn kind(&self) -> usize {
@@ -93,7 +98,10 @@ pub(crate) struct EventCounts {
 
 impl std::ops::AddAssign for EventCounts {
     fn add_assign(&mut self, other: Self) {
-        self.popped.iter_mut().zip(other.popped).for_each(|(a, b)| *a += b);
+        self.popped
+            .iter_mut()
+            .zip(other.popped)
+            .for_each(|(a, b)| *a += b);
         self.far_pushes += other.far_pushes;
     }
 }
@@ -325,9 +333,27 @@ mod tests {
     #[test]
     fn ties_pop_in_insertion_order() {
         let mut q = EventQueue::new();
-        q.push(5, Event::CoreBurst { thread: ThreadId::new(0), epoch: 0 });
-        q.push(5, Event::CoreBurst { thread: ThreadId::new(1), epoch: 0 });
-        q.push(5, Event::CoreBurst { thread: ThreadId::new(2), epoch: 0 });
+        q.push(
+            5,
+            Event::CoreBurst {
+                thread: ThreadId::new(0),
+                epoch: 0,
+            },
+        );
+        q.push(
+            5,
+            Event::CoreBurst {
+                thread: ThreadId::new(1),
+                epoch: 0,
+            },
+        );
+        q.push(
+            5,
+            Event::CoreBurst {
+                thread: ThreadId::new(2),
+                epoch: 0,
+            },
+        );
         let threads: Vec<usize> = drain(&mut q)
             .into_iter()
             .map(|(_, e)| match e {
@@ -345,7 +371,10 @@ mod tests {
             completion(1, 100),
             Event::SchedTick,
             completion(0, 101),
-            Event::BankReady { channel: ChannelId::new(1), bank: BankId::new(3) },
+            Event::BankReady {
+                channel: ChannelId::new(1),
+                bank: BankId::new(3),
+            },
             arrival(1, 4),
         ];
         for e in pushes {
@@ -441,7 +470,13 @@ mod tests {
             (5, completion(0, 1)),
             (3, Event::SchedTick),
             (5, completion(1, 2)),
-            (5, Event::BankReady { channel: ChannelId::new(0), bank: BankId::new(1) }),
+            (
+                5,
+                Event::BankReady {
+                    channel: ChannelId::new(0),
+                    bank: BankId::new(1),
+                },
+            ),
             (w + 4, completion(0, 3)),
             (5, completion(0, 4)),
             (w + 6, arrival(1, 5)),

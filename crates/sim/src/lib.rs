@@ -60,16 +60,17 @@ pub mod scatter;
 pub mod sweep;
 mod system;
 
-pub use durable::write_durable;
-pub use event::{Event, EventQueue};
-#[doc(hidden)]
-pub use event::WINDOW as EVENT_WINDOW;
 #[doc(hidden)]
 pub use alone::{parse_entry as parse_alone_entry, render_entry as render_alone_entry};
 #[doc(hidden)]
 pub use checkpoint::parse_entry as parse_checkpoint_entry;
+pub use durable::write_durable;
+#[doc(hidden)]
+pub use event::WINDOW as EVENT_WINDOW;
+pub use event::{Event, EventQueue};
 pub use machine::{RunResult, DEFAULT_STALL_LIMIT};
 pub use metrics::{mean, variance, workload_metrics, IpcPair, WorkloadMetrics};
+pub use multi::MultiSystem;
 pub use runner::{
     average_metrics, EvalResult, PolicyKind, RunConfig, RunConfigBuilder, PAPER_LINEUP_LABELS,
 };
@@ -77,5 +78,4 @@ pub use sweep::{
     AloneIpcCache, CellError, CellFailureKind, ProfileFingerprint, RetryPolicy, Session,
     SessionStats, Sweep, SweepCell, SweepResult, SweepStats,
 };
-pub use multi::MultiSystem;
 pub use system::System;

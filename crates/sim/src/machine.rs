@@ -694,7 +694,13 @@ impl FrontEnd {
         I: Iterator<Item = &'a Controller> + Clone,
     {
         let (mut retired, mut misses, mut service) = (Vec::new(), Vec::new(), Vec::new());
-        Self::view_into(&self.cores, controllers.clone(), &mut retired, &mut misses, &mut service);
+        Self::view_into(
+            &self.cores,
+            controllers.clone(),
+            &mut retired,
+            &mut misses,
+            &mut service,
+        );
         let ipc = retired
             .iter()
             .map(|&r| r as f64 / horizon.max(1) as f64)
@@ -885,7 +891,8 @@ mod tests {
         let banks = cfg.banks_per_channel;
         for i in 0..200u64 {
             let bank = BankId::new(i as usize % banks);
-            let addr = MemAddress::new(ChannelId::new(0), bank, tcm_types::Row::new(i as usize % 3));
+            let addr =
+                MemAddress::new(ChannelId::new(0), bank, tcm_types::Row::new(i as usize % 3));
             let req = Request::new(RequestId::new(i), ThreadId::new(i as usize % 2), addr, i);
             ctl.admit(req, i);
         }
@@ -919,7 +926,10 @@ mod tests {
         let mut ctl = Controller::new(&cfg, 0..cfg.num_channels(), Box::new(FrFcfs::new()));
         let addr = MemAddress::new(ChannelId::new(0), BankId::new(0), tcm_types::Row::new(0));
         for id in [5, 4] {
-            ctl.admit(Request::new(RequestId::new(id), ThreadId::new(0), addr, 0), 0);
+            ctl.admit(
+                Request::new(RequestId::new(id), ThreadId::new(0), addr, 0),
+                0,
+            );
         }
     }
 

@@ -56,10 +56,7 @@ pub fn workload_metrics(pairs: &[IpcPair]) -> WorkloadMetrics {
     let ws: f64 = pairs.iter().map(|p| p.speedup()).sum();
     let slowdown_sum: f64 = pairs.iter().map(|p| p.slowdown()).sum();
     let hs = pairs.len() as f64 / slowdown_sum;
-    let ms = pairs
-        .iter()
-        .map(|p| p.slowdown())
-        .fold(f64::MIN, f64::max);
+    let ms = pairs.iter().map(|p| p.slowdown()).fold(f64::MIN, f64::max);
     WorkloadMetrics {
         weighted_speedup: ws,
         harmonic_speedup: hs,
@@ -94,7 +91,13 @@ mod tests {
 
     #[test]
     fn ideal_system_scores_perfectly() {
-        let pairs = vec![IpcPair { shared: 2.0, alone: 2.0 }; 4];
+        let pairs = vec![
+            IpcPair {
+                shared: 2.0,
+                alone: 2.0
+            };
+            4
+        ];
         let m = workload_metrics(&pairs);
         assert!((m.weighted_speedup - 4.0).abs() < 1e-12);
         assert!((m.harmonic_speedup - 1.0).abs() < 1e-12);
@@ -104,8 +107,14 @@ mod tests {
     #[test]
     fn slowdowns_drive_all_metrics() {
         let pairs = vec![
-            IpcPair { shared: 1.0, alone: 2.0 }, // slowdown 2
-            IpcPair { shared: 0.5, alone: 2.0 }, // slowdown 4
+            IpcPair {
+                shared: 1.0,
+                alone: 2.0,
+            }, // slowdown 2
+            IpcPair {
+                shared: 0.5,
+                alone: 2.0,
+            }, // slowdown 4
         ];
         let m = workload_metrics(&pairs);
         assert!((m.weighted_speedup - 0.75).abs() < 1e-12);
@@ -115,7 +124,10 @@ mod tests {
 
     #[test]
     fn starved_thread_is_infinite_slowdown() {
-        let p = IpcPair { shared: 0.0, alone: 1.0 };
+        let p = IpcPair {
+            shared: 0.0,
+            alone: 1.0,
+        };
         assert!(p.slowdown().is_infinite());
         assert_eq!(p.speedup(), 0.0);
     }
@@ -123,9 +135,18 @@ mod tests {
     #[test]
     fn weighted_speedup_bounded_by_thread_count() {
         let pairs = vec![
-            IpcPair { shared: 1.9, alone: 2.0 },
-            IpcPair { shared: 2.0, alone: 2.0 },
-            IpcPair { shared: 0.1, alone: 2.0 },
+            IpcPair {
+                shared: 1.9,
+                alone: 2.0,
+            },
+            IpcPair {
+                shared: 2.0,
+                alone: 2.0,
+            },
+            IpcPair {
+                shared: 0.1,
+                alone: 2.0,
+            },
         ];
         let m = workload_metrics(&pairs);
         assert!(m.weighted_speedup <= 3.0);

@@ -107,7 +107,8 @@ impl Outlet for ShardOutlet<'_> {
                 request: outcome.request,
             },
         );
-        self.local.push(outcome.bank_free, Event::BankReady { channel, bank });
+        self.local
+            .push(outcome.bank_free, Event::BankReady { channel, bank });
     }
 }
 
@@ -238,7 +239,9 @@ impl System {
                     if due <= t {
                         shard.frozen_ticks += 1;
                         if shard.frozen_ticks > FROZEN_TICK_LIMIT {
-                            return Err(SimError::Stalled(Box::new(self.stall_report_for(Some(i)))));
+                            return Err(SimError::Stalled(Box::new(
+                                self.stall_report_for(Some(i)),
+                            )));
                         }
                     } else {
                         shard.frozen_ticks = 0;
@@ -274,7 +277,9 @@ impl System {
                 }
             }
             if let Some(limit) = self.stall_limit {
-                if self.front.outstanding() && bound.saturating_sub(self.front.progress_at()) > limit {
+                if self.front.outstanding()
+                    && bound.saturating_sub(self.front.progress_at()) > limit
+                {
                     return Err(SimError::Stalled(Box::new(self.stall_report())));
                 }
             }
@@ -471,7 +476,12 @@ impl System {
         }
         if let Some(stall) = self.stall_limit {
             if self.front.outstanding() {
-                clamp(self.front.progress_at().saturating_add(stall).saturating_add(1));
+                clamp(
+                    self.front
+                        .progress_at()
+                        .saturating_add(stall)
+                        .saturating_add(1),
+                );
             }
         }
         if limit <= t {
@@ -515,7 +525,10 @@ impl MultiSystem {
     /// # Panics
     ///
     /// As [`System::with_controllers`].
-    #[allow(clippy::new_ret_no_self, reason = "the shim keeps the old call site compiling")]
+    #[allow(
+        clippy::new_ret_no_self,
+        reason = "the shim keeps the old call site compiling"
+    )]
     pub fn new(
         cfg: &SystemConfig,
         workload: &WorkloadSpec,

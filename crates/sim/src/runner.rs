@@ -6,8 +6,8 @@
 //!
 //! [`Session`]: crate::Session
 
-use crate::metrics::WorkloadMetrics;
 use crate::machine::RunResult;
+use crate::metrics::WorkloadMetrics;
 use std::time::Duration;
 use tcm_chaos::FaultPlan;
 use tcm_core::{MetaController, Tcm, TcmController, TcmParams};
@@ -313,8 +313,16 @@ pub fn average_metrics(results: &[EvalResult]) -> WorkloadMetrics {
     assert!(!results.is_empty(), "cannot average zero results");
     let n = results.len() as f64;
     WorkloadMetrics {
-        weighted_speedup: results.iter().map(|r| r.metrics.weighted_speedup).sum::<f64>() / n,
-        harmonic_speedup: results.iter().map(|r| r.metrics.harmonic_speedup).sum::<f64>() / n,
+        weighted_speedup: results
+            .iter()
+            .map(|r| r.metrics.weighted_speedup)
+            .sum::<f64>()
+            / n,
+        harmonic_speedup: results
+            .iter()
+            .map(|r| r.metrics.harmonic_speedup)
+            .sum::<f64>()
+            / n,
         max_slowdown: results.iter().map(|r| r.metrics.max_slowdown).sum::<f64>() / n,
     }
 }
@@ -403,7 +411,11 @@ mod tests {
         assert_eq!(r.slowdowns.len(), 4);
         assert!(r.metrics.weighted_speedup > 0.0);
         assert!(r.metrics.weighted_speedup <= 4.0 + 1e-9);
-        assert!(r.metrics.max_slowdown >= 0.9, "ms={}", r.metrics.max_slowdown);
+        assert!(
+            r.metrics.max_slowdown >= 0.9,
+            "ms={}",
+            r.metrics.max_slowdown
+        );
         assert_eq!(r.policy, "FR-FCFS");
     }
 
@@ -438,7 +450,12 @@ mod tests {
         let cfg = SystemConfig::paper_baseline();
         for kind in PolicyKind::paper_lineup(24) {
             let is_tcm = matches!(kind, PolicyKind::Tcm(_));
-            assert_eq!(kind.build_meta(24, &cfg).is_some(), is_tcm, "{}", kind.label());
+            assert_eq!(
+                kind.build_meta(24, &cfg).is_some(),
+                is_tcm,
+                "{}",
+                kind.label()
+            );
             // Per-controller instances must build for every policy.
             let _ = kind.build_controller(24, &cfg);
         }
@@ -451,8 +468,11 @@ mod tests {
             .map(|s| session.eval(&PolicyKind::FrFcfs, &random_workload(s, 4, 0.5)))
             .collect();
         let avg = average_metrics(&results);
-        let manual: f64 =
-            results.iter().map(|r| r.metrics.weighted_speedup).sum::<f64>() / 3.0;
+        let manual: f64 = results
+            .iter()
+            .map(|r| r.metrics.weighted_speedup)
+            .sum::<f64>()
+            / 3.0;
         assert!((avg.weighted_speedup - manual).abs() < 1e-12);
     }
 }

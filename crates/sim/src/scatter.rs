@@ -146,9 +146,7 @@ mod tests {
         let g_row = lines.iter().position(|l| l.contains('G')).unwrap();
         assert!(b_row < g_row);
         // 'G' is to the right of 'B'.
-        assert!(
-            lines[g_row].find('G').unwrap() > lines[b_row].find('B').unwrap()
-        );
+        assert!(lines[g_row].find('G').unwrap() > lines[b_row].find('B').unwrap());
     }
 
     #[test]

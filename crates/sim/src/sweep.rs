@@ -43,9 +43,9 @@
 //! ```
 
 use crate::checkpoint;
+use crate::machine::RunResult;
 use crate::metrics::{workload_metrics, IpcPair, WorkloadMetrics};
 use crate::runner::{workload_seed, EvalResult, PolicyKind, RunConfig};
-use crate::machine::RunResult;
 use crate::system::System;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -90,7 +90,15 @@ pub(crate) fn try_eval_cell(
 ) -> Result<EvalResult, SimError> {
     let telemetry = rc.telemetry.as_ref().map(Telemetry::new);
     let seed = workload_seed(workload) ^ seed_xor;
-    let (run, _) = run_cell(policy, workload, rc, seed, weights, cancel, telemetry.as_ref())?;
+    let (run, _) = run_cell(
+        policy,
+        workload,
+        rc,
+        seed,
+        weights,
+        cancel,
+        telemetry.as_ref(),
+    )?;
     let pairs: Vec<IpcPair> = workload
         .threads
         .iter()
@@ -123,7 +131,10 @@ pub(crate) fn try_eval_cell(
 /// out: they decide whether a run fails or how it is scheduled, never
 /// what a successful one returns.
 #[derive(Debug)]
-#[allow(dead_code, reason = "the fields are read by the derived Debug, which is the key")]
+#[allow(
+    dead_code,
+    reason = "the fields are read by the derived Debug, which is the key"
+)]
 struct CellKey<'a> {
     system: &'a SystemConfig,
     horizon: Cycle,
@@ -151,7 +162,11 @@ impl<'a> CellKey<'a> {
             horizon: rc.horizon,
             policy,
             workload: &workload.name,
-            profiles: workload.threads.iter().map(ProfileFingerprint::of).collect(),
+            profiles: workload
+                .threads
+                .iter()
+                .map(ProfileFingerprint::of)
+                .collect(),
             seed,
             weight_bits: weights.map(|w| w.iter().map(|v| v.to_bits()).collect()),
             verify: rc.verify,
@@ -175,7 +190,8 @@ pub(crate) fn run_cell(
     telemetry: Option<&Telemetry>,
 ) -> Result<(RunResult, Vec<DegradationAnomaly>), SimError> {
     if let Some(plan) = &rc.chaos {
-        plan.validate(&rc.system.topology).map_err(SimError::Config)?;
+        plan.validate(&rc.system.topology)
+            .map_err(SimError::Config)?;
     }
     let mut sys = System::for_policy(&rc.system, workload, policy, seed);
     if rc.verify {
@@ -791,7 +807,12 @@ impl Sweep<'_> {
             .zip(&keys)
             .map(|(&(policy, workload, seed), key)| {
                 let result = stored.get(key)?.clone();
-                Some(SweepCell { policy, workload, seed, result })
+                Some(SweepCell {
+                    policy,
+                    workload,
+                    seed,
+                    result,
+                })
             })
             .collect();
         let resumed = cells.iter().flatten().count();
@@ -944,12 +965,14 @@ impl Sweep<'_> {
 
         // One queue: the alone baselines, then the cells in grid order (a
         // cell needing a baseline in flight waits for it: single-flight).
-        let outcomes = work_queue(alone.len() + to_run.len(), workers, |i| match alone.get(i) {
-            None => eval_one(to_run[i - alone.len()]),
-            Some(_) if should_stop() => None,
-            Some(profile) => {
-                self.session.alone_ipc_counted(profile, &alone_runs);
-                None
+        let outcomes = work_queue(alone.len() + to_run.len(), workers, |i| {
+            match alone.get(i) {
+                None => eval_one(to_run[i - alone.len()]),
+                Some(_) if should_stop() => None,
+                Some(profile) => {
+                    self.session.alone_ipc_counted(profile, &alone_runs);
+                    None
+                }
             }
         });
         let mut failures = Vec::new();
@@ -1010,7 +1033,10 @@ fn work_queue<T: Send + Sync>(n: usize, workers: usize, run: impl Fn(usize) -> T
         }
         drain();
     });
-    slots.into_iter().map(|slot| slot.into_inner().expect("every task ran")).collect()
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every task ran"))
+        .collect()
 }
 
 /// One evaluated grid cell: the (policy, workload, seed) coordinates
@@ -1236,7 +1262,10 @@ mod tests {
         let c = BenchmarkProfile::new("beta", 10.0, 0.5, 2.0);
         assert_ne!(ProfileFingerprint::of(&a), ProfileFingerprint::of(&b));
         assert_ne!(ProfileFingerprint::of(&a), ProfileFingerprint::of(&c));
-        assert_eq!(ProfileFingerprint::of(&a), ProfileFingerprint::of(&a.clone()));
+        assert_eq!(
+            ProfileFingerprint::of(&a),
+            ProfileFingerprint::of(&a.clone())
+        );
 
         let session = small_session();
         let ipc_a = session.alone_ipc(&a);
@@ -1421,19 +1450,44 @@ mod tests {
     fn alone_entries_split_on_machine_and_horizon_but_not_thread_count() {
         let cache = Arc::new(AloneIpcCache::default());
         let mcf = tcm_workload::spec_by_name("mcf").unwrap();
-        let lookup = |rc: RunConfig| Session::with_alone_cache(rc, Arc::clone(&cache)).alone_ipc(&mcf);
+        let lookup =
+            |rc: RunConfig| Session::with_alone_cache(rc, Arc::clone(&cache)).alone_ipc(&mcf);
 
         let four = lookup(rc(4, "4", 60_000));
-        assert_eq!(lookup(rc(8, "4", 60_000)), four, "alone runs use one thread");
-        assert_eq!((cache.misses(), cache.hits()), (1, 1), "thread count shares the entry");
-        assert_eq!(four, small_session().alone_ipc(&mcf), "same value as a private cache");
+        assert_eq!(
+            lookup(rc(8, "4", 60_000)),
+            four,
+            "alone runs use one thread"
+        );
+        assert_eq!(
+            (cache.misses(), cache.hits()),
+            (1, 1),
+            "thread count shares the entry"
+        );
+        assert_eq!(
+            four,
+            small_session().alone_ipc(&mcf),
+            "same value as a private cache"
+        );
 
         let _ = lookup(rc(4, "4", 90_000));
-        assert_eq!(cache.misses(), 2, "a different horizon never shares an entry");
+        assert_eq!(
+            cache.misses(),
+            2,
+            "a different horizon never shares an entry"
+        );
         let _ = lookup(rc(4, "2x2", 60_000));
-        assert_eq!(cache.misses(), 3, "a different topology never shares an entry");
+        assert_eq!(
+            cache.misses(),
+            3,
+            "a different topology never shares an entry"
+        );
         let _ = lookup(rc(4, "2", 60_000));
-        assert_eq!(cache.misses(), 4, "a different channel count never shares an entry");
+        assert_eq!(
+            cache.misses(),
+            4,
+            "a different channel count never shares an entry"
+        );
         assert_eq!(cache.len(), 4);
     }
 
@@ -1469,20 +1523,35 @@ mod tests {
             ("topology", on(&rc(4, "2x2", 60_000))),
             ("horizon", on(&rc(4, "4", 90_000))),
             ("TCM param", key(&retuned, &workload, &base_rc, None, 0)),
-            ("one profile's mpki bits", key(&tcm, &heavier, &base_rc, None, 0)),
+            (
+                "one profile's mpki bits",
+                key(&tcm, &heavier, &base_rc, None, 0),
+            ),
             ("workload name", key(&tcm, &renamed, &base_rc, None, 0)),
             ("seed", key(&tcm, &workload, &base_rc, None, 7)),
-            ("weights", key(&tcm, &workload, &base_rc, Some(&[1.0; 4]), 0)),
+            (
+                "weights",
+                key(&tcm, &workload, &base_rc, Some(&[1.0; 4]), 0),
+            ),
             ("verify", on(&with(|rc| rc.verify = true))),
-            ("empty fault plan", on(&with(|rc| rc.chaos = Some(FaultPlan::none())))),
-            ("telemetry", on(&with(|rc| rc.telemetry = Some(TelemetryConfig::default())))),
+            (
+                "empty fault plan",
+                on(&with(|rc| rc.chaos = Some(FaultPlan::none()))),
+            ),
+            (
+                "telemetry",
+                on(&with(|rc| rc.telemetry = Some(TelemetryConfig::default()))),
+            ),
         ];
         for (what, changed) in &changed {
             assert_ne!(changed, &base, "{what} must change the key");
         }
         let same = [
             ("watchdog", with(|rc| rc.watchdog = None)),
-            ("cell deadline", with(|rc| rc.cell_deadline = Some(Duration::from_secs(1)))),
+            (
+                "cell deadline",
+                with(|rc| rc.cell_deadline = Some(Duration::from_secs(1))),
+            ),
             ("intra hosts", with(|rc| rc.intra_hosts = 4)),
         ];
         for (what, rc) in &same {
@@ -1562,7 +1631,11 @@ mod tests {
         let session = small_session();
         let resumed = sweep(&session);
         assert_eq!(resumed.stats().resumed, 4);
-        assert_eq!(resumed.stats().alone_runs, 0, "every workload was already done");
+        assert_eq!(
+            resumed.stats().alone_runs,
+            0,
+            "every workload was already done"
+        );
         assert_eq!(resumed.stats().sim_cycles, 0);
         assert!(session.alone_cache().is_empty());
         assert_eq!(resumed.cells(), first.cells(), "bit-identical grid");
@@ -1604,7 +1677,11 @@ mod tests {
         let session = small_session();
         let resumed = sweep(&session, 2);
         assert_eq!(resumed.stats().resumed, 2);
-        assert_eq!(resumed.stats().alone_runs, 4, "only the open workload's baselines");
+        assert_eq!(
+            resumed.stats().alone_runs,
+            4,
+            "only the open workload's baselines"
+        );
         assert_eq!(session.alone_cache().misses(), 4);
         assert_eq!(resumed.cells(), first.cells(), "bit-identical grid");
         std::fs::remove_file(&path).unwrap();
@@ -1658,11 +1735,19 @@ mod tests {
             .policies([PolicyKind::FrFcfs])
             .workloads([WorkloadSpec::new("idle-mix", threads)])
             .run();
-        assert_eq!(result.get(0, 0, 0).slowdowns[0], 1.0, "idle at the issue width alone");
+        assert_eq!(
+            result.get(0, 0, 0).slowdowns[0],
+            1.0,
+            "idle at the issue width alone"
+        );
         assert_eq!(result.stats().alone_runs, 3);
         assert_eq!(result.stats().sim_cycles, (1 + 3) * 60_000);
         assert_eq!(cache.misses(), 3);
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 3, "no store entry for idle");
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            3,
+            "no store entry for idle"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -147,7 +147,13 @@ impl System {
         scheduler: Box<dyn Scheduler>,
         seed_base: u64,
     ) -> Self {
-        Self::build(cfg, workload, vec![(0..cfg.num_channels(), scheduler)], None, seed_base)
+        Self::build(
+            cfg,
+            workload,
+            vec![(0..cfg.num_channels(), scheduler)],
+            None,
+            seed_base,
+        )
     }
 
     /// Builds a system with one controller per controller of
@@ -177,7 +183,13 @@ impl System {
             "one scheduler instance per memory controller"
         );
         let ranges = topology.controllers().map(|mc| topology.channel_range(mc));
-        Self::build(cfg, workload, ranges.zip(controllers).collect(), meta, seed_base)
+        Self::build(
+            cfg,
+            workload,
+            ranges.zip(controllers).collect(),
+            meta,
+            seed_base,
+        )
     }
 
     /// `policy` on `cfg`'s topology: the policy itself
@@ -196,7 +208,9 @@ impl System {
             controllers => Self::with_controllers(
                 cfg,
                 workload,
-                (0..controllers).map(|_| policy.build_controller(n, cfg)).collect(),
+                (0..controllers)
+                    .map(|_| policy.build_controller(n, cfg))
+                    .collect(),
                 policy.build_meta(n, cfg),
                 seed_base,
             ),
@@ -670,7 +684,8 @@ impl System {
         let controller = controller
             .filter(|_| self.ctls.len() > 1)
             .map(ControllerId::new);
-        self.front.stall_report(self.now, controller, self.ctls.iter())
+        self.front
+            .stall_report(self.now, controller, self.ctls.iter())
     }
 }
 
@@ -682,7 +697,10 @@ mod tests {
     use tcm_workload::BenchmarkProfile;
 
     fn cfg(threads: usize) -> SystemConfig {
-        SystemConfig::builder().num_threads(threads).build().unwrap()
+        SystemConfig::builder()
+            .num_threads(threads)
+            .build()
+            .unwrap()
     }
 
     fn workload_of(profiles: Vec<BenchmarkProfile>) -> WorkloadSpec {
@@ -771,8 +789,8 @@ mod tests {
         for _ in 0..23 {
             threads.push(BenchmarkProfile::streaming());
         }
-        let shared = System::new(&c24, &workload_of(threads), Box::new(FrFcfs::new()), 0)
-            .run(150_000);
+        let shared =
+            System::new(&c24, &workload_of(threads), Box::new(FrFcfs::new()), 0).run(150_000);
         assert!(
             shared.ipc[0] < alone.ipc[0] * 0.8,
             "alone {} vs shared {}",

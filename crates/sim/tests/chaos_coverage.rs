@@ -114,16 +114,12 @@ fn monitor_corruption_degrades_tcm_instead_of_failing_the_run() {
     let cfg = single_channel_cfg(4);
     let workload = random_workload(1, 4, 1.0);
     let build = |chaos: bool| {
-        let mut sys = System::new(
-            &cfg,
-            &workload,
-            PolicyKind::Tcm(params).build(4, &cfg),
-            0,
-        );
+        let mut sys = System::new(&cfg, &workload, PolicyKind::Tcm(params).build(4, &cfg), 0);
         if chaos {
-            sys.install_chaos(&FaultPlan::none().with_fault(
-                FaultSpec::new(FaultKind::MonitorCorruption, 10_000).on_thread(1),
-            ));
+            sys.install_chaos(
+                &FaultPlan::none()
+                    .with_fault(FaultSpec::new(FaultKind::MonitorCorruption, 10_000).on_thread(1)),
+            );
         } else {
             sys.enable_verification();
         }
@@ -141,7 +137,9 @@ fn monitor_corruption_degrades_tcm_instead_of_failing_the_run() {
         "the plausibility guard must log the anomaly"
     );
     assert!(
-        anomalies[0].to_string().contains("implausible monitor data"),
+        anomalies[0]
+            .to_string()
+            .contains("implausible monitor data"),
         "anomaly names the cause: {}",
         anomalies[0]
     );
@@ -166,7 +164,10 @@ fn coordination_faults_are_inert_on_a_flat_machine() {
     let mut bare = System::new(&cfg, &workload, Box::new(FrFcfs::new()), 0);
     bare.enable_verification();
     let baseline = bare.try_run(HORIZON).expect("clean run");
-    for kind in FaultKind::ALL.into_iter().filter(|k| k.is_coordination_fault()) {
+    for kind in FaultKind::ALL
+        .into_iter()
+        .filter(|k| k.is_coordination_fault())
+    {
         let run = run_with_plan_seeded(&FaultPlan::single(kind, FAULT_AT), &workload);
         assert_eq!(baseline, run, "{kind} must be a no-op on a flat machine");
     }
@@ -229,7 +230,6 @@ fn seeded_campaign_is_detected_and_replays_identically() {
     };
     let plan = FaultPlan::campaign(7, HORIZON, 1, 4);
     let a = run(&plan).expect_err("a full campaign cannot pass unnoticed");
-    let b = run(&FaultPlan::campaign(7, HORIZON, 1, 4))
-        .expect_err("same seed, same campaign");
+    let b = run(&FaultPlan::campaign(7, HORIZON, 1, 4)).expect_err("same seed, same campaign");
     assert_eq!(a, b, "campaign replay must be bit-identical");
 }

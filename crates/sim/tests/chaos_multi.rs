@@ -7,9 +7,7 @@
 use std::path::PathBuf;
 use tcm_chaos::{FaultKind, FaultPlan, FaultSpec};
 use tcm_core::TcmParams;
-use tcm_sim::{
-    CellFailureKind, PolicyKind, RunConfig, Session, SweepResult, System,
-};
+use tcm_sim::{CellFailureKind, PolicyKind, RunConfig, Session, SweepResult, System};
 use tcm_telemetry::{DegradationAnomaly, QuarantineReason};
 use tcm_types::{ControllerId, Invariant, SimError, SystemConfig, Topology};
 use tcm_workload::{random_workload, WorkloadSpec};
@@ -40,9 +38,8 @@ fn build(cfg: &SystemConfig, policy: &PolicyKind, workload: &WorkloadSpec) -> Sy
 /// A blackout that lands *after* the target controller's first clean
 /// exchange (first boundary at 20k), so staleness is attributable.
 fn blackout_on(controller: usize) -> FaultPlan {
-    FaultPlan::none().with_fault(
-        FaultSpec::new(FaultKind::ControllerBlackout, 30_000).on_controller(controller),
-    )
+    FaultPlan::none()
+        .with_fault(FaultSpec::new(FaultKind::ControllerBlackout, 30_000).on_controller(controller))
 }
 
 #[test]
@@ -56,7 +53,11 @@ fn chaos_outcomes_replay_bit_identically() {
         let mut sys = build(&cfg, &fast_tcm(4), &workload);
         sys.install_chaos(&blackout_on(1));
         let result = sys.try_run(HORIZON).expect("quarantine is graceful");
-        let events: Vec<String> = sys.degradation_events().iter().map(|a| a.to_string()).collect();
+        let events: Vec<String> = sys
+            .degradation_events()
+            .iter()
+            .map(|a| a.to_string())
+            .collect();
         (result, events)
     };
     let (base_result, base_events) = run_ok();
@@ -69,10 +70,12 @@ fn chaos_outcomes_replay_bit_identically() {
     // detected identically — same violation, same site — on replay.
     let run_err = || {
         let mut sys = build(&cfg, &PolicyKind::FrFcfs, &workload);
-        sys.install_chaos(&FaultPlan::none().with_fault(
-            FaultSpec::new(FaultKind::TimingViolation, 30_000).on_channel(3),
-        ));
-        sys.try_run(HORIZON).expect_err("the fault must be detected")
+        sys.install_chaos(
+            &FaultPlan::none()
+                .with_fault(FaultSpec::new(FaultKind::TimingViolation, 30_000).on_channel(3)),
+        );
+        sys.try_run(HORIZON)
+            .expect_err("the fault must be detected")
     };
     let base_err = run_err();
     match &base_err {
@@ -109,7 +112,9 @@ fn blackout_quarantines_only_the_struck_controller() {
     let workload = random_workload(5, 4, 0.75);
     let mut sys = build(&cfg, &fast_tcm(4), &workload);
     sys.install_chaos(&blackout_on(1));
-    let run = sys.try_run(HORIZON).expect("quarantine must not kill the run");
+    let run = sys
+        .try_run(HORIZON)
+        .expect("quarantine must not kill the run");
     assert!(run.total_serviced > 0, "the system kept serving memory");
 
     let events = sys.degradation_events();
@@ -117,13 +122,24 @@ fn blackout_quarantines_only_the_struck_controller() {
     let mut readmitted = 0;
     for event in events {
         match event {
-            DegradationAnomaly::ControllerQuarantined { cycle, controller, reason } => {
+            DegradationAnomaly::ControllerQuarantined {
+                cycle,
+                controller,
+                reason,
+            } => {
                 assert_eq!(*controller, 1, "only the struck controller is quarantined");
                 assert_eq!(*reason, QuarantineReason::StaleSample);
-                assert_eq!(*cycle, 40_000, "detected at the first boundary after the fault");
+                assert_eq!(
+                    *cycle, 40_000,
+                    "detected at the first boundary after the fault"
+                );
                 quarantined += 1;
             }
-            DegradationAnomaly::ControllerReadmitted { controller, clean_quanta, .. } => {
+            DegradationAnomaly::ControllerReadmitted {
+                controller,
+                clean_quanta,
+                ..
+            } => {
                 assert_eq!(*controller, 1, "only the struck controller re-admits");
                 assert_eq!(*clean_quanta, 2, "after the configured clean streak");
                 readmitted += 1;
@@ -148,10 +164,14 @@ fn scheduler_spin_stall_names_the_frozen_controller() {
     let cfg = cfg(4, "2x2");
     let workload = random_workload(1, 4, 1.0);
     let mut sys = build(&cfg, &PolicyKind::FrFcfs, &workload);
-    sys.install_chaos(&FaultPlan::none().with_fault(
-        FaultSpec::new(FaultKind::SchedulerSpin, 30_000).on_controller(1),
-    ));
-    match sys.try_run(HORIZON).expect_err("a spinning shard must be caught") {
+    sys.install_chaos(
+        &FaultPlan::none()
+            .with_fault(FaultSpec::new(FaultKind::SchedulerSpin, 30_000).on_controller(1)),
+    );
+    match sys
+        .try_run(HORIZON)
+        .expect_err("a spinning shard must be caught")
+    {
         SimError::Stalled(report) => {
             assert_eq!(
                 report.controller,
@@ -159,7 +179,10 @@ fn scheduler_spin_stall_names_the_frozen_controller() {
                 "the stall is attributed to the spinning controller: {}",
                 report.summary()
             );
-            assert!(report.summary().contains("mc1"), "summary names the controller");
+            assert!(
+                report.summary().contains("mc1"),
+                "summary names the controller"
+            );
         }
         other => panic!("expected Stalled, got {other}"),
     }
@@ -181,7 +204,11 @@ fn spill_flood_trips_the_bound_at_its_cycle_under_every_policy() {
             let label = policy.label();
             match sys.try_run(60_000) {
                 Err(SimError::InvariantViolation(v)) => {
-                    assert_eq!(v.invariant, Invariant::ResourceBound, "{label} at {at}: {v}");
+                    assert_eq!(
+                        v.invariant,
+                        Invariant::ResourceBound,
+                        "{label} at {at}: {v}"
+                    );
                     assert_eq!(v.cycle, at, "{label} at {at}: {v}");
                 }
                 other => panic!("{label} at {at}: expected the resource bound, got {other:?}"),
@@ -195,18 +222,25 @@ fn out_of_range_chaos_targets_are_rejected_up_front() {
     let topo = Topology::parse("2x2").expect("topology parses");
 
     // Channel index past the topology: typed error, field `chaos`.
-    let plan = FaultPlan::none().with_fault(
-        FaultSpec::new(FaultKind::TimingViolation, 1_000).on_channel(4),
+    let plan = FaultPlan::none()
+        .with_fault(FaultSpec::new(FaultKind::TimingViolation, 1_000).on_channel(4));
+    let err = plan
+        .validate(&topo)
+        .expect_err("channel 4 of 4 is out of range");
+    assert_eq!(
+        err.field(),
+        "chaos",
+        "typed as a chaos-plan config error: {err}"
     );
-    let err = plan.validate(&topo).expect_err("channel 4 of 4 is out of range");
-    assert_eq!(err.field(), "chaos", "typed as a chaos-plan config error: {err}");
 
     // Controller index past the topology — including on a flat machine,
     // where anything but controller 0 is meaningless.
-    let plan = FaultPlan::none().with_fault(
-        FaultSpec::new(FaultKind::SchedulerSpin, 1_000).on_controller(2),
+    let plan = FaultPlan::none()
+        .with_fault(FaultSpec::new(FaultKind::SchedulerSpin, 1_000).on_controller(2));
+    assert!(
+        plan.validate(&topo).is_err(),
+        "controller 2 of 2 is out of range"
     );
-    assert!(plan.validate(&topo).is_err(), "controller 2 of 2 is out of range");
     let flat = Topology::parse("4").expect("topology parses");
     assert!(plan.validate(&flat).is_err(), "a flat machine has only mc0");
 
@@ -264,15 +298,17 @@ fn chaotic_multi_sweep_resumes_bit_identically() {
     let _ = std::fs::remove_file(&path);
 
     let reference = sweep_with(&Session::new(run_config()), None);
-    assert!(reference.is_complete(), "quarantine is graceful in every cell");
+    assert!(
+        reference.is_complete(),
+        "quarantine is graceful in every cell"
+    );
 
     let first = sweep_with(&Session::new(run_config()), Some(&path));
     assert!(first.is_complete());
     let full = std::fs::read_to_string(&path).expect("checkpoint exists");
     let lines: Vec<&str> = full.lines().collect();
     assert_eq!(lines.len(), reference.cells().len());
-    std::fs::write(&path, format!("{}\n", lines[..3].join("\n")))
-        .expect("truncate checkpoint");
+    std::fs::write(&path, format!("{}\n", lines[..3].join("\n"))).expect("truncate checkpoint");
 
     let resumed = sweep_with(&Session::new(run_config()), Some(&path));
     assert!(resumed.is_complete());

@@ -34,7 +34,11 @@ fn run_config() -> RunConfig {
 }
 
 fn policies() -> [PolicyKind; 3] {
-    [PolicyKind::Fcfs, PolicyKind::FrFcfs, PolicyKind::FairQueueing]
+    [
+        PolicyKind::Fcfs,
+        PolicyKind::FrFcfs,
+        PolicyKind::FairQueueing,
+    ]
 }
 
 fn sweep_with(session: &Session, checkpoint: Option<&PathBuf>) -> SweepResult {
@@ -69,9 +73,12 @@ fn interrupted_sweep_resumes_bit_identically() {
     assert!(first.is_complete());
     let full = std::fs::read_to_string(&path).expect("checkpoint exists");
     let lines: Vec<&str> = full.lines().collect();
-    assert_eq!(lines.len(), reference.cells().len(), "one line per completed cell");
-    std::fs::write(&path, format!("{}\n", lines[..3].join("\n")))
-        .expect("truncate checkpoint");
+    assert_eq!(
+        lines.len(),
+        reference.cells().len(),
+        "one line per completed cell"
+    );
+    std::fs::write(&path, format!("{}\n", lines[..3].join("\n"))).expect("truncate checkpoint");
 
     // Resume into a fresh session: three cells restore, nine re-run.
     let resumed = sweep_with(&Session::new(run_config()), Some(&path));
@@ -169,7 +176,11 @@ fn flat_checkpoint_resumes_nothing_into_a_2x2_sweep() {
     let flat = sweep_with(&on(cfg(4)), Some(&path));
     assert!(flat.is_complete());
     let resumed = sweep_with(&on(two_by_two(4)), Some(&path));
-    assert_eq!(resumed.stats().resumed, 0, "flat cells never graft onto 2x2");
+    assert_eq!(
+        resumed.stats().resumed,
+        0,
+        "flat cells never graft onto 2x2"
+    );
     let fresh = sweep_with(&on(two_by_two(4)), None);
     assert_eq!(resumed.cells(), fresh.cells());
     assert_ne!(flat.cells(), fresh.cells(), "a graft would be visible");
@@ -186,9 +197,17 @@ fn a_checkpoint_keeps_the_cells_of_other_grids() {
     let flat = sweep_with(&on(cfg(4)), Some(&path));
     assert!(flat.is_complete());
     let two_by_two = sweep_with(&on(two_by_two(4)), Some(&path));
-    assert_eq!(two_by_two.stats().resumed, 0, "flat cells never graft onto 2x2");
+    assert_eq!(
+        two_by_two.stats().resumed,
+        0,
+        "flat cells never graft onto 2x2"
+    );
     let again = sweep_with(&on(cfg(4)), Some(&path));
-    assert_eq!(again.stats().resumed, flat.cells().len(), "the 2x2 run kept the flat cells");
+    assert_eq!(
+        again.stats().resumed,
+        flat.cells().len(),
+        "the 2x2 run kept the flat cells"
+    );
     assert_eq!(again.cells(), flat.cells());
 
     let _ = std::fs::remove_file(&path);
@@ -214,9 +233,17 @@ fn checkpoint_of_a_policy_subset_resumes_its_cells_into_a_larger_grid() {
 
     assert!(sweep(vec![PolicyKind::FrFcfs, tcm()], true).is_complete());
     let resumed = sweep(vec![PolicyKind::FrFcfs, atlas(), tcm()], true);
-    assert_eq!(resumed.stats().resumed, 2, "FR-FCFS and TCM restore, ATLAS runs");
+    assert_eq!(
+        resumed.stats().resumed,
+        2,
+        "FR-FCFS and TCM restore, ATLAS runs"
+    );
     let fresh = sweep(vec![PolicyKind::FrFcfs, atlas(), tcm()], false);
-    assert_eq!(resumed.cells(), fresh.cells(), "bit-identical to a fresh run");
+    assert_eq!(
+        resumed.cells(),
+        fresh.cells(),
+        "bit-identical to a fresh run"
+    );
 
     let _ = std::fs::remove_file(&path);
 }
@@ -241,7 +268,10 @@ fn expired_deadline_surfaces_as_timeout_without_poisoning_the_sweep() {
     assert!(matches!(failure.kind, CellFailureKind::Timeout(_)));
     assert_eq!(failure.attempts, 2, "timeouts are retried once");
     let text = failure.to_string();
-    assert!(text.contains("fr-fcfs") || text.contains("FR-FCFS"), "{text}");
+    assert!(
+        text.contains("fr-fcfs") || text.contains("FR-FCFS"),
+        "{text}"
+    );
     assert!(text.contains("seed"), "{text}");
     assert!(text.contains("deadline"), "{text}");
 

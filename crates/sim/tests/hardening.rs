@@ -148,10 +148,7 @@ fn panicking_policy() -> PolicyKind {
 
 #[test]
 fn sweep_isolates_a_panicking_cell() {
-    let rc = RunConfig::builder()
-        .system(cfg(4))
-        .horizon(60_000)
-        .build();
+    let rc = RunConfig::builder().system(cfg(4)).horizon(60_000).build();
     let workloads = || (0..2).map(|s| random_workload(s, 4, 0.75));
 
     let session = Session::new(rc.clone());
@@ -170,11 +167,10 @@ fn sweep_isolates_a_panicking_cell() {
         assert_eq!(failure.attempts, 1, "panics are deterministic: no retry");
         let text = failure.to_string();
         assert!(text.contains("panicked"), "failure text: {text}");
-        assert!(
-            text.contains("seed"),
-            "failure text names the seed: {text}"
-        );
-        assert!(mixed.try_get(failure.policy, failure.workload, failure.seed).is_none());
+        assert!(text.contains("seed"), "failure text names the seed: {text}");
+        assert!(mixed
+            .try_get(failure.policy, failure.workload, failure.seed)
+            .is_none());
     }
 
     // The surviving cells are bit-identical to a sweep that never

@@ -4,9 +4,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use tcm_sim::{
-    workload_metrics, Event, EventQueue, IpcPair, PolicyKind, System, EVENT_WINDOW,
-};
+use tcm_sim::{workload_metrics, Event, EventQueue, IpcPair, PolicyKind, System, EVENT_WINDOW};
 use tcm_types::ThreadId;
 use tcm_types::{SystemConfig, Topology};
 use tcm_workload::{BenchmarkProfile, WorkloadSpec};
@@ -45,7 +43,10 @@ struct Model {
 
 impl Model {
     fn burst(seq: u64) -> Event {
-        Event::CoreBurst { thread: ThreadId::new(0), epoch: seq }
+        Event::CoreBurst {
+            thread: ThreadId::new(0),
+            epoch: seq,
+        }
     }
 
     /// Pushes an event `delta` cycles after the last pop.

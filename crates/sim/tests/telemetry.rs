@@ -91,7 +91,10 @@ fn metrics_registry_agrees_with_the_run_result() {
     let metrics = &result.telemetry.as_ref().expect("snapshot").metrics;
     let run = &result.run;
 
-    assert_eq!(metrics.counter("requests_serviced"), Some(run.total_serviced));
+    assert_eq!(
+        metrics.counter("requests_serviced"),
+        Some(run.total_serviced)
+    );
     assert_eq!(metrics.counter("requests_spilled"), Some(run.spilled));
     assert_eq!(
         metrics.gauge("row_hit_rate").map(f64::to_bits),
@@ -147,7 +150,9 @@ fn multi_controller_cells_emit_the_full_catalog() {
     for c in 0..4 {
         let channel = c.to_string();
         let clabel: &[(&str, &str)] = &[("channel", &channel)];
-        assert!(metrics.counter(&labeled("bus_busy_cycles", clabel)).is_some());
+        assert!(metrics
+            .counter(&labeled("bus_busy_cycles", clabel))
+            .is_some());
         assert!(metrics.gauge(&labeled("bus_utilization", clabel)).is_some());
         assert!(metrics.histogram(&labeled("queue_depth", clabel)).is_some());
         for series in ["queue_depth", "bus_utilization"] {
@@ -170,7 +175,10 @@ fn multi_controller_cells_emit_the_full_catalog() {
     }
     assert!(run.total_serviced > 0);
     assert_eq!(per_bank_serviced, run.total_serviced);
-    assert_eq!(metrics.counter("requests_serviced"), Some(run.total_serviced));
+    assert_eq!(
+        metrics.counter("requests_serviced"),
+        Some(run.total_serviced)
+    );
     assert_eq!(
         metrics.gauge("row_hit_rate").map(f64::to_bits),
         Some(run.row_hit_rate.to_bits()),
@@ -178,7 +186,9 @@ fn multi_controller_cells_emit_the_full_catalog() {
     );
     for mc in ["0", "1"] {
         let mlabel: &[(&str, &str)] = &[("controller", mc)];
-        assert!(metrics.counter(&labeled("requests_serviced", mlabel)).is_some());
+        assert!(metrics
+            .counter(&labeled("requests_serviced", mlabel))
+            .is_some());
         assert!(metrics.gauge(&labeled("row_hit_rate", mlabel)).is_some());
     }
 

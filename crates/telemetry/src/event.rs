@@ -455,7 +455,10 @@ mod tests {
             clean_quanta: 2,
         };
         let msg = r.to_string();
-        assert!(msg.contains("mc3 re-admitted after 2 clean quanta"), "{msg}");
+        assert!(
+            msg.contains("mc3 re-admitted after 2 clean quanta"),
+            "{msg}"
+        );
         assert_eq!(r.cycle(), 5_000_000);
     }
 
@@ -467,7 +470,11 @@ mod tests {
         for outcome in [RowOutcome::Hit, RowOutcome::Closed, RowOutcome::Conflict] {
             assert_eq!(RowOutcome::from_name(outcome.name()), Some(outcome));
         }
-        for counter in [MonitorCounter::Mpki, MonitorCounter::Rbl, MonitorCounter::Blp] {
+        for counter in [
+            MonitorCounter::Mpki,
+            MonitorCounter::Rbl,
+            MonitorCounter::Blp,
+        ] {
             assert_eq!(MonitorCounter::from_name(counter.name()), Some(counter));
         }
         for reason in [
@@ -485,9 +492,20 @@ mod tests {
     #[test]
     fn cycle_accessor_covers_every_variant() {
         let events = [
-            TraceEvent::QuantumBoundary { cycle: 1, index: 0, degraded: false },
-            TraceEvent::ShuffleApplied { cycle: 2, algo: ShuffleAlgo::Random },
-            TraceEvent::BankPrecharge { cycle: 3, channel: 0, bank: 0 },
+            TraceEvent::QuantumBoundary {
+                cycle: 1,
+                index: 0,
+                degraded: false,
+            },
+            TraceEvent::ShuffleApplied {
+                cycle: 2,
+                algo: ShuffleAlgo::Random,
+            },
+            TraceEvent::BankPrecharge {
+                cycle: 3,
+                channel: 0,
+                bank: 0,
+            },
             TraceEvent::DegradationFallback(DegradationAnomaly::ImplausibleCounter {
                 cycle: 4,
                 thread: 0,

@@ -66,12 +66,24 @@ pub fn event_to_jsonl(event: &TraceEvent) -> String {
     let mut out = String::from("{");
     field_str(&mut out, "event", event.kind_name());
     match event {
-        TraceEvent::QuantumBoundary { cycle, index, degraded } => {
+        TraceEvent::QuantumBoundary {
+            cycle,
+            index,
+            degraded,
+        } => {
             field_u64(&mut out, "cycle", *cycle);
             field_u64(&mut out, "index", *index);
             field_bool(&mut out, "degraded", *degraded);
         }
-        TraceEvent::ClusterAssignment { cycle, thread, cluster, rank, mpki, rbl, blp } => {
+        TraceEvent::ClusterAssignment {
+            cycle,
+            thread,
+            cluster,
+            rank,
+            mpki,
+            rbl,
+            blp,
+        } => {
             field_u64(&mut out, "cycle", *cycle);
             field_u64(&mut out, "thread", *thread as u64);
             field_str(&mut out, "cluster", cluster.name());
@@ -84,38 +96,67 @@ pub fn event_to_jsonl(event: &TraceEvent) -> String {
             field_u64(&mut out, "cycle", *cycle);
             field_str(&mut out, "algo", algo.name());
         }
-        TraceEvent::RequestServiced { cycle, thread, channel, bank, outcome } => {
+        TraceEvent::RequestServiced {
+            cycle,
+            thread,
+            channel,
+            bank,
+            outcome,
+        } => {
             field_u64(&mut out, "cycle", *cycle);
             field_u64(&mut out, "thread", *thread as u64);
             field_u64(&mut out, "channel", *channel as u64);
             field_u64(&mut out, "bank", *bank as u64);
             field_str(&mut out, "row_state", outcome.name());
         }
-        TraceEvent::BankActivate { cycle, channel, bank, row } => {
+        TraceEvent::BankActivate {
+            cycle,
+            channel,
+            bank,
+            row,
+        } => {
             field_u64(&mut out, "cycle", *cycle);
             field_u64(&mut out, "channel", *channel as u64);
             field_u64(&mut out, "bank", *bank as u64);
             field_u64(&mut out, "row", *row as u64);
         }
-        TraceEvent::BankPrecharge { cycle, channel, bank } => {
+        TraceEvent::BankPrecharge {
+            cycle,
+            channel,
+            bank,
+        } => {
             field_u64(&mut out, "cycle", *cycle);
             field_u64(&mut out, "channel", *channel as u64);
             field_u64(&mut out, "bank", *bank as u64);
         }
         TraceEvent::DegradationFallback(a) => match a {
-            DegradationAnomaly::ImplausibleCounter { cycle, thread, counter, value, upper } => {
+            DegradationAnomaly::ImplausibleCounter {
+                cycle,
+                thread,
+                counter,
+                value,
+                upper,
+            } => {
                 field_u64(&mut out, "cycle", *cycle);
                 field_u64(&mut out, "thread", *thread as u64);
                 field_str(&mut out, "counter", counter.name());
                 field_f64_bits(&mut out, "value_bits", *value);
                 field_f64_bits(&mut out, "upper_bits", *upper);
             }
-            DegradationAnomaly::ControllerQuarantined { cycle, controller, reason } => {
+            DegradationAnomaly::ControllerQuarantined {
+                cycle,
+                controller,
+                reason,
+            } => {
                 field_u64(&mut out, "cycle", *cycle);
                 field_u64(&mut out, "controller", *controller as u64);
                 field_str(&mut out, "reason", reason.name());
             }
-            DegradationAnomaly::ControllerReadmitted { cycle, controller, clean_quanta } => {
+            DegradationAnomaly::ControllerReadmitted {
+                cycle,
+                controller,
+                clean_quanta,
+            } => {
                 field_u64(&mut out, "cycle", *cycle);
                 field_u64(&mut out, "controller", *controller as u64);
                 field_u64(&mut out, "clean_quanta", *clean_quanta);
@@ -218,13 +259,13 @@ pub fn parse_event(line: &str) -> Option<TraceEvent> {
                 reason: QuarantineReason::from_name(s("reason")?)?,
             })
         }
-        "degradation_fallback" => TraceEvent::DegradationFallback(
-            DegradationAnomaly::ControllerReadmitted {
+        "degradation_fallback" => {
+            TraceEvent::DegradationFallback(DegradationAnomaly::ControllerReadmitted {
                 cycle: u("cycle")?,
                 controller: u("controller")? as usize,
                 clean_quanta: u("clean_quanta")?,
-            },
-        ),
+            })
+        }
         "chaos_injected" => {
             let kind_name = s("kind")?;
             TraceEvent::ChaosInjected {
@@ -276,11 +317,20 @@ pub fn chrome_event(event: &TraceEvent, pid: u64) -> String {
 fn chrome_args(event: &TraceEvent) -> String {
     let mut out = String::from("{");
     match event {
-        TraceEvent::QuantumBoundary { index, degraded, .. } => {
+        TraceEvent::QuantumBoundary {
+            index, degraded, ..
+        } => {
             field_u64(&mut out, "index", *index);
             field_bool(&mut out, "degraded", *degraded);
         }
-        TraceEvent::ClusterAssignment { cluster, rank, mpki, rbl, blp, .. } => {
+        TraceEvent::ClusterAssignment {
+            cluster,
+            rank,
+            mpki,
+            rbl,
+            blp,
+            ..
+        } => {
             field_str(&mut out, "cluster", cluster.name());
             field_u64(&mut out, "rank", *rank as u64);
             for (key, v) in [("mpki", mpki), ("rbl", rbl), ("blp", blp)] {
@@ -293,12 +343,19 @@ fn chrome_args(event: &TraceEvent) -> String {
         TraceEvent::ShuffleApplied { algo, .. } => {
             field_str(&mut out, "algo", algo.name());
         }
-        TraceEvent::RequestServiced { channel, bank, outcome, .. } => {
+        TraceEvent::RequestServiced {
+            channel,
+            bank,
+            outcome,
+            ..
+        } => {
             field_u64(&mut out, "channel", *channel as u64);
             field_u64(&mut out, "bank", *bank as u64);
             field_str(&mut out, "row_state", outcome.name());
         }
-        TraceEvent::BankActivate { channel, bank, row, .. } => {
+        TraceEvent::BankActivate {
+            channel, bank, row, ..
+        } => {
             field_u64(&mut out, "channel", *channel as u64);
             field_u64(&mut out, "bank", *bank as u64);
             field_u64(&mut out, "row", *row as u64);
@@ -315,11 +372,17 @@ fn chrome_args(event: &TraceEvent) -> String {
                 json::number(&mut out, *value);
                 out.push(',');
             }
-            DegradationAnomaly::ControllerQuarantined { controller, reason, .. } => {
+            DegradationAnomaly::ControllerQuarantined {
+                controller, reason, ..
+            } => {
                 field_u64(&mut out, "controller", *controller as u64);
                 field_str(&mut out, "reason", reason.name());
             }
-            DegradationAnomaly::ControllerReadmitted { controller, clean_quanta, .. } => {
+            DegradationAnomaly::ControllerReadmitted {
+                controller,
+                clean_quanta,
+                ..
+            } => {
                 field_u64(&mut out, "controller", *controller as u64);
                 field_u64(&mut out, "clean_quanta", *clean_quanta);
             }
@@ -372,7 +435,11 @@ mod tests {
 
     fn every_variant() -> Vec<TraceEvent> {
         vec![
-            TraceEvent::QuantumBoundary { cycle: 1_000_000, index: 0, degraded: false },
+            TraceEvent::QuantumBoundary {
+                cycle: 1_000_000,
+                index: 0,
+                degraded: false,
+            },
             TraceEvent::ClusterAssignment {
                 cycle: 1_000_000,
                 thread: 3,
@@ -382,7 +449,10 @@ mod tests {
                 rbl: 0.25,
                 blp: f64::INFINITY,
             },
-            TraceEvent::ShuffleApplied { cycle: 1_000_800, algo: ShuffleAlgo::Insertion },
+            TraceEvent::ShuffleApplied {
+                cycle: 1_000_800,
+                algo: ShuffleAlgo::Insertion,
+            },
             TraceEvent::RequestServiced {
                 cycle: 1_001_000,
                 thread: 1,
@@ -390,8 +460,17 @@ mod tests {
                 bank: 3,
                 outcome: RowOutcome::Conflict,
             },
-            TraceEvent::BankActivate { cycle: 1_001_100, channel: 2, bank: 3, row: 42 },
-            TraceEvent::BankPrecharge { cycle: 1_001_050, channel: 2, bank: 3 },
+            TraceEvent::BankActivate {
+                cycle: 1_001_100,
+                channel: 2,
+                bank: 3,
+                row: 42,
+            },
+            TraceEvent::BankPrecharge {
+                cycle: 1_001_050,
+                channel: 2,
+                bank: 3,
+            },
             TraceEvent::DegradationFallback(DegradationAnomaly::ImplausibleCounter {
                 cycle: 2_000_000,
                 thread: 0,
@@ -409,8 +488,14 @@ mod tests {
                 controller: 2,
                 clean_quanta: 2,
             }),
-            TraceEvent::ChaosInjected { cycle: 3_000_000, kind: FaultKind::SpillFlood },
-            TraceEvent::ChaosInjected { cycle: 3_000_000, kind: FaultKind::ControllerBlackout },
+            TraceEvent::ChaosInjected {
+                cycle: 3_000_000,
+                kind: FaultKind::SpillFlood,
+            },
+            TraceEvent::ChaosInjected {
+                cycle: 3_000_000,
+                kind: FaultKind::ControllerBlackout,
+            },
         ]
     }
 
@@ -451,7 +536,11 @@ mod tests {
         let parsed = parse_jsonl(text);
         assert_eq!(
             parsed,
-            vec![TraceEvent::QuantumBoundary { cycle: 5, index: 1, degraded: true }]
+            vec![TraceEvent::QuantumBoundary {
+                cycle: 5,
+                index: 1,
+                degraded: true
+            }]
         );
     }
 

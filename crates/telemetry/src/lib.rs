@@ -70,7 +70,11 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// Which telemetry implementation this build carries: `"hooks"` (the
 /// default — hooks compiled in, enabled at runtime per run) or `"off"`
 /// (the `off` cargo feature: hooks compiled out, for overhead A/B).
-pub const TELEMETRY_IMPL: &str = if cfg!(feature = "off") { "off" } else { "hooks" };
+pub const TELEMETRY_IMPL: &str = if cfg!(feature = "off") {
+    "off"
+} else {
+    "hooks"
+};
 
 /// Sizing knobs for an enabled [`Telemetry`] sink.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -255,7 +259,11 @@ mod tests {
     fn clones_share_one_sink() {
         let t = Telemetry::new(&TelemetryConfig::default());
         let clone = t.clone();
-        clone.emit(|| TraceEvent::BankPrecharge { cycle: 5, channel: 0, bank: 1 });
+        clone.emit(|| TraceEvent::BankPrecharge {
+            cycle: 5,
+            channel: 0,
+            bank: 1,
+        });
         clone.with_metrics(|m| m.add("x", 2));
         let snap = t.snapshot().unwrap();
         assert_eq!(snap.events.len(), 1);
@@ -271,12 +279,19 @@ mod tests {
             ..TelemetryConfig::default()
         });
         for cycle in 0..10 {
-            t.emit(|| TraceEvent::BankPrecharge { cycle, channel: 0, bank: 0 });
+            t.emit(|| TraceEvent::BankPrecharge {
+                cycle,
+                channel: 0,
+                bank: 0,
+            });
         }
         let snap = t.snapshot().unwrap();
         assert_eq!(snap.dropped, 7);
         assert_eq!(
-            snap.events.iter().map(TraceEvent::cycle).collect::<Vec<_>>(),
+            snap.events
+                .iter()
+                .map(TraceEvent::cycle)
+                .collect::<Vec<_>>(),
             vec![7, 8, 9],
             "the ring keeps the newest events"
         );
@@ -289,7 +304,11 @@ mod tests {
             trace_capacity: 0,
             ..TelemetryConfig::default()
         });
-        t.emit(|| TraceEvent::BankPrecharge { cycle: 1, channel: 0, bank: 0 });
+        t.emit(|| TraceEvent::BankPrecharge {
+            cycle: 1,
+            channel: 0,
+            bank: 0,
+        });
         let snap = t.snapshot().unwrap();
         assert!(snap.events.is_empty());
         assert_eq!(snap.dropped, 1);

@@ -49,7 +49,11 @@ impl Histogram {
     pub fn with_bounds(bounds: Vec<u64>) -> Self {
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
         let counts = vec![0; bounds.len() + 1];
-        Self { bounds, counts, sum: 0 }
+        Self {
+            bounds,
+            counts,
+            sum: 0,
+        }
     }
 
     /// A power-of-two histogram matching log2 bucketing: with `slots`
@@ -81,7 +85,11 @@ impl Histogram {
         if counts.len() != bounds.len() + 1 {
             return None;
         }
-        Some(Self { bounds, counts, sum: 0 })
+        Some(Self {
+            bounds,
+            counts,
+            sum: 0,
+        })
     }
 
     /// Records one observation.
@@ -168,7 +176,8 @@ impl MetricsRegistry {
     /// 12-slot log2 bounds on first use.
     pub fn observe(&mut self, name: &str, value: u64) {
         if !self.histograms.contains_key(name) {
-            self.histograms.insert(name.to_string(), Histogram::log2(12));
+            self.histograms
+                .insert(name.to_string(), Histogram::log2(12));
         }
         self.histograms
             .get_mut(name)
@@ -189,7 +198,10 @@ impl MetricsRegistry {
 
     /// Appends one `(cycle, value)` point to a series.
     pub fn push_series(&mut self, name: &str, at: u64, value: f64) {
-        self.series.entry(name.to_string()).or_default().push((at, value));
+        self.series
+            .entry(name.to_string())
+            .or_default()
+            .push((at, value));
     }
 
     /// A counter's value, if present.
@@ -317,8 +329,7 @@ mod tests {
         h.observe(5);
         h.observe(50);
         h.observe(5000);
-        let rebuilt =
-            Histogram::from_parts(h.bounds().to_vec(), h.counts().to_vec()).unwrap();
+        let rebuilt = Histogram::from_parts(h.bounds().to_vec(), h.counts().to_vec()).unwrap();
         assert_eq!(rebuilt.bounds(), h.bounds());
         assert_eq!(rebuilt.counts(), h.counts());
         assert_eq!(rebuilt.sum(), 0, "parts carry no sum");

@@ -71,7 +71,10 @@ fn group<'a, T>(entries: impl Iterator<Item = (&'a str, T)>) -> BTreeMap<String,
 /// Splits a registry key into its sanitized base name and label pairs.
 fn parse_key(key: &str) -> (String, Vec<(String, String)>) {
     let (base, rest) = match key.find('{') {
-        Some(idx) => (&key[..idx], key[idx + 1..].strip_suffix('}').unwrap_or(&key[idx + 1..])),
+        Some(idx) => (
+            &key[..idx],
+            key[idx + 1..].strip_suffix('}').unwrap_or(&key[idx + 1..]),
+        ),
         None => (key, ""),
     };
     let mut labels = Vec::new();
@@ -120,7 +123,11 @@ fn format_f64(value: f64) -> String {
     if value.is_nan() {
         "NaN".to_string()
     } else if value.is_infinite() {
-        if value > 0.0 { "+Inf".to_string() } else { "-Inf".to_string() }
+        if value > 0.0 {
+            "+Inf".to_string()
+        } else {
+            "-Inf".to_string()
+        }
     } else {
         format!("{value}")
     }
@@ -148,7 +155,10 @@ fn push_sample(
     if !labels.is_empty() || !extra.is_empty() {
         out.push('{');
         let mut first = true;
-        for (k, v) in labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).chain(extra.iter().copied())
+        for (k, v) in labels
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .chain(extra.iter().copied())
         {
             if !first {
                 out.push(',');
@@ -172,10 +182,24 @@ fn push_histogram(out: &mut String, family: &str, labels: &[(String, String)], h
     for (bound, count) in hist.bounds().iter().zip(hist.counts()) {
         cumulative += count;
         let le = bound.to_string();
-        push_sample(out, family, "_bucket", labels, &[("le", &le)], &cumulative.to_string());
+        push_sample(
+            out,
+            family,
+            "_bucket",
+            labels,
+            &[("le", &le)],
+            &cumulative.to_string(),
+        );
     }
     let total = hist.total();
-    push_sample(out, family, "_bucket", labels, &[("le", "+Inf")], &total.to_string());
+    push_sample(
+        out,
+        family,
+        "_bucket",
+        labels,
+        &[("le", "+Inf")],
+        &total.to_string(),
+    );
     push_sample(out, family, "_sum", labels, &[], &hist.sum().to_string());
     push_sample(out, family, "_count", labels, &[], &total.to_string());
 }
@@ -226,7 +250,10 @@ latency_ms_count 4
         let mut m = MetricsRegistry::new();
         m.add(&labeled("jobs", &[("path", "a\\b\"c\nd")]), 1);
         let text = render(&m);
-        assert_eq!(text, "# TYPE jobs counter\njobs{path=\"a\\\\b\\\"c\\nd\"} 1\n");
+        assert_eq!(
+            text,
+            "# TYPE jobs counter\njobs{path=\"a\\\\b\\\"c\\nd\"} 1\n"
+        );
     }
 
     #[test]
@@ -272,7 +299,11 @@ zz{k=\"1\"} 1
 zz2 5
 ";
         assert_eq!(a, expected);
-        assert_eq!(a, render(&m.clone()), "render is a pure function of the registry");
+        assert_eq!(
+            a,
+            render(&m.clone()),
+            "render is a pure function of the registry"
+        );
     }
 
     #[test]

@@ -129,7 +129,10 @@ impl Topology {
                 "every controller must own at least one channel",
             ));
         }
-        let total = self.channels.iter().try_fold(0usize, |sum, &n| sum.checked_add(n));
+        let total = self
+            .channels
+            .iter()
+            .try_fold(0usize, |sum, &n| sum.checked_add(n));
         if total.is_none_or(|total| total > MAX_CHANNELS) {
             return Err(too_many_channels());
         }

@@ -182,9 +182,18 @@ impl StallReport {
         if let Some(controller) = self.controller {
             s.push_str(&format!("  attributed controller: {controller}\n"));
         }
-        s.push_str(&format!("  per-thread outstanding: {:?}\n", self.outstanding));
-        s.push_str(&format!("  per-channel queue depths: {:?}\n", self.queue_depths));
-        s.push_str(&format!("  per-channel spill depths: {:?}\n", self.spill_depths));
+        s.push_str(&format!(
+            "  per-thread outstanding: {:?}\n",
+            self.outstanding
+        ));
+        s.push_str(&format!(
+            "  per-channel queue depths: {:?}\n",
+            self.queue_depths
+        ));
+        s.push_str(&format!(
+            "  per-channel spill depths: {:?}\n",
+            self.spill_depths
+        ));
         s.push_str(&format!("  per-channel busy banks: {:?}", self.busy_banks));
         s
     }
@@ -226,7 +235,10 @@ impl fmt::Display for SimError {
             SimError::Stalled(r) => write!(f, "simulation stalled: {}", r.summary()),
             SimError::InvariantViolation(v) => write!(f, "{v}"),
             SimError::Cancelled(cycle) => {
-                write!(f, "simulation cancelled at cycle {cycle} (deadline or external cancel)")
+                write!(
+                    f,
+                    "simulation cancelled at cycle {cycle} (deadline or external cancel)"
+                )
             }
         }
     }

@@ -11,7 +11,7 @@ macro_rules! index_newtype {
         $(#[$meta])*
         #[derive(
             Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-           
+
         )]
         pub struct $name(usize);
 
@@ -102,9 +102,7 @@ index_newtype!(
 /// let g = GlobalBank::new(ChannelId::new(1), BankId::new(2));
 /// assert_eq!(g.flat_index(4), 6); // channel 1 * 4 banks + bank 2
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GlobalBank {
     /// Channel holding the bank.
     pub channel: ChannelId,

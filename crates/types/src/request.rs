@@ -8,9 +8,7 @@ use std::fmt;
 /// Assigned by the simulator at injection time; useful for FCFS age
 /// tie-breaking (older request = smaller id) and for correlating
 /// completion events with their originating core.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RequestId(u64);
 
 impl RequestId {
@@ -39,9 +37,7 @@ impl fmt::Display for RequestId {
 /// block and row-buffer behavior only depends on whether consecutive
 /// accesses touch the *same row*, so row granularity captures everything
 /// the evaluated scheduling policies can observe.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MemAddress {
     /// Memory channel (one independent controller per channel).
     pub channel: ChannelId,
@@ -139,7 +135,11 @@ impl Request {
 
 impl fmt::Display for Request {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}[{} -> {} @{}]", self.id, self.thread, self.addr, self.issued_at)
+        write!(
+            f,
+            "{}[{} -> {} @{}]",
+            self.id, self.thread, self.addr, self.issued_at
+        )
     }
 }
 

@@ -277,7 +277,11 @@ mod tests {
         let bursts = run_bursts(&p, 4000, 2);
         let mean =
             bursts.iter().map(|b| b.accesses.len()).sum::<usize>() as f64 / bursts.len() as f64;
-        assert!((mean - p.blp).abs() < 0.2, "mean burst {mean:.2} vs BLP {}", p.blp);
+        assert!(
+            (mean - p.blp).abs() < 0.2,
+            "mean burst {mean:.2} vs BLP {}",
+            p.blp
+        );
     }
 
     #[test]
@@ -375,7 +379,9 @@ mod tests {
     fn compute_only_guard() {
         let p = BenchmarkProfile::new("idle", 0.0, 0.5, 1.0);
         assert!(TraceGenerator::is_compute_only(&p));
-        assert!(!TraceGenerator::is_compute_only(&spec_by_name("mcf").unwrap()));
+        assert!(!TraceGenerator::is_compute_only(
+            &spec_by_name("mcf").unwrap()
+        ));
     }
 
     #[test]

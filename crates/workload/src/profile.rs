@@ -171,7 +171,10 @@ mod tests {
     fn intensive_split_matches_paper() {
         // MPKI > 1 labels 14 benchmarks intensive (mcf .. h264ref).
         let profiles = spec2006();
-        let intensive: Vec<_> = profiles.iter().filter(|p| p.is_memory_intensive()).collect();
+        let intensive: Vec<_> = profiles
+            .iter()
+            .filter(|p| p.is_memory_intensive())
+            .collect();
         assert_eq!(intensive.len(), 14);
         assert_eq!(intensive.last().unwrap().name, "h264ref");
     }

@@ -40,7 +40,11 @@ impl WorkloadSpec {
         if self.threads.is_empty() {
             return 0.0;
         }
-        let intensive = self.threads.iter().filter(|p| p.is_memory_intensive()).count();
+        let intensive = self
+            .threads
+            .iter()
+            .filter(|p| p.is_memory_intensive())
+            .count();
         intensive as f64 / self.threads.len() as f64
     }
 
@@ -198,7 +202,10 @@ pub fn table5_workloads() -> Vec<WorkloadSpec> {
 ///
 /// Panics if `intensity` is outside `[0, 1]` or `num_threads` is zero.
 pub fn random_workload(seed: u64, num_threads: usize, intensity: f64) -> WorkloadSpec {
-    assert!((0.0..=1.0).contains(&intensity), "intensity must be in [0,1]");
+    assert!(
+        (0.0..=1.0).contains(&intensity),
+        "intensity must be in [0,1]"
+    );
     assert!(num_threads > 0, "workload needs at least one thread");
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
     let all = spec2006();
@@ -212,10 +219,7 @@ pub fn random_workload(seed: u64, num_threads: usize, intensity: f64) -> Workloa
     for _ in num_intensive..num_threads {
         threads.push(light[rng.gen_range(0..light.len())].clone());
     }
-    WorkloadSpec::new(
-        format!("rand-{:.0}%-{seed:02}", intensity * 100.0),
-        threads,
-    )
+    WorkloadSpec::new(format!("rand-{:.0}%-{seed:02}", intensity * 100.0), threads)
 }
 
 /// Builds the paper's workload suite: `per_category` random workloads at
@@ -271,8 +275,7 @@ mod tests {
     fn suite_sizes_match_paper() {
         let suite = workload_suite(&[0.5, 0.75, 1.0], 32, 24);
         assert_eq!(suite.len(), 96);
-        let distinct: std::collections::HashSet<_> =
-            suite.iter().map(|w| w.name.clone()).collect();
+        let distinct: std::collections::HashSet<_> = suite.iter().map(|w| w.name.clone()).collect();
         assert_eq!(distinct.len(), 96, "workload names are unique");
     }
 

@@ -11,7 +11,9 @@ fn main() {
     // Eight threads with measured per-quantum behavior (as TCM's
     // monitors would report): MPKI, bandwidth usage (bank-busy cycles),
     // BLP, RBL.
-    let names = ["povray", "gcc", "h264ref", "hmmer", "omnetpp", "lbm", "soplex", "mcf"];
+    let names = [
+        "povray", "gcc", "h264ref", "hmmer", "omnetpp", "lbm", "soplex", "mcf",
+    ];
     let mpki = [0.01, 0.34, 2.30, 5.66, 21.63, 43.52, 46.70, 97.38];
     let bw: [u64; 8] = [40, 1_300, 8_000, 18_000, 95_000, 140_000, 150_000, 210_000];
     let blp = [1.4, 2.0, 1.2, 1.3, 4.4, 2.8, 1.8, 6.2];
@@ -48,13 +50,19 @@ fn main() {
     }
 
     // --- Step 3: insertion shuffle (Algorithm 2) --------------------------
-    let entries: Vec<(ThreadId, i64)> =
-        bw_threads.iter().copied().zip(niceness.iter().copied()).collect();
+    let entries: Vec<(ThreadId, i64)> = bw_threads
+        .iter()
+        .copied()
+        .zip(niceness.iter().copied())
+        .collect();
     let mut insertion = InsertionShuffler::new(entries);
     let mut round_robin = RoundRobinShuffler::new(bw_threads.clone());
     let n = bw_threads.len();
     println!("\npriority order over one shuffle period (top = highest priority):");
-    println!("{:>10}  {:<20} {:<20}", "interval", "insertion", "round-robin");
+    println!(
+        "{:>10}  {:<20} {:<20}",
+        "interval", "insertion", "round-robin"
+    );
     for interval in 0..2 * n {
         let ins: Vec<&str> = insertion
             .ranking_vec()
@@ -68,7 +76,12 @@ fn main() {
             .rev()
             .map(|t| names[t.index()])
             .collect();
-        println!("{:>10}  {:<20} {:<20}", interval, ins.join(">"), rr.join(">"));
+        println!(
+            "{:>10}  {:<20} {:<20}",
+            interval,
+            ins.join(">"),
+            rr.join(">")
+        );
         insertion.advance();
         round_robin.advance();
     }

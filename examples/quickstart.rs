@@ -43,10 +43,7 @@ fn main() {
         .run_auto();
 
     println!();
-    println!(
-        "{:>8} | {:>8} {:>8} {:>8}",
-        "policy", "WS", "maxSD", "HS"
-    );
+    println!("{:>8} | {:>8} {:>8} {:>8}", "policy", "WS", "maxSD", "HS");
     for cell in grid.cells() {
         let result = &cell.result;
         println!(

@@ -45,7 +45,6 @@ fn main() {
     let mut system_cfg = SystemConfig::paper_baseline();
     system_cfg.num_threads = 2;
 
-
     let random = BenchmarkProfile::random_access();
     let streaming = BenchmarkProfile::streaming();
     println!("Table 1 microbenchmarks:");

@@ -55,10 +55,8 @@ fn main() {
         let r = &cell.result;
         println!("{} (weights favor intensive threads):", r.policy);
         for (a, (name, weight)) in apps.iter().enumerate() {
-            let avg: f64 = (0..copies)
-                .map(|c| r.speedups[a * copies + c])
-                .sum::<f64>()
-                / copies as f64;
+            let avg: f64 =
+                (0..copies).map(|c| r.speedups[a * copies + c]).sum::<f64>() / copies as f64;
             println!("  {name:>10} (weight {weight:>4}): speedup {avg:5.2}");
         }
         println!(

@@ -7,7 +7,10 @@ use tcm::types::SystemConfig;
 use tcm::workload::random_workload;
 
 fn small_system(threads: usize) -> SystemConfig {
-    SystemConfig::builder().num_threads(threads).build().unwrap()
+    SystemConfig::builder()
+        .num_threads(threads)
+        .build()
+        .unwrap()
 }
 
 fn session(threads: usize, horizon: u64) -> Session {

@@ -309,7 +309,10 @@ fn compute_chaos_multi_fingerprints() -> Vec<(String, String, u64)> {
         ])
         .workloads([random_workload(1, 24, 0.75)])
         .run();
-    assert!(result.is_complete(), "quarantine is graceful: no cell fails");
+    assert!(
+        result.is_complete(),
+        "quarantine is graceful: no cell fails"
+    );
     result
         .cells()
         .iter()

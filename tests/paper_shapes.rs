@@ -62,7 +62,10 @@ fn fig2_shape_deprioritized_random_access_suffers_more() {
         ],
     );
     let session = Session::new(
-        RunConfig::builder().system(cfg.clone()).horizon(horizon).build(),
+        RunConfig::builder()
+            .system(cfg.clone())
+            .horizon(horizon)
+            .build(),
     );
     let alone_random = session.alone_ipc(&workload.threads[0]);
     let alone_streaming = session.alone_ipc(&workload.threads[1]);

@@ -40,7 +40,10 @@ fn compute_only_threads_never_slow_down() {
     }
     let workload = WorkloadSpec::new("idle-mix", threads);
     let r = session.eval(&PolicyKind::FrFcfs, &workload);
-    assert!((r.slowdowns[0] - 1.0).abs() < 1e-9, "compute-only thread is unaffected");
+    assert!(
+        (r.slowdowns[0] - 1.0).abs() < 1e-9,
+        "compute-only thread is unaffected"
+    );
 }
 
 #[test]
@@ -48,7 +51,12 @@ fn contention_produces_slowdowns_and_valid_metrics() {
     let threads = 12;
     let session = Session::new(
         RunConfig::builder()
-            .system(SystemConfig::builder().num_threads(threads).build().unwrap())
+            .system(
+                SystemConfig::builder()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap(),
+            )
             .horizon(500_000)
             .build(),
     );
