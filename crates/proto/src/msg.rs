@@ -63,7 +63,9 @@ pub struct JobSpec {
     /// Wall-clock deadline for the whole job, after which in-flight
     /// cells are cancelled and the job fails as timed out.
     pub deadline_ms: Option<u64>,
-    /// Per-cell attempt budget for timeout retries (minimum 1).
+    /// Encoded and decoded, but ignored by the daemon: every sweep cell
+    /// runs once. Kept so existing clients, WALs and state directories
+    /// still parse.
     pub max_attempts: u32,
     /// The work itself.
     pub kind: JobKind,
@@ -177,8 +179,8 @@ pub struct JobStatusInfo {
     pub priority: u8,
     /// Current lifecycle state.
     pub state: JobState,
-    /// Human detail: progress counts, `cell-failure` lines (verbatim
-    /// sweep format), the list of failed cells.
+    /// Human detail: where the result went, why the job stopped, or the
+    /// list of failed cells.
     pub detail: String,
     /// Live work-unit progress, when the daemon tracks it. Optional on
     /// the wire (`tcmp1`-compatible: old peers ignore the field, old
@@ -194,7 +196,7 @@ pub struct JobProgress {
     pub total: u64,
     /// Units finished successfully this far (including resumed ones).
     pub done: u64,
-    /// Units that exhausted their retry budget and failed.
+    /// Units that failed.
     pub failed: u64,
     /// Units restored from checkpoint rather than recomputed.
     pub resumed: u64,
@@ -248,8 +250,8 @@ pub enum Event {
         /// simulated in this daemon lifetime.
         resumed: bool,
     },
-    /// One sweep cell exhausted its retry budget; `line` is the
-    /// engine's stable `cell-failure …` format, verbatim.
+    /// One sweep cell failed; `line` is the engine's stable
+    /// `cell-failure …` format, verbatim.
     CellFailure {
         /// Owning job.
         job: u64,
@@ -986,7 +988,7 @@ mod tests {
             Response::Event(Event::CellFailure {
                 job: 1,
                 line: "cell-failure policy=\"TCM\" workload=\"B\" seed=0 kind=timeout \
-                       attempt=2 max_attempts=2 elapsed_ms=450 detail=\"…\""
+                       elapsed_ms=450 detail=\"…\""
                     .into(),
             }),
             Response::Event(Event::Telemetry {

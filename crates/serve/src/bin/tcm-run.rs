@@ -14,10 +14,10 @@
 //! `serve` starts the long-running daemon (see `tcm_serve::server`): a
 //! Unix-socket service with a durable priority job queue (fsynced WAL +
 //! per-job cell checkpoints — a SIGKILL'd daemon restarts and finishes
-//! its jobs bit-identically), per-job deadlines, deterministic seeded
-//! retry backoff, and graceful drain on SIGTERM (exit 0 within the
-//! drain deadline). `client` speaks `tcm-proto` frames to it: `submit`
-//! enqueues a sweep grid (`--watch` streams per-cell results live),
+//! its jobs bit-identically), per-job deadlines, and graceful drain on
+//! SIGTERM (exit 0 within the drain deadline). `client` speaks
+//! `tcm-proto` frames to it: `submit` enqueues a sweep grid (`--watch`
+//! streams per-cell results live),
 //! `soak` enqueues a continuous chaos-soak job, `status`/`watch`/
 //! `cancel`/`drain` do what they say, `metrics` scrapes the daemon's
 //! Prometheus-format exposition over the socket. `top` is a live
@@ -84,9 +84,8 @@
 //! appends to FILE, which keeps the cells of every run that used it
 //! (only a torn last line is cut off).
 //! `--cell-deadline SECS` bounds each cell's wall-clock time; a cell
-//! that exceeds it is cancelled cooperatively, retried
-//! once with a fresh deadline, and reported as a timeout — other cells
-//! are unaffected.
+//! that exceeds it is cancelled cooperatively and reported as a timeout
+//! after that one attempt — other cells are unaffected.
 //!
 //! `--chaos-smoke` prints the verdicts of the fault-injection campaign
 //! (`tcm_sim::campaign`, which the daemon's soak job also runs) instead
@@ -106,8 +105,10 @@
 //! deterministic reason (panic, invariant violation, stall — the
 //! failures are reported on stderr with their (policy, workload, seed)
 //! coordinates; successful cells are still printed), 2 on usage errors,
-//! 3 if cells failed but *only* by exceeding `--cell-deadline` (retry
-//! with a longer deadline and `--resume` to finish the grid).
+//! 3 if cells failed but *only* by exceeding `--cell-deadline` (run
+//! again with a longer deadline and `--resume` to finish the grid).
+//! Each failed cell's `cell-failure` line is printed to stderr as it
+//! fails; the closing report gives only their count.
 //!
 //! Examples:
 //!
@@ -228,13 +229,7 @@ fn run_bench(
     let sweep = session.sweep().policies(policies).workloads(workloads);
     let result = sweep.run_parallel(workers);
     if !result.is_complete() {
-        eprintln!(
-            "bench sweep had {} failed cell(s):",
-            result.failures().len()
-        );
-        for failure in result.failures() {
-            eprintln!("  {failure}");
-        }
+        eprintln!("bench sweep had {} failed cell(s)", result.failures().len());
         return 1;
     }
 
@@ -599,7 +594,7 @@ fn client_usage() -> ! {
     eprintln!(
         "usage: tcm-run client [--socket PATH] COMMAND\n\
          commands:\n\
-         \x20 submit [--priority P] [--deadline SECS] [--max-attempts N]\n\
+         \x20 submit [--priority P] [--deadline SECS]\n\
          \x20        [--policies p1,p2,...] [--workloads A,B|random:SEED:THREADS:INTENSITY]\n\
          \x20        [--seeds 0,1,...] [--cycles C] [--topology T] [--telemetry] [--watch]\n\
          \x20 soak   [--seed S] [--rounds R] [--cycles C] [--priority P] [--watch]\n\
@@ -772,11 +767,6 @@ fn client_main(args: &[String]) -> i32 {
                             client_usage()
                         }
                         spec.deadline_ms = Some((secs * 1000.0) as u64);
-                    }
-                    "--max-attempts" => {
-                        spec.max_attempts = value("--max-attempts")
-                            .parse()
-                            .unwrap_or_else(|_| client_usage())
                     }
                     "--policies" if !is_soak => {
                         sweep.policies = value("--policies").split(',').map(String::from).collect()
@@ -1171,12 +1161,11 @@ fn render_top(
     );
     let _ = writeln!(
         s,
-        "jobs     submitted {}  done {}  failed {}  cancelled {}  retries {}  dropped-ev {}",
+        "jobs     submitted {}  done {}  failed {}  cancelled {}  dropped-ev {}",
         g("tcm_serve_jobs_submitted_total"),
         by_state("done"),
         by_state("failed"),
         by_state("cancelled"),
-        g("tcm_serve_cell_retries_total"),
         g("tcm_trace_events_dropped_total"),
     );
     let rate = history.last().copied().unwrap_or(0.0);
@@ -1348,7 +1337,7 @@ fn usage() -> ! {
          --resume restores the cells of FILE this run would simulate identically\n\
          \x20          (same machine, horizon, policy, workload, seed), runs the rest,\n\
          \x20          keeps FILE updated\n\
-         --cell-deadline cancels (and retries once) any cell exceeding SECS wall-clock\n\
+         --cell-deadline fails any cell exceeding SECS wall-clock as a timeout\n\
          --bench-json times the fixed paper-lineup sweep and writes the record to FILE\n\
          --chaos-smoke runs the fault-injection smoke campaign and exits (a\n\
          \x20          multi-controller --topology runs it on the window loop, covering\n\
@@ -1617,10 +1606,7 @@ fn main() {
         );
     }
     if !result.is_complete() {
-        eprintln!("{} cell(s) FAILED:", result.failures().len());
-        for failure in result.failures() {
-            eprintln!("  {failure}");
-        }
+        eprintln!("{} cell(s) FAILED", result.failures().len());
         // All-timeout failures are transient by construction: exit 3 so
         // callers know `--resume` with a longer deadline finishes the
         // grid. Any deterministic failure keeps the hard exit 1.

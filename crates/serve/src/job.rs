@@ -145,10 +145,7 @@ pub fn render_result(result: &SweepResult) -> String {
         s.push('}');
     }
     s.push_str("],\"failures\":");
-    json::write_str_array(
-        &mut s,
-        result.failures().iter().map(|f| f.structured_line()),
-    );
+    json::write_str_array(&mut s, result.failures().iter().map(ToString::to_string));
     s.push_str("}\n");
     s
 }

@@ -5,8 +5,8 @@
 //!   layer runs the actual policy × workload × seed cells;
 //! * **service** — this crate's [`server`] wraps the engine in a daemon
 //!   listening on a Unix-domain socket: a bounded priority job queue,
-//!   a worker pool, per-job wall-clock deadlines, timeout-only retry
-//!   with deterministic seeded backoff, and streamed per-cell events;
+//!   a worker pool, per-job wall-clock deadlines, and streamed
+//!   per-cell events;
 //! * **client** — [`client`] plus the `tcm-run serve`/`tcm-run client`
 //!   subcommands speak `tcm-proto` frames to the daemon.
 //!

@@ -32,13 +32,12 @@
 //!
 //! # Failed cells
 //!
-//! A job runs one sweep pass. Within it, timed-out cells retry under
-//! the engine's deterministic seeded backoff ([`RetryPolicy`]) up to the
-//! job's `max_attempts`. A job with failed cells reports `Failed`,
-//! naming them. The daemon sets no per-cell deadline, so a cell times
-//! out only when the job's token fires — a client cancel, a drain
-//! deadline or the job deadline — and each of those ends the job before
-//! its failures are listed.
+//! A job runs one sweep pass, and each cell in it runs once. A job with
+//! failed cells reports `Failed`, naming them. The daemon sets no
+//! per-cell deadline, so a cell times out only when the job's token
+//! fires — a client cancel, a drain deadline or the job deadline — and
+//! each of those ends the job before its failures are listed. The job
+//! spec's `max_attempts` is ignored.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
@@ -55,7 +54,7 @@ use tcm_proto::{
     Request, Response, ServerInfo, SoakSpec, SweepSpec,
 };
 use tcm_sim::campaign::{Campaign, Outcome, QUANTUM};
-use tcm_sim::{AloneIpcCache, RetryPolicy, RunConfig, Session, SweepResult};
+use tcm_sim::{AloneIpcCache, RunConfig, Session, SweepResult};
 use tcm_telemetry::TelemetryConfig;
 use tcm_types::{CancelToken, SystemConfig, Topology};
 
@@ -732,7 +731,7 @@ fn run_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec, token: &CancelToken, s
     // its pool slot and leaving the job `Running` forever with no
     // terminal event for watchers — conclude it `Failed` instead.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &spec.kind {
-        JobKind::Sweep(sweep) => run_sweep_job(shared, id, spec, sweep, token),
+        JobKind::Sweep(sweep) => run_sweep_job(shared, id, sweep, token),
         JobKind::ChaosSoak(soak) => run_soak_job(shared, id, soak, token),
     }))
     .unwrap_or_else(|payload| {
@@ -827,7 +826,6 @@ fn sweep_pass(
     session: &Session,
     resolved: &ResolvedSweep,
     ckpt: &Path,
-    retry: RetryPolicy,
     token: &CancelToken,
 ) -> SweepResult {
     let seeds = resolved.seeds.clone();
@@ -849,7 +847,6 @@ fn sweep_pass(
         .workloads(resolved.workloads.iter().cloned())
         .seeds(resolved.seeds.iter().copied())
         .checkpoint(ckpt)
-        .retry(retry)
         .pause_flag(Arc::clone(&shared.draining))
         .cancel_token(token.clone())
         .on_cell(move |cell, resumed| {
@@ -904,21 +901,16 @@ fn sweep_pass(
         .on_failure(move |err| {
             set_progress(&fail_shared, id, |p| p.failed += 1);
             fail_shared.metrics.add("tcm_serve_cell_failures_total", 1);
-            fail_shared.metrics.add(
-                "tcm_serve_cell_retries_total",
-                u64::from(err.attempts.saturating_sub(1)),
-            );
             slog!(Level::Warn, "worker", "cell failed";
                 job = id,
                 cell = format!("{}x{}", err.policy_label, err.workload_name),
-                seed = err.seed_value,
-                attempts = err.attempts);
+                seed = err.seed_value);
             broadcast(
                 &fail_shared,
                 id,
                 Event::CellFailure {
                     job: id,
-                    line: err.structured_line(),
+                    line: err.to_string(),
                 },
             );
         })
@@ -936,11 +928,10 @@ fn set_progress(shared: &Shared, id: u64, f: impl FnOnce(&mut JobProgress)) {
 fn run_sweep_job(
     shared: &Arc<Shared>,
     id: u64,
-    spec: &JobSpec,
-    sweep_spec: &SweepSpec,
+    spec: &SweepSpec,
     token: &CancelToken,
 ) -> Option<(JobState, String)> {
-    let resolved = match resolve_sweep(sweep_spec) {
+    let resolved = match resolve_sweep(spec) {
         Ok(resolved) => resolved,
         Err(e) => return Some((JobState::Failed, e)),
     };
@@ -958,9 +949,8 @@ fn run_sweep_job(
         Arc::clone(&shared.alone),
     );
     let ckpt = shared.state_dir.join(format!("job-{id}.ckpt.jsonl"));
-    let retry = RetryPolicy::with_attempts(spec.max_attempts);
 
-    let result = sweep_pass(shared, id, &session, &resolved, &ckpt, retry, token);
+    let result = sweep_pass(shared, id, &session, &resolved, &ckpt, token);
     if !result.is_complete() {
         if job_cancelled(shared, id) {
             return Some((JobState::Cancelled, "cancelled by client".into()));

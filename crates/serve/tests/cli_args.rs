@@ -131,3 +131,31 @@ fn a_flat_checkpoint_does_not_resume_into_a_2x2_run() {
     assert_ne!(flat, fresh, "a graft would be visible");
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
+
+#[test]
+fn a_timed_out_cell_is_tried_once_reported_once_and_exits_3() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tcm-run"))
+        .args([
+            "--workload",
+            "A",
+            "--cycles",
+            "200000",
+            "--policies",
+            "fr-fcfs,tcm",
+            "--cell-deadline",
+            "0",
+        ])
+        .output()
+        .expect("tcm-run runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "only timeouts: {stderr}");
+    let failures: Vec<&str> = stderr
+        .lines()
+        .filter(|line| line.starts_with("cell-failure"))
+        .collect();
+    assert_eq!(failures.len(), 2, "one line per failed cell: {stderr}");
+    for line in failures {
+        assert!(line.contains(" kind=timeout "), "{line}");
+        assert!(!line.contains("attempt="), "one attempt, no count: {line}");
+    }
+}

@@ -71,11 +71,9 @@ pub use event::{Event, EventQueue};
 pub use machine::{RunResult, DEFAULT_STALL_LIMIT};
 pub use metrics::{mean, variance, workload_metrics, IpcPair, WorkloadMetrics};
 pub use multi::MultiSystem;
-pub use runner::{
-    average_metrics, EvalResult, PolicyKind, RunConfig, RunConfigBuilder, PAPER_LINEUP_LABELS,
-};
+pub use runner::{EvalResult, PolicyKind, RunConfig, RunConfigBuilder, PAPER_LINEUP_LABELS};
 pub use sweep::{
-    AloneIpcCache, CellError, CellFailureKind, ProfileFingerprint, RetryPolicy, Session,
-    SessionStats, Sweep, SweepCell, SweepResult, SweepStats,
+    AloneIpcCache, CellError, CellFailureKind, ProfileFingerprint, Session, SessionStats, Sweep,
+    SweepCell, SweepResult, SweepStats,
 };
 pub use system::System;

@@ -144,7 +144,7 @@ pub struct RunConfig {
     /// Per-run wall-clock deadline. When set, each run carries a
     /// cancellation token with this deadline; a run exceeding it
     /// surfaces `SimError::Cancelled`, which sweeps record as a
-    /// retryable timeout instead of poisoning other cells.
+    /// timeout instead of poisoning other cells.
     pub cell_deadline: Option<Duration>,
     /// Has no effect on the engine: every cell runs on one thread, and a
     /// sweep's parallelism is its worker count. Kept only because the
@@ -308,25 +308,6 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Averages metrics across many evaluation results.
-pub fn average_metrics(results: &[EvalResult]) -> WorkloadMetrics {
-    assert!(!results.is_empty(), "cannot average zero results");
-    let n = results.len() as f64;
-    WorkloadMetrics {
-        weighted_speedup: results
-            .iter()
-            .map(|r| r.metrics.weighted_speedup)
-            .sum::<f64>()
-            / n,
-        harmonic_speedup: results
-            .iter()
-            .map(|r| r.metrics.harmonic_speedup)
-            .sum::<f64>()
-            / n,
-        max_slowdown: results.iter().map(|r| r.metrics.max_slowdown).sum::<f64>() / n,
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -459,20 +440,5 @@ mod tests {
             // Per-controller instances must build for every policy.
             let _ = kind.build_controller(24, &cfg);
         }
-    }
-
-    #[test]
-    fn average_metrics_averages() {
-        let session = crate::Session::new(small_rc());
-        let results: Vec<EvalResult> = (0..3)
-            .map(|s| session.eval(&PolicyKind::FrFcfs, &random_workload(s, 4, 0.5)))
-            .collect();
-        let avg = average_metrics(&results);
-        let manual: f64 = results
-            .iter()
-            .map(|r| r.metrics.weighted_speedup)
-            .sum::<f64>()
-            / 3.0;
-        assert!((avg.weighted_speedup - manual).abs() < 1e-12);
     }
 }

@@ -61,8 +61,7 @@ use tcm_workload::{BenchmarkProfile, WorkloadSpec};
 pub use crate::alone::{AloneIpcCache, ProfileFingerprint};
 
 /// The cooperative token one cell polls: the per-cell deadline from the
-/// run configuration (fresh per attempt, so a retried timeout gets a
-/// full deadline again) combined, when a sweep-level `cancel` parent is
+/// run configuration combined, when a sweep-level `cancel` parent is
 /// installed, with that parent — a single parent cancel aborts every
 /// in-flight cell.
 fn cell_token(rc: &RunConfig, cancel: Option<&CancelToken>) -> Option<CancelToken> {
@@ -214,75 +213,6 @@ pub(crate) fn run_cell(
     Ok((run, sys.degradation_events().to_vec()))
 }
 
-/// Retry policy for timed-out cells: bounded attempts with a
-/// deterministic, seeded, jittered backoff schedule.
-///
-/// Only wall-clock timeouts are retryable (deterministic failures would
-/// replay identically — see [`CellFailureKind::is_retryable`]). A cell
-/// gets up to [`RetryPolicy::max_attempts`] total attempts; between
-/// attempt `n` and `n + 1` the executor sleeps
-/// [`RetryPolicy::backoff`]`(cell_seed, n)`. The schedule is a pure
-/// function of the cell's seed and the attempt number — **no entropy is
-/// drawn at retry time** — so a replayed sweep (or a restarted daemon
-/// re-admitting the same job) waits the exact same schedule and, because
-/// the simulation itself is deterministic, produces bit-identical
-/// results. Shared by [`Sweep`] and the `tcm-serve` daemon's retry path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per cell, counting the first (minimum 1).
-    pub max_attempts: u32,
-}
-
-/// Backoff unit: the window for the first retry is
-/// `[BACKOFF_BASE/2, BACKOFF_BASE)`, doubling per subsequent attempt.
-const BACKOFF_BASE: Duration = Duration::from_millis(50);
-/// Upper bound on any single backoff sleep.
-const BACKOFF_CAP: Duration = Duration::from_secs(2);
-
-impl Default for RetryPolicy {
-    /// Two attempts (one retry) with a short jittered pause — the
-    /// successor of the historical immediate retry-once policy.
-    fn default() -> Self {
-        Self { max_attempts: 2 }
-    }
-}
-
-impl RetryPolicy {
-    /// `attempts` total attempts.
-    pub fn with_attempts(attempts: u32) -> Self {
-        Self {
-            max_attempts: attempts.max(1),
-        }
-    }
-
-    /// The sleep before retrying after failed attempt `attempt`
-    /// (1-based). Deterministic in `(cell_seed, attempt)`: exponential
-    /// window `BACKOFF_BASE * 2^(attempt-1)` capped at `BACKOFF_CAP`
-    /// (50 ms and 2 s), jittered into its upper half by a splitmix64
-    /// draw of the seed so simultaneous retries of different cells do
-    /// not stampede in sync.
-    pub fn backoff(&self, cell_seed: u64, attempt: u32) -> Duration {
-        let window = BACKOFF_BASE
-            .saturating_mul(1u32 << attempt.clamp(1, 16).saturating_sub(1))
-            .min(BACKOFF_CAP);
-        let half = window.as_nanos() as u64 / 2;
-        if half == 0 {
-            return Duration::ZERO;
-        }
-        let jitter = splitmix64(cell_seed ^ 0xa076_1d64_78bd_642fu64.wrapping_mul(attempt as u64));
-        Duration::from_nanos(half + jitter % half)
-    }
-}
-
-/// SplitMix64: the standard 64-bit finalizer, used for deterministic
-/// backoff jitter (construction-time randomness only, like `tcm-chaos`).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Why a sweep cell failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellFailureKind {
@@ -293,8 +223,9 @@ pub enum CellFailureKind {
     Sim(SimError),
     /// The cell's wall-clock deadline expired (see
     /// [`RunConfig::cell_deadline`]); carries the simulated cycle
-    /// reached. Unlike the deterministic failures above, a timeout
-    /// depends on machine load, so it is the one retryable kind.
+    /// reached. Unlike the failures above, a timeout depends on machine
+    /// load: resuming the sweep's checkpoint with a longer deadline
+    /// finishes the cell.
     Timeout(Cycle),
     /// The cell simulated successfully but its result could not be
     /// appended to the sweep checkpoint (e.g. disk full); carries the
@@ -302,18 +233,6 @@ pub enum CellFailureKind {
     /// the cell — so the cell reports as failed rather than silently
     /// merging a non-durable result.
     Checkpoint(String),
-}
-
-impl CellFailureKind {
-    /// Whether retrying the identical cell could plausibly succeed.
-    ///
-    /// Panics and typed simulator errors are deterministic — the retry
-    /// would replay the identical failure — and a checkpoint append
-    /// failure means the storage needs operator attention, so only
-    /// wall-clock timeouts are retryable.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, CellFailureKind::Timeout(_))
-    }
 }
 
 impl std::fmt::Display for CellFailureKind {
@@ -332,12 +251,27 @@ impl std::fmt::Display for CellFailureKind {
 }
 
 /// One failed sweep cell: grid coordinates, display names, and the
-/// failure after the sweep's retry policy (timeouts retried once,
-/// deterministic failures never) was exhausted.
+/// failure. Every cell is tried once: a panic or typed simulator error
+/// would replay identically, and a timed-out cell is finished by
+/// resuming the checkpoint with a longer deadline.
 ///
 /// A failed cell never aborts the sweep — every other cell's result is
 /// still produced (and is bit-identical to a sweep without the failing
 /// cell's policy/workload).
+///
+/// Its one text form is a grep-able line, which sweeps print to stderr
+/// for every failed cell and the `tcm-serve` daemon reuses verbatim in
+/// its streamed `CellFailure` events:
+///
+/// ```text
+/// cell-failure policy="TCM" workload="mix3" seed=7 kind=timeout elapsed_ms=450 detail="..."
+/// ```
+///
+/// `kind` is one of `panic`, `sim`, `timeout`, `checkpoint`. Double
+/// quotes inside the detail are replaced with single quotes so the line
+/// stays splittable on `"`-delimited fields. When the failure is
+/// attributed to a specific memory controller, a trailing
+/// ` controller=mc<N>` field is appended.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellError {
     /// Index into the sweep's policy axis.
@@ -353,18 +287,11 @@ pub struct CellError {
     /// The failing cell's seed axis *value* (the seed index only names a
     /// position; this is the number to paste into a reproduction).
     pub seed_value: u64,
-    /// Evaluation attempts made (2 = timed out, retried, failed again).
-    pub attempts: u32,
-    /// The retry budget the attempts were drawn from (the sweep's
-    /// [`RetryPolicy::max_attempts`]); `attempts < max_attempts` means
-    /// the failure was deterministic or the sweep was being cancelled,
-    /// so the remaining budget was not spent.
-    pub max_attempts: u32,
-    /// Wall-clock time spent on the cell across every attempt, including
-    /// backoff sleeps. Distinguishes a cell that timed out instantly
-    /// (misconfigured deadline) from one that burned its full budget.
+    /// Wall-clock time the cell ran before it failed. Distinguishes a
+    /// cell that timed out instantly (misconfigured deadline) from one
+    /// that burned its full budget.
     pub elapsed: Duration,
-    /// The final failure.
+    /// The failure.
     pub kind: CellFailureKind,
     /// The memory controller the failure is attributed to, when the
     /// machine has more than one and the failure names a culprit (a
@@ -373,64 +300,29 @@ pub struct CellError {
     pub controller: Option<ControllerId>,
 }
 
-impl CellError {
-    /// One grep-able line for CI logs, emitted to stderr by sweeps for
-    /// every failed cell (and reused verbatim by the `tcm-serve` daemon
-    /// in job status and streamed `CellFailure` events). Stable shape:
-    ///
-    /// ```text
-    /// cell-failure policy="TCM" workload="mix3" seed=7 kind=timeout attempt=2 max_attempts=2 elapsed_ms=450 detail="..."
-    /// ```
-    ///
-    /// `kind` is one of `panic`, `sim`, `timeout`, `checkpoint`;
-    /// `attempt=` is the
-    /// attempts actually made out of the `max_attempts=` retry budget,
-    /// and `elapsed_ms=` the wall-clock the cell burned across them —
-    /// together they make timeout-vs-retry behavior observable from logs
-    /// alone. Double quotes inside the detail are replaced with single
-    /// quotes so the line stays splittable on `"`-delimited fields. When
-    /// the failure is attributed to a specific memory controller, a
-    /// trailing ` controller=mc<N>` field is appended.
-    pub fn structured_line(&self) -> String {
+impl std::fmt::Display for CellError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = match &self.kind {
             CellFailureKind::Panic(_) => "panic",
             CellFailureKind::Sim(_) => "sim",
             CellFailureKind::Timeout(_) => "timeout",
             CellFailureKind::Checkpoint(_) => "checkpoint",
         };
-        let detail = self.kind.to_string().replace('"', "'");
-        let mut line = format!(
+        write!(
+            f,
             "cell-failure policy=\"{}\" workload=\"{}\" seed={} kind={} \
-             attempt={} max_attempts={} elapsed_ms={} detail=\"{}\"",
+             elapsed_ms={} detail=\"{}\"",
             self.policy_label,
             self.workload_name,
             self.seed_value,
             kind,
-            self.attempts,
-            self.max_attempts,
             self.elapsed.as_millis(),
-            detail,
-        );
+            self.kind.to_string().replace('"', "'"),
+        )?;
         if let Some(mc) = self.controller {
-            line.push_str(&format!(" controller={mc}"));
+            write!(f, " controller={mc}")?;
         }
-        line
-    }
-}
-
-impl std::fmt::Display for CellError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "policy {} x workload {} (seed {}, attempt {}/{}, {} ms): {}",
-            self.policy_label,
-            self.workload_name,
-            self.seed_value,
-            self.attempts,
-            self.max_attempts,
-            self.elapsed.as_millis(),
-            self.kind,
-        )
+        Ok(())
     }
 }
 
@@ -534,7 +426,6 @@ impl Session {
             seeds: vec![0],
             weights: None,
             checkpoint: None,
-            retry: RetryPolicy::default(),
             on_cell: None,
             on_failure: None,
             pause: None,
@@ -542,22 +433,12 @@ impl Session {
         }
     }
 
-    /// Runs one policy on one workload (a 1×1 sweep cell).
+    /// Runs one policy on one workload (a 1×1 sweep cell; OS thread
+    /// weights go through [`Sweep::weights`]).
     pub fn eval(&self, policy: &PolicyKind, workload: &WorkloadSpec) -> EvalResult {
-        self.eval_weighted(policy, workload, None)
-    }
-
-    /// Like [`Session::eval`], with optional OS thread weights installed
-    /// on the policy before the run.
-    pub fn eval_weighted(
-        &self,
-        policy: &PolicyKind,
-        workload: &WorkloadSpec,
-        weights: Option<&[f64]>,
-    ) -> EvalResult {
         let t0 = Instant::now();
         let runs = AtomicU64::new(0);
-        let result = try_eval_cell(policy, workload, &self.rc, weights, 0, None, |p| {
+        let result = try_eval_cell(policy, workload, &self.rc, None, 0, None, |p| {
             self.alone_ipc_counted(p, &runs)
         })
         .unwrap_or_else(|err| panic!("cell evaluation failed: {err}"));
@@ -609,7 +490,7 @@ impl Session {
 /// Observer invoked for every produced cell (`resumed = true` when the
 /// cell was restored from a checkpoint rather than simulated).
 pub type CellHook = Box<dyn Fn(&SweepCell, bool) + Send + Sync>;
-/// Observer invoked for every exhausted cell failure.
+/// Observer invoked for every failed cell.
 pub type FailureHook = Box<dyn Fn(&CellError) + Send + Sync>;
 
 /// Declarative description of an experiment grid: policies × workloads
@@ -622,7 +503,6 @@ pub struct Sweep<'s> {
     seeds: Vec<u64>,
     weights: Option<Vec<f64>>,
     checkpoint: Option<PathBuf>,
-    retry: RetryPolicy,
     on_cell: Option<CellHook>,
     on_failure: Option<FailureHook>,
     pause: Option<Arc<AtomicBool>>,
@@ -637,7 +517,6 @@ impl std::fmt::Debug for Sweep<'_> {
             .field("seeds", &self.seeds)
             .field("weights", &self.weights)
             .field("checkpoint", &self.checkpoint)
-            .field("retry", &self.retry)
             .field("on_cell", &self.on_cell.is_some())
             .field("on_failure", &self.on_failure.is_some())
             .field("pause", &self.pause)
@@ -689,16 +568,9 @@ impl Sweep<'_> {
     /// stored as IEEE-754 bit patterns, not decimal), and simulates the
     /// rest. Entries it does not restore stay in the file; only a torn
     /// last line is cut off. Failed cells are never recorded, so a
-    /// resume retries them.
+    /// resume runs them again.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint = Some(path.into());
-        self
-    }
-
-    /// Replaces the default timeout-retry policy (two attempts with
-    /// seeded jittered backoff — see [`RetryPolicy`]).
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -712,8 +584,8 @@ impl Sweep<'_> {
         self
     }
 
-    /// Installs an observer called for every exhausted cell failure,
-    /// from the worker thread that observed it.
+    /// Installs an observer called for every failed cell, from the
+    /// worker thread that observed it.
     pub fn on_failure(mut self, hook: impl Fn(&CellError) + Send + Sync + 'static) -> Self {
         self.on_failure = Some(Box::new(hook));
         self
@@ -849,18 +721,20 @@ impl Sweep<'_> {
                 || self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
         };
 
-        // Each cell runs under `catch_unwind`; wall-clock timeouts are
-        // retried under the sweep's `RetryPolicy` (a fresh attempt gets
-        // a fresh deadline, separated by a deterministic seeded jittered
-        // backoff), while panics and typed simulator errors are
-        // deterministic and fail immediately. A failed cell never aborts
-        // the sweep — every other cell still produces its (bit-identical)
-        // result. The closure only *reads* session state across the
-        // unwind boundary (the alone-IPC cache takes its lock inside
-        // `alone_ipc`, never across a cell run), so a mid-cell panic
-        // cannot poison it.
-        let attempt_one = |p: usize, w: usize, s: usize| -> Result<EvalResult, CellFailureKind> {
-            catch_unwind(AssertUnwindSafe(|| {
+        // Each cell runs once, under `catch_unwind`. A failed cell never
+        // aborts the sweep — every other cell still produces its
+        // (bit-identical) result. The closure only *reads* session state
+        // across the unwind boundary (the alone-IPC cache takes its lock
+        // inside `alone_ipc`, never across a cell run), so a mid-cell
+        // panic cannot poison it.
+        type CellOutcome = Option<Result<SweepCell, Box<CellError>>>;
+        let eval_one = |i: usize| -> CellOutcome {
+            let (p, w, s) = indices[i];
+            if should_stop() {
+                return None; // skipped: resumable from the checkpoint
+            }
+            let t_cell = Instant::now();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
                 try_eval_cell(
                     &self.policies[p],
                     &self.workloads[w],
@@ -871,35 +745,13 @@ impl Sweep<'_> {
                     |profile| self.session.alone_ipc_counted(profile, &alone_runs),
                 )
             }))
-            .map_err(|payload| CellFailureKind::Panic(panic_message(payload)))?
-            .map_err(|err| match err {
-                SimError::Cancelled(cycle) => CellFailureKind::Timeout(cycle),
-                other => CellFailureKind::Sim(other),
-            })
-        };
-        type CellOutcome = Option<Result<SweepCell, Box<CellError>>>;
-        let eval_one = |i: usize| -> CellOutcome {
-            let (p, w, s) = indices[i];
-            if should_stop() {
-                return None; // skipped: resumable from the checkpoint
-            }
-            let cell_seed = workload_seed(&self.workloads[w]) ^ self.seeds[s];
-            let max_attempts = self.retry.max_attempts.max(1);
-            let t_cell = Instant::now();
-            let mut attempts = 0u32;
-            let outcome = loop {
-                attempts += 1;
-                match attempt_one(p, w, s) {
-                    Ok(result) => break Ok(result),
-                    Err(kind) => {
-                        if kind.is_retryable() && attempts < max_attempts && !should_stop() {
-                            std::thread::sleep(self.retry.backoff(cell_seed, attempts));
-                            continue;
-                        }
-                        break Err(kind);
-                    }
-                }
-            };
+            .map_err(|payload| CellFailureKind::Panic(panic_message(payload)))
+            .and_then(|run| {
+                run.map_err(|err| match err {
+                    SimError::Cancelled(cycle) => CellFailureKind::Timeout(cycle),
+                    other => CellFailureKind::Sim(other),
+                })
+            });
             // A checkpoint append failure (disk full, yanked volume)
             // must not panic: in the daemon that would kill the worker
             // thread, leaking its slot and leaving the job `Running`
@@ -949,8 +801,6 @@ impl Sweep<'_> {
                         policy_label: self.policies[p].label(),
                         workload_name: self.workloads[w].name.clone(),
                         seed_value: self.seeds[s],
-                        attempts,
-                        max_attempts,
                         elapsed,
                         kind,
                         controller,
@@ -983,7 +833,7 @@ impl Sweep<'_> {
                 Some(Err(err)) => {
                     // One stable, grep-able line per failed cell so CI
                     // logs surface failures without parsing the report.
-                    eprintln!("{}", err.structured_line());
+                    eprintln!("{err}");
                     failures.push(*err);
                 }
                 None => skipped += 1,
@@ -1058,8 +908,7 @@ pub struct SweepCell {
 pub struct SweepStats {
     /// Grid cells attempted (successful + failed).
     pub cells: usize,
-    /// Cells that failed after the retry policy (see
-    /// [`SweepResult::failures`]).
+    /// Cells that failed (see [`SweepResult::failures`]).
     pub failed: usize,
     /// Cells restored from a checkpoint instead of being simulated.
     pub resumed: usize,
@@ -1367,6 +1216,22 @@ mod tests {
         let avg = result.policy_average(1);
         assert!(avg.weighted_speedup > 0.0);
         assert_eq!(result.averages().len(), 2);
+    }
+
+    #[test]
+    fn policy_average_is_the_mean_of_the_policys_cells() {
+        let session = small_session();
+        let result = session
+            .sweep()
+            .policies([PolicyKind::Fcfs, PolicyKind::FrFcfs])
+            .workloads((0..3).map(|s| random_workload(s, 4, 0.5)))
+            .run();
+        let manual: f64 = (0..3)
+            .map(|w| result.get(1, w, 0).metrics.weighted_speedup)
+            .sum::<f64>()
+            / 3.0;
+        let avg = result.policy_average(1);
+        assert!((avg.weighted_speedup - manual).abs() < 1e-12);
     }
 
     #[test]

@@ -251,7 +251,7 @@ fn checkpoint_of_a_policy_subset_resumes_its_cells_into_a_larger_grid() {
 #[test]
 fn expired_deadline_surfaces_as_timeout_without_poisoning_the_sweep() {
     // A zero deadline cancels every cell at its first stride check; the
-    // failure is typed `Timeout`, labeled, and retried exactly once.
+    // failure is typed `Timeout`, labeled, and reported after one attempt.
     let rc = RunConfig::builder()
         .system(cfg(4))
         .horizon(60_000)
@@ -266,8 +266,8 @@ fn expired_deadline_surfaces_as_timeout_without_poisoning_the_sweep() {
     assert_eq!(result.failures().len(), 1);
     let failure = &result.failures()[0];
     assert!(matches!(failure.kind, CellFailureKind::Timeout(_)));
-    assert_eq!(failure.attempts, 2, "timeouts are retried once");
     let text = failure.to_string();
+    assert!(!text.contains("attempt"), "one attempt, no count: {text}");
     assert!(
         text.contains("fr-fcfs") || text.contains("FR-FCFS"),
         "{text}"

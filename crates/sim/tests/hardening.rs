@@ -164,7 +164,6 @@ fn sweep_isolates_a_panicking_cell() {
     assert_eq!(mixed.cells().len(), 4, "healthy cells all survive");
     for failure in mixed.failures() {
         assert_eq!(failure.policy, 1);
-        assert_eq!(failure.attempts, 1, "panics are deterministic: no retry");
         let text = failure.to_string();
         assert!(text.contains("panicked"), "failure text: {text}");
         assert!(text.contains("seed"), "failure text names the seed: {text}");

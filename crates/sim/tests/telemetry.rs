@@ -244,17 +244,15 @@ fn structured_failure_line_is_stable_and_greppable() {
         policy_label: "TCM".into(),
         workload_name: "mix3".into(),
         seed_value: 7,
-        attempts: 2,
-        max_attempts: 2,
         elapsed: std::time::Duration::from_millis(450),
         kind: CellFailureKind::Timeout(123_456),
         controller: None,
     };
-    let line = err.structured_line();
+    let line = err.to_string();
     assert!(
         line.starts_with(
             "cell-failure policy=\"TCM\" workload=\"mix3\" seed=7 kind=timeout \
-             attempt=2 max_attempts=2 elapsed_ms=450 detail=\""
+             elapsed_ms=450 detail=\""
         ),
         "unexpected shape: {line}"
     );
@@ -263,10 +261,9 @@ fn structured_failure_line_is_stable_and_greppable() {
     // splittable on `"`-delimited fields.
     let panicked = CellError {
         kind: CellFailureKind::Panic("boom \"inner\" quote".into()),
-        attempts: 1,
         ..err
     };
-    let line = panicked.structured_line();
+    let line = panicked.to_string();
     assert!(line.contains("kind=panic"), "{line}");
     assert!(line.contains("'inner'"), "{line}");
     assert_eq!(
@@ -280,6 +277,6 @@ fn structured_failure_line_is_stable_and_greppable() {
         controller: Some(tcm_types::ControllerId::new(1)),
         ..panicked
     };
-    let line = attributed.structured_line();
+    let line = attributed.to_string();
     assert!(line.ends_with(" controller=mc1"), "{line}");
 }

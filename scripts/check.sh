@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
-# Offline CI gate: the tier-1 check (`cargo build --release && cargo test
-# -q`, which the root manifest's default-members extend to every crate)
-# plus the vendored stand-ins' own tests, then clippy with warnings
-# denied and the smoke legs below.
+# Offline CI gate: a rustfmt check, the tier-1 check (`cargo build
+# --release && cargo test -q`, which the root manifest's default-members
+# extend to every crate) plus the vendored stand-ins' own tests, then
+# clippy with warnings denied and the smoke legs below.
 #
 # Everything here works without network access: the workspace vendors its
 # few external dependencies under vendor/ (see the workspace Cargo.toml).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Formatting drifts with every change unless something checks it.
+echo "==> cargo fmt --check"
+cargo fmt --all --check
 
 echo "==> cargo build --release"
 cargo build --release --offline
