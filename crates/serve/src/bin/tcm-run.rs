@@ -1161,12 +1161,11 @@ fn render_top(
     );
     let _ = writeln!(
         s,
-        "jobs     submitted {}  done {}  failed {}  cancelled {}  dropped-ev {}",
+        "jobs     submitted {}  done {}  failed {}  cancelled {}",
         g("tcm_serve_jobs_submitted_total"),
         by_state("done"),
         by_state("failed"),
         by_state("cancelled"),
-        g("tcm_trace_events_dropped_total"),
     );
     let rate = history.last().copied().unwrap_or(0.0);
     let _ = writeln!(
@@ -1513,7 +1512,15 @@ fn main() {
             .verify(verify)
             .chaos(chaos_empty.then(FaultPlan::none))
             .cell_deadline(cell_deadline)
-            .telemetry(resolved.telemetry.then(TelemetryConfig::default))
+            // `--metrics-json` alone needs the registry, not a trace ring.
+            .telemetry(resolved.telemetry.then(|| TelemetryConfig {
+                trace_capacity: if trace.is_some() {
+                    TelemetryConfig::default().trace_capacity
+                } else {
+                    0
+                },
+                ..TelemetryConfig::default()
+            }))
             .build(),
     );
     let mut sweep = session
@@ -1584,8 +1591,7 @@ fn main() {
         eprintln!("metrics -> {path}");
     }
     // A full trace ring silently truncates the event log; that must not
-    // pass as a clean run. (The daemon surfaces the same signal as the
-    // `tcm_trace_events_dropped_total` metric.)
+    // pass as a clean run.
     let dropped: u64 = result
         .cells()
         .iter()

@@ -7,8 +7,7 @@
 //! `subscribers` order at any position.
 //!
 //! The full metric catalog lives in DESIGN.md §9; every name is
-//! prefixed `tcm_serve_` except `tcm_trace_events_dropped_total`, which
-//! matches the one-shot runner's name for the same signal.
+//! prefixed `tcm_serve_`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

@@ -881,11 +881,6 @@ fn sweep_pass(
                 },
             );
             if let Some(snapshot) = &cell.result.telemetry {
-                if snapshot.dropped > 0 {
-                    cell_shared
-                        .metrics
-                        .add("tcm_trace_events_dropped_total", snapshot.dropped);
-                }
                 let summary = snapshot.metrics.summary();
                 broadcast(
                     &cell_shared,
@@ -944,7 +939,12 @@ fn run_sweep_job(
         RunConfig::builder()
             .system(cfg)
             .horizon(resolved.horizon)
-            .telemetry(resolved.telemetry.then(TelemetryConfig::default))
+            // A telemetry job broadcasts metric summaries only, so its
+            // sink keeps no trace ring.
+            .telemetry(resolved.telemetry.then(|| TelemetryConfig {
+                trace_capacity: 0,
+                ..TelemetryConfig::default()
+            }))
             .build(),
         Arc::clone(&shared.alone),
     );

@@ -80,7 +80,9 @@ pub const TELEMETRY_IMPL: &str = if cfg!(feature = "off") {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Ring-buffer capacity of the tracer, in events. When full, the
-    /// oldest event is dropped (and counted) per new event.
+    /// oldest event is dropped (and counted) per new event. Zero means
+    /// no trace: events are neither built nor counted, and only the
+    /// metrics registry records.
     pub trace_capacity: usize,
     /// Cycle stride between periodic samples (queue depth, bus
     /// utilization) taken by the simulator's event loop.
@@ -122,10 +124,6 @@ impl TraceBuffer {
     // snapshots keep their shape.
     #[cfg_attr(feature = "off", allow(dead_code))]
     fn push(&mut self, event: TraceEvent) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -202,12 +200,13 @@ impl Telemetry {
         self.inner.as_ref().map(|s| s.config.sample_interval)
     }
 
-    /// Records one trace event. The closure runs only when a sink is
-    /// attached, so a disabled handle pays one pointer test.
+    /// Records one trace event. The closure runs only when a sink with
+    /// a trace ring is attached, so a disabled handle pays one pointer
+    /// test and a metrics-only sink one more compare.
     #[inline]
     pub fn emit(&self, event: impl FnOnce() -> TraceEvent) {
         #[cfg(not(feature = "off"))]
-        if let Some(shared) = &self.inner {
+        if let Some(shared) = self.inner.as_ref().filter(|s| s.config.trace_capacity > 0) {
             lock(&shared.tracer).push(event());
         }
         #[cfg(feature = "off")]
@@ -297,6 +296,8 @@ mod tests {
         );
     }
 
+    /// A zero capacity is a metrics-only sink: no event is built, kept
+    /// or counted as dropped, and the registry still records.
     #[cfg(not(feature = "off"))]
     #[test]
     fn zero_capacity_drops_everything() {
@@ -304,14 +305,12 @@ mod tests {
             trace_capacity: 0,
             ..TelemetryConfig::default()
         });
-        t.emit(|| TraceEvent::BankPrecharge {
-            cycle: 1,
-            channel: 0,
-            bank: 0,
-        });
+        t.emit(|| unreachable!("a metrics-only sink builds no trace event"));
+        t.with_metrics(|m| m.add("x", 1));
         let snap = t.snapshot().unwrap();
         assert!(snap.events.is_empty());
-        assert_eq!(snap.dropped, 1);
+        assert_eq!(snap.dropped, 0);
+        assert_eq!(snap.metrics.counter("x"), Some(1));
     }
 
     #[cfg(feature = "off")]
