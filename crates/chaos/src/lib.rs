@@ -325,7 +325,7 @@ impl FaultPlan {
     /// Checks every fault's channel/controller address against
     /// `topology`, so a mistargeted plan is a typed config error at
     /// plan-install time instead of silently aliasing onto the wrong
-    /// shard. Channel-sited faults are routed through
+    /// controller. Channel-sited faults are routed through
     /// `Topology::partition`; all other faults must name an existing
     /// controller.
     ///

@@ -109,10 +109,6 @@ impl Scheduler for TcmController {
         self.priority.clear();
         self.priority.extend_from_slice(&plan.priorities);
     }
-
-    fn observes_completions(&self) -> bool {
-        false
-    }
 }
 
 /// The central TCM meta-controller (paper §5.3): aggregates every

@@ -604,10 +604,6 @@ impl Scheduler for Tcm {
     fn degradation_events(&self) -> &[DegradationAnomaly] {
         &self.anomalies
     }
-
-    fn observes_completions(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

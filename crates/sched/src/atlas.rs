@@ -152,10 +152,6 @@ impl Scheduler for Atlas {
         }
         self.recompute_priorities();
     }
-
-    fn observes_completions(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

@@ -69,10 +69,6 @@ impl Scheduler for ChaosScheduler {
         self.inner.on_complete(req, now);
     }
 
-    fn observes_completions(&self) -> bool {
-        self.inner.observes_completions()
-    }
-
     /// Before the spin cycle: the inner timer, clamped so a tick lands at
     /// `spin_at` even if the inner policy never ticks. From the spin
     /// cycle on: `Some(now)` — a timer that refuses to advance, which the

@@ -81,10 +81,6 @@ impl Scheduler for FairQueueing {
             *vt = (*vt).max(min);
         }
     }
-
-    fn observes_completions(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

@@ -31,10 +31,6 @@ impl Scheduler for FrFcfs {
     fn pick(&mut self, pending: &[Request], ctx: &PickContext) -> usize {
         pick_max_by_key(pending, |r| (row_hit(r, ctx.open_row), age_key(r)))
     }
-
-    fn observes_completions(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

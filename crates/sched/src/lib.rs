@@ -208,18 +208,6 @@ pub trait Scheduler: std::fmt::Debug + Send {
     /// Called when a request's data returns to the core.
     fn on_complete(&mut self, _req: &Request, _now: Cycle) {}
 
-    /// Whether [`Scheduler::on_complete`] does anything for this policy.
-    ///
-    /// A multi-controller machine delivers a completion to the owning
-    /// controller as a second event, so it is sent only to policies
-    /// that answer `true`. The default is `true`, so a policy or
-    /// wrapper that does not override this still gets every
-    /// completion; policies whose `on_complete` is a no-op answer
-    /// `false`, and wrappers forward their inner policy's answer.
-    fn observes_completions(&self) -> bool {
-        true
-    }
-
     /// The next cycle strictly after `now` at which [`Scheduler::tick`]
     /// should run, or `None` for policies without timers.
     fn next_tick(&self, _now: Cycle) -> Option<Cycle> {
@@ -273,12 +261,11 @@ pub trait Scheduler: std::fmt::Debug + Send {
 /// [`ClusterPlan`] broadcast back to them (paper §5.3).
 ///
 /// The simulation engine drives the protocol: at each cycle returned by
-/// [`MetaScheduler::next_tick`] it stops every controller at a barrier,
-/// calls [`Scheduler::quantum_exchange`] on each controller's policy,
-/// hands the samples (in controller order) to
-/// [`MetaScheduler::exchange`], and installs the resulting plan via
-/// [`Scheduler::apply_broadcast`] on every controller before any of
-/// them schedules another request.
+/// [`MetaScheduler::next_tick`] the meta-controller's timer event calls
+/// [`Scheduler::quantum_exchange`] on each controller's policy, hands
+/// the samples (in controller order) to [`MetaScheduler::exchange`], and
+/// installs the resulting plan via [`Scheduler::apply_broadcast`] on
+/// every controller before the engine processes another event.
 pub trait MetaScheduler: std::fmt::Debug + Send {
     /// The next cycle strictly after `now` at which the meta-controller
     /// must run an exchange, or `None` if it never needs one.

@@ -180,10 +180,6 @@ impl Scheduler for ParBs {
             }
         }
     }
-
-    fn observes_completions(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

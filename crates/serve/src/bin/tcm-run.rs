@@ -1339,8 +1339,8 @@ fn usage() -> ! {
          --cell-deadline fails any cell exceeding SECS wall-clock as a timeout\n\
          --bench-json times the fixed paper-lineup sweep and writes the record to FILE\n\
          --chaos-smoke runs the fault-injection smoke campaign and exits (a\n\
-         \x20          multi-controller --topology runs it on the window loop, covering\n\
-         \x20          the coordination fault classes)\n\
+         \x20          multi-controller --topology also covers the coordination fault\n\
+         \x20          classes)\n\
          --chaos-empty installs an empty fault plan on every run: detectors armed,\n\
          \x20          zero faults (benches use it to prove the inert layer is free)\n\
          --trace writes the telemetry event log to FILE (jsonl by default; chrome is\n\

@@ -3,9 +3,9 @@
 //! crosses a TCM quantum, so each fixture carries the end-of-run
 //! catalog, the queue-depth histograms, the sampled series and the
 //! `bw_share` series. The flat machine and the 2x2 machine each have
-//! one; the 2x2 document also pins the window loop's event counters
-//! (`events{kind}`, `event_queue_far_pushes`), the per-channel series
-//! and the `{controller=i}` aggregates.
+//! one; the 2x2 document also pins the `{controller=i}` aggregates.
+//! Both machines step on one event loop, so apart from those aggregates
+//! the two documents agree.
 
 use std::process::Command;
 

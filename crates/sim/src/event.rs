@@ -1,6 +1,5 @@
-//! Deterministic event queue for both of [`System`](crate::System)'s
-//! stepping rules: the flat loop's global queue, and the window loop's
-//! core-side and per-shard queues.
+//! Deterministic event queue: the one `(cycle, seq)` queue that
+//! [`System`](crate::System)'s event loop pops, whatever the topology.
 //!
 //! It is a calendar queue (R. Brown, "Calendar Queues", CACM 1988) with
 //! one bucket per cycle. Each cycle of the *near window*
@@ -17,11 +16,11 @@
 //!
 //! Pushing before the last popped cycle is a caller bug and panics in
 //! every build. A bounded pop that finds nothing due leaves the window
-//! alone, so the window loop may still push arrivals up to its bound.
+//! alone.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use tcm_types::{BankId, ChannelId, Cycle, Request, ThreadId};
+use tcm_types::{BankId, ChannelId, ControllerId, Cycle, Request, ThreadId};
 
 /// Width of the near window in cycles: a power of two, wide enough that
 /// completions, bank wakeups and core bursts almost never go far.
@@ -53,26 +52,28 @@ pub enum Event {
         /// The completed request.
         request: Request,
     },
-    /// The scheduling policy's timer (quantum / shuffle boundary).
-    SchedTick,
-    /// A request reaches its memory controller (a shard's queue only:
-    /// the flat loop admits requests as their burst injects).
-    Arrival {
-        /// The arriving request.
-        request: Request,
+    /// A policy timer fires (quantum / shuffle boundary).
+    SchedTick {
+        /// Whose timer.
+        timer: Timer,
     },
+}
+
+/// Whose timer an [`Event::SchedTick`] fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Timer {
+    /// The policy instance of one memory controller.
+    Controller(ControllerId),
+    /// The meta-controller coordinating the controllers' policies: the
+    /// paper's §5.3 quantum exchange.
+    Meta,
 }
 
 impl Event {
     /// The `kind` label of each variant in the metric catalog, indexed
     /// by [`Event::kind`].
-    pub(crate) const KINDS: [&'static str; 5] = [
-        "core_burst",
-        "bank_ready",
-        "completion",
-        "sched_tick",
-        "arrival",
-    ];
+    pub(crate) const KINDS: [&'static str; 4] =
+        ["core_burst", "bank_ready", "completion", "sched_tick"];
 
     /// Index of this event's variant in [`Event::KINDS`].
     pub(crate) fn kind(&self) -> usize {
@@ -80,30 +81,19 @@ impl Event {
             Event::CoreBurst { .. } => 0,
             Event::BankReady { .. } => 1,
             Event::Completion { .. } => 2,
-            Event::SchedTick => 3,
-            Event::Arrival { .. } => 4,
+            Event::SchedTick { .. } => 3,
         }
     }
 }
 
-/// Deterministic counters of one queue, or summed over a machine's
-/// queues; absorbed into the metric catalog at the end of a run.
+/// Deterministic counters of one queue, absorbed into the metric
+/// catalog at the end of a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct EventCounts {
     /// Events popped, by [`Event::kind`].
-    pub(crate) popped: [u64; 5],
+    pub(crate) popped: [u64; 4],
     /// Pushes that landed at or beyond the near window's end.
     pub(crate) far_pushes: u64,
-}
-
-impl std::ops::AddAssign for EventCounts {
-    fn add_assign(&mut self, other: Self) {
-        self.popped
-            .iter_mut()
-            .zip(other.popped)
-            .for_each(|(a, b)| *a += b);
-        self.far_pushes += other.far_pushes;
-    }
 }
 
 /// One queued event and the next node of its slot's FIFO (meaningless
@@ -309,12 +299,7 @@ mod tests {
         }
     }
 
-    fn arrival(channel: usize, id: u64) -> Event {
-        match completion(channel, id) {
-            Event::Completion { request } => Event::Arrival { request },
-            _ => unreachable!(),
-        }
-    }
+    const TICK: Event = Event::SchedTick { timer: Timer::Meta };
 
     fn drain(q: &mut EventQueue) -> Vec<(Cycle, Event)> {
         std::iter::from_fn(|| q.pop()).collect()
@@ -323,9 +308,9 @@ mod tests {
     #[test]
     fn events_pop_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(30, Event::SchedTick);
-        q.push(10, Event::SchedTick);
-        q.push(20, Event::SchedTick);
+        q.push(30, TICK);
+        q.push(10, TICK);
+        q.push(20, TICK);
         let order: Vec<Cycle> = drain(&mut q).into_iter().map(|(c, _)| c).collect();
         assert_eq!(order, vec![10, 20, 30]);
     }
@@ -369,13 +354,13 @@ mod tests {
         let mut q = EventQueue::new();
         let pushes = [
             completion(1, 100),
-            Event::SchedTick,
+            TICK,
             completion(0, 101),
             Event::BankReady {
                 channel: ChannelId::new(1),
                 bank: BankId::new(3),
             },
-            arrival(1, 4),
+            completion(1, 4),
         ];
         for e in pushes {
             q.push(5, e);
@@ -391,9 +376,9 @@ mod tests {
         // Both beyond the window: they wait in the far heap.
         q.push(w + 7, completion(0, 1));
         q.push(w + 7, completion(0, 2));
-        q.push(8, Event::SchedTick);
+        q.push(8, TICK);
         assert_eq!(q.counts.far_pushes, 2);
-        assert_eq!(q.pop(), Some((8, Event::SchedTick)));
+        assert_eq!(q.pop(), Some((8, TICK)));
         // The window now covers `w + 7`: the far events moved into its
         // slot, so this direct push queues behind them.
         q.push(w + 7, completion(0, 3));
@@ -406,7 +391,7 @@ mod tests {
             })
             .collect();
         assert_eq!(ids, vec![1, 2, 3]);
-        assert_eq!(q.counts.popped, [0, 0, 3, 1, 0]);
+        assert_eq!(q.counts.popped, [0, 0, 3, 1]);
     }
 
     #[test]
@@ -416,12 +401,12 @@ mod tests {
         for round in 0..5 {
             // Each round starts where the previous one popped last.
             let at = round * (w - 1) + 10;
-            q.push(at, Event::SchedTick);
-            assert_eq!(q.pop(), Some((at, Event::SchedTick)));
+            q.push(at, TICK);
+            assert_eq!(q.pop(), Some((at, TICK)));
             // The slot just below `at`'s: reached only by wrapping.
             q.push(at + w - 1, completion(0, round));
-            q.push(at + 1, Event::SchedTick);
-            assert_eq!(q.pop(), Some((at + 1, Event::SchedTick)));
+            q.push(at + 1, TICK);
+            assert_eq!(q.pop(), Some((at + 1, TICK)));
             assert_eq!(q.peek_cycle(), Some(at + w - 1));
             assert_eq!(q.pop(), Some((at + w - 1, completion(0, round))));
         }
@@ -432,7 +417,7 @@ mod tests {
     #[test]
     fn pop_at_or_before_respects_bound() {
         let mut q = EventQueue::new();
-        q.push(10, Event::SchedTick);
+        q.push(10, TICK);
         q.push(20, completion(0, 7));
         assert_eq!(q.pop_at_or_before(5), None);
         assert_eq!(q.pop_at_or_before(10).map(|(c, _)| c), Some(10));
@@ -444,13 +429,13 @@ mod tests {
     #[test]
     fn refused_pop_leaves_the_window_alone() {
         let mut q = EventQueue::new();
-        q.push(10, Event::SchedTick);
+        q.push(10, TICK);
         q.push(10 + 3 * WINDOW as Cycle, completion(0, 1));
         assert_eq!(q.pop_at_or_before(100).map(|(c, _)| c), Some(10));
         assert_eq!(q.pop_at_or_before(100), None);
         // Still legal: the refused pop did not move past cycle 10.
-        q.push(50, arrival(0, 2));
-        assert_eq!(q.pop(), Some((50, arrival(0, 2))));
+        q.push(50, completion(0, 2));
+        assert_eq!(q.pop(), Some((50, completion(0, 2))));
         assert_eq!(q.pop().map(|(c, _)| c), Some(10 + 3 * WINDOW as Cycle));
     }
 
@@ -458,9 +443,9 @@ mod tests {
     #[should_panic(expected = "event pushed at cycle 9, before the last popped cycle 10")]
     fn push_before_the_last_pop_panics() {
         let mut q = EventQueue::new();
-        q.push(10, Event::SchedTick);
+        q.push(10, TICK);
         q.pop();
-        q.push(9, Event::SchedTick);
+        q.push(9, TICK);
     }
 
     #[test]
@@ -468,7 +453,7 @@ mod tests {
         let w = WINDOW as Cycle;
         let pushes = [
             (5, completion(0, 1)),
-            (3, Event::SchedTick),
+            (3, TICK),
             (5, completion(1, 2)),
             (
                 5,
@@ -479,9 +464,9 @@ mod tests {
             ),
             (w + 4, completion(0, 3)),
             (5, completion(0, 4)),
-            (w + 6, arrival(1, 5)),
-            (2, arrival(0, 6)),
-            (6, arrival(0, 7)),
+            (w + 6, completion(1, 5)),
+            (2, completion(0, 6)),
+            (6, completion(0, 7)),
         ];
         // Reference mode switched on before any push, and after some,
         // as the systems' test hooks do once the cores are bootstrapped.
@@ -503,7 +488,7 @@ mod tests {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_cycle(), None);
-        q.push(7, Event::SchedTick);
+        q.push(7, TICK);
         assert_eq!(q.peek_cycle(), Some(7));
         assert_eq!(q.len(), 1);
         q.pop();

@@ -4,10 +4,10 @@
 //! end (`tcm-cpu` cores fed by `tcm-workload` trace generators) and one
 //! memory controller per controller of the topology (`tcm-dram`
 //! channels under a `tcm-sched` policy). One engine type, [`System`],
-//! simulates every topology with two deterministic stepping rules: a
-//! single-controller machine pops one global event queue, and a machine
-//! with two or more controllers steps one queue per controller in
-//! barrier-synchronized windows, coordinated by a meta-controller.
+//! simulates every topology with one deterministic stepping rule: it
+//! pops one global `(cycle, seq)` event queue and routes each event to
+//! the controller owning its channel, and on two or more controllers a
+//! meta-controller's timer runs the paper's §5.3 quantum exchange.
 //!
 //! Experiments run through the [`Session`] / [`Sweep`] layer: a session
 //! fixes the machine configuration and caches alone-run IPCs, a sweep
@@ -67,13 +67,12 @@ pub use checkpoint::parse_entry as parse_checkpoint_entry;
 pub use durable::write_durable;
 #[doc(hidden)]
 pub use event::WINDOW as EVENT_WINDOW;
-pub use event::{Event, EventQueue};
+pub use event::{Event, EventQueue, Timer};
 pub use machine::{RunResult, DEFAULT_STALL_LIMIT};
 pub use metrics::{mean, variance, workload_metrics, IpcPair, WorkloadMetrics};
-pub use multi::MultiSystem;
 pub use runner::{EvalResult, PolicyKind, RunConfig, RunConfigBuilder, PAPER_LINEUP_LABELS};
 pub use sweep::{
     AloneIpcCache, CellError, CellFailureKind, ProfileFingerprint, Session, SessionStats, Sweep,
     SweepCell, SweepResult, SweepStats,
 };
-pub use system::System;
+pub use system::{MultiSystem, System};

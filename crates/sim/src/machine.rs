@@ -1,9 +1,6 @@
-//! The simulated hardware that [`System`](crate::System) steps.
-//!
-//! `System` has two stepping rules — the flat loop pops one global
-//! `(cycle, seq)` queue, the window loop steps one queue per controller
-//! in barrier-synchronized windows — and both drive the same parts,
-//! defined here once:
+//! The simulated hardware that [`System`](crate::System) steps: its
+//! event loop pops one `(cycle, seq)` queue and drives these parts,
+//! whatever the topology:
 //!
 //! * [`Controller`] — one memory controller: its channels, its
 //!   scheduling policy, its spill queues, admission and the scheduling
@@ -17,16 +14,15 @@
 //!   sampler, and [`FrontEnd::stall_report`] fills a watchdog report.
 //!
 //! A controller never owns an event queue. Callers pass their clock and
-//! an [`Outlet`], which receives each issued request's completion and
-//! bank wakeup: the flat loop's outlet is its global queue; a shard's
-//! sends the completion to the core-side queue and the wakeup to its own.
+//! the system's queue, which receives each issued request's completion
+//! and bank wakeup.
 
 use crate::event::{Event, EventCounts, EventQueue};
 use std::collections::VecDeque;
 use std::ops::Range;
 use tcm_chaos::FaultPlan;
 use tcm_cpu::{Core, CoreStatus};
-use tcm_dram::{Channel, ServiceOutcome};
+use tcm_dram::Channel;
 use tcm_sched::{ChaosScheduler, PickContext, Scheduler, SystemView};
 use tcm_telemetry::{labeled, Histogram, Telemetry};
 use tcm_types::{
@@ -70,28 +66,6 @@ pub struct RunResult {
     pub peak_queue: usize,
 }
 
-/// Where a controller sends the request it just issued: its completion
-/// (data back at the core) and its bank's next wakeup.
-pub(crate) trait Outlet {
-    /// Takes the outcome of one issue at `(channel, bank)`.
-    fn issued(&mut self, outcome: &ServiceOutcome, channel: ChannelId, bank: BankId);
-}
-
-/// The flat loop's outlet: completion first, then the wakeup, both on
-/// the one global queue.
-impl Outlet for EventQueue {
-    #[inline]
-    fn issued(&mut self, outcome: &ServiceOutcome, channel: ChannelId, bank: BankId) {
-        self.push(
-            outcome.completes_at,
-            Event::Completion {
-                request: outcome.request,
-            },
-        );
-        self.push(outcome.bank_free, Event::BankReady { channel, bank });
-    }
-}
-
 /// One memory controller: a contiguous run of channels, the scheduling
 /// policy instance that picks among their requests, and the per-channel
 /// spill queues that hold requests a full buffer turned away.
@@ -104,6 +78,8 @@ pub(crate) struct Controller {
     channel_base: usize,
     channels: Vec<Channel>,
     pub(crate) scheduler: Box<dyn Scheduler>,
+    /// Whether the policy's timer has a `SchedTick` queued.
+    pub(crate) tick_pending: bool,
     /// Requests that found their channel's buffer full, waiting to be
     /// admitted (hardware would backpressure; semantics preserved:
     /// arrival order per channel).
@@ -156,6 +132,7 @@ impl Controller {
             admitted_below: vec![0; channels.len()],
             channels,
             scheduler,
+            tick_pending: false,
             spilled: 0,
             spill_bound: cfg.num_threads * cfg.mshrs_per_core,
             num_threads: cfg.num_threads,
@@ -243,26 +220,37 @@ impl Controller {
 
     /// Runs a scheduling decision for every idle bank of local channel
     /// `local` with pending work, in bank order.
-    pub(crate) fn schedule_idle_banks(&mut self, local: usize, now: Cycle, out: &mut impl Outlet) {
+    pub(crate) fn schedule_idle_banks(
+        &mut self,
+        local: usize,
+        now: Cycle,
+        events: &mut EventQueue,
+    ) {
         // Snapshot the decision list into the reused scratch (decide()
         // needs &mut self, so the borrow can't stay live).
         let mut banks = std::mem::take(&mut self.scratch_banks);
         banks.clear();
         banks.extend(self.channels[local].schedulable_banks(now));
         for &bank in &banks {
-            self.decide(local, bank, now, out);
+            self.decide(local, bank, now, events);
         }
         self.scratch_banks = banks;
     }
 
     /// Consults the policy and issues one request at `(local, bank)`,
-    /// handing the outcome to `out`.
+    /// queueing its completion, then its bank's wakeup.
     ///
     /// Allocation-free: the policy sees the bank's pending lane as a
     /// borrowed slice and the channel's buffer by reference (disjoint
     /// field borrows let `self.scheduler` be consulted while both borrow
     /// `self.channels`).
-    pub(crate) fn decide(&mut self, local: usize, bank: BankId, now: Cycle, out: &mut impl Outlet) {
+    pub(crate) fn decide(
+        &mut self,
+        local: usize,
+        bank: BankId,
+        now: Cycle,
+        events: &mut EventQueue,
+    ) {
         let channel = ChannelId::new(self.channel_base + local);
         let ctx = PickContext {
             now,
@@ -278,7 +266,13 @@ impl Controller {
         let outcome = self.channels[local].issue_at(bank.index(), idx, now, &self.timing);
         let remaining = self.channels[local].pending_for_bank(bank);
         self.scheduler.on_service(&outcome, remaining, now);
-        out.issued(&outcome, channel, bank);
+        events.push(
+            outcome.completes_at,
+            Event::Completion {
+                request: outcome.request,
+            },
+        );
+        events.push(outcome.bank_free, Event::BankReady { channel, bank });
         // Freed buffer space: admit spilled requests.
         self.drain_spill(local, now);
     }
@@ -290,13 +284,13 @@ impl Controller {
         local: usize,
         bank: BankId,
         now: Cycle,
-        out: &mut impl Outlet,
+        events: &mut EventQueue,
     ) {
         self.drain_spill(local, now);
         if self.channels[local].bank_idle_ready(bank, now)
             && self.channels[local].queue().has_pending_for_bank(bank)
         {
-            self.decide(local, bank, now, out);
+            self.decide(local, bank, now, events);
         }
     }
 
@@ -613,9 +607,9 @@ impl FrontEnd {
 
     /// The per-thread counter view a policy timer reads: retired
     /// instructions and misses from the cores, service summed over
-    /// `controllers`. Built in reused scratch buffers: timers fire every
-    /// barrier for some policies, and allocating three vectors per firing
-    /// was measurable.
+    /// `controllers`. Built in reused scratch buffers: some policies'
+    /// timers fire often, and allocating three vectors per firing was
+    /// measurable.
     pub(crate) fn view<'a>(
         &mut self,
         controllers: impl IntoIterator<Item = &'a Controller>,

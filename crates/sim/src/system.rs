@@ -1,18 +1,19 @@
 //! The simulated machine's one engine type, [`System`]: the core front
 //! end, one [`Controller`] per memory controller of the topology, and —
 //! for coordinated policies — the paper's §5.3 meta-controller.
-//! Everything except the order of time lives here once. Two stepping
-//! rules advance it, and [`System::try_run`] picks one by controller
-//! count:
 //!
-//! * **one controller**: the flat event loop below, which pops one
-//!   global `(cycle, seq)` queue;
-//! * **two or more**: the window loop of the `multi` module, which
-//!   steps one queue per controller in barrier-synchronized windows.
+//! One stepping rule advances every topology: [`System::try_run`] pops
+//! one global `(cycle, seq)` event queue. A burst's requests go to the
+//! controller owning their channel, each bank wakeup and completion to
+//! the controller owning the bank, and each policy timer — one per
+//! controller, plus the meta-controller's — is an event of its own. So
+//! a flat machine and any grouping of its channels into controllers
+//! make the same decisions in the same order; only the policy state
+//! split across controllers, and the §5.3 exchange that merges it (the
+//! `multi` module), can tell them apart.
 
-use crate::event::{Event, EventQueue};
+use crate::event::{Event, EventQueue, Timer};
 use crate::machine::{sample_series, Controller, FrontEnd, RunResult, DEFAULT_STALL_LIMIT};
-use crate::multi::Windows;
 use crate::runner::PolicyKind;
 use std::cmp::Reverse;
 use std::ops::Range;
@@ -37,7 +38,7 @@ pub const CANCEL_CHECK_STRIDE: u64 = 4096;
 /// at quantum boundaries (paper §5.3).
 ///
 /// Drive it with [`System::run`]; everything else is plumbing fed by the
-/// event queues. Identical inputs (workload, seed base, config, policy)
+/// event queue. Identical inputs (workload, seed base, config, policy)
 /// produce bit-identical results, including under a fault-injection
 /// plan (see [`System::install_chaos`]).
 ///
@@ -76,8 +77,13 @@ pub struct System {
     /// The meta-controller coordinating the controllers' policies, for a
     /// coordinated policy on two or more controllers.
     pub(crate) meta: Option<Box<dyn MetaScheduler>>,
-    /// The flat loop's one global queue; under the window rule, the
-    /// core-side queue (bursts and completions).
+    /// Whether the meta-controller's timer has a `SchedTick` queued.
+    meta_tick_pending: bool,
+    /// Armed coordination faults (controller blackout / monitor skew),
+    /// applied to the harvested sample vector at the next quantum
+    /// exchange at or after their cycle. Fire-once: removed when fired.
+    pub(crate) coordination: Vec<FaultSpec>,
+    /// The one event queue.
     pub(crate) events: EventQueue,
     pub(crate) now: Cycle,
     /// Watchdog: declare the run stalled when requests are outstanding
@@ -87,8 +93,8 @@ pub struct System {
     /// cancelled.
     pub(crate) cancel: Option<CancelToken>,
     /// Whether any channel has the protocol checker armed (mirror of
-    /// `verification_enabled()`, so the flat loop's per-event fault poll
-    /// skips the per-channel walk when nothing can ever be reported).
+    /// `verification_enabled()`, so the per-event fault poll skips the
+    /// per-channel walk when nothing can ever be reported).
     verify_armed: bool,
     /// Armed spill-flood fault: at its cycle, phantom requests are
     /// admitted until the target channel's spill queue outgrows its
@@ -100,8 +106,6 @@ pub struct System {
     /// Next cycle at which the time-series sampler fires (`Cycle::MAX`
     /// when telemetry is disabled — the per-event check is one compare).
     pub(crate) next_sample: Cycle,
-    // The flat loop's own state.
-    sched_tick_pending: bool,
     /// Events processed at the current cycle (livelock guard).
     events_at_now: u64,
     /// Ceiling on `events_at_now`; exceeding it means the event loop is
@@ -124,9 +128,6 @@ pub struct System {
     /// Scratch: per-channel "this burst touched it" flags (reused, reset
     /// after each injection).
     touched_channels: Vec<bool>,
-    /// The window loop's own state: one local queue and timer per
-    /// controller (none on a flat machine).
-    pub(crate) windows: Windows,
 }
 
 impl System {
@@ -241,10 +242,11 @@ impl System {
             .collect();
         let mut sys = Self {
             front,
-            windows: Windows::new(ctls.len(), cfg),
             ctls,
             owner,
             meta,
+            meta_tick_pending: false,
+            coordination: Vec::new(),
             events: EventQueue::new(),
             now: 0,
             stall_limit: Some(DEFAULT_STALL_LIMIT),
@@ -253,10 +255,9 @@ impl System {
             chaos_flood: None,
             telemetry: Telemetry::disabled(),
             next_sample: Cycle::MAX,
-            sched_tick_pending: false,
             events_at_now: 0,
             // Per cycle the loop legitimately processes at most one event
-            // per thread, a couple per bank, and one scheduler tick; 1024x
+            // per thread, a couple per bank, and a few timer ticks; 1024x
             // that is unreachable without a same-cycle spin.
             livelock_limit: 1024 * (cfg.num_threads + cfg.total_banks() + 4) as u64,
             cancel_countdown: 0,
@@ -278,7 +279,7 @@ impl System {
 
     /// Has no effect: every cell runs on one thread. Kept only because
     /// the `perf/` benchmark package calls it; it goes with that
-    /// package's next change (ROADMAP item 2).
+    /// package's next change (ROADMAP item 3).
     pub fn set_hosts(&mut self, _hosts: usize) {}
 
     /// Turns on the DRAM protocol invariant checker on every channel
@@ -316,10 +317,10 @@ impl System {
         };
     }
 
-    /// Installs a cooperative cancellation token. The flat loop polls it
-    /// every `CANCEL_CHECK_STRIDE` events, the window loop at every
-    /// barrier, and either surfaces [`SimError::Cancelled`] once it
-    /// fires; `None` (the default) makes the run uncancellable.
+    /// Installs a cooperative cancellation token. The event loop polls it
+    /// every `CANCEL_CHECK_STRIDE` events and surfaces
+    /// [`SimError::Cancelled`] once it fires; `None` (the default) makes
+    /// the run uncancellable.
     pub fn set_cancel_token(&mut self, token: Option<CancelToken>) {
         self.cancel = token;
     }
@@ -350,14 +351,13 @@ impl System {
         self.next_sample = telemetry.sample_interval().unwrap_or(Cycle::MAX);
     }
 
-    /// Test hook: sends all future event pushes, on every queue, to the
-    /// queue's far heap, the pure binary-heap order (see
-    /// `EventQueue::set_reference_mode`), so equivalence tests can prove
-    /// the calendar wheel is bit-identical.
+    /// Test hook: sends all future event pushes to the queue's far heap,
+    /// the pure binary-heap order (see `EventQueue::set_reference_mode`),
+    /// so equivalence tests can prove the calendar wheel is
+    /// bit-identical.
     #[doc(hidden)]
     pub fn set_reference_event_order(&mut self, on: bool) {
         self.events.set_reference_mode(on);
-        self.windows.set_reference_mode(on);
     }
 
     /// Installs a fault-injection plan (see the `tcm-chaos` crate).
@@ -368,9 +368,9 @@ impl System {
     /// none), the spill flood to the owning controller's admission path,
     /// each scheduler spin to its controller's policy (wrapped in a
     /// [`ChaosScheduler`](tcm_sched::ChaosScheduler)), and coordination
-    /// faults (controller blackout / monitor skew) to the window loop's
-    /// quantum-exchange harvest; a flat machine has no exchange, so
-    /// they are inert there.
+    /// faults (controller blackout / monitor skew) to the quantum
+    /// exchange's harvest; a machine without a meta-controller has no
+    /// exchange, so they are inert there.
     ///
     /// Also enables protocol verification on every channel: injecting
     /// faults without the detectors armed would be undetectable by
@@ -392,7 +392,7 @@ impl System {
         }
         self.chaos_flood = plan.flood();
         self.chaos_flood_at = self.chaos_flood.map_or(Cycle::MAX, |f| f.at);
-        self.windows.coordination = plan.coordination_faults().collect();
+        self.coordination = plan.coordination_faults().collect();
         let mut spun = false;
         for (i, ctl) in self.ctls.iter_mut().enumerate() {
             if let Some(spin_at) = plan.spin_for(i) {
@@ -412,7 +412,7 @@ impl System {
     /// channel back to back, with no scheduling pass between them, so
     /// its buffer and spill queue both overflow and the controller's
     /// resource-bound detector trips at `at`.
-    pub(crate) fn flood(&mut self, fault: FaultSpec, at: Cycle) {
+    fn flood(&mut self, fault: FaultSpec, at: Cycle) {
         self.telemetry.emit(|| TraceEvent::ChaosInjected {
             cycle: at,
             kind: FaultKind::SpillFlood,
@@ -448,41 +448,61 @@ impl System {
         }
     }
 
-    /// Arms the policy timers at the current cycle: the flat loop's
-    /// `SchedTick` event, or every controller's and the
-    /// meta-controller's timer under the window rule.
+    /// Queues every policy timer not already queued, at its next due
+    /// cycle after now: the meta-controller's first, then each
+    /// controller's in controller order.
     fn arm_timers(&mut self) {
-        if self.ctls.len() == 1 {
-            self.schedule_next_tick();
-        } else {
-            self.windows.arm(&self.ctls, self.meta.as_deref(), self.now);
+        self.schedule_meta_tick();
+        for c in 0..self.ctls.len() {
+            self.schedule_tick(c);
         }
     }
 
-    fn schedule_next_tick(&mut self) {
-        if self.sched_tick_pending {
+    /// Queues controller `c`'s policy timer unless it is queued already
+    /// or the policy has none.
+    fn schedule_tick(&mut self, c: usize) {
+        let ctl = &mut self.ctls[c];
+        if ctl.tick_pending {
             return;
         }
-        if let Some(at) = self.ctls[0].scheduler.next_tick(self.now) {
-            self.events.push(at, Event::SchedTick);
-            self.sched_tick_pending = true;
+        if let Some(at) = ctl.scheduler.next_tick(self.now) {
+            let timer = Timer::Controller(ControllerId::new(c));
+            self.events.push(at, Event::SchedTick { timer });
+            ctl.tick_pending = true;
         }
     }
 
-    /// Injects thread `t`'s pending burst straight into the controller,
-    /// then gives every channel it touched a scheduling pass.
+    /// Queues the meta-controller's timer unless it is queued already or
+    /// there is no meta-controller.
+    fn schedule_meta_tick(&mut self) {
+        if self.meta_tick_pending {
+            return;
+        }
+        if let Some(at) = self.meta.as_ref().and_then(|m| m.next_tick(self.now)) {
+            let timer = Timer::Meta;
+            self.events.push(at, Event::SchedTick { timer });
+            self.meta_tick_pending = true;
+        }
+    }
+
+    /// Injects thread `t`'s pending burst straight into the controllers
+    /// owning its channels, then gives every channel it touched a
+    /// scheduling pass.
     fn inject_burst(&mut self, t: usize) {
         let now = self.now;
-        let (ctl, touched) = (&mut self.ctls[0], &mut self.touched_channels);
+        let (ctls, owner, touched) = (&mut self.ctls, &self.owner, &mut self.touched_channels);
         self.front.inject_burst(t, now, |request| {
-            ctl.admit(request, now);
-            touched[request.addr.channel.index()] = true;
+            let c = request.addr.channel.index();
+            ctls[owner[c]].admit(request, now);
+            touched[c] = true;
         });
         // Newly arrived requests may wake idle banks. Scanning the flag
-        // array visits channels in ascending id order.
+        // array visits channels in ascending global id order.
         for c in 0..self.touched_channels.len() {
             if std::mem::take(&mut self.touched_channels[c]) {
-                self.ctls[0].schedule_idle_banks(c, now, &mut self.events);
+                let ctl = &mut self.ctls[self.owner[c]];
+                let local = ctl.local(ChannelId::new(c));
+                ctl.schedule_idle_banks(local, now, &mut self.events);
             }
         }
         self.front.rearm(t, now, &mut self.events);
@@ -507,8 +527,7 @@ impl System {
 
     /// Processes events until `horizon`, then settles all cores at the
     /// horizon and reports the run's results — or a typed error if the
-    /// simulation cannot finish soundly. One controller runs the flat
-    /// event loop; two or more run the window loop.
+    /// simulation cannot finish soundly.
     ///
     /// # Errors
     ///
@@ -516,10 +535,11 @@ impl System {
     ///   retired for [`DEFAULT_STALL_LIMIT`] cycles (tune or disable via
     ///   [`System::set_watchdog`]), the loop spun at a frozen cycle
     ///   (e.g. a policy whose `next_tick` never advances), or the event
-    ///   queues drained with requests still in flight. The report carries
+    ///   queue drained with requests still in flight. The report carries
     ///   a snapshot of queue depths, bank states, and per-thread
     ///   outstanding counts, and on a multi-controller machine names the
-    ///   suspect controller.
+    ///   suspect controller: the one whose timer spun, else the one with
+    ///   the deepest backlog.
     /// * [`SimError::InvariantViolation`] — the DRAM protocol checker (if
     ///   enabled) observed an illegal command sequence, or a spill queue
     ///   outgrew the MSHR-implied bound on outstanding misses.
@@ -528,30 +548,6 @@ impl System {
     /// After an error the system is left at the faulting cycle; resuming
     /// is not supported.
     pub fn try_run(&mut self, horizon: Cycle) -> Result<RunResult, SimError> {
-        if self.ctls.len() == 1 {
-            self.run_events(horizon)?;
-        } else {
-            self.run_windows(horizon)?;
-        }
-        if self.stall_limit.is_some() && self.front.outstanding() && self.drained() {
-            // Nothing left to process but requests are still in flight:
-            // whatever event should have completed them was never pushed.
-            return Err(SimError::Stalled(Box::new(self.stall_report())));
-        }
-        self.now = horizon;
-        self.front.settle(horizon);
-        for ctl in &mut self.ctls {
-            ctl.finish_verification(horizon)?;
-        }
-        let mut events = self.events.counts;
-        events += self.windows.counts();
-        Ok(self
-            .front
-            .collect(horizon, self.ctls.iter(), events, &self.telemetry))
-    }
-
-    /// The flat stepping rule: pops the global queue up to `horizon`.
-    fn run_events(&mut self, horizon: Cycle) -> Result<(), SimError> {
         // The conditional pop jumps `now` straight to the next scheduled
         // event; cancel/sample/chaos/stall checks below are strided or
         // boundary probes with semantics identical to the old per-event
@@ -579,11 +575,14 @@ impl System {
             if self.now >= self.chaos_flood_at {
                 self.chaos_flood_at = Cycle::MAX;
                 if let Some(fault) = self.chaos_flood.take() {
-                    self.flood(fault, self.now);
+                    // The flood strikes at its own cycle: every event
+                    // before it has run, none at or after it yet.
+                    self.flood(fault, fault.at);
+                    self.poll_faults()?;
                 }
             }
             if self.events_at_now > self.livelock_limit || self.now > self.stall_probe_at {
-                self.check_watchdog()?;
+                self.check_watchdog(event)?;
             }
             match event {
                 Event::CoreBurst { thread, epoch } => {
@@ -596,39 +595,74 @@ impl System {
                     }
                 }
                 Event::BankReady { channel, bank } => {
-                    self.ctls[0].bank_ready(channel.index(), bank, self.now, &mut self.events);
+                    let ctl = &mut self.ctls[self.owner[channel.index()]];
+                    let local = ctl.local(channel);
+                    ctl.bank_ready(local, bank, self.now, &mut self.events);
                 }
                 Event::Completion { request } => {
                     self.front.retire(&request, self.now, &mut self.events);
-                    self.ctls[0].scheduler.on_complete(&request, self.now);
+                    let ctl = &mut self.ctls[self.owner[request.addr.channel.index()]];
+                    ctl.scheduler.on_complete(&request, self.now);
                 }
-                Event::SchedTick => {
-                    self.sched_tick_pending = false;
-                    let ctl = &mut self.ctls[0];
+                Event::SchedTick {
+                    timer: Timer::Controller(id),
+                } => {
+                    let c = id.index();
+                    let ctl = &mut self.ctls[c];
+                    ctl.tick_pending = false;
+                    // A controller observes only its own traffic: the
+                    // view's service column covers this controller alone.
                     let view = self.front.view([&*ctl]);
                     ctl.scheduler.tick(self.now, &view);
-                    self.schedule_next_tick();
+                    self.schedule_tick(c);
                 }
-                Event::Arrival { .. } => unreachable!("the flat loop admits at injection"),
+                Event::SchedTick { timer: Timer::Meta } => {
+                    self.meta_tick_pending = false;
+                    self.exchange(self.now);
+                    self.schedule_meta_tick();
+                }
             }
-            if self.ctls[0].pending_error.is_some() || self.verify_armed {
+            if self.verify_armed || self.ctls.iter().any(|c| c.pending_error.is_some()) {
                 self.poll_faults()?;
             }
         }
-        Ok(())
+        if self.stall_limit.is_some() && self.front.outstanding() && self.events.is_empty() {
+            // Nothing left to process but requests are still in flight:
+            // whatever event should have completed them was never pushed.
+            return Err(SimError::Stalled(Box::new(self.stall_report())));
+        }
+        self.now = horizon;
+        self.front.settle(horizon);
+        for ctl in &mut self.ctls {
+            ctl.finish_verification(horizon)?;
+        }
+        Ok(self.front.collect(
+            horizon,
+            self.ctls.iter(),
+            self.events.counts,
+            &self.telemetry,
+        ))
     }
 
     /// Full watchdog evaluation, run only when the per-event probe fires
     /// (`events_at_now` past the livelock ceiling, or `now` past the
     /// earliest cycle the stalled condition can hold). Re-arms the probe
-    /// boundary on a clean pass.
+    /// boundary on a clean pass. A livelock tripped on a controller's
+    /// timer blames that controller.
     #[cold]
-    fn check_watchdog(&mut self) -> Result<(), SimError> {
+    fn check_watchdog(&mut self, event: Event) -> Result<(), SimError> {
         if let Some(limit) = self.stall_limit {
             let stalled = self.front.outstanding()
                 && self.now.saturating_sub(self.front.progress_at()) > limit;
-            if stalled || self.events_at_now > self.livelock_limit {
-                return Err(SimError::Stalled(Box::new(self.stall_report())));
+            let spinning = self.events_at_now > self.livelock_limit;
+            if stalled || spinning {
+                let report = match event {
+                    Event::SchedTick {
+                        timer: Timer::Controller(id),
+                    } if spinning => self.stall_report_for(Some(id.index())),
+                    _ => self.stall_report(),
+                };
+                return Err(SimError::Stalled(Box::new(report)));
             }
             self.stall_probe_at = self.front.progress_at().saturating_add(limit);
         } else {
@@ -638,7 +672,7 @@ impl System {
     }
 
     /// Samples the periodic telemetry series over every channel at `now`.
-    pub(crate) fn sample_series(&mut self) {
+    fn sample_series(&mut self) {
         let channels = self.ctls.iter().flat_map(Controller::channels);
         sample_series(&self.telemetry, &mut self.next_sample, self.now, channels);
     }
@@ -646,7 +680,7 @@ impl System {
     /// Surfaces any fault recorded during event processing, in
     /// controller order: typed controller errors first, then
     /// protocol-checker violations.
-    pub(crate) fn poll_faults(&mut self) -> Result<(), SimError> {
+    fn poll_faults(&mut self) -> Result<(), SimError> {
         for ctl in &mut self.ctls {
             if let Some(err) = ctl.pending_error.take() {
                 return Err(err);
@@ -658,17 +692,11 @@ impl System {
         }
     }
 
-    /// Whether no event anywhere can ever fire again (timers alone never
-    /// create events).
-    pub(crate) fn drained(&self) -> bool {
-        self.events.is_empty() && self.windows.drained()
-    }
-
     /// Snapshot of simulator state for a [`SimError::Stalled`] report.
     /// With no specific culprit known, a multi-controller machine blames
     /// the controller with the deepest backlog (queues + spill), ties to
     /// the lowest index: that is where progress died.
-    pub(crate) fn stall_report(&self) -> StallReport {
+    fn stall_report(&self) -> StallReport {
         let suspect = self
             .ctls
             .iter()
@@ -680,12 +708,60 @@ impl System {
 
     /// A stall report attributing `controller` (when known and the
     /// machine actually has more than one).
-    pub(crate) fn stall_report_for(&self, controller: Option<usize>) -> StallReport {
+    fn stall_report_for(&self, controller: Option<usize>) -> StallReport {
         let controller = controller
             .filter(|_| self.ctls.len() > 1)
             .map(ControllerId::new);
         self.front
             .stall_report(self.now, controller, self.ctls.iter())
+    }
+}
+
+/// The multi-controller constructor under its former engine's name:
+/// [`MultiSystem::new`] returns a [`System`]. Kept only because the
+/// `perf/` benchmark package calls it; it goes with that package's next
+/// change (ROADMAP item 3).
+///
+/// # Example
+///
+/// ```
+/// use tcm_sim::{MultiSystem, PolicyKind};
+/// use tcm_types::{SystemConfig, Topology};
+/// use tcm_workload::random_workload;
+///
+/// let cfg = SystemConfig::builder()
+///     .num_threads(4)
+///     .topology(Topology::uniform(2, 2))
+///     .build()?;
+/// let policy = PolicyKind::FrFcfs;
+/// let controllers = (0..2).map(|_| policy.build_controller(4, &cfg)).collect();
+/// let workload = random_workload(0, 4, 0.5);
+/// let mut sys = MultiSystem::new(&cfg, &workload, controllers, None, 1);
+/// let result = sys.run(50_000);
+/// assert_eq!(result.ipc.len(), 4);
+/// # Ok::<(), tcm_types::ConfigError>(())
+/// ```
+#[derive(Debug)]
+pub struct MultiSystem;
+
+impl MultiSystem {
+    /// Same as [`System::with_controllers`].
+    ///
+    /// # Panics
+    ///
+    /// As [`System::with_controllers`].
+    #[allow(
+        clippy::new_ret_no_self,
+        reason = "the shim keeps the old call site compiling"
+    )]
+    pub fn new(
+        cfg: &SystemConfig,
+        workload: &WorkloadSpec,
+        controllers: Vec<Box<dyn Scheduler>>,
+        meta: Option<Box<dyn MetaScheduler>>,
+        seed_base: u64,
+    ) -> System {
+        System::with_controllers(cfg, workload, controllers, meta, seed_base)
     }
 }
 

@@ -155,7 +155,7 @@ fn monitor_corruption_degrades_tcm_instead_of_failing_the_run() {
 #[test]
 fn coordination_faults_are_inert_on_a_flat_machine() {
     // Blackout and skew strike the controller↔meta-controller exchange
-    // at a quantum barrier; a flat single-controller machine has no such
+    // at a quantum boundary; a flat single-controller machine has no such
     // exchange, so the two kinds must pass through a flat run without
     // detection — and without perturbing a single bit. Their detection
     // is covered end-to-end in `chaos_multi.rs`.

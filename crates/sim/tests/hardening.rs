@@ -95,8 +95,7 @@ fn watchdog_counts_the_end_of_an_idle_stretch_as_progress() {
         .expect("an idle stretch is not a stall");
     assert!(run.misses[0] > 0, "the run did miss");
     assert!((run.ipc[0] - 2.998).abs() < 5e-4, "IPC {}", run.ipc[0]);
-    // The window loop's barrier check and window skipping read the
-    // same mark.
+    // The 2x2 machine's watchdog reads the same mark.
     let two_by_two = SystemConfig::builder()
         .num_threads(1)
         .topology(Topology::uniform(2, 2))

@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use tcm_sim::{workload_metrics, Event, EventQueue, IpcPair, PolicyKind, System, EVENT_WINDOW};
+use tcm_sim::{
+    workload_metrics, Event, EventQueue, IpcPair, PolicyKind, System, Timer, EVENT_WINDOW,
+};
 use tcm_types::ThreadId;
 use tcm_types::{SystemConfig, Topology};
 use tcm_workload::{BenchmarkProfile, WorkloadSpec};
@@ -83,7 +85,7 @@ proptest! {
     fn event_queue_matches_reference_sort(cycles in proptest::collection::vec(0u64..1000, 1..200)) {
         let mut q = EventQueue::new();
         for &c in &cycles {
-            q.push(c, Event::SchedTick);
+            q.push(c, Event::SchedTick { timer: Timer::Meta });
         }
         let mut reference: Vec<(u64, usize)> = cycles.iter().copied().zip(0..).collect();
         reference.sort_by_key(|&(c, i)| (c, i));
@@ -211,12 +213,12 @@ proptest! {
         prop_assert_eq!(fast_result, reference_result);
     }
 
-    /// The window loop's queues — the core side's and every shard's,
-    /// whose arrivals and completions are fed across the barrier — pop
+    /// A multi-controller machine's queue — bursts, wakeups, completions
+    /// and one timer per controller plus the meta-controller's — pops
     /// in exactly the pure binary-heap order: sending every push to the
-    /// far heap (the queues' reference mode) reproduces the
-    /// `RunResult` bit for bit, on uniform (2x2) and asymmetric (3+1)
-    /// machines under every policy.
+    /// far heap (the queue's reference mode) reproduces the `RunResult`
+    /// bit for bit, on uniform (2x2) and asymmetric (3+1) machines under
+    /// every policy.
     #[test]
     fn multi_lanes_match_heap_reference(
         profiles in proptest::collection::vec(

@@ -183,8 +183,8 @@ impl QuarantineReason {
 /// hardware can physically produce, so the policy degrades to a
 /// fallback ordering for the quantum. The two controller variants are
 /// the meta-controller's *per-controller* guard on multi-controller
-/// topologies: one controller's samples are quarantined (that shard
-/// falls back to local FR-FCFS) while the healthy majority keeps TCM
+/// topologies: one controller's samples are quarantined (that
+/// controller falls back to local FR-FCFS) while the healthy majority keeps TCM
 /// clustering, and the controller is re-admitted after enough clean
 /// quanta.
 ///

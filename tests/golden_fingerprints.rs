@@ -155,11 +155,11 @@ fn compute_multi_fingerprints(spec: &str) -> Vec<(String, String, u64)> {
 }
 
 /// `policies` on one random mixed workload on the `spec` topology at
-/// 1.2M cycles.
-fn compute_topology_fingerprints(
+/// 1.2M cycles: each cell's policy label, workload name and run.
+fn topology_runs(
     spec: &str,
     policies: impl IntoIterator<Item = PolicyKind>,
-) -> Vec<(String, String, u64)> {
+) -> Vec<(String, String, RunResult)> {
     let mut cfg = SystemConfig::paper_baseline();
     cfg.topology = Topology::parse(spec).expect("valid spec");
     let session = Session::new(RunConfig::builder().system(cfg).horizon(1_200_000).build());
@@ -176,20 +176,35 @@ fn compute_topology_fingerprints(
             (
                 result.policy_labels()[cell.policy].clone(),
                 result.workload_names()[cell.workload].clone(),
-                fingerprint(&cell.result.run),
+                cell.result.run.clone(),
             )
         })
         .collect()
 }
 
-/// Captured at the introduction of the multi-controller engine; these
-/// pin the windowed two-phase execution order, the meta-controller
-/// exchange, and the per-controller FR-FCFS behavior.
+/// [`topology_runs`], fingerprinted.
+fn compute_topology_fingerprints(
+    spec: &str,
+    policies: impl IntoIterator<Item = PolicyKind>,
+) -> Vec<(String, String, u64)> {
+    topology_runs(spec, policies)
+        .into_iter()
+        .map(|(policy, workload, run)| (policy, workload, fingerprint(&run)))
+        .collect()
+}
+
+/// Re-captured when multi-controller machines moved onto the flat
+/// machine's event loop; these pin the meta-controller exchange and
+/// the per-controller policy behavior. FR-FCFS is stateless per bank,
+/// so both of its entries are the flat `GOLDEN` FR-FCFS x rand-75%-01
+/// fingerprint. At this horizon TCM's one exchange merges the
+/// controllers' monitors into the flat machine's, so its entries
+/// coincide with the flat TCM x rand-75%-01 one too.
 const GOLDEN_MULTI: [(&str, &str, &str, u64); 4] = [
-    ("2x2", "FR-FCFS", "rand-75%-01", 0x437f563057e4e484),
-    ("2x2", "TCM", "rand-75%-01", 0xbbaa255371346515),
-    ("3+1", "FR-FCFS", "rand-75%-01", 0x9c68390431a821ed),
-    ("3+1", "TCM", "rand-75%-01", 0x9738dfdf7bd812c8),
+    ("2x2", "FR-FCFS", "rand-75%-01", 0xd7d753b8d72caf62),
+    ("2x2", "TCM", "rand-75%-01", 0xd52d5b902bc8a075),
+    ("3+1", "FR-FCFS", "rand-75%-01", 0xd7d753b8d72caf62),
+    ("3+1", "TCM", "rand-75%-01", 0xd52d5b902bc8a075),
 ];
 
 #[test]
@@ -231,17 +246,18 @@ fn compute_multi_lineup_fingerprints(spec: &str) -> Vec<(String, String, u64)> {
     )
 }
 
-/// Captured before PAR-BS read the controller's buffer and before shard
-/// completion notices became opt-in; pins both changes to the old bits.
-/// ATLAS's 10M-cycle quantum never elapses here, so its cells coincide
-/// with the `GOLDEN_MULTI` FR-FCFS entries.
+/// Re-captured with `GOLDEN_MULTI`. ATLAS's 10M-cycle quantum never
+/// elapses here, so its cells coincide with the FR-FCFS entries. PAR-BS
+/// keeps its batches per channel, so its cells coincide with the flat
+/// `GOLDEN` PAR-BS x rand-75%-01 entry; STFM's per-controller slowdown
+/// estimates are what the topology changes.
 const GOLDEN_MULTI_LINEUP: [(&str, &str, &str, u64); 6] = [
-    ("2x2", "STFM", "rand-75%-01", 0x0f72d6909a13778e),
-    ("2x2", "PAR-BS", "rand-75%-01", 0xa40eea0bba2c0423),
-    ("2x2", "ATLAS", "rand-75%-01", 0x437f563057e4e484),
-    ("3+1", "STFM", "rand-75%-01", 0x05f8b00f123fec76),
-    ("3+1", "PAR-BS", "rand-75%-01", 0xf501ba6d10134a6e),
-    ("3+1", "ATLAS", "rand-75%-01", 0x9c68390431a821ed),
+    ("2x2", "STFM", "rand-75%-01", 0xb4173e3c1aeb4780),
+    ("2x2", "PAR-BS", "rand-75%-01", 0xdfe3c021f3f81e89),
+    ("2x2", "ATLAS", "rand-75%-01", 0xd7d753b8d72caf62),
+    ("3+1", "STFM", "rand-75%-01", 0x98a8c38763648933),
+    ("3+1", "PAR-BS", "rand-75%-01", 0xdfe3c021f3f81e89),
+    ("3+1", "ATLAS", "rand-75%-01", 0xd7d753b8d72caf62),
 ];
 
 #[test]
@@ -261,6 +277,34 @@ fn multi_controller_lineup_matches_golden_fingerprints() {
     assert!(expected.next().is_none(), "grid shrank");
 }
 
+/// Differential oracle: FR-FCFS is a stateless per-bank policy, and
+/// ATLAS behaves as FR-FCFS until its 10M-cycle quantum first elapses,
+/// so splitting the flat machine's channels among controllers must not
+/// change a single bit of either's run.
+#[test]
+fn uncoordinated_policies_match_the_flat_machine_on_every_topology() {
+    let policies = || {
+        [
+            PolicyKind::FrFcfs,
+            PolicyKind::Atlas(tcm::sched::AtlasParams::paper_default()),
+        ]
+    };
+    let flat = topology_runs("4", policies());
+    for spec in ["2x2", "3+1"] {
+        let split = topology_runs(spec, policies());
+        assert_eq!(split.len(), flat.len(), "grid shape changed on {spec}");
+        for ((policy, workload, run), (_, _, flat_run)) in split.iter().zip(&flat) {
+            assert!(
+                run == flat_run,
+                "{policy} x {workload} on {spec} differs from the flat machine: \
+                 {:#018x} != {:#018x}",
+                fingerprint(run),
+                fingerprint(flat_run)
+            );
+        }
+    }
+}
+
 #[test]
 #[ignore = "re-capture helper: prints the GOLDEN_MULTI_LINEUP table"]
 fn print_multi_lineup_fingerprints() {
@@ -274,8 +318,8 @@ fn print_multi_lineup_fingerprints() {
 /// The chaos-under-multi grid: a 2x2 machine struck by both
 /// coordination fault classes — a blackout on mc1 and a skew on mc2 —
 /// with a TCM quantum short enough that each quarantine *and* its
-/// re-admission land inside the horizon. Pins barrier-synchronous fault
-/// application, quarantine fallback, and re-admission. The FR-FCFS
+/// re-admission land inside the horizon. Pins fault application at the
+/// quantum exchange, quarantine fallback, and re-admission. The FR-FCFS
 /// row pins that the same plan is inert (coordination faults have no
 /// target without a meta-controller) while its armed detectors stay
 /// observation-only.
@@ -326,12 +370,12 @@ fn compute_chaos_multi_fingerprints() -> Vec<(String, String, u64)> {
         .collect()
 }
 
-/// Captured at the introduction of multi-controller fault injection.
-/// The FR-FCFS fingerprint coincides with its `GOLDEN_MULTI` 2x2 entry:
-/// the plan really is a no-op there, armed detectors and all.
+/// Re-captured with `GOLDEN_MULTI`. The FR-FCFS fingerprint coincides
+/// with its `GOLDEN_MULTI` 2x2 entry: the plan really is a no-op there,
+/// armed detectors and all.
 const GOLDEN_CHAOS_MULTI: [(&str, &str, u64); 2] = [
-    ("FR-FCFS", "rand-75%-01", 0x437f563057e4e484),
-    ("TCM", "rand-75%-01", 0xc2dba57447602141),
+    ("FR-FCFS", "rand-75%-01", 0xd7d753b8d72caf62),
+    ("TCM", "rand-75%-01", 0xb29b880e20972b4a),
 ];
 
 /// The same faults, the same quarantines, the same bits.
