@@ -273,7 +273,6 @@ impl System {
         // fault-poll gate in sync with whatever they decided.
         sys.verify_armed = sys.verification_enabled();
         sys.front.bootstrap(&mut sys.events);
-        sys.arm_timers();
         sys
     }
 
@@ -393,17 +392,10 @@ impl System {
         self.chaos_flood = plan.flood();
         self.chaos_flood_at = self.chaos_flood.map_or(Cycle::MAX, |f| f.at);
         self.coordination = plan.coordination_faults().collect();
-        let mut spun = false;
         for (i, ctl) in self.ctls.iter_mut().enumerate() {
             if let Some(spin_at) = plan.spin_for(i) {
                 ctl.wrap_spin(spin_at);
-                spun = true;
             }
-        }
-        if spun {
-            // Policies without timers never armed one; the wrapper needs
-            // one for the spin to engage.
-            self.arm_timers();
         }
     }
 
@@ -450,7 +442,9 @@ impl System {
 
     /// Queues every policy timer not already queued, at its next due
     /// cycle after now: the meta-controller's first, then each
-    /// controller's in controller order.
+    /// controller's in controller order. The run arms them as it starts,
+    /// so a policy wrapped by [`System::install_chaos`] is asked for
+    /// its first tick only once wrapped.
     fn arm_timers(&mut self) {
         self.schedule_meta_tick();
         for c in 0..self.ctls.len() {
@@ -548,6 +542,7 @@ impl System {
     /// After an error the system is left at the faulting cycle; resuming
     /// is not supported.
     pub fn try_run(&mut self, horizon: Cycle) -> Result<RunResult, SimError> {
+        self.arm_timers();
         // The conditional pop jumps `now` straight to the next scheduled
         // event; cancel/sample/chaos/stall checks below are strided or
         // boundary probes with semantics identical to the old per-event

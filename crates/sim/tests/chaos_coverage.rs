@@ -14,7 +14,7 @@ use tcm_chaos::{FaultKind, FaultPlan, FaultSpec};
 use tcm_core::TcmParams;
 use tcm_sched::FrFcfs;
 use tcm_sim::{PolicyKind, RunResult, System};
-use tcm_types::{Cycle, Invariant, SimError, SystemConfig};
+use tcm_types::{Cycle, Invariant, SimError, SystemConfig, Topology};
 use tcm_workload::random_workload;
 
 /// Single-channel pressure cooker: all traffic fights over one data
@@ -100,6 +100,43 @@ fn scheduler_spin_is_caught_by_the_livelock_watchdog() {
             assert!(!report.summary().is_empty(), "stall report must diagnose");
         }
         other => panic!("expected Stalled, got {other}"),
+    }
+}
+
+/// A policy whose own timer is already due later (ATLAS's 10M-cycle
+/// quantum, STFM's interval) must still spin at the fault's cycle: the
+/// wrapper's first tick is what the run queues, on one controller or
+/// several.
+#[test]
+fn scheduler_spin_engages_under_policies_with_timers() {
+    let workload = random_workload(1, 4, 1.0);
+    let policies = [
+        PolicyKind::Atlas(tcm_sched::AtlasParams::paper_default()),
+        PolicyKind::Stfm(tcm_sched::StfmParams::paper_default()),
+    ];
+    for topology in ["4", "2x2"] {
+        let cfg = SystemConfig::builder()
+            .num_threads(4)
+            .topology(Topology::parse(topology).expect("topology parses"))
+            .build()
+            .expect("config is valid");
+        for policy in &policies {
+            let mut sys = System::for_policy(&cfg, &workload, policy, 0);
+            sys.install_chaos(&FaultPlan::single(FaultKind::SchedulerSpin, FAULT_AT));
+            match sys.try_run(HORIZON) {
+                Err(SimError::Stalled(report)) => assert_eq!(
+                    report.now,
+                    FAULT_AT,
+                    "{topology} {}: {}",
+                    policy.label(),
+                    report.summary()
+                ),
+                other => panic!(
+                    "{topology} {}: expected Stalled, got {other:?}",
+                    policy.label()
+                ),
+            }
+        }
     }
 }
 
