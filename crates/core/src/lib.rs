@@ -25,11 +25,16 @@
 //!    meaningful (`ShuffleAlgoThresh`), TCM falls back to
 //!    [`RandomShuffler`].
 //!
-//! [`Tcm`] assembles these pieces into a policy implementing
-//! [`tcm_sched::Scheduler`] (the paper's Algorithm 3 request
-//! prioritization: rank, then row-hit, then age), with OS thread-weight
-//! support and the `ClusterThresh` fairness/performance knob.
-//! [`storage`] reproduces the paper's Table 2 hardware-cost model.
+//! The pieces are assembled as the paper's §5.3 split: each memory
+//! controller runs a [`TcmController`] (its [`TcmMonitor`] and the
+//! paper's Algorithm 3 request prioritization: rank, then row-hit, then
+//! age), and one [`MetaController`] aggregates their samples at quantum
+//! boundaries, clusters and shuffles once for the whole system, and
+//! broadcasts the ranking back. [`Tcm`] is that split on a one-controller
+//! machine: one controller plus one meta-controller behind the
+//! [`tcm_sched::Scheduler`] interface, with OS thread-weight support and
+//! the `ClusterThresh` fairness/performance knob. [`storage`] reproduces
+//! the paper's Table 2 hardware-cost model.
 //!
 //! # Example
 //!
@@ -51,13 +56,14 @@ mod meta;
 mod monitor;
 mod niceness;
 mod params;
+mod ranking;
 mod scheduler;
 mod shuffle;
 pub mod storage;
 
 pub use clustering::{cluster_threads, Cluster, Clustering};
 pub use meta::{MetaController, TcmController};
-pub use monitor::{QuantumSnapshot, TcmMonitor};
+pub use monitor::TcmMonitor;
 pub use niceness::{niceness_scores, rank_ascending};
 pub use params::{ShuffleMode, TcmParams};
 pub use scheduler::Tcm;

@@ -5,9 +5,7 @@
 //! *meta-controller* periodically aggregates every controller's monitor
 //! state, computes one system-wide cluster assignment + shuffle phase,
 //! and broadcasts it back, so all controllers prioritize threads
-//! identically within a quantum.
-//!
-//! This module splits the single-instance [`Tcm`] policy along exactly
+//! identically within a quantum. This module is TCM, split along exactly
 //! that line:
 //!
 //! * [`TcmController`] is one controller's share of TCM: it feeds its
@@ -15,20 +13,23 @@
 //!   per-quantum accumulators up through
 //!   [`Scheduler::quantum_exchange`], and prioritizes requests with the
 //!   paper's Algorithm 3 over whatever ranking the last broadcast
-//!   installed (all-zero before the first quantum — the same FR-FCFS
-//!   degenerate state `Tcm` starts in).
+//!   installed (all-zero before the first quantum — the FR-FCFS
+//!   degenerate state).
 //! * [`MetaController`] implements [`MetaScheduler`]: it aggregates the
 //!   samples (summing shadow row-buffer counts and BLP integrals across
 //!   controllers), derives MPKI and bandwidth usage from the global
-//!   cumulative counters, and then reuses the *identical* clustering,
-//!   niceness, shuffling and plausibility-guard machinery as [`Tcm`] —
-//!   same thresholds, same RNG seeds — so a single-controller topology
-//!   driven through the exchange protocol ranks threads exactly as the
-//!   monolithic policy does.
+//!   cumulative counters — the only place a `QuantumSnapshot` is
+//!   built — and drives the crate-private ranking engine (clustering,
+//!   niceness, shuffling, plausibility guard) that it alone owns.
+//!
+//! A one-controller machine runs the same split: [`Tcm`] is one
+//! controller plus one meta-controller, exchanging at every boundary.
+//!
+//! [`Tcm`]: crate::Tcm
 
 use crate::monitor::{QuantumSnapshot, TcmMonitor};
 use crate::params::TcmParams;
-use crate::scheduler::Tcm;
+use crate::ranking::RankingEngine;
 use tcm_chaos::FaultSpec;
 use tcm_dram::ServiceOutcome;
 use tcm_sched::select::{age_key, pick_max_by_key, row_hit};
@@ -41,7 +42,7 @@ use tcm_types::{Cycle, Request, SystemConfig};
 /// broadcast ranking. See the module docs.
 #[derive(Debug)]
 pub struct TcmController {
-    monitor: TcmMonitor,
+    pub(crate) monitor: TcmMonitor,
     /// Ranking installed by the last broadcast; all-zero (FR-FCFS
     /// degenerate) until the first quantum boundary.
     priority: Vec<usize>,
@@ -50,9 +51,9 @@ pub struct TcmController {
 impl TcmController {
     /// Creates one controller's policy instance for the given machine.
     ///
-    /// The monitor is addressed by *global* bank index (the same
-    /// flattening [`Tcm`] uses), so it is sized for the whole system
-    /// even though only this controller's requests flow through it.
+    /// The monitor is addressed by *global* bank index, so it is sized
+    /// for the whole system even though only this controller's requests
+    /// flow through it.
     pub fn new(num_threads: usize, config: &SystemConfig) -> Self {
         Self {
             monitor: TcmMonitor::new(num_threads, config.num_channels(), config.banks_per_channel),
@@ -115,16 +116,14 @@ impl Scheduler for TcmController {
 /// controller's [`MonitorSample`] at quantum boundaries and broadcasts
 /// the unified [`ClusterPlan`]. See the module docs.
 ///
-/// Internally it drives an embedded [`Tcm`] ranking engine through the
-/// same quantum/shuffle state machine the monolithic policy uses, so
-/// clustering decisions, shuffle-algorithm selection and the RNG
-/// sequence are bit-identical to the single-instance design given the
-/// same aggregated measurements.
+/// It owns the ranking engine (clustering, niceness, shuffling and the
+/// plausibility guard) and keeps the last plan it broadcast, so a
+/// one-controller [`Tcm`](crate::Tcm) broadcasts by reference.
 #[derive(Debug)]
 pub struct MetaController {
-    /// The shared ranking engine. Its local monitor is never fed — the
-    /// aggregated samples replace it.
-    core: Tcm,
+    pub(crate) core: RankingEngine,
+    /// The plan reflecting `core`'s state after the last exchange.
+    plan: ClusterPlan,
     num_threads: usize,
     /// Cumulative counters at the last quantum boundary, for computing
     /// per-quantum MPKI / bandwidth deltas from the global view.
@@ -157,7 +156,8 @@ impl MetaController {
     /// Panics if `params` fail validation (see [`TcmParams::validate`]).
     pub fn new(params: TcmParams, num_threads: usize, config: &SystemConfig) -> Self {
         Self {
-            core: Tcm::with_params(params, num_threads, config),
+            core: RankingEngine::new(params, num_threads, config),
+            plan: ClusterPlan::default(),
             num_threads,
             retired_snapshot: vec![0; num_threads],
             misses_snapshot: vec![0; num_threads],
@@ -174,20 +174,36 @@ impl MetaController {
         &self.quarantined
     }
 
-    /// The plan reflecting the ranking engine's current state. The
+    /// Runs one exchange (see [`MetaScheduler::exchange`]) and returns
+    /// the plan by reference, reusing the previous plan's buffers. The
     /// quarantine vector is only attached once some controller has
     /// actually been quarantined, so clean runs broadcast a plan
     /// bit-identical to the pre-quarantine format.
-    fn plan(&self) -> ClusterPlan {
-        ClusterPlan {
-            priorities: self.core.priorities().to_vec(),
-            degraded: self.core.degraded(),
-            quarantined: if self.quarantined.iter().any(|&q| q) {
-                self.quarantined.clone()
-            } else {
-                Vec::new()
-            },
+    pub(crate) fn exchange_in_place(
+        &mut self,
+        now: Cycle,
+        view: &SystemView<'_>,
+        samples: &[Option<MonitorSample>],
+    ) -> &ClusterPlan {
+        let snap = self.core.is_quantum_due(now).then(|| {
+            // Quarantine first so a skewed sample never reaches the
+            // aggregate (and the whole-system plausibility guard) in
+            // the same quantum it is detected.
+            self.update_quarantine(now, samples);
+            let mut snap = self.aggregate(view, samples);
+            self.core.apply_monitor_faults(&mut snap, now);
+            snap
+        });
+        self.core.run_boundary(snap, now);
+        let plan = &mut self.plan;
+        plan.priorities.clear();
+        plan.priorities.extend_from_slice(&self.core.priority);
+        plan.degraded = self.core.degraded;
+        plan.quarantined.clear();
+        if self.quarantined.iter().any(|&q| q) {
+            plan.quarantined.extend_from_slice(&self.quarantined);
         }
+        &self.plan
     }
 
     /// Whether a controller's sample is physically impossible: the
@@ -267,9 +283,9 @@ impl MetaController {
 
     /// Assembles the quantum snapshot the ranking engine expects by
     /// aggregating the controllers' samples (RBL, BLP) and differencing
-    /// the global cumulative counters (MPKI, bandwidth). Mirrors
-    /// `TcmMonitor::quantum_snapshot` field for field.
-    fn aggregate(
+    /// the global cumulative counters (MPKI, bandwidth). The only
+    /// builder of a [`QuantumSnapshot`].
+    pub(crate) fn aggregate(
         &mut self,
         view: &SystemView<'_>,
         samples: &[Option<MonitorSample>],
@@ -347,17 +363,7 @@ impl MetaScheduler for MetaController {
         view: &SystemView<'_>,
         samples: &[Option<MonitorSample>],
     ) -> ClusterPlan {
-        let snap = self.core.is_quantum_due(now).then(|| {
-            // Quarantine first so a skewed sample never reaches the
-            // aggregate (and the whole-system plausibility guard) in
-            // the same quantum it is detected.
-            self.update_quarantine(now, samples);
-            let mut snap = self.aggregate(view, samples);
-            self.core.apply_monitor_faults(&mut snap, now);
-            snap
-        });
-        self.core.run_boundary(snap, now);
-        self.plan()
+        self.exchange_in_place(now, view, samples).clone()
     }
 
     fn inject_monitor_fault(&mut self, fault: &FaultSpec) {
@@ -365,11 +371,11 @@ impl MetaScheduler for MetaController {
     }
 
     fn degradation_events(&self) -> &[DegradationAnomaly] {
-        self.core.anomaly_events()
+        &self.core.anomalies
     }
 
     fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.core.attach_telemetry(telemetry);
+        self.core.telemetry = telemetry.clone();
     }
 }
 
@@ -457,35 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregated_ranking_matches_the_monolithic_policy() {
-        // One controller fed through the exchange protocol must rank
-        // threads exactly as the monolithic Tcm given the same traffic
-        // and counters: the meta-controller reuses Tcm's machinery.
-        let cfg = cfg();
-        let params = TcmParams::paper_default(4).with_cluster_thresh(0.25);
-        let mut mono = Tcm::with_params(params, 4, &cfg);
-        let mut ctl = TcmController::new(4, &cfg);
-        let mut meta = MetaController::new(params, 4, &cfg);
-        for i in 0..6u64 {
-            let r = req(i, 1 + (i % 3) as usize, (i % 2) as usize, 0, 7, i * 20);
-            mono.on_enqueue(&r, i * 20);
-            ctl.on_enqueue(&r, i * 20);
-        }
-        let (retired, misses, service) = view_arrays();
-        let view = SystemView {
-            retired: &retired,
-            misses: &misses,
-            service: &service,
-        };
-        let now = 1_000_000;
-        mono.tick(now, &view);
-        let samples = vec![ctl.quantum_exchange(now)];
-        let plan = meta.exchange(now, &view, &samples);
-        assert_eq!(plan.priorities, mono.priorities());
-        assert_eq!(plan.degraded, mono.degraded());
-    }
-
-    #[test]
     fn shuffle_boundaries_skip_the_harvest() {
         let (_, _, mut meta) = one_quantum(2);
         let now = 1_000_000;
@@ -501,7 +478,7 @@ mod tests {
             misses: &misses,
             service: &service,
         };
-        let before = meta.plan();
+        let before = meta.plan.clone();
         let after = meta.exchange(next, &view, &[]);
         // Same thread set, possibly rotated ranking; never degraded.
         assert!(!after.degraded);

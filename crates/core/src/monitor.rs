@@ -12,16 +12,21 @@
 //!   outstanding request (time-weighted, which refines the paper's
 //!   periodic sampling).
 //!
-//! [`TcmMonitor`] is fed from the scheduler's enqueue/service hooks and
-//! harvested once per quantum via [`TcmMonitor::quantum_snapshot`].
+//! [`TcmMonitor`] is one controller's share: it is fed from the
+//! controller's enqueue/service hooks and measures RBL and BLP, harvested
+//! once per quantum as a [`MonitorSample`]. MPKI and bandwidth come from
+//! the cores' cumulative counters; the meta-controller differences those
+//! and sums the samples into the quantum's [`QuantumSnapshot`]
+//! (`MetaController::aggregate`, the only place one is built).
 
 use tcm_dram::ShadowRowBuffer;
 use tcm_sched::MonitorSample;
 use tcm_types::{BankId, Cycle, GlobalBank, Row, ThreadId};
 
-/// Per-quantum measurement results, indexed by thread id.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantumSnapshot {
+/// Per-quantum measurement results, indexed by thread id: what the
+/// ranking engine clusters and shuffles on.
+#[derive(Debug)]
+pub(crate) struct QuantumSnapshot {
     /// Misses per kilo-instruction during the quantum
     /// (`f64::INFINITY` for a thread that missed but retired nothing).
     pub mpki: Vec<f64>,
@@ -34,8 +39,8 @@ pub struct QuantumSnapshot {
     pub blp: Vec<f64>,
 }
 
-/// Hardware monitors for one TCM instance (conceptually: the per-
-/// controller monitors plus the meta-controller's aggregation).
+/// One memory controller's TCM monitors: shadow row-buffers and the BLP
+/// time integral, per thread.
 #[derive(Debug, Clone)]
 pub struct TcmMonitor {
     num_threads: usize,
@@ -51,10 +56,6 @@ pub struct TcmMonitor {
     /// Total time with ≥ 1 outstanding request.
     busy_time: Vec<u64>,
     last_event: Vec<Cycle>,
-    /// Cumulative counters at the start of the current quantum.
-    retired_snapshot: Vec<u64>,
-    misses_snapshot: Vec<u64>,
-    service_snapshot: Vec<u64>,
 }
 
 impl TcmMonitor {
@@ -74,15 +75,7 @@ impl TcmMonitor {
             blp_integral: vec![0; num_threads],
             busy_time: vec![0; num_threads],
             last_event: vec![0; num_threads],
-            retired_snapshot: vec![0; num_threads],
-            misses_snapshot: vec![0; num_threads],
-            service_snapshot: vec![0; num_threads],
         }
-    }
-
-    /// Total number of banks monitored.
-    pub fn total_banks(&self) -> usize {
-        self.total_banks
     }
 
     fn flat_bank(&self, bank: GlobalBank) -> usize {
@@ -135,57 +128,9 @@ impl TcmMonitor {
         }
     }
 
-    /// Harvests the quantum's measurements and resets the per-quantum
-    /// counters. `retired`, `misses` and `service` are the *cumulative*
-    /// per-thread counters at quantum end.
-    pub fn quantum_snapshot(
-        &mut self,
-        now: Cycle,
-        retired: &[u64],
-        misses: &[u64],
-        service: &[u64],
-    ) -> QuantumSnapshot {
-        let n = self.num_threads;
-        let mut snap = QuantumSnapshot {
-            mpki: vec![0.0; n],
-            bw_usage: vec![0; n],
-            rbl: vec![0.0; n],
-            blp: vec![0.0; n],
-        };
-        for t in 0..n {
-            self.settle(t, now);
-            let instr = retired.get(t).copied().unwrap_or(0) - self.retired_snapshot[t];
-            let miss = misses.get(t).copied().unwrap_or(0) - self.misses_snapshot[t];
-            snap.mpki[t] = match (miss, instr) {
-                (0, _) => 0.0,
-                (_, 0) => f64::INFINITY,
-                (m, i) => m as f64 * 1000.0 / i as f64,
-            };
-            snap.bw_usage[t] = service.get(t).copied().unwrap_or(0) - self.service_snapshot[t];
-            snap.rbl[t] = self.shadow.thread_rbl(ThreadId::new(t)).unwrap_or(0.0);
-            snap.blp[t] = if self.busy_time[t] > 0 {
-                self.blp_integral[t] as f64 / self.busy_time[t] as f64
-            } else if miss > 0 {
-                1.0
-            } else {
-                0.0
-            };
-            self.retired_snapshot[t] = retired.get(t).copied().unwrap_or(0);
-            self.misses_snapshot[t] = misses.get(t).copied().unwrap_or(0);
-            self.service_snapshot[t] = service.get(t).copied().unwrap_or(0);
-            self.blp_integral[t] = 0;
-            self.busy_time[t] = 0;
-        }
-        self.shadow.reset_counters();
-        snap
-    }
-
     /// Harvests the raw per-quantum accumulators as a [`MonitorSample`]
-    /// for meta-controller aggregation (paper §5.3), resetting the same
-    /// windows [`TcmMonitor::quantum_snapshot`] resets (shadow hit
-    /// counters, BLP integrals) but leaving the cumulative-counter
-    /// snapshots untouched — in the coordinated design those deltas are
-    /// the meta-controller's job, taken from the global system view.
+    /// for meta-controller aggregation (paper §5.3) and resets them: the
+    /// shadow hit and access counters and the BLP integrals.
     pub fn harvest_sample(&mut self, now: Cycle) -> MonitorSample {
         let n = self.num_threads;
         let mut sample = MonitorSample {
@@ -213,19 +158,48 @@ impl TcmMonitor {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use tcm_types::ChannelId;
+    use crate::{MetaController, TcmParams};
+    use tcm_sched::SystemView;
+    use tcm_types::{ChannelId, SystemConfig, Topology};
 
     fn gb(channel: usize, bank: usize) -> GlobalBank {
         GlobalBank::new(ChannelId::new(channel), BankId::new(bank))
     }
 
-    fn monitor() -> TcmMonitor {
-        TcmMonitor::new(2, 2, 2) // 2 threads, 4 global banks
+    /// A 2-thread monitor over 4 global banks, with the meta-controller
+    /// that aggregates its samples.
+    fn monitor() -> (TcmMonitor, MetaController) {
+        let cfg = SystemConfig::builder()
+            .num_threads(2)
+            .topology(Topology::uniform(2, 1))
+            .banks_per_channel(2)
+            .build()
+            .unwrap();
+        let meta = MetaController::new(TcmParams::paper_default(2), 2, &cfg);
+        (TcmMonitor::new(2, 2, 2), meta)
+    }
+
+    /// The quantum ending at `now` as the ranking engine sees it: the
+    /// monitor's harvest aggregated with the cumulative counters.
+    fn snapshot(
+        m: &mut TcmMonitor,
+        meta: &mut MetaController,
+        now: Cycle,
+        retired: &[u64],
+        misses: &[u64],
+        service: &[u64],
+    ) -> QuantumSnapshot {
+        let view = SystemView {
+            retired,
+            misses,
+            service,
+        };
+        meta.aggregate(&view, &[Some(m.harvest_sample(now))])
     }
 
     #[test]
     fn blp_is_time_weighted_average_of_active_banks() {
-        let mut m = monitor();
+        let (mut m, mut meta) = monitor();
         let t = ThreadId::new(0);
         // Two banks active from cycle 0 to 100.
         m.on_enqueue(t, gb(0, 0), Row::new(1), 0);
@@ -233,14 +207,14 @@ mod tests {
         // One bank drains at 100; the other at 200.
         m.on_service(t, gb(0, 0), 100);
         m.on_service(t, gb(1, 1), 200);
-        let snap = m.quantum_snapshot(1000, &[1000, 0], &[2, 0], &[0, 0]);
+        let snap = snapshot(&mut m, &mut meta, 1000, &[1000, 0], &[2, 0], &[0, 0]);
         // BLP = (2*100 + 1*100) / 200 = 1.5.
         assert!((snap.blp[0] - 1.5).abs() < 1e-9, "blp = {}", snap.blp[0]);
     }
 
     #[test]
     fn rbl_measures_shadow_hits() {
-        let mut m = monitor();
+        let (mut m, mut meta) = monitor();
         let t = ThreadId::new(0);
         m.on_enqueue(t, gb(0, 0), Row::new(7), 0);
         m.on_enqueue(t, gb(0, 0), Row::new(7), 10); // shadow hit
@@ -249,19 +223,33 @@ mod tests {
         for at in [40, 50, 60, 70] {
             m.on_service(t, gb(0, 0), at);
         }
-        let snap = m.quantum_snapshot(100, &[100, 0], &[4, 0], &[0, 0]);
+        let snap = snapshot(&mut m, &mut meta, 100, &[100, 0], &[4, 0], &[0, 0]);
         assert!((snap.rbl[0] - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn mpki_and_bandwidth_are_quantum_deltas() {
-        let mut m = monitor();
-        let snap = m.quantum_snapshot(1000, &[10_000, 1000], &[50, 0], &[777, 0]);
+        let (mut m, mut meta) = monitor();
+        let snap = snapshot(
+            &mut m,
+            &mut meta,
+            1000,
+            &[10_000, 1000],
+            &[50, 0],
+            &[777, 0],
+        );
         assert!((snap.mpki[0] - 5.0).abs() < 1e-9);
         assert_eq!(snap.bw_usage[0], 777);
         assert_eq!(snap.mpki[1], 0.0);
         // Second quantum: only the delta counts.
-        let snap = m.quantum_snapshot(2000, &[20_000, 2000], &[70, 3], &[1000, 50]);
+        let snap = snapshot(
+            &mut m,
+            &mut meta,
+            2000,
+            &[20_000, 2000],
+            &[70, 3],
+            &[1000, 50],
+        );
         assert!((snap.mpki[0] - 2.0).abs() < 1e-9);
         assert_eq!(snap.bw_usage[0], 223);
         assert_eq!(snap.bw_usage[1], 50);
@@ -270,21 +258,21 @@ mod tests {
 
     #[test]
     fn stalled_thread_with_misses_has_infinite_mpki() {
-        let mut m = monitor();
-        let snap = m.quantum_snapshot(1000, &[0, 0], &[5, 0], &[0, 0]);
+        let (mut m, mut meta) = monitor();
+        let snap = snapshot(&mut m, &mut meta, 1000, &[0, 0], &[5, 0], &[0, 0]);
         assert!(snap.mpki[0].is_infinite());
     }
 
     #[test]
     fn quantum_reset_clears_blp_and_rbl_windows() {
-        let mut m = monitor();
+        let (mut m, mut meta) = monitor();
         let t = ThreadId::new(0);
         m.on_enqueue(t, gb(0, 0), Row::new(1), 0);
         m.on_service(t, gb(0, 0), 100);
-        let first = m.quantum_snapshot(100, &[100, 0], &[1, 0], &[10, 0]);
+        let first = snapshot(&mut m, &mut meta, 100, &[100, 0], &[1, 0], &[10, 0]);
         assert!(first.blp[0] > 0.0);
         // Nothing happens in the second quantum.
-        let second = m.quantum_snapshot(200, &[200, 0], &[1, 0], &[10, 0]);
+        let second = snapshot(&mut m, &mut meta, 200, &[200, 0], &[1, 0], &[10, 0]);
         assert_eq!(second.blp[0], 0.0);
         assert_eq!(second.rbl[0], 0.0);
         assert_eq!(second.bw_usage[0], 0);
@@ -293,16 +281,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "unbalanced")]
     fn unbalanced_service_panics() {
-        let mut m = monitor();
+        let (mut m, _) = monitor();
         m.on_service(ThreadId::new(0), gb(0, 0), 10);
     }
 
     #[test]
     fn out_of_range_threads_are_ignored() {
-        let mut m = monitor();
+        let (mut m, mut meta) = monitor();
         m.on_enqueue(ThreadId::new(9), gb(0, 0), Row::new(1), 0);
         m.on_service(ThreadId::new(9), gb(0, 0), 10);
-        let snap = m.quantum_snapshot(100, &[0, 0], &[0, 0], &[0, 0]);
+        let snap = snapshot(&mut m, &mut meta, 100, &[0, 0], &[0, 0], &[0, 0]);
         assert_eq!(snap.blp, vec![0.0, 0.0]);
     }
 }

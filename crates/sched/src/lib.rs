@@ -106,7 +106,7 @@ pub struct PickContext<'a> {
 ///
 /// All counters are cumulative since simulation start; policies that need
 /// per-quantum deltas (ATLAS, TCM) keep their own previous snapshots.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SystemView<'a> {
     /// Instructions retired per thread.
     pub retired: &'a [u64],

@@ -44,7 +44,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use tcm_types::{Cycle, SystemConfig};
+use tcm_types::{CancelToken, Cycle, SimError, SystemConfig};
 use tcm_workload::{BenchmarkProfile, TraceGenerator, WorkloadSpec};
 
 /// Schema tag: the first line of every store entry.
@@ -105,9 +105,15 @@ impl AloneKey {
 /// simulated (uncached) through the sweep's engine entry. The policy is
 /// irrelevant with a single thread, so FR-FCFS is used. Only the
 /// machine and horizon come from `rc`: the run takes the builder's
-/// defaults (default watchdog; no chaos, verification, deadline or
-/// telemetry) whatever `rc` sets for the shared runs.
-fn compute_alone_ipc(profile: &BenchmarkProfile, rc: &RunConfig) -> f64 {
+/// defaults (default watchdog; no chaos, verification or telemetry)
+/// whatever `rc` sets for the shared runs. It polls `cancel`, the token
+/// of the cell that asked, and fails only when that fires; any other
+/// failure panics.
+fn compute_alone_ipc(
+    profile: &BenchmarkProfile,
+    rc: &RunConfig,
+    cancel: Option<&CancelToken>,
+) -> Result<f64, SimError> {
     let mut system = rc.system.clone();
     system.num_threads = 1;
     let alone = RunConfig::builder()
@@ -115,9 +121,20 @@ fn compute_alone_ipc(profile: &BenchmarkProfile, rc: &RunConfig) -> f64 {
         .horizon(rc.horizon)
         .build();
     let workload = WorkloadSpec::new(profile.name.clone(), vec![profile.clone()]);
-    let (run, _) = run_cell(&PolicyKind::FrFcfs, &workload, &alone, 0, None, None, None)
-        .expect("alone-run simulation failed");
-    run.ipc[0]
+    let run = run_cell(
+        &PolicyKind::FrFcfs,
+        &workload,
+        &alone,
+        0,
+        None,
+        cancel,
+        None,
+    );
+    match run {
+        Ok((run, _)) => Ok(run.ipc[0]),
+        Err(err @ SimError::Cancelled(_)) => Err(err),
+        Err(err) => panic!("alone-run simulation failed: {err:?}"),
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -189,7 +206,7 @@ impl AloneIpcCache {
         self.disk_hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that had to run the alone simulation.
+    /// Lookups that ran the alone simulation to completion.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -207,13 +224,20 @@ impl AloneIpcCache {
     }
 
     /// The alone IPC of `profile` on `rc`'s machine, and whether this
-    /// call ran the simulation to get it.
+    /// call ran the simulation to get it. The simulation polls `cancel`;
+    /// if that fires, nothing is cached or stored and a caller waiting
+    /// on the same key takes the lookup over.
     ///
     /// A compute-only profile retires at the issue width by construction,
     /// so it bypasses the cache: nothing is simulated, counted or stored.
-    pub(crate) fn get_or_compute(&self, profile: &BenchmarkProfile, rc: &RunConfig) -> (f64, bool) {
+    pub(crate) fn get_or_compute(
+        &self,
+        profile: &BenchmarkProfile,
+        rc: &RunConfig,
+        cancel: Option<&CancelToken>,
+    ) -> Result<(f64, bool), SimError> {
         if TraceGenerator::is_compute_only(profile) {
-            return (rc.system.issue_width as f64, false);
+            return Ok((rc.system.issue_width as f64, false));
         }
         let key = AloneKey::new(profile, rc);
         let mut slots = self.lock();
@@ -221,7 +245,7 @@ impl AloneIpcCache {
             match slots.get(&key) {
                 Some(&Slot::Ready(ipc)) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return (ipc, false);
+                    return Ok((ipc, false));
                 }
                 Some(Slot::Pending) => {
                     slots = self
@@ -252,10 +276,11 @@ impl AloneIpcCache {
         {
             self.disk_hits.fetch_add(1, Ordering::Relaxed);
             claim.fill(ipc);
-            return (ipc, false);
+            return Ok((ipc, false));
         }
+        // A cancelled run drops the claim unfilled: no slot, no file.
+        let ipc = compute_alone_ipc(profile, rc, cancel)?;
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let ipc = compute_alone_ipc(profile, rc);
         claim.fill(ipc);
         if let Some((path, text)) = entry {
             if let Err(err) = persist(&path, &text, ipc) {
@@ -265,7 +290,7 @@ impl AloneIpcCache {
                 );
             }
         }
-        (ipc, true)
+        Ok((ipc, true))
     }
 
     /// Reads the store entry at `path` for the key rendered as
@@ -290,8 +315,8 @@ impl AloneIpcCache {
 
 /// A caller's claim on a [`Slot::Pending`] key. Filling it publishes the
 /// IPC and wakes the waiters; dropping it unfilled (the simulation
-/// panicked) removes the slot, so a waiter takes the claim over instead
-/// of waiting forever.
+/// panicked or was cancelled) removes the slot, so a waiter takes the
+/// claim over instead of waiting forever.
 struct Claim<'c> {
     cache: &'c AloneIpcCache,
     key: &'c AloneKey,

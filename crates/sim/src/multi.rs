@@ -11,29 +11,33 @@
 
 use crate::system::System;
 use tcm_chaos::FaultKind;
-use tcm_sched::{ClusterPlan, MonitorSample};
+use tcm_sched::{ClusterPlan, MonitorSample, SystemView};
 use tcm_telemetry::TraceEvent;
 use tcm_types::Cycle;
 
 impl System {
     /// The paper's §5.3 exchange at `at`: harvest each controller's
     /// monitor sample, let the meta-controller aggregate them into one
-    /// plan, and broadcast it back.
+    /// plan, and broadcast it back. A shuffle boundary (the
+    /// meta-controller needs no samples) harvests nothing and passes an
+    /// empty sample list and an empty counter view.
     pub(crate) fn exchange(&mut self, at: Cycle) {
         let meta = self.meta.as_mut().expect("a meta timer without a meta");
         let harvested = meta.needs_samples(at);
-        let mut samples: Vec<Option<MonitorSample>> = if harvested {
-            self.ctls
-                .iter_mut()
-                .map(|ctl| ctl.scheduler.quantum_exchange(at))
-                .collect()
+        let mut samples: Vec<Option<MonitorSample>> = Vec::new();
+        let view = if harvested {
+            samples.extend(
+                self.ctls
+                    .iter_mut()
+                    .map(|ctl| ctl.scheduler.quantum_exchange(at)),
+            );
+            if !self.coordination.is_empty() {
+                self.apply_coordination_faults(at, &mut samples);
+            }
+            self.front.view(&self.ctls)
         } else {
-            vec![None; self.ctls.len()]
+            SystemView::default()
         };
-        if harvested && !self.coordination.is_empty() {
-            self.apply_coordination_faults(at, &mut samples);
-        }
-        let view = self.front.view(&self.ctls);
         let meta = self.meta.as_mut().expect("a meta timer without a meta");
         let plan = meta.exchange(at, &view, &samples);
         if plan.quarantined.is_empty() {
@@ -101,7 +105,9 @@ impl System {
 mod tests {
     use super::*;
     use crate::PolicyKind;
+    use std::sync::{Arc, Mutex};
     use tcm_core::TcmParams;
+    use tcm_sched::MetaScheduler;
     use tcm_types::{SystemConfig, Topology};
     use tcm_workload::{random_workload, BenchmarkProfile, WorkloadSpec};
 
@@ -161,6 +167,61 @@ mod tests {
         for ctl in &mut sys.ctls {
             assert!(ctl.scheduler.quantum_exchange(200_000).is_some());
         }
+    }
+
+    /// What one exchange received: `(cycle, needed samples, samples,
+    /// view threads)`.
+    type Call = (Cycle, bool, usize, usize);
+
+    /// A meta-controller that logs what each exchange receives.
+    #[derive(Debug)]
+    struct Recording {
+        inner: Box<dyn MetaScheduler>,
+        calls: Arc<Mutex<Vec<Call>>>,
+    }
+
+    impl MetaScheduler for Recording {
+        fn next_tick(&self, now: Cycle) -> Option<Cycle> {
+            self.inner.next_tick(now)
+        }
+
+        fn needs_samples(&self, now: Cycle) -> bool {
+            self.inner.needs_samples(now)
+        }
+
+        fn exchange(
+            &mut self,
+            now: Cycle,
+            view: &SystemView<'_>,
+            samples: &[Option<MonitorSample>],
+        ) -> ClusterPlan {
+            let needed = self.inner.needs_samples(now);
+            let call = (now, needed, samples.len(), view.num_threads());
+            self.calls.lock().unwrap().push(call);
+            self.inner.exchange(now, view, samples)
+        }
+    }
+
+    #[test]
+    fn shuffle_boundaries_pass_no_samples() {
+        let cfg = cfg(4, Topology::uniform(2, 1));
+        let w = random_workload(9, 4, 1.0);
+        let policy = fast_tcm(4);
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let meta = Recording {
+            inner: policy.build_meta(4, &cfg).unwrap(),
+            calls: Arc::clone(&calls),
+        };
+        let ctls = (0..2).map(|_| policy.build_controller(4, &cfg)).collect();
+        System::with_controllers(&cfg, &w, ctls, Some(Box::new(meta)), 7).run(45_000);
+        let calls = calls.lock().unwrap();
+        let quanta: Vec<Cycle> = calls.iter().filter(|c| c.1).map(|c| c.0).collect();
+        assert_eq!(quanta, vec![20_000, 40_000]);
+        for &(at, needed, samples, threads) in calls.iter() {
+            let want = if needed { (2, 4) } else { (0, 0) };
+            assert_eq!((samples, threads), want, "exchange at {at}");
+        }
+        assert!(calls.len() > 40, "shuffle boundaries run too");
     }
 
     #[test]

@@ -75,9 +75,11 @@ fn cell_token(rc: &RunConfig, cancel: Option<&CancelToken>) -> Option<CancelToke
 /// Runs one (policy, workload) cell and computes the paper's metrics.
 ///
 /// `alone_ipc` supplies the slowdown denominators (typically from a
-/// [`Session`]'s cache); `seed_xor` perturbs the canonical per-workload
-/// simulator seed (0 = the canonical seed). The run honors the
-/// configuration's `verify` and `watchdog` hardening knobs.
+/// [`Session`]'s cache), polling the token it is handed: the cell's
+/// own, so a baseline the cell has to simulate counts against its
+/// deadline. `seed_xor` perturbs the canonical per-workload simulator
+/// seed (0 = the canonical seed). The run honors the configuration's
+/// `verify` and `watchdog` hardening knobs.
 pub(crate) fn try_eval_cell(
     policy: &PolicyKind,
     workload: &WorkloadSpec,
@@ -85,28 +87,31 @@ pub(crate) fn try_eval_cell(
     weights: Option<&[f64]>,
     seed_xor: u64,
     cancel: Option<&CancelToken>,
-    mut alone_ipc: impl FnMut(&BenchmarkProfile) -> f64,
+    mut alone_ipc: impl FnMut(&BenchmarkProfile, Option<&CancelToken>) -> Result<f64, SimError>,
 ) -> Result<EvalResult, SimError> {
     let telemetry = rc.telemetry.as_ref().map(Telemetry::new);
     let seed = workload_seed(workload) ^ seed_xor;
+    let token = cell_token(rc, cancel);
     let (run, _) = run_cell(
         policy,
         workload,
         rc,
         seed,
         weights,
-        cancel,
+        token.as_ref(),
         telemetry.as_ref(),
     )?;
-    let pairs: Vec<IpcPair> = workload
+    let pairs = workload
         .threads
         .iter()
         .enumerate()
-        .map(|(i, profile)| IpcPair {
-            shared: run.ipc[i],
-            alone: alone_ipc(profile),
+        .map(|(i, profile)| {
+            Ok(IpcPair {
+                shared: run.ipc[i],
+                alone: alone_ipc(profile, token.as_ref())?,
+            })
         })
-        .collect();
+        .collect::<Result<Vec<IpcPair>, SimError>>()?;
     let metrics = workload_metrics(&pairs);
     Ok(EvalResult {
         policy: policy.label(),
@@ -176,9 +181,10 @@ impl<'a> CellKey<'a> {
 }
 
 /// Builds the machine for `rc.system.topology` ([`System::for_policy`]),
-/// applies `rc` once and runs it. Returns the run with the engine's
-/// degradation log. Sweep cells and the [`campaign`](crate::campaign)
-/// share it.
+/// applies `rc` once and runs it, polling `cancel` (a cell's token is
+/// made by `cell_token`). Returns the run with the engine's degradation
+/// log. Sweep cells, alone baselines and the
+/// [`campaign`](crate::campaign) share it.
 pub(crate) fn run_cell(
     policy: &PolicyKind,
     workload: &WorkloadSpec,
@@ -200,7 +206,7 @@ pub(crate) fn run_cell(
     if let Some(plan) = &rc.chaos {
         sys.install_chaos(plan);
     }
-    sys.set_cancel_token(cell_token(rc, cancel));
+    sys.set_cancel_token(cancel.cloned());
     if let Some(w) = weights {
         sys.set_thread_weights(w);
     }
@@ -405,16 +411,25 @@ impl Session {
     /// IPC of `profile` running alone on this session's machine
     /// (cached for every session sharing this one's cache).
     pub fn alone_ipc(&self, profile: &BenchmarkProfile) -> f64 {
-        self.cache.get_or_compute(profile, &self.rc).0
+        let lookup = self.cache.get_or_compute(profile, &self.rc, None);
+        lookup
+            .expect("an alone run without a token is never cancelled")
+            .0
     }
 
-    /// [`Session::alone_ipc`], adding 1 to `runs` if this call ran the
-    /// simulation. A shared cache's miss counter also moves with other
-    /// sessions' lookups, so a sweep counts its own alone runs this way.
-    fn alone_ipc_counted(&self, profile: &BenchmarkProfile, runs: &AtomicU64) -> f64 {
-        let (ipc, ran) = self.cache.get_or_compute(profile, &self.rc);
+    /// [`Session::alone_ipc`] under `cancel`, adding 1 to `runs` if this
+    /// call ran the simulation. A shared cache's miss counter also moves
+    /// with other sessions' lookups, so a sweep counts its own alone
+    /// runs this way.
+    fn alone_ipc_counted(
+        &self,
+        profile: &BenchmarkProfile,
+        runs: &AtomicU64,
+        cancel: Option<&CancelToken>,
+    ) -> Result<f64, SimError> {
+        let (ipc, ran) = self.cache.get_or_compute(profile, &self.rc, cancel)?;
         runs.fetch_add(u64::from(ran), Ordering::Relaxed);
-        ipc
+        Ok(ipc)
     }
 
     /// Starts building a sweep over this session.
@@ -438,8 +453,8 @@ impl Session {
     pub fn eval(&self, policy: &PolicyKind, workload: &WorkloadSpec) -> EvalResult {
         let t0 = Instant::now();
         let runs = AtomicU64::new(0);
-        let result = try_eval_cell(policy, workload, &self.rc, None, 0, None, |p| {
-            self.alone_ipc_counted(p, &runs)
+        let result = try_eval_cell(policy, workload, &self.rc, None, 0, None, |p, cancel| {
+            self.alone_ipc_counted(p, &runs, cancel)
         })
         .unwrap_or_else(|err| panic!("cell evaluation failed: {err}"));
         self.record(1, runs.into_inner(), t0.elapsed(), 1);
@@ -742,7 +757,7 @@ impl Sweep<'_> {
                     self.weights.as_deref(),
                     self.seeds[s],
                     self.cancel.as_ref(),
-                    |profile| self.session.alone_ipc_counted(profile, &alone_runs),
+                    |profile, token| self.session.alone_ipc_counted(profile, &alone_runs, token),
                 )
             }))
             .map_err(|payload| CellFailureKind::Panic(panic_message(payload)))
@@ -815,12 +830,17 @@ impl Sweep<'_> {
 
         // One queue: the alone baselines, then the cells in grid order (a
         // cell needing a baseline in flight waits for it: single-flight).
+        // A baseline task runs under a cell's token; if that fires, the
+        // cells needing the baseline look it up under their own.
         let outcomes = work_queue(alone.len() + to_run.len(), workers, |i| {
             match alone.get(i) {
                 None => eval_one(to_run[i - alone.len()]),
                 Some(_) if should_stop() => None,
                 Some(profile) => {
-                    self.session.alone_ipc_counted(profile, &alone_runs);
+                    let token = cell_token(rc, self.cancel.as_ref());
+                    let _ = self
+                        .session
+                        .alone_ipc_counted(profile, &alone_runs, token.as_ref());
                     None
                 }
             }
@@ -1149,6 +1169,36 @@ mod tests {
             .workloads([w])
             .run();
         assert_eq!(&direct, sweep.get(0, 0, 0));
+    }
+
+    #[test]
+    fn zero_cell_deadline_also_cancels_the_alone_baselines() {
+        let spec = tcm_workload::spec2006();
+        let session = Session::new(
+            RunConfig::builder()
+                .system(SystemConfig::builder().num_threads(4).build().unwrap())
+                .horizon(60_000)
+                .cell_deadline(Some(Duration::ZERO))
+                .build(),
+        );
+        let result = session
+            .sweep()
+            .policies([PolicyKind::Fcfs, PolicyKind::FrFcfs])
+            .workloads([WorkloadSpec::new("mix", spec[0..4].to_vec())])
+            .run_parallel(2);
+        assert_eq!(result.failures().len(), 2);
+        for failure in result.failures() {
+            assert!(
+                matches!(failure.kind, CellFailureKind::Timeout(_)),
+                "{failure}"
+            );
+        }
+        assert_eq!(result.stats().alone_runs, 0);
+        assert!(
+            session.alone_cache().is_empty(),
+            "a cancelled run caches nothing"
+        );
+        assert_eq!(session.alone_cache().misses(), 0);
     }
 
     #[test]

@@ -153,6 +153,19 @@ done
 cmp "$TRACE_TMP/topology-4.json" "$TRACE_TMP/topology-2x2.json"
 cmp "$TRACE_TMP/topology-4.json" "$TRACE_TMP/topology-3+1.json"
 
+# A zero cell deadline fails every cell at once, and the alone
+# baselines run under the cells' deadline too: none may run to the
+# horizon (exit 3 is the sweep's "cells failed" status).
+echo "==> --cell-deadline 0 runs no alone baseline"
+status=0
+target/release/tcm-run --workload A --cycles 20000000 --policies fr-fcfs,tcm \
+    --cell-deadline 0 >"$TRACE_TMP/deadline.txt" 2>&1 || status=$?
+if [ "$status" -ne 3 ] || ! grep -qF '+0 alone runs' "$TRACE_TMP/deadline.txt"; then
+    echo "--cell-deadline 0 exited $status or ran alone baselines:" >&2
+    cat "$TRACE_TMP/deadline.txt" >&2
+    exit 1
+fi
+
 # Telemetry trace smoke: run one TCM cell with tracing and metrics
 # enabled and validate the emitted schemas — JSONL event lines, the
 # Perfetto-loadable Chrome array, and the tcm-metrics-v1 document.
