@@ -13,7 +13,7 @@ use tcm_core::{InsertionShuffler, InsertionVariant, RoundRobinShuffler, ShuffleM
 use tcm_sched::{AtlasParams, ParBsParams, StfmParams};
 use tcm_sim::report::{f2, f3, pct_change, Table};
 use tcm_sim::{mean, variance, PolicyKind, RunConfig, Session, System, WorkloadMetrics};
-use tcm_types::{SystemConfig, ThreadId};
+use tcm_types::{SystemConfig, ThreadId, Topology};
 use tcm_workload::{
     random_workload, spec2006, spec_by_name, table5_workloads, workload_suite, BenchmarkProfile,
     MachineShape, TraceGenerator, WorkloadSpec,
@@ -734,12 +734,15 @@ pub fn table8(scale: &Scale) -> Report {
         ]);
     };
 
-    for channels in [1usize, 2, 4, 8] {
+    // N controllers of one channel each, coordinated by the §5.3
+    // exchange (TCM) and the machine-wide counters every timer reads
+    // (ATLAS).
+    for controllers in [1usize, 2, 4, 8, 16] {
         let system = SystemConfig::builder()
-            .num_channels(channels)
+            .topology(Topology::uniform(controllers, 1))
             .build()
             .expect("valid config");
-        compare("controllers".into(), channels.to_string(), system, 1.0);
+        compare("controllers".into(), controllers.to_string(), system, 1.0);
     }
     for cores in [4usize, 8, 16, 24, 32] {
         let system = SystemConfig::builder()

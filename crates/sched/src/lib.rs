@@ -112,8 +112,11 @@ pub struct SystemView<'a> {
     pub retired: &'a [u64],
     /// LLC misses generated per thread.
     pub misses: &'a [u64],
-    /// Bank-busy cycles attained per thread, summed over all channels —
-    /// the paper's *memory service time*.
+    /// Bank-busy cycles attained per thread, summed over all channels of
+    /// every controller — the paper's *memory service time*. A policy
+    /// instance arbitrating one controller of a split machine reads the
+    /// same machine-wide column, which is how ATLAS ranks by the
+    /// service a thread attained across all controllers.
     pub service: &'a [u64],
 }
 

@@ -606,21 +606,23 @@ impl FrontEnd {
     }
 
     /// The per-thread counter view a policy timer reads: retired
-    /// instructions and misses from the cores, service summed over
-    /// `controllers`. Built in reused scratch buffers: some policies'
-    /// timers fire often, and allocating three vectors per firing was
-    /// measurable.
-    pub(crate) fn view<'a>(
-        &mut self,
-        controllers: impl IntoIterator<Item = &'a Controller>,
-    ) -> SystemView<'_> {
-        Self::view_into(
-            &self.cores,
-            controllers,
-            &mut self.scratch_retired,
-            &mut self.scratch_misses,
-            &mut self.scratch_service,
-        );
+    /// instructions and misses from the cores, and service summed over
+    /// every controller of the machine, so each controller's timer sees
+    /// the machine-wide counters [`SystemView`] documents. Built in
+    /// reused scratch buffers: some policies' timers fire often, and
+    /// allocating three vectors per firing was measurable.
+    pub(crate) fn view(&mut self, controllers: &[Controller]) -> SystemView<'_> {
+        self.scratch_retired.clear();
+        self.scratch_retired
+            .extend(self.cores.iter().map(Core::retired));
+        self.scratch_misses.clear();
+        self.scratch_misses
+            .extend(self.cores.iter().map(Core::misses_issued));
+        self.scratch_service.clear();
+        self.scratch_service.resize(self.cores.len(), 0);
+        for ctl in controllers {
+            ctl.add_service(&mut self.scratch_service);
+        }
         SystemView {
             retired: &self.scratch_retired,
             misses: &self.scratch_misses,
@@ -628,37 +630,15 @@ impl FrontEnd {
         }
     }
 
-    /// Fills a per-thread counter view in place (see [`FrontEnd::view`]).
-    fn view_into<'a>(
-        cores: &[Core],
-        controllers: impl IntoIterator<Item = &'a Controller>,
-        retired: &mut Vec<u64>,
-        misses: &mut Vec<u64>,
-        service: &mut Vec<u64>,
-    ) {
-        retired.clear();
-        retired.extend(cores.iter().map(Core::retired));
-        misses.clear();
-        misses.extend(cores.iter().map(Core::misses_issued));
-        service.clear();
-        service.resize(cores.len(), 0);
-        for ctl in controllers {
-            ctl.add_service(service);
-        }
-    }
-
     /// Snapshot of the machine for a [`SimError::Stalled`] report,
     /// attributing `controller` when known.
-    pub(crate) fn stall_report<'a, I>(
+    pub(crate) fn stall_report(
         &self,
         now: Cycle,
         controller: Option<ControllerId>,
-        controllers: I,
-    ) -> StallReport
-    where
-        I: Iterator<Item = &'a Controller> + Clone,
-    {
-        let channels = || controllers.clone().flat_map(Controller::channels);
+        controllers: &[Controller],
+    ) -> StallReport {
+        let channels = || controllers.iter().flat_map(Controller::channels);
         StallReport {
             controller,
             now,
@@ -667,7 +647,7 @@ impl FrontEnd {
             outstanding: self.cores.iter().map(Core::outstanding).collect(),
             queue_depths: channels().map(|ch| ch.queue().len()).collect(),
             spill_depths: controllers
-                .clone()
+                .iter()
                 .flat_map(|ctl| ctl.spill.iter().map(VecDeque::len))
                 .collect(),
             busy_banks: channels().map(Channel::busy_bank_count).collect(),
@@ -677,29 +657,24 @@ impl FrontEnd {
     /// The run's results at `horizon`; also absorbs the final counters,
     /// `events` among them, into `telemetry`'s registry when it is
     /// enabled.
-    pub(crate) fn collect<'a, I>(
-        &self,
+    pub(crate) fn collect(
+        &mut self,
         horizon: Cycle,
-        controllers: I,
+        controllers: &[Controller],
         events: EventCounts,
         telemetry: &Telemetry,
-    ) -> RunResult
-    where
-        I: Iterator<Item = &'a Controller> + Clone,
-    {
-        let (mut retired, mut misses, mut service) = (Vec::new(), Vec::new(), Vec::new());
-        Self::view_into(
-            &self.cores,
-            controllers.clone(),
-            &mut retired,
-            &mut misses,
-            &mut service,
+    ) -> RunResult {
+        let view = self.view(controllers);
+        let (retired, misses, service) = (
+            view.retired.to_vec(),
+            view.misses.to_vec(),
+            view.service.to_vec(),
         );
         let ipc = retired
             .iter()
             .map(|&r| r as f64 / horizon.max(1) as f64)
             .collect();
-        let channels = || controllers.clone().flat_map(Controller::channels);
+        let channels = || controllers.iter().flat_map(Controller::channels);
         let total_serviced: u64 = channels().map(|c| c.stats().total_serviced()).sum();
         let total_hits: u64 = channels().map(|c| c.stats().total_row_hits()).sum();
         let result = RunResult {
@@ -714,7 +689,7 @@ impl FrontEnd {
             } else {
                 total_hits as f64 / total_serviced as f64
             },
-            spilled: controllers.clone().map(|c| c.spilled).sum(),
+            spilled: controllers.iter().map(|c| c.spilled).sum(),
             peak_queue: channels()
                 .map(|c| c.stats().peak_queue_depth)
                 .max()
@@ -734,15 +709,13 @@ impl FrontEnd {
 /// queue-depth histograms — all labeled by global channel index — plus
 /// the event-loop counters. A machine with several controllers adds
 /// `{controller=i}` aggregates.
-fn absorb_metrics<'a, I>(
+fn absorb_metrics(
     telemetry: &Telemetry,
     run: &RunResult,
-    controllers: I,
+    controllers: &[Controller],
     events: EventCounts,
     stale_bursts: u64,
-) where
-    I: Iterator<Item = &'a Controller> + Clone,
-{
+) {
     telemetry.with_metrics(|m| {
         for (kind, n) in Event::KINDS.iter().zip(events.popped) {
             m.set_counter(&labeled("events", &[("kind", kind)]), n);
@@ -754,7 +727,7 @@ fn absorb_metrics<'a, I>(
         m.set_counter("peak_queue_depth", run.peak_queue as u64);
         m.set_gauge("row_hit_rate", run.row_hit_rate);
         let cycles = run.cycles.max(1) as f64;
-        for ch in controllers.clone().flat_map(Controller::channels) {
+        for ch in controllers.iter().flat_map(Controller::channels) {
             let stats = ch.stats();
             let cidx = ch.id().index().to_string();
             let clabel: &[(&str, &str)] = &[("channel", &cidx)];
@@ -774,8 +747,8 @@ fn absorb_metrics<'a, I>(
                 m.set_counter(&labeled("row_conflicts", labels), bank.row_conflicts);
             }
         }
-        if controllers.clone().nth(1).is_some() {
-            for (i, ctl) in controllers.enumerate() {
+        if controllers.len() > 1 {
+            for (i, ctl) in controllers.iter().enumerate() {
                 let midx = i.to_string();
                 let mlabel: &[(&str, &str)] = &[("controller", &midx)];
                 let channels = ctl.channels();

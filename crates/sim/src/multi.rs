@@ -142,7 +142,8 @@ mod tests {
 
     #[test]
     fn uncoordinated_policies_run_per_controller_timers() {
-        // ATLAS keeps its own quantum timer in each controller instance.
+        // ATLAS keeps its own quantum timer in each controller instance;
+        // each reads the machine-wide counters.
         let cfg = cfg(4, Topology::uniform(2, 2));
         let w = random_workload(5, 4, 1.0);
         let policy = PolicyKind::Atlas(tcm_sched::AtlasParams::paper_default());

@@ -278,7 +278,7 @@ impl System {
 
     /// Has no effect: every cell runs on one thread. Kept only because
     /// the `perf/` benchmark package calls it; it goes with that
-    /// package's next change (ROADMAP item 3).
+    /// package's next change (ROADMAP item 1).
     pub fn set_hosts(&mut self, _hosts: usize) {}
 
     /// Turns on the DRAM protocol invariant checker on every channel
@@ -603,11 +603,9 @@ impl System {
                     timer: Timer::Controller(id),
                 } => {
                     let c = id.index();
+                    let view = self.front.view(&self.ctls);
                     let ctl = &mut self.ctls[c];
                     ctl.tick_pending = false;
-                    // A controller observes only its own traffic: the
-                    // view's service column covers this controller alone.
-                    let view = self.front.view([&*ctl]);
                     ctl.scheduler.tick(self.now, &view);
                     self.schedule_tick(c);
                 }
@@ -631,12 +629,9 @@ impl System {
         for ctl in &mut self.ctls {
             ctl.finish_verification(horizon)?;
         }
-        Ok(self.front.collect(
-            horizon,
-            self.ctls.iter(),
-            self.events.counts,
-            &self.telemetry,
-        ))
+        Ok(self
+            .front
+            .collect(horizon, &self.ctls, self.events.counts, &self.telemetry))
     }
 
     /// Full watchdog evaluation, run only when the per-event probe fires
@@ -707,15 +702,14 @@ impl System {
         let controller = controller
             .filter(|_| self.ctls.len() > 1)
             .map(ControllerId::new);
-        self.front
-            .stall_report(self.now, controller, self.ctls.iter())
+        self.front.stall_report(self.now, controller, &self.ctls)
     }
 }
 
 /// The multi-controller constructor under its former engine's name:
 /// [`MultiSystem::new`] returns a [`System`]. Kept only because the
 /// `perf/` benchmark package calls it; it goes with that package's next
-/// change (ROADMAP item 3).
+/// change (ROADMAP item 1).
 ///
 /// # Example
 ///

@@ -141,17 +141,18 @@ target/release/tcm-run "${GRAFT[@]}" --topology 2x2 >"$TRACE_TMP/fresh.json"
 cmp "$TRACE_TMP/graft.json" "$TRACE_TMP/fresh.json"
 
 # One event loop drives every topology. FR-FCFS keeps no state across
-# banks, and ATLAS acts as FR-FCFS until its 10M-cycle quantum first
-# elapses, so splitting the channels among controllers must change no
-# byte of their --json output, slowdowns included (the output names no
-# topology).
+# banks, and every ATLAS timer ranks on the service summed over all
+# controllers, so splitting the channels among controllers must change
+# no byte of their --json output, slowdowns included (the output names
+# no topology). 12M cycles runs past ATLAS's first 10M-cycle quantum.
 echo "==> FR-FCFS and ATLAS print the same --json on every topology"
-for topology in 4 2x2 3+1; do
-    target/release/tcm-run --workload B --cycles 1200000 --policies fr-fcfs,atlas \
+for topology in 4 2x2 3+1 4x1; do
+    target/release/tcm-run --workload B --cycles 12000000 --policies fr-fcfs,atlas \
         --json --topology "$topology" >"$TRACE_TMP/topology-$topology.json"
 done
-cmp "$TRACE_TMP/topology-4.json" "$TRACE_TMP/topology-2x2.json"
-cmp "$TRACE_TMP/topology-4.json" "$TRACE_TMP/topology-3+1.json"
+for topology in 2x2 3+1 4x1; do
+    cmp "$TRACE_TMP/topology-4.json" "$TRACE_TMP/topology-$topology.json"
+done
 
 # A zero cell deadline fails every cell at once, and the alone
 # baselines run under the cells' deadline too: none may run to the

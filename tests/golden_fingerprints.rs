@@ -154,11 +154,12 @@ fn compute_multi_fingerprints(spec: &str) -> Vec<(String, String, u64)> {
     )
 }
 
-/// `policies` on one random mixed workload on the `spec` topology at
-/// 1.2M cycles: each cell's policy label, workload name and run.
+/// `policies` on `workloads` on the `spec` topology at 1.2M cycles:
+/// each cell's policy label, workload name and run.
 fn topology_runs(
     spec: &str,
     policies: impl IntoIterator<Item = PolicyKind>,
+    workloads: impl IntoIterator<Item = WorkloadSpec>,
 ) -> Vec<(String, String, RunResult)> {
     let mut cfg = SystemConfig::paper_baseline();
     cfg.topology = Topology::parse(spec).expect("valid spec");
@@ -166,7 +167,7 @@ fn topology_runs(
     let result = session
         .sweep()
         .policies(policies)
-        .workloads([random_workload(1, 24, 0.75)])
+        .workloads(workloads)
         .run();
     assert!(result.is_complete(), "multi golden grid must not fail");
     result
@@ -187,7 +188,7 @@ fn compute_topology_fingerprints(
     spec: &str,
     policies: impl IntoIterator<Item = PolicyKind>,
 ) -> Vec<(String, String, u64)> {
-    topology_runs(spec, policies)
+    topology_runs(spec, policies, [random_workload(1, 24, 0.75)])
         .into_iter()
         .map(|(policy, workload, run)| (policy, workload, fingerprint(&run)))
         .collect()
@@ -247,10 +248,12 @@ fn compute_multi_lineup_fingerprints(spec: &str) -> Vec<(String, String, u64)> {
 }
 
 /// Re-captured with `GOLDEN_MULTI`. ATLAS's 10M-cycle quantum never
-/// elapses here, so its cells coincide with the FR-FCFS entries. PAR-BS
-/// keeps its batches per channel, so its cells coincide with the flat
-/// `GOLDEN` PAR-BS x rand-75%-01 entry; STFM's per-controller slowdown
-/// estimates are what the topology changes.
+/// elapses here, so its cells coincide with the FR-FCFS entries; the
+/// differential oracle below runs ATLAS past many quanta, where its
+/// machine-wide ranking keeps it on the flat result. PAR-BS keeps its
+/// batches per channel, so its cells coincide with the flat `GOLDEN`
+/// PAR-BS x rand-75%-01 entry; STFM's per-controller slowdown estimates
+/// are what the topology changes.
 const GOLDEN_MULTI_LINEUP: [(&str, &str, &str, u64); 6] = [
     ("2x2", "STFM", "rand-75%-01", 0xb4173e3c1aeb4780),
     ("2x2", "PAR-BS", "rand-75%-01", 0xdfe3c021f3f81e89),
@@ -277,21 +280,35 @@ fn multi_controller_lineup_matches_golden_fingerprints() {
     assert!(expected.next().is_none(), "grid shrank");
 }
 
-/// Differential oracle: FR-FCFS is a stateless per-bank policy, and
-/// ATLAS behaves as FR-FCFS until its 10M-cycle quantum first elapses,
-/// so splitting the flat machine's channels among controllers must not
-/// change a single bit of either's run.
+/// Differential oracle: splitting the flat machine's channels among
+/// controllers must not change a single bit of a run. FR-FCFS is
+/// stateless per bank and PAR-BS batches per channel. ATLAS and TCM rank
+/// on machine-wide counters: every ATLAS timer reads the service summed
+/// over all controllers, and TCM ranks once per quantum in the §5.3
+/// exchange. Their 100k-cycle quanta make every timer fire a dozen
+/// times within the horizon. TCM runs the reproduction default, whose
+/// random shuffle reads no BLP; the insertion shuffle's BLP is summed
+/// per controller by the exchange and is not yet exact on a split
+/// machine. STFM stays out: its slowdown estimates come from each
+/// controller's own interference hooks, so a split machine is meant to
+/// change it.
 #[test]
-fn uncoordinated_policies_match_the_flat_machine_on_every_topology() {
+fn fr_fcfs_par_bs_atlas_and_tcm_match_the_flat_machine_on_every_topology() {
     let policies = || {
         [
             PolicyKind::FrFcfs,
-            PolicyKind::Atlas(tcm::sched::AtlasParams::paper_default()),
+            PolicyKind::ParBs(tcm::sched::ParBsParams::paper_default()),
+            PolicyKind::Atlas(tcm::sched::AtlasParams::with_quantum(100_000)),
+            PolicyKind::Tcm(tcm::core::TcmParams {
+                quantum: 100_000,
+                ..tcm::core::TcmParams::reproduction_default(24)
+            }),
         ]
     };
-    let flat = topology_runs("4", policies());
-    for spec in ["2x2", "3+1"] {
-        let split = topology_runs(spec, policies());
+    let workloads = || [random_workload(1, 24, 0.75), random_workload(2, 24, 1.0)];
+    let flat = topology_runs("4", policies(), workloads());
+    for spec in ["2x2", "3+1", "4x1"] {
+        let split = topology_runs(spec, policies(), workloads());
         assert_eq!(split.len(), flat.len(), "grid shape changed on {spec}");
         for ((policy, workload, run), (_, _, flat_run)) in split.iter().zip(&flat) {
             assert!(
